@@ -5,6 +5,7 @@ decomposition engines, per-block subproblem solvers, ADMM-family baselines,
 convergence-rate diagnostics, and the benchmark harness.
 """
 
+from .coupling import Coupling
 from .model import (BlockSpec, FunctionDescriptor, IterateState, Problem,
                     SmoothPart, SolverParams, constraint_residual, g_norm_sq,
                     make_initial_state, objective, project_onto_W,

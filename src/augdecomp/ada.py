@@ -20,6 +20,7 @@ subspace; the tiny floating-point drift is removed and recorded each step.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -53,7 +54,10 @@ class Trace:
 
     ``states[i]`` is the iterate *after* step ``i+1``; ``initial_state`` is
     the starting point, so ergodic and distance diagnostics can reconstruct
-    the full trajectory.
+    the full trajectory.  ``stop_reason`` says why the run ended:
+    ``"converged"`` (the stopping criterion was met), ``"max_iters"`` (the
+    iteration cap), ``"non_finite"`` (the last step produced a non-finite
+    objective or residual norm) or ``"custom"`` (a callable stop rule).
     """
 
     initial_state: IterateState
@@ -62,6 +66,7 @@ class Trace:
     converged: bool = False
     stop_mode: str = "max_iters"
     stop_eps: float = 0.0
+    stop_reason: str = "max_iters"
 
     def __len__(self):
         return len(self.metrics)
@@ -109,7 +114,7 @@ def phi_value(k: int, x_k: np.ndarray, state: IterateState,
     blk = problem.blocks[k]
     x_k = np.asarray(x_k, dtype=float)
     qk = problem.q if k == K - 1 else 0.0
-    r = blk.E @ x_k - qk - state.w[k] + (2.0 / params.rho) * state.y[k]
+    r = blk.E.apply(x_k) - qk - state.w[k] + (2.0 / params.rho) * state.y[k]
     dx = x_k - state.x[k]
     return blk.objective.value(x_k) \
         + 0.25 * params.rho * float(r @ r) \
@@ -158,7 +163,7 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
 
     eta_new = np.empty((K, m))
     for k in range(K):
-        r_k = problem.blocks[k].E @ new_x[k] - state.w[k]
+        r_k = problem.blocks[k].E.apply(new_x[k]) - state.w[k]
         if k == K - 1:
             r_k = r_k - problem.q
         eta_new[k] = state.y[k] + 0.5 * rho * r_k
@@ -228,7 +233,10 @@ def run(problem: Problem, params: SolverParams, solvers: Sequence,
     -------
     (IterateState, Trace)
         Final state and the recorded trace; ``trace.converged`` is False when
-        the iteration cap was reached without meeting the criterion.
+        the iteration cap was reached without meeting the criterion.  A step
+        whose objective or residual norm is not finite ends the run at once,
+        with ``trace.stop_reason == "non_finite"``; that step's state is
+        returned and recorded.
     """
     state = make_initial_state(problem) if initial is None else initial
     custom_stop = callable(stop_mode)
@@ -245,12 +253,18 @@ def run(problem: Problem, params: SolverParams, solvers: Sequence,
         trace.metrics.append(metrics)
         if record_states:
             trace.states.append(state)
+        if not (math.isfinite(metrics.objective)
+                and math.isfinite(metrics.constraint_residual_norm)):
+            trace.stop_reason = "non_finite"
+            break
         if custom_stop:
             if stop_mode(state, metrics):
                 trace.converged = True
+                trace.stop_reason = "custom"
                 break
         elif check_stop(metrics, params.stop_eps, stop_mode):
             trace.converged = True
+            trace.stop_reason = "converged"
             break
     return state, trace
 

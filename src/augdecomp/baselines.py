@@ -24,7 +24,6 @@ import numpy as np
 from .ada import StepMetrics, Trace, check_stop
 from .block_solvers import (CachedQuadSolver, build_penalized_solvers,
                             soft_threshold)
-from .inexact import spectral_norm
 from .model import Problem, constraint_residual, objective, project_onto_W
 
 
@@ -59,7 +58,7 @@ def default_prox_weights(problem: Problem, params: BaselineParams) -> tuple:
     if params.gamma_damp >= 2.0:
         raise ValueError("damping must satisfy gamma < 2 for the default weights")
     factor = params.beta * (K / (2.0 - params.gamma_damp) - 1.0)
-    return tuple(factor * spectral_norm(blk.E) ** 2 + 0.1 for blk in problem.blocks)
+    return tuple(factor * blk.E.norm ** 2 + 0.1 for blk in problem.blocks)
 
 
 def _metrics(nu, problem, x_new, x_prev_stacked, certs) -> StepMetrics:
@@ -99,12 +98,12 @@ def vsadmm_step(state, problem: Problem, params: BaselineParams, solvers):
         t = qk + w[k] - y[k] / beta
         cert = solvers[k].solve(t, x[k], accept=None)
         new_x.append(cert.x)
-        v[k] = problem.blocks[k].E @ cert.x - qk + y[k] / beta
+        v[k] = problem.blocks[k].E.apply(cert.x) - qk + y[k] / beta
     w_new = project_onto_W(v)
     y_new = np.empty((K, m))
     for k in range(K):
         qk = problem.q if k == K - 1 else 0.0
-        y_new[k] = y[k] + beta * (problem.blocks[k].E @ new_x[k] - qk - w_new[k])
+        y_new[k] = y[k] + beta * (problem.blocks[k].E.apply(new_x[k]) - qk - w_new[k])
     return w_new, tuple(new_x), y_new
 
 
@@ -124,6 +123,7 @@ def vsadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
         trace.metrics.append(metrics)
         if stop_mode != "max_iters" and check_stop(metrics, stop_eps, stop_mode):
             trace.converged = True
+            trace.stop_reason = "converged"
             break
     return state, trace
 
@@ -143,7 +143,7 @@ def prox_jadmm_step(state, problem: Problem, params: BaselineParams, solvers):
     x, lam = state
     K = problem.num_blocks
     beta = params.beta
-    Ex = [problem.blocks[k].E @ x[k] for k in range(K)]
+    Ex = [problem.blocks[k].E.apply(x[k]) for k in range(K)]
     total = np.sum(Ex, axis=0)
     new_x = []
     for k in range(K):
@@ -174,6 +174,7 @@ def prox_jadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
         trace.metrics.append(metrics)
         if stop_mode != "max_iters" and check_stop(metrics, stop_eps, stop_mode):
             trace.converged = True
+            trace.stop_reason = "converged"
             break
     return state, trace
 
@@ -231,6 +232,7 @@ class Admm2Lasso:
             trace.metrics.append(metrics)
             if stop_mode != "max_iters" and check_stop(metrics, stop_eps, stop_mode):
                 trace.converged = True
+                trace.stop_reason = "converged"
                 break
         return state, trace
 

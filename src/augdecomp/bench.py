@@ -23,6 +23,7 @@ import scipy.sparse as sp
 
 from . import ada, baselines, diagnostics
 from .block_solvers import build_block_solvers
+from .coupling import Coupling
 from .inexact import InexactSchedule, iada_run
 from .model import (BlockSpec, FunctionDescriptor, Problem, SmoothPart,
                     SolverParams, constraint_residual, objective)
@@ -83,11 +84,11 @@ def gen_lasso(n: int, d: int, seed: int):
     noise = math.sqrt(1e-3) * rs.gaussians(n)
     b = A @ x0 + noise
     lam = 0.1 * float(np.abs(A.T @ b).max())
-    eye = np.eye(d)
     blocks = (
-        BlockSpec(n=d, E=eye,
+        BlockSpec(n=d, E=Coupling.identity(d),
                   objective=FunctionDescriptor(smooth=SmoothPart("least_squares", A, b))),
-        BlockSpec(n=d, E=-eye, objective=FunctionDescriptor(l1_scale=lam)),
+        BlockSpec(n=d, E=Coupling.identity(d, sign=-1),
+                  objective=FunctionDescriptor(l1_scale=lam)),
     )
     return Problem(blocks=blocks, q=np.zeros(d)), x0
 
@@ -106,13 +107,12 @@ def gen_exchange(K: int, n: int, p: int, seed: int):
     rs = RandomStream(seed)
     x_star = [rs.gaussians(n) for _ in range(K - 1)]
     x_star.append(-np.sum(x_star, axis=0))
-    eye = np.eye(n)
     blocks = []
     for k in range(K):
         A = rs.gaussians((p, n))
         b = A @ x_star[k]
         blocks.append(BlockSpec(
-            n=n, E=eye,
+            n=n, E=Coupling.identity(n),
             objective=FunctionDescriptor(smooth=SmoothPart("least_squares", A, b))))
     return Problem(blocks=tuple(blocks), q=np.zeros(n)), tuple(x_star)
 
@@ -218,21 +218,16 @@ def build_logreg_consensus(row_blocks, lam: float) -> Problem:
     if N < 1:
         raise ValueError("need at least one row block")
     d = row_blocks[0][0].shape[1]
-    m = N * d
-    eye = sp.identity(d, format="csr")
     blocks = []
     for i, (A_i, b_i) in enumerate(row_blocks):
         if A_i.shape[0] == 0:
             raise ValueError(f"row block {i} is empty")
-        rows = [sp.csr_matrix((d, d))] * N
-        rows[i] = eye
-        E_i = sp.vstack(rows, format="csr")
         blocks.append(BlockSpec(
-            n=d, E=E_i,
+            n=d, E=Coupling.copies(d, N, rows=(i,)),
             objective=FunctionDescriptor(smooth=SmoothPart("logistic", A_i, b_i))))
-    E_z = -sp.vstack([eye] * N, format="csr")
-    blocks.append(BlockSpec(n=d, E=E_z, objective=FunctionDescriptor(l1_scale=lam)))
-    return Problem(blocks=tuple(blocks), q=np.zeros(m))
+    blocks.append(BlockSpec(n=d, E=Coupling.copies(d, N, rows=range(N), sign=-1),
+                            objective=FunctionDescriptor(l1_scale=lam)))
+    return Problem(blocks=tuple(blocks), q=np.zeros(N * d))
 
 
 def consensus_ratio(x_blocks) -> float:
@@ -443,6 +438,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         "seed": config.seed,
         "iterations": len(trace),
         "converged": bool(trace.converged),
+        "stop_reason": trace.stop_reason,
         "objective": objective(final_x, problem),
         "residual_norm": float(np.linalg.norm(constraint_residual(final_x, problem))),
         "kkt_residual": diagnostics.kkt_residual(final_x, multiplier, problem),

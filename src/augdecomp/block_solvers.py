@@ -21,6 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .coupling import e_gram_scale  # noqa: F401 -- part of this module's interface
 from .model import BlockSpec
 
 
@@ -74,27 +75,6 @@ def subgrad_dist_l1(x: np.ndarray, smooth_grad_at_x: np.ndarray, lambda1: float)
                  g + lambda1 * np.sign(x),
                  np.sign(g) * np.maximum(np.abs(g) - lambda1, 0.0))
     return float(np.linalg.norm(r))
-
-
-def e_gram_scale(E) -> float | None:
-    """Return ``alpha`` when ``E^T E == alpha * I``, else None.
-
-    The couplings used by the benchmarks (signed identities, row-block
-    embeddings, stacked copies) all have scalar Gram matrices, which is what
-    makes the closed-form block solves available.
-    """
-    G = E.T @ E
-    if sp.issparse(G):
-        G = G.toarray()
-    G = np.asarray(G)
-    d = np.diagonal(G)
-    alpha = float(d.mean())
-    if not np.allclose(d, alpha, rtol=1e-12, atol=1e-12 * max(1.0, alpha)):
-        return None
-    off = G - alpha * np.eye(G.shape[0])
-    if np.abs(off).max() > 1e-12 * max(1.0, alpha):
-        return None
-    return alpha
 
 
 class CachedQuadSolver:
@@ -372,7 +352,7 @@ class QuadBlockSolver:
             raise ValueError("QuadBlockSolver requires a purely smooth block")
         if fd.smooth.kind not in ("least_squares", "quadratic"):
             raise ValueError("QuadBlockSolver requires a quadratic loss")
-        alpha = e_gram_scale(block.E)
+        alpha = block.E.gram_scale
         if alpha is None:
             raise ValueError("coupling matrix must satisfy E^T E = alpha I")
         self.E = block.E
@@ -382,7 +362,7 @@ class QuadBlockSolver:
         self._quad = CachedQuadSolver(fd.smooth.A, fd.smooth.b, sigma, mode=mode)
 
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
-        rhs = self._quad.atb + self.penalty * (self.E.T @ t)
+        rhs = self._quad.atb + self.penalty * self.E.apply_T(t)
         if self.prox_weight > 0:
             rhs = rhs + self.prox_weight * z
         return BlockSolveCertificate(x=self._quad.solve_shifted(rhs), subgrad_bound=0.0)
@@ -405,7 +385,7 @@ class GeneralQuadBlockSolver:
             raise ValueError("GeneralQuadBlockSolver requires a quadratic loss")
         A = fd.smooth.A
         A = A.toarray() if sp.issparse(A) else A
-        E = block.E.toarray() if sp.issparse(block.E) else block.E
+        E = block.E.toarray()
         self.E = block.E
         self.penalty = float(penalty)
         self.prox_weight = float(prox_weight)
@@ -415,7 +395,7 @@ class GeneralQuadBlockSolver:
         self.atb = A.T @ b
 
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
-        rhs = self.atb + self.penalty * (self.E.T @ t)
+        rhs = self.atb + self.penalty * self.E.apply_T(t)
         if self.prox_weight > 0:
             rhs = rhs + self.prox_weight * z
         x = scipy.linalg.cho_solve(self._chol, rhs)
@@ -435,7 +415,7 @@ class L1ProxBlockSolver:
         fd = block.objective
         if fd.smooth is not None or fd.l1_scale <= 0.0:
             raise ValueError("L1ProxBlockSolver requires a pure l1 block")
-        alpha = e_gram_scale(block.E)
+        alpha = block.E.gram_scale
         if alpha is None:
             raise ValueError("coupling matrix must satisfy E^T E = alpha I")
         self.E = block.E
@@ -445,7 +425,7 @@ class L1ProxBlockSolver:
         self.denom = penalty * alpha + prox_weight
 
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
-        numer = self.penalty * (self.E.T @ t)
+        numer = self.penalty * self.E.apply_T(t)
         if self.prox_weight > 0:
             numer = numer + self.prox_weight * z
         x = soft_threshold(numer / self.denom, self.lam / self.denom)
@@ -482,7 +462,7 @@ class LbfgsBlockSolver:
         self.memory = int(memory)
         self._fallback = None
         if fd.smooth.kind in ("least_squares", "quadratic"):
-            if e_gram_scale(block.E) is not None:
+            if block.E.gram_scale is not None:
                 self._fallback = QuadBlockSolver(block, penalty, prox_weight)
             else:
                 self._fallback = GeneralQuadBlockSolver(block, penalty, prox_weight)
@@ -493,9 +473,10 @@ class LbfgsBlockSolver:
         p, s = self.penalty, self.prox_weight
 
         def fun_grad(x):
-            r = E @ x - t
-            val = fd.smooth.value(x) + 0.5 * p * float(r @ r)
-            grad = fd.smooth.gradient(x) + p * (E.T @ r)
+            r = E.apply(x) - t
+            val, grad = fd.smooth.value_and_gradient(x)
+            val += 0.5 * p * float(r @ r)
+            grad = grad + p * E.apply_T(r)
             if s > 0:
                 dz = x - z
                 val += 0.5 * s * float(dz @ dz)
@@ -541,10 +522,9 @@ class CompositeBlockSolver:
             raise ValueError("CompositeBlockSolver requires smooth and l1 parts")
         A = fd.smooth.A
         A = A.toarray() if sp.issparse(A) else A
-        E = block.E.toarray() if sp.issparse(block.E) else block.E
         lip_g = 0.25 if fd.smooth.kind == "logistic" else 1.0
         self.lipschitz = lip_g * float(np.linalg.norm(A, 2)) ** 2 \
-            + penalty * float(np.linalg.norm(E, 2)) ** 2 + prox_weight
+            + penalty * block.E.norm ** 2 + prox_weight
         self.block = block
         self.penalty = float(penalty)
         self.prox_weight = float(prox_weight)
@@ -553,7 +533,8 @@ class CompositeBlockSolver:
 
     def _smooth_grad(self, x, t, z):
         fd = self.block.objective
-        g = fd.smooth.gradient(x) + self.penalty * (self.block.E.T @ (self.block.E @ x - t))
+        E = self.block.E
+        g = fd.smooth.gradient(x) + self.penalty * E.apply_T(E.apply(x) - t)
         if self.prox_weight > 0:
             g = g + self.prox_weight * (x - z)
         return g
@@ -603,7 +584,7 @@ def build_penalized_solvers(problem, penalty: float, prox_weights,
         elif fd.smooth.kind == "logistic" or iterative_smooth:
             solvers.append(LbfgsBlockSolver(blk, penalty, s,
                                             exact_tol=exact_tol, max_inner=max_inner))
-        elif e_gram_scale(blk.E) is not None:
+        elif blk.E.gram_scale is not None:
             solvers.append(QuadBlockSolver(blk, penalty, s))
         else:
             solvers.append(GeneralQuadBlockSolver(blk, penalty, s))

@@ -1,0 +1,221 @@
+"""Coupling operators ``E_k`` of the constraint ``sum_k E_k x_k = q``.
+
+The couplings of the lasso, exchange and consensus formulations are signed
+identities and stacked copies of the identity; their products, Gram scales
+and norms have closed forms, so they are represented by their structure
+rather than by a matrix.  Any other dense or sparse matrix is kept as given,
+and its Gram scale and spectral norm are computed once, on first use.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from functools import cached_property
+
+import numpy as np
+import scipy.sparse as sp
+
+
+def e_gram_scale(E) -> float | None:
+    """Return ``alpha`` when ``E^T E == alpha * I``, else None.
+
+    A scalar Gram matrix is what makes the closed-form block solves
+    available; this numerical test serves the general ``"matrix"`` kind,
+    whose structure is not known when it is built.
+    """
+    G = E.T @ E
+    if sp.issparse(G):
+        G = G.toarray()
+    G = np.asarray(G)
+    d = np.diagonal(G)
+    alpha = float(d.mean())
+    if not np.allclose(d, alpha, rtol=1e-12, atol=1e-12 * max(1.0, alpha)):
+        return None
+    off = G - alpha * np.eye(G.shape[0])
+    if np.abs(off).max() > 1e-12 * max(1.0, alpha):
+        return None
+    return alpha
+
+
+def spectral_norm(E, rel_tol: float = 1e-10, max_iters: int = 1000) -> float:
+    """Largest singular value by power iteration on ``E^T E``.
+
+    Returns 0.0 for the zero matrix.  If successive estimates have not
+    settled to ``rel_tol`` within ``max_iters`` sweeps, the last bracketing
+    pair is reported in a warning and the newest estimate returned.
+    """
+    n = E.shape[1]
+    v = np.linspace(1.0, 2.0, n)
+    v /= np.linalg.norm(v)
+    sigma = 0.0
+    restarts = 0
+    for _ in range(max_iters):
+        u = E.T @ (E @ v)
+        norm_u = float(np.linalg.norm(u))
+        if norm_u == 0.0:
+            # v landed in the null space; restart from a basis vector
+            if restarts >= n:
+                return 0.0
+            v = np.zeros(n)
+            v[restarts] = 1.0
+            restarts += 1
+            continue
+        sigma_new = float(np.sqrt(v @ u))
+        v = u / norm_u
+        if abs(sigma_new - sigma) <= rel_tol * max(sigma_new, 1e-300):
+            return sigma_new
+        sigma = sigma_new
+    warnings.warn(f"power iteration did not settle: last estimates "
+                  f"({sigma:.17g}, {sigma_new:.17g})", RuntimeWarning)
+    return sigma_new
+
+
+class Coupling:
+    """Linear map ``E: R^n -> R^m`` whose structure is fixed at construction.
+
+    Kinds:
+
+    ``"identity"``
+        ``E = sign * I_n`` (``m = n``); see ``Coupling.identity``.
+    ``"copies"``
+        ``m = B * n``: row block ``r`` of ``E`` is ``sign * I_n`` for each
+        ``r`` in ``rows`` and zero otherwise; the consensus couplings
+        ``x_i -> (0, .., x_i, .., 0)`` and ``z -> -(z, .., z)`` are of this
+        kind.  See ``Coupling.copies``.
+    ``"matrix"``
+        A dense or sparse matrix, kept as given: ``Coupling(matrix=M)``.
+
+    ``apply`` and ``apply_T`` return the same numbers as the products
+    ``M @ x`` and ``M.T @ r`` with the CSR form of the represented matrix
+    ``M``: exact zero terms add nothing, a negation rounds like the value it
+    negates, and a sum of copies accumulates in row-block order.
+    ``__array__``/``toarray`` give ``M`` as a dense array, so code that reads
+    ``E`` as an array keeps working.
+    """
+
+    def __init__(self, *, matrix=None, n: int = 0, blocks: int = 1, rows=(0,),
+                 sign: int = 1):
+        if matrix is not None:
+            self._matrix = matrix.tocsr() if sp.issparse(matrix) \
+                else np.asarray(matrix, dtype=float)
+            if self._matrix.ndim != 2:
+                raise ValueError("a coupling matrix must be two-dimensional")
+            self.shape = self._matrix.shape
+            return
+        rows = tuple(sorted(int(r) for r in rows))
+        if n < 1 or blocks < 1:
+            raise ValueError("n and blocks must be positive")
+        if not rows or len(set(rows)) != len(rows) or rows[0] < 0 or rows[-1] >= blocks:
+            raise ValueError(f"rows must be distinct row-block indices in [0, {blocks})")
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        self._matrix = None
+        self.n, self.blocks, self.rows, self.sign = int(n), int(blocks), rows, sign
+        self.shape = (self.blocks * self.n, self.n)
+
+    @classmethod
+    def identity(cls, n: int, sign: int = 1) -> "Coupling":
+        """``sign * I_n``."""
+        return cls(n=n, sign=sign)
+
+    @classmethod
+    def copies(cls, n: int, blocks: int, rows, sign: int = 1) -> "Coupling":
+        """``sign * I_n`` in row blocks ``rows`` of ``blocks``, zero elsewhere."""
+        return cls(n=n, blocks=blocks, rows=rows, sign=sign)
+
+    @property
+    def kind(self) -> str:
+        if self._matrix is not None:
+            return "matrix"
+        return "identity" if self.blocks == 1 else "copies"
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``E @ x`` as a new array."""
+        if self._matrix is not None:
+            return self._matrix @ x
+        x = np.asarray(x, dtype=float)
+        v = x.copy() if self.sign > 0 else -x
+        if self.blocks == 1:
+            return v
+        out = np.zeros((self.blocks, self.n))
+        out[list(self.rows)] = v
+        return out.reshape(-1)
+
+    def apply_T(self, r: np.ndarray) -> np.ndarray:
+        """``E.T @ r`` as a new array."""
+        if self._matrix is not None:
+            return self._matrix.T @ r
+        r = np.asarray(r, dtype=float).reshape(self.blocks, self.n)
+        acc = r[self.rows[0]].copy()
+        for i in self.rows[1:]:
+            acc += r[i]
+        return acc if self.sign > 0 else -acc
+
+    @cached_property
+    def gram_scale(self) -> float | None:
+        """``alpha`` with ``E^T E = alpha I``, or None when there is none."""
+        if self._matrix is not None:
+            return e_gram_scale(self._matrix)
+        return float(len(self.rows))
+
+    @cached_property
+    def norm(self) -> float:
+        """Spectral norm ``||E||_2``."""
+        if self._matrix is not None:
+            return spectral_norm(self._matrix)
+        return math.sqrt(len(self.rows))
+
+    def toarray(self) -> np.ndarray:
+        """The represented matrix as a dense array."""
+        if self._matrix is not None:
+            M = self._matrix
+            return M.toarray() if sp.issparse(M) else M.copy()
+        out = np.zeros(self.shape)
+        for i in self.rows:
+            out[i * self.n:(i + 1) * self.n] = self.sign * np.eye(self.n)
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        a = self.toarray()
+        return a if dtype is None else a.astype(dtype, copy=False)
+
+    def __matmul__(self, other):
+        """``E @ v`` for a vector (via ``apply``), the dense product otherwise."""
+        if np.ndim(other) == 1:
+            return self.apply(other)
+        return self.toarray() @ other
+
+    @property
+    def T(self) -> np.ndarray:
+        """Dense transpose, for reading; products should use ``apply_T``."""
+        return self.toarray().T
+
+    def __getitem__(self, key):
+        return self.toarray()[key]
+
+    def __repr__(self):
+        if self._matrix is not None:
+            return f"Coupling(matrix {self.shape[0]}x{self.shape[1]})"
+        return (f"Coupling({self.kind}, n={self.n}, blocks={self.blocks}, "
+                f"rows={self.rows}, sign={self.sign:+d})")
+
+
+def stacked_norm(couplings) -> float:
+    """Spectral norm of the ``m x sum_k n_k`` matrix ``[E_1 ... E_K]``.
+
+    When every coupling is structured with the same ``n``, ``[E_1 ... E_K]
+    [E_1 ... E_K]^T = (C C^T) kron I_n`` for the B-by-K incidence matrix
+    ``C`` of their row blocks, so the norm comes from that small matrix;
+    otherwise by power iteration on the stacked matrix.
+    """
+    if all(E.kind != "matrix" for E in couplings) \
+            and len({(E.n, E.blocks) for E in couplings}) == 1:
+        C = np.zeros((couplings[0].blocks, len(couplings)))
+        for k, E in enumerate(couplings):
+            C[list(E.rows), k] = 1.0
+        return math.sqrt(float(np.linalg.eigvalsh(C @ C.T)[-1]))
+    mats = [E._matrix if E.kind == "matrix" else E.toarray() for E in couplings]
+    if any(sp.issparse(M) for M in mats):
+        return spectral_norm(sp.hstack([sp.csr_matrix(M) for M in mats], format="csr"))
+    return spectral_norm(np.hstack(mats))

@@ -169,7 +169,7 @@ def kkt_residual(x: Sequence[np.ndarray], y: np.ndarray, problem: Problem) -> fl
         if not blk.is_free:
             raise ValueError("no subgradient distance formula for bounded blocks")
         xk = np.asarray(xk, dtype=float)
-        g = blk.objective.smooth_gradient(xk) + blk.E.T @ y
+        g = blk.objective.smooth_gradient(xk) + blk.E.apply_T(y)
         if blk.objective.l1_scale > 0.0:
             dist = subgrad_dist_l1(xk, g, blk.objective.l1_scale)
         else:

@@ -10,7 +10,7 @@ criteria are provided: a summable absolute schedule (criterion A)
 and its step-proportional tightening (criterion B), which multiplies the
 threshold by ``min(1, ||x_k - x_k_prev||)`` and yields the local linear rate.
 ``||E||`` is the spectral norm of the full stacked coupling matrix, computed
-once per problem.
+once per problem (in closed form for the structured couplings).
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import ada
 from .block_solvers import BlockSolveCertificate
+from .coupling import spectral_norm, stacked_norm
 from .model import IterateState, Problem, SolverParams
 
 __all__ = [
@@ -34,47 +34,9 @@ __all__ = [
 SCHEDULE_KINDS = ("criterion_A", "criterion_B", "exact")
 
 
-def spectral_norm(E, rel_tol: float = 1e-10, max_iters: int = 1000) -> float:
-    """Largest singular value by power iteration on ``E^T E``.
-
-    Returns 0.0 for the zero matrix.  If successive estimates have not
-    settled to ``rel_tol`` within ``max_iters`` sweeps, the last bracketing
-    pair is reported in a warning and the newest estimate returned.
-    """
-    n = E.shape[1]
-    v = np.linspace(1.0, 2.0, n)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    restarts = 0
-    for _ in range(max_iters):
-        u = E.T @ (E @ v)
-        norm_u = float(np.linalg.norm(u))
-        if norm_u == 0.0:
-            # v landed in the null space; restart from a basis vector
-            if restarts >= n:
-                return 0.0
-            v = np.zeros(n)
-            v[restarts] = 1.0
-            restarts += 1
-            continue
-        sigma_new = float(np.sqrt(v @ u))
-        v = u / norm_u
-        if abs(sigma_new - sigma) <= rel_tol * max(sigma_new, 1e-300):
-            return sigma_new
-        sigma = sigma_new
-    warnings.warn(f"power iteration did not settle: last estimates "
-                  f"({sigma:.17g}, {sigma_new:.17g})", RuntimeWarning)
-    return sigma_new
-
-
 def stacked_coupling_norm(problem: Problem) -> float:
     """Spectral norm of the full ``m x n`` matrix ``[E_1 ... E_K]``."""
-    mats = [blk.E for blk in problem.blocks]
-    if any(sp.issparse(M) for M in mats):
-        E = sp.hstack([sp.csr_matrix(M) for M in mats], format="csr")
-    else:
-        E = np.hstack(mats)
-    return spectral_norm(E)
+    return stacked_norm([blk.E for blk in problem.blocks])
 
 
 @dataclass(frozen=True)

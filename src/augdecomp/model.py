@@ -21,20 +21,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from .coupling import Coupling
+
 
 def _as_matrix(M):
     """Pass sparse matrices through, promote everything else to a float ndarray."""
     if sp.issparse(M):
         return M.tocsr()
     return np.asarray(M, dtype=float)
-
-
-def _matvec(M, v):
-    return M @ v
-
-
-def _rmatvec(M, v):
-    return M.T @ v
 
 
 @dataclass(frozen=True)
@@ -68,8 +62,7 @@ class SmoothPart:
         if self.kind == "logistic" and not np.all(np.isin(self.b, (-1.0, 1.0))):
             raise ValueError("logistic labels must be +1/-1")
 
-    def value(self, x: np.ndarray) -> float:
-        u = _matvec(self.A, x)
+    def _value_at(self, u: np.ndarray) -> float:
         if self.kind == "least_squares":
             r = u - self.b
             return 0.5 * float(r @ r)
@@ -78,14 +71,24 @@ class SmoothPart:
         # log(1 + exp(-b*u)) evaluated stably for large |u|
         return float(np.logaddexp(0.0, -self.b * u).sum())
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        u = _matvec(self.A, x)
+    def _gradient_at(self, u: np.ndarray) -> np.ndarray:
         if self.kind == "least_squares":
-            return _rmatvec(self.A, u - self.b)
+            return self.A.T @ (u - self.b)
         if self.kind == "quadratic":
-            return _rmatvec(self.A, u)
+            return self.A.T @ u
         s = -self.b * expit(-self.b * u)
-        return _rmatvec(self.A, s)
+        return self.A.T @ s
+
+    def value(self, x: np.ndarray) -> float:
+        return self._value_at(self.A @ x)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self._gradient_at(self.A @ x)
+
+    def value_and_gradient(self, x: np.ndarray):
+        """``(value(x), gradient(x))`` from a single product ``A @ x``."""
+        u = self.A @ x
+        return self._value_at(u), self._gradient_at(u)
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,13 @@ class FunctionDescriptor:
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """One variable block: dimension, coupling matrix, objective, feasible set.
+    """One variable block: dimension, coupling operator, objective, feasible set.
+
+    ``E`` is a ``Coupling`` (``Coupling.identity`` for ``+-I``,
+    ``Coupling.copies`` for stacked copies of the identity) or a dense or
+    sparse matrix, which is wrapped as a general ``"matrix"`` coupling.  The
+    engines use ``E.apply``/``E.apply_T`` and the closed-form solvers
+    ``E.gram_scale``; ``np.asarray(E)`` gives the matrix.
 
     ``bounds`` is either None (whole space) or a ``(lo, hi)`` pair of
     coordinatewise arrays, with -inf/+inf allowed.
@@ -132,7 +141,8 @@ class BlockSpec:
     bounds: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "E", _as_matrix(self.E))
+        if not isinstance(self.E, Coupling):
+            object.__setattr__(self, "E", Coupling(matrix=self.E))
         if self.E.shape[1] != self.n:
             raise ValueError(f"E has {self.E.shape[1]} columns, block dimension is {self.n}")
         if self.bounds is not None:
@@ -263,7 +273,7 @@ def saddle_state(problem: Problem, x: Sequence[np.ndarray],
     y = np.asarray(y, dtype=float)
     w = np.empty((K, problem.m))
     for k, (blk, xk) in enumerate(zip(problem.blocks, x)):
-        w[k] = _matvec(blk.E, xk)
+        w[k] = blk.E.apply(xk)
     w[K - 1] -= problem.q
     eta = np.tile(y, (K, 1))
     return IterateState(w=w, x=x, eta=eta, zeta_bar=y.copy(), y=eta.copy())
@@ -328,7 +338,7 @@ def constraint_residual(x: Sequence[np.ndarray], problem: Problem) -> np.ndarray
     """``sum_k E_k x_k - q``."""
     r = -problem.q.copy()
     for blk, xk in zip(problem.blocks, x):
-        r += _matvec(blk.E, np.asarray(xk, dtype=float))
+        r += blk.E.apply(np.asarray(xk, dtype=float))
     return r
 
 

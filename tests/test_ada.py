@@ -350,3 +350,44 @@ class TestTraceCsv:
             parts = line.split(",")
             assert float(parts[1]) == m.objective  # %.17g is value-exact
             assert float(parts[3]) == m.delta_g_norm_sq
+
+
+class TestStopReason:
+    def test_non_finite_block_solution_stops_the_run(self, small_exchange):
+        problem, _ = small_exchange
+
+        class NaNAfterTwo:
+            """Delegates to a real solver, then returns NaN from the third solve on."""
+
+            def __init__(self, inner):
+                self.inner, self.calls = inner, 0
+
+            def solve(self, t, z, accept=None):
+                self.calls += 1
+                cert = self.inner.solve(t, z, accept=accept)
+                if self.calls < 3:
+                    return cert
+                return ag.BlockSolveCertificate(x=np.full_like(cert.x, np.nan),
+                                                subgrad_bound=0.0)
+
+        params = ag.SolverParams(rho=1.0, c=1.0, max_iters=50)
+        solvers = ag.build_block_solvers(problem, params)
+        solvers[1] = NaNAfterTwo(solvers[1])
+        final, trace = run(problem, params, solvers, stop_mode="max_iters")
+        assert len(trace) == 3
+        assert trace.stop_reason == "non_finite"
+        assert not trace.converged
+        assert all(math.isfinite(m.objective) for m in trace.metrics[:2])
+        assert math.isnan(trace.metrics[-1].objective)
+        assert trace.states[-1] is final
+
+    def test_reasons_of_finite_runs(self, small_exchange):
+        problem, _ = small_exchange
+        params = ag.SolverParams(rho=1.0, c=1.0, max_iters=5)
+        solvers = ag.build_block_solvers(problem, params)
+        assert run(problem, params, solvers, stop_mode="max_iters")[1].stop_reason \
+            == "max_iters"
+        assert run(problem, params, solvers, stop_mode=lambda s, m: m.iter == 2)[1] \
+            .stop_reason == "custom"
+        loose = ag.SolverParams(rho=1.0, c=1.0, max_iters=5, stop_eps=1e3)
+        assert run(problem, loose, solvers)[1].stop_reason == "converged"

@@ -324,3 +324,15 @@ class TestConfigAndRunner:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "nope"}))
         assert main(["solve", "--config", str(cfg)]) == 1
+
+
+def test_summary_reports_stop_reason(tmp_path):
+    for stop_mode, iters, status, reason in (("max_iters", 30, 2, "max_iters"),
+                                             ("x_change", 3000, 0, "converged")):
+        out = tmp_path / stop_mode
+        config = ExperimentConfig(experiment="exchange", solver="ada", blocks=3,
+                                  n=8, p=4, rho=2.0, c=2.0, max_iters=iters,
+                                  stop_eps=1e-9, stop_mode=stop_mode, out=str(out))
+        assert run_experiment(config) == status
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stop_reason"] == reason

@@ -1,0 +1,126 @@
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import augdecomp as ag
+from augdecomp import coupling
+from augdecomp.bench import gen_logreg_data
+from augdecomp.block_solvers import (L1ProxBlockSolver, QuadBlockSolver,
+                                     e_gram_scale)
+from augdecomp.coupling import Coupling
+from augdecomp.inexact import spectral_norm, stacked_coupling_norm
+from augdecomp.model import BlockSpec, FunctionDescriptor
+
+STRUCTURED = [
+    Coupling.identity(6),
+    Coupling.identity(6, sign=-1),
+    Coupling.copies(5, 4, rows=(2,)),
+    Coupling.copies(5, 4, rows=(0, 3), sign=-1),
+    Coupling.copies(5, 4, rows=range(4), sign=-1),
+    Coupling.copies(5, 3, rows=range(3)),
+]
+
+
+def _scaled_normals(rng, size):
+    """Gaussians over six decades, so that any change of summation order shows."""
+    return rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, size)
+
+
+@pytest.mark.parametrize("E", STRUCTURED, ids=repr)
+class TestStructuredKinds:
+    def test_products_match_dense_and_csr(self, E):
+        rng = np.random.default_rng(0)
+        M = np.asarray(E)
+        assert M.shape == E.shape
+        for _ in range(20):
+            x = _scaled_normals(rng, E.shape[1])
+            r = _scaled_normals(rng, E.shape[0])
+            assert np.array_equal(E.apply(x), M @ x)
+            assert np.array_equal(E.apply_T(r), M.T @ r)
+            assert np.array_equal(E.apply(x), sp.csr_matrix(M) @ x)
+            assert np.array_equal(E.apply_T(r), sp.csr_matrix(M).T @ r)
+
+    def test_gram_scale_and_norm_closed_forms(self, E):
+        M = np.asarray(E)
+        assert E.gram_scale == e_gram_scale(M)
+        assert abs(E.norm - spectral_norm(M)) <= 1e-10 * spectral_norm(M)
+
+
+def test_kinds_and_validation():
+    assert Coupling.identity(3).kind == "identity"
+    assert Coupling.copies(3, 2, rows=(1,)).kind == "copies"
+    assert BlockSpec(n=3, E=np.eye(3), objective=FunctionDescriptor(
+        l1_scale=1.0)).E.kind == "matrix"
+    for bad in (dict(n=3, blocks=2, rows=()), dict(n=3, blocks=2, rows=(2,)),
+                dict(n=3, blocks=2, rows=(0, 0)), dict(n=0),
+                dict(n=3, sign=2)):
+        with pytest.raises(ValueError):
+            Coupling(**bad)
+
+
+def test_general_matrix_keeps_its_products():
+    rng = np.random.default_rng(1)
+    M = rng.standard_normal((4, 3))
+    E = Coupling(matrix=M)
+    x, r = rng.standard_normal(3), rng.standard_normal(4)
+    assert np.array_equal(E.apply(x), M @ x)
+    assert np.array_equal(E.apply_T(r), M.T @ r)
+    assert E.gram_scale is None
+    assert E.norm == spectral_norm(M)
+    S = sp.random(6, 3, density=0.5, random_state=2, format="csr")
+    Es = Coupling(matrix=S)
+    assert np.array_equal(Es.apply_T(np.ones(6)), S.T @ np.ones(6))
+    assert np.array_equal(Es.toarray(), S.toarray())
+
+
+def test_generators_emit_structured_kinds():
+    lasso, _ = ag.gen_lasso(10, 15, seed=2)
+    assert [(b.E.kind, b.E.sign) for b in lasso.blocks] == [("identity", 1),
+                                                           ("identity", -1)]
+    exchange, _ = ag.gen_exchange(3, 6, 4, seed=2)
+    assert all(b.E.kind == "identity" and b.E.sign == 1 for b in exchange.blocks)
+    A, labels = gen_logreg_data(30, 4, seed=3)
+    consensus = ag.build_logreg_consensus(ag.partition_rows(A, labels, 3), lam=0.1)
+    assert [(b.E.kind, b.E.rows, b.E.sign) for b in consensus.blocks] == [
+        ("copies", (0,), 1), ("copies", (1,), 1), ("copies", (2,), 1),
+        ("copies", (0, 1, 2), -1)]
+
+
+def test_stacked_norm_closed_form_matches_power_iteration():
+    A, labels = gen_logreg_data(40, 5, seed=4)
+    problem = ag.build_logreg_consensus(ag.partition_rows(A, labels, 4), lam=0.1)
+    stacked = np.hstack([np.asarray(b.E) for b in problem.blocks])
+    assert stacked_coupling_norm(problem) == pytest.approx(np.sqrt(5.0), rel=1e-15)
+    assert abs(stacked_coupling_norm(problem) - spectral_norm(stacked)) \
+        <= 1e-10 * np.sqrt(5.0)
+
+
+def test_structured_problems_skip_numerical_detection(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numerical structure detection on a structured coupling")
+
+    monkeypatch.setattr(coupling, "e_gram_scale", forbidden)
+    monkeypatch.setattr(coupling, "spectral_norm", forbidden)
+    A, labels = gen_logreg_data(30, 4, seed=3)
+    problems = [ag.gen_lasso(10, 15, seed=2)[0], ag.gen_exchange(3, 6, 4, seed=2)[0],
+                ag.build_logreg_consensus(ag.partition_rows(A, labels, 3), lam=0.1)]
+    params = ag.SolverParams(rho=2.0, c=1.0, max_iters=3)
+    for problem in problems:
+        ag.build_block_solvers(problem, params)
+        schedule = ag.InexactSchedule.for_problem(problem)
+        ag.build_block_solvers(problem, params, schedule)
+        ag.default_prox_weights(problem, ag.BaselineParams())
+
+
+def test_user_dense_identity_gets_closed_form_solvers():
+    structured, _ = ag.gen_lasso(6, 4, seed=0)
+    dense = ag.Problem(blocks=tuple(BlockSpec(n=4, E=np.asarray(b.E), objective=b.objective)
+                                    for b in structured.blocks), q=structured.q)
+    assert [b.E.kind for b in dense.blocks] == ["matrix", "matrix"]
+    params = ag.SolverParams(rho=2.0, c=1.0)
+    dense_solvers = ag.build_block_solvers(dense, params)
+    assert [type(s) for s in dense_solvers] == [QuadBlockSolver, L1ProxBlockSolver]
+    rng = np.random.default_rng(5)
+    t, z = rng.standard_normal(4), rng.standard_normal(4)
+    for a, b in zip(dense_solvers, ag.build_block_solvers(structured, params)):
+        assert np.array_equal(a.solve(t, z).x, b.solve(t, z).x)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import augdecomp as ag
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
@@ -219,3 +220,20 @@ class TestValidation:
         ref = small_exchange_saddle
         assert abs(ref.w.sum(axis=0)).max() < 1e-10
         assert ag.kkt_residual(ref.x, ref.zeta_bar, problem) < 1e-8
+
+
+class TestValueAndGradient:
+    @pytest.mark.parametrize("kind", ["least_squares", "quadratic", "logistic"])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_bit_identical_to_separate_calls(self, kind, sparse):
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((7, 4))
+        if sparse:
+            A = sp.csr_matrix(np.where(np.abs(A) > 0.5, A, 0.0))
+        b = np.where(rng.standard_normal(7) >= 0, 1.0, -1.0) if kind != "quadratic" else None
+        part = SmoothPart(kind, A, b)
+        for _ in range(5):
+            x = rng.standard_normal(4)
+            value, grad = part.value_and_gradient(x)
+            assert value == part.value(x)
+            assert np.array_equal(grad, part.gradient(x))
