@@ -46,6 +46,13 @@ class StepMetrics:
     per_block_cert: tuple
     inner_iters_total: int = 0
     w_drift: float = 0.0
+    fallbacks: int = 0  # block solves that fell back to the exact solve
+
+    @property
+    def finite(self) -> bool:
+        """Objective and constraint residual norm are both finite."""
+        return math.isfinite(self.objective) \
+            and math.isfinite(self.constraint_residual_norm)
 
 
 @dataclass
@@ -151,6 +158,7 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
     new_x = []
     certs = []
     inner_total = 0
+    fallbacks = 0
     for k in range(K):
         accept = accept_rules[k] if accept_rules is not None else None
         try:
@@ -160,6 +168,7 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
         new_x.append(np.asarray(cert.x, dtype=float))
         certs.append(cert.subgrad_bound)
         inner_total += cert.inner_iters
+        fallbacks += cert.exact_fallback
 
     eta_new = np.empty((K, m))
     for k in range(K):
@@ -192,6 +201,7 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
         per_block_cert=tuple(certs),
         inner_iters_total=inner_total,
         w_drift=float(np.linalg.norm(drift)) * np.sqrt(K),
+        fallbacks=fallbacks,
     )
     return new_state, metrics
 
@@ -253,8 +263,7 @@ def run(problem: Problem, params: SolverParams, solvers: Sequence,
         trace.metrics.append(metrics)
         if record_states:
             trace.states.append(state)
-        if not (math.isfinite(metrics.objective)
-                and math.isfinite(metrics.constraint_residual_norm)):
+        if not metrics.finite:
             trace.stop_reason = "non_finite"
             break
         if custom_stop:

@@ -11,7 +11,9 @@ engines:
 
 All runners emit the same trace schema as the decomposition engines; the
 G-norm delta column is not defined for these iterations and is recorded as
-NaN.
+NaN.  Like the decomposition engines, every runner stops at the first
+iteration whose objective or residual norm is not finite, with
+``trace.stop_reason == "non_finite"``.
 """
 
 from __future__ import annotations
@@ -121,6 +123,9 @@ def vsadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
         state = vsadmm_step(state, problem, params, solvers)
         metrics = _metrics(t, problem, state[1], x_prev, zeros)
         trace.metrics.append(metrics)
+        if not metrics.finite:
+            trace.stop_reason = "non_finite"
+            break
         if stop_mode != "max_iters" and check_stop(metrics, stop_eps, stop_mode):
             trace.converged = True
             trace.stop_reason = "converged"
@@ -172,6 +177,9 @@ def prox_jadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
         state = prox_jadmm_step(state, problem, params, solvers)
         metrics = _metrics(t, problem, state[0], x_prev, zeros)
         trace.metrics.append(metrics)
+        if not metrics.finite:
+            trace.stop_reason = "non_finite"
+            break
         if stop_mode != "max_iters" and check_stop(metrics, stop_eps, stop_mode):
             trace.converged = True
             trace.stop_reason = "converged"
@@ -230,6 +238,9 @@ class Admm2Lasso:
             metrics = _metrics(t, self.problem, (state[0], state[1]), prev,
                                (0.0, 0.0))
             trace.metrics.append(metrics)
+            if not metrics.finite:
+                trace.stop_reason = "non_finite"
+                break
             if stop_mode != "max_iters" and check_stop(metrics, stop_eps, stop_mode):
                 trace.converged = True
                 trace.stop_reason = "converged"

@@ -439,6 +439,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         "iterations": len(trace),
         "converged": bool(trace.converged),
         "stop_reason": trace.stop_reason,
+        "exact_fallbacks": sum(m.fallbacks for m in trace.metrics),
         "objective": objective(final_x, problem),
         "residual_norm": float(np.linalg.norm(constraint_residual(final_x, problem))),
         "kkt_residual": diagnostics.kkt_residual(final_x, multiplier, problem),

@@ -7,14 +7,19 @@ independent subproblems of the shape
 
 for a penalty ``p``, a target ``t``, and a proximal center ``z`` (``s = 0``
 drops the proximal term).  This module provides closed-form solvers for
-least-squares and l1 blocks, a limited-memory BFGS solver for smooth blocks
-that cannot be solved in closed form, and a proximal-gradient solver for
-smooth-plus-l1 composites.  Iterative solvers report a certified upper bound
-on ``dist(0, d phi(x))`` at the returned point; closed forms certify zero.
+least-squares and l1 blocks, a certified iterative solver for smooth blocks
+(conjugate gradients for quadratic losses, limited-memory BFGS for logistic
+ones), and a proximal-gradient solver for smooth-plus-l1 composites.
+Iterative solvers report a certified upper bound on ``dist(0, d phi(x))`` at
+the returned point, computed from the gradient evaluated at that point;
+closed forms certify zero.  When finite precision cannot certify a quadratic
+block to its threshold, the exact factorized solve is returned instead and
+the certificate says so (``exact_fallback``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +44,14 @@ class BlockSolveCertificate:
 
     ``subgrad_bound`` is an upper bound on ``dist(0, d phi(x))`` for the
     subproblem objective phi at ``x``; exact (closed-form) solves report 0.
+    ``exact_fallback`` marks an iterative solver that gave up on its
+    threshold and returned the exact factorized solve instead.
     """
 
     x: np.ndarray
     subgrad_bound: float
     inner_iters: int = 0
+    exact_fallback: bool = False
 
     def __post_init__(self):
         if self.subgrad_bound < 0:
@@ -228,9 +236,13 @@ def _wolfe_line_search(fun_grad, x, f0, g0, direction,
 
 
 def lbfgs_minimize(fun_grad, x0: np.ndarray, grad_tol: float,
-                   max_inner: int = 500, memory: int = 10, accept=None,
-                   quadratic: bool = False):
+                   max_inner: int = 500, memory: int = 10, accept=None):
     """Limited-memory BFGS with a strong-Wolfe line search.
+
+    Serves the smooth blocks that are not quadratic (the logistic loss);
+    quadratic blocks are solved by conjugate gradients in
+    ``LbfgsBlockSolver``.  The gradient tested against ``grad_tol`` or
+    ``accept`` is the one ``fun_grad`` returned at the current point.
 
     Parameters
     ----------
@@ -249,10 +261,6 @@ def lbfgs_minimize(fun_grad, x0: np.ndarray, grad_tol: float,
     accept : callable, optional
         ``accept(x, grad_norm) -> bool`` overriding the ``grad_tol`` test,
         used to stop as soon as an external inexactness criterion holds.
-    quadratic : bool, optional
-        The objective is exactly quadratic: take the exact minimizing step
-        along each direction (one extra gradient evaluation gives the
-        curvature), which also satisfies the Wolfe conditions.
 
     Returns
     -------
@@ -291,26 +299,12 @@ def lbfgs_minimize(fun_grad, x0: np.ndarray, grad_tol: float,
             b_i = rho_i * float(y_i @ q)
             q += (a_i - b_i) * s_i
         direction = -q
-        d0 = float(g @ direction)
-        if d0 >= 0:
+        if float(g @ direction) >= 0:
             direction = -g  # safeguard: reset to steepest descent
-            d0 = -float(g @ g)
-        if quadratic:
-            # H d from a single extra gradient; exact line minimum
-            _, g_probe = fun_grad(x + direction)
-            hd = g_probe - g
-            dhd = float(direction @ hd)
-            if dhd <= 0 or d0 == 0.0:
-                break
-            alpha = -d0 / dhd
-            f_new = f + alpha * d0 + 0.5 * alpha * alpha * dhd
-            g_new = g + alpha * hd
-        else:
-            try:
-                alpha, f_new, g_new, _ = _wolfe_line_search(fun_grad, x, f, g,
-                                                            direction)
-            except _LineSearchStall:
-                break  # progress limited by rounding; best iterate is the answer
+        try:
+            alpha, f_new, g_new, _ = _wolfe_line_search(fun_grad, x, f, g, direction)
+        except _LineSearchStall:
+            break  # progress limited by rounding; best iterate is the answer
         s_vec = alpha * direction
         y_vec = g_new - g
         sy = float(s_vec @ y_vec)
@@ -435,19 +429,30 @@ class L1ProxBlockSolver:
 class LbfgsBlockSolver:
     """Certified iterative solver for smooth blocks.
 
-    Minimizes ``f(x) + (p/2)*||E x - t||^2 + (s/2)*||x - z||^2`` with L-BFGS;
-    the certificate is the final gradient norm, which equals the subgradient
-    distance for smooth objectives.  ``exact_tol`` is the gradient target when
-    no external acceptance rule is supplied; on budget exhaustion in that mode
-    the best iterate is returned rather than raising, since the proximal term
-    keeps it well inside the basin.
+    Minimizes ``f(x) + (p/2)*||E x - t||^2 + (s/2)*||x - z||^2`` from the
+    warm start ``z``: by conjugate gradients when ``f`` is a least-squares or
+    quadratic loss, by L-BFGS (``lbfgs_minimize``) when it is logistic.  The
+    certificate is the norm of the gradient evaluated at the returned point,
+    which equals the subgradient distance for smooth objectives.  The solve
+    stops on the caller's ``accept(x, bound)`` rule or, without one, once the
+    gradient norm is at most ``exact_tol``.
 
-    Quadratic blocks get an exact factorization fallback: when an acceptance
-    threshold sits below what finite precision can certify, the closed-form
-    minimizer is returned with certificate 0, which satisfies any threshold.
+    Conjugate gradients track the gradient by a recursive residual.  When
+    that residual passes, the gradient is recomputed at the point and its
+    norm must pass too; the first time it does not, the residual is replaced
+    by it and the iteration continues.  A second refusal, or
+    ``min(max_inner, 300)`` steps without a pass, means the threshold sits
+    below what finite precision can certify: the exact factorized minimizer
+    is returned with certificate 0 and ``exact_fallback=True``.
+
+    A logistic block that misses a caller's rule within ``max_inner`` steps
+    raises ``BlockSolveError``; without a rule the iterate with the smallest
+    gradient norm is returned, since the proximal term keeps it well inside
+    the basin.
     """
 
     exact = False
+    cg_budget = 300  # conjugate-gradient steps before the exact fallback
 
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float,
                  exact_tol: float = 1e-12, max_inner: int = 500, memory: int = 10):
@@ -462,10 +467,13 @@ class LbfgsBlockSolver:
         self.memory = int(memory)
         self._fallback = None
         if fd.smooth.kind in ("least_squares", "quadratic"):
-            if block.E.gram_scale is not None:
+            alpha = block.E.gram_scale
+            if alpha is not None:
                 self._fallback = QuadBlockSolver(block, penalty, prox_weight)
+                self._shift = self.penalty * alpha + self.prox_weight
             else:
                 self._fallback = GeneralQuadBlockSolver(block, penalty, prox_weight)
+                self._shift = None
 
     def _fun_grad(self, t, z):
         fd = self.block.objective
@@ -485,21 +493,65 @@ class LbfgsBlockSolver:
 
         return fun_grad
 
+    def _hess_vec(self, d: np.ndarray) -> np.ndarray:
+        """``(A^T A + p E^T E + s I) d`` for a quadratic block."""
+        A = self.block.objective.smooth.A
+        hd = A.T @ (A @ d)
+        if self._shift is not None:
+            return hd + self._shift * d
+        E = self.block.E
+        return hd + self.penalty * E.apply_T(E.apply(d)) + self.prox_weight * d
+
+    def _conjugate_gradients(self, fun_grad, z, done):
+        """Warm-started CG; ``(x, grad_norm, steps)``, with ``x = None`` when
+        no point with a passing recomputed gradient was found."""
+        x = np.array(z, dtype=float)
+        _, r = fun_grad(x)
+        gnorm = float(np.linalg.norm(r))
+        if done(x, gnorm):
+            return x, gnorm, 0
+        replaced = False
+        d = -r
+        rr = float(r @ r)
+        steps = min(self.max_inner, self.cg_budget)
+        for it in range(1, steps + 1):
+            hd = self._hess_vec(d)
+            dhd = float(d @ hd)
+            if not dhd > 0.0:  # d vanished or the products are no longer finite
+                return None, gnorm, it
+            step = rr / dhd
+            x += step * d
+            r += step * hd
+            rr_new = float(r @ r)
+            if done(x, math.sqrt(rr_new)):
+                _, g = fun_grad(x)
+                gnorm = float(np.linalg.norm(g))
+                if done(x, gnorm):
+                    return x, gnorm, it
+                if replaced:
+                    return None, gnorm, it
+                # the recursive residual drifted from the gradient: replace it
+                replaced = True
+                r = g
+                rr_new = float(g @ g)
+            d = (rr_new / rr) * d - r
+            rr = rr_new
+        return None, gnorm, steps
+
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
         fun_grad = self._fun_grad(t, z)
-        is_quadratic = self.block.objective.smooth.kind in ("least_squares",
-                                                            "quadratic")
-        budget = self.max_inner
-        if accept is not None and self._fallback is not None:
-            budget = min(budget, 300)  # exact fallback bounds the useful effort
-        x, gnorm, iters = lbfgs_minimize(
-            fun_grad, z, grad_tol=self.exact_tol, max_inner=budget,
-            memory=self.memory, accept=accept, quadratic=is_quadratic)
-        if accept is not None and not accept(x, gnorm):
-            if self._fallback is not None:
+        if self._fallback is not None:
+            done = (lambda xx, gn: gn <= self.exact_tol) if accept is None else accept
+            x, gnorm, iters = self._conjugate_gradients(fun_grad, z, done)
+            if x is None:
                 cert = self._fallback.solve(t, z)
                 return BlockSolveCertificate(x=cert.x, subgrad_bound=0.0,
-                                             inner_iters=iters)
+                                             inner_iters=iters, exact_fallback=True)
+            return BlockSolveCertificate(x=x, subgrad_bound=gnorm, inner_iters=iters)
+        x, gnorm, iters = lbfgs_minimize(
+            fun_grad, z, grad_tol=self.exact_tol, max_inner=self.max_inner,
+            memory=self.memory, accept=accept)
+        if accept is not None and not accept(x, gnorm):
             raise BlockSolveError(
                 f"inner solver exhausted {self.max_inner} iterations at "
                 f"gradient norm {gnorm:.3e} without meeting its threshold")
@@ -567,8 +619,9 @@ def build_penalized_solvers(problem, penalty: float, prox_weights,
     """Construct one solver per block for a given penalty/proximal pairing.
 
     ``prox_weights`` is a scalar or one weight per block.  With
-    ``iterative_smooth`` the quadratic blocks also go through L-BFGS so that
-    their solves carry nontrivial certificates; logistic blocks always do.
+    ``iterative_smooth`` the quadratic blocks also go through the iterative
+    ``LbfgsBlockSolver`` (conjugate gradients) so that their solves carry
+    nontrivial certificates; logistic blocks always do (L-BFGS).
     """
     K = problem.num_blocks
     weights = np.broadcast_to(np.asarray(prox_weights, dtype=float), (K,))
@@ -595,8 +648,10 @@ def build_block_solvers(problem, params, schedule=None):
     """Solvers for the decomposition engines: penalty ``rho/2``, prox ``1/c``.
 
     Under an inexact schedule the smooth blocks are solved iteratively so the
-    acceptance criteria are genuinely exercised; with no schedule (or an exact
-    one) every block that admits a closed form uses it.
+    acceptance criteria are genuinely exercised: quadratic blocks by
+    warm-started conjugate gradients with an exact factorized fallback,
+    logistic blocks by L-BFGS (up to 2000 steps).  With no schedule (or an
+    exact one) every block that admits a closed form uses it.
     """
     inexact = schedule is not None and getattr(schedule, "kind", "exact") != "exact"
     return build_penalized_solvers(

@@ -106,6 +106,9 @@ def _accept_rules(nu: int, state: IterateState, schedule: InexactSchedule,
         x_prev = state.x[k]
 
         def rule(x, bound, x_prev=x_prev):
+            # min(1, .) <= 1, so a bound above base fails without the step norm
+            if bound > base:
+                return False
             return bound <= base * min(1.0, float(np.linalg.norm(x - x_prev)))
 
         rules.append(rule)

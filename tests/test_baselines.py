@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import augdecomp as ag
+from augdecomp import baselines
 from augdecomp.baselines import (Admm2Lasso, BaselineParams, admm2_lasso_step,
                                  default_prox_weights, prox_jadmm_run,
                                  prox_jadmm_step, vsadmm_run, vsadmm_step)
@@ -232,3 +235,74 @@ class TestSolverAgreement:
         f_ada = ag.objective(final.x, problem)
         f_vs = ag.objective(st[1], problem)
         assert abs(f_vs - f_ada) <= 1e-5 * max(1.0, abs(f_ada))
+
+
+class NaNAfterTwo:
+    """Delegates to a real block solver, then returns NaN from the third solve on."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def solve(self, t, z, accept=None):
+        self.calls += 1
+        cert = self.inner.solve(t, z, accept=accept)
+        if self.calls < 3:
+            return cert
+        return ag.BlockSolveCertificate(x=np.full_like(cert.x, np.nan),
+                                        subgrad_bound=0.0)
+
+
+def _assert_stopped_at_third(trace):
+    assert len(trace) == 3
+    assert trace.stop_reason == "non_finite"
+    assert not trace.converged
+    assert all(m.finite for m in trace.metrics[:2])
+    assert not trace.metrics[-1].finite
+
+
+class TestNonFiniteStop:
+    @pytest.fixture
+    def nan_second_block(self, monkeypatch):
+        original = baselines.build_penalized_solvers
+
+        def build(*args, **kwargs):
+            solvers = original(*args, **kwargs)
+            solvers[1] = NaNAfterTwo(solvers[1])
+            return solvers
+
+        monkeypatch.setattr(baselines, "build_penalized_solvers", build)
+
+    def test_vsadmm(self, small_exchange, nan_second_block):
+        problem, _ = small_exchange
+        _, trace = vsadmm_run(problem, BaselineParams(beta=1.0), 50,
+                              stop_mode="max_iters")
+        _assert_stopped_at_third(trace)
+
+    def test_prox_jadmm(self, small_exchange, nan_second_block):
+        problem, _ = small_exchange
+        _, trace = prox_jadmm_run(problem, BaselineParams(beta=1.0, gamma_damp=0.5),
+                                  50, stop_mode="max_iters")
+        _assert_stopped_at_third(trace)
+
+    def test_admm2(self, small_lasso):
+        solver = Admm2Lasso(small_lasso, BaselineParams(beta=1.0))
+        step, calls = solver.step, []
+
+        def nan_step(state):
+            calls.append(1)
+            x, z, u = step(state)
+            return (x, z if len(calls) < 3 else np.full_like(z, np.nan), u)
+
+        solver.step = nan_step
+        _, trace = solver.run(50, stop_mode="max_iters")
+        _assert_stopped_at_third(trace)
+        assert math.isnan(trace.metrics[-1].objective)
+
+    def test_finite_runs_keep_their_reasons(self, small_lasso):
+        bp = BaselineParams(beta=1.0)
+        assert vsadmm_run(small_lasso, bp, 5, stop_mode="max_iters")[1].stop_reason \
+            == "max_iters"
+        assert prox_jadmm_run(small_lasso, BaselineParams(beta=1.0, gamma_damp=0.5), 5,
+                              stop_mode="max_iters")[1].stop_reason == "max_iters"
+        assert Admm2Lasso(small_lasso, bp).run(5, stop_mode="max_iters")[1] \
+            .stop_reason == "max_iters"

@@ -336,3 +336,20 @@ def test_summary_reports_stop_reason(tmp_path):
         assert run_experiment(config) == status
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stop_reason"] == reason
+
+
+def test_summary_counts_exact_fallbacks(tmp_path):
+    # criterion B with a tiny eps0 drives thresholds to rounding level, where
+    # quadratic blocks fall back to the exact solve; closed forms never do
+    counts = {}
+    for solver in ("ada", "iada"):
+        out = tmp_path / solver
+        config = ExperimentConfig(experiment="exchange", solver=solver, seed=1000,
+                                  blocks=5, n=100, p=80, rho=10.0, c=10.0,
+                                  max_iters=45, stop_mode="max_iters",
+                                  criterion="criterion_B", eps0=1e-5, gamma=2.0,
+                                  out=str(out))
+        assert run_experiment(config) == 2
+        counts[solver] = json.loads((out / "summary.json").read_text())["exact_fallbacks"]
+    assert counts["ada"] == 0
+    assert counts["iada"] > 0

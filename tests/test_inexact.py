@@ -3,9 +3,9 @@ import pytest
 
 import augdecomp as ag
 from augdecomp.block_solvers import GeneralQuadBlockSolver, LbfgsBlockSolver
-from augdecomp.inexact import (InexactSchedule, criterion_a_threshold,
-                               criterion_b_threshold, iada_run,
-                               inexact_block_solve, spectral_norm,
+from augdecomp.inexact import (InexactSchedule, _accept_rules,
+                               criterion_a_threshold, criterion_b_threshold,
+                               iada_run, inexact_block_solve, spectral_norm,
                                stacked_coupling_norm)
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              Problem, SmoothPart, make_initial_state)
@@ -246,3 +246,117 @@ class TestIadaRun:
     def test_c_not_equal_rho_still_contracts(self, small_exchange):
         problem, _ = small_exchange
         assert self._tail_theta(problem, rho=2.0, c=0.7, trace_iters=200) < 1.0
+
+
+class TestCriterionBRule:
+    def test_matches_the_threshold_formula(self):
+        # the rule refuses a bound above the criterion-A base before it forms
+        # ||x - x_prev||; its decisions must equal the plain formula's
+        problem, _ = ag.gen_exchange(3, 6, 4, seed=5)
+        params = ag.SolverParams(rho=2.0, c=1.0, max_iters=10)
+        sched = InexactSchedule.for_problem(problem, "criterion_B", 1.0, 2.0)
+        rng = np.random.default_rng(5)
+        state = make_initial_state(problem)
+        state = IterateState(w=state.w, x=tuple(rng.standard_normal(6) for _ in range(3)),
+                             eta=state.eta, zeta_bar=state.zeta_bar, y=state.y)
+        nu = 7
+        rules = _accept_rules(nu, state, sched, params, 3)
+        base = criterion_a_threshold(nu, sched, params.rho, params.c, 3)
+        special = [0.0, base, np.nextafter(base, 0.0), np.nextafter(base, 1.0),
+                   np.inf, np.nan]
+        agreed = accepted = 0
+        for trial in range(3000):
+            k = trial % 3
+            x_prev = state.x[k]
+            x = x_prev + rng.standard_normal(6) * 10 ** rng.uniform(-9, 1)
+            if trial % 50 == 0:
+                x = x_prev.copy()
+            if trial % 37 == 0:
+                x[int(rng.integers(6))] = np.nan
+            bound = base * 10 ** rng.uniform(-10, 2)
+            if trial % 11 == 0:
+                bound = special[(trial // 11) % len(special)]
+            want = bound <= base * min(1.0, float(np.linalg.norm(x - x_prev)))
+            assert rules[k](x, bound) == want
+            agreed += 1
+            accepted += want
+        assert agreed == 3000 and 0 < accepted < agreed
+
+
+class TestHonestCertificates:
+    def test_recomputed_gradient_passes_every_accept_rule(self):
+        # criterion B with eps0 small enough that thresholds reach rounding
+        # level: a certificate taken from a recursively updated gradient can
+        # pass the rule while the gradient at the returned point does not
+        problem, _ = ag.gen_exchange(5, 100, 80, seed=1000)
+        params = ag.SolverParams(rho=10.0, c=10.0, max_iters=45)
+        sched = InexactSchedule.for_problem(problem, "criterion_B", eps0=1e-5,
+                                            gamma=2.0)
+        checked, refused, fallbacks = [], [], []
+
+        class Recheck:
+            def __init__(self, inner, blk):
+                self.inner, self.blk = inner, blk
+
+            def solve(self, t, z, accept=None):
+                cert = self.inner.solve(t, z, accept=accept)
+                if cert.exact_fallback:
+                    fallbacks.append(cert)
+                    return cert
+                blk, x = self.blk, cert.x
+                g = blk.objective.smooth_gradient(x) \
+                    + self.inner.penalty * (blk.E.T @ (blk.E @ x - t)) \
+                    + self.inner.prox_weight * (x - z)
+                gnorm = float(np.linalg.norm(g))
+                checked.append(gnorm)
+                if not accept(x, gnorm):
+                    refused.append((gnorm, cert.subgrad_bound))
+                return cert
+
+        solvers = [Recheck(s, blk) for s, blk in
+                   zip(ag.build_block_solvers(problem, params, sched), problem.blocks)]
+        _, trace = iada_run(problem, params, sched, solvers, stop_mode="max_iters")
+        assert len(trace) == 45
+        assert len(checked) + len(fallbacks) == 45 * 5
+        assert len(checked) > 0
+        assert refused == []
+        assert all(c.subgrad_bound == 0.0 for c in fallbacks)
+        assert sum(m.fallbacks for m in trace.metrics) == len(fallbacks) > 0
+
+
+class TestQuadraticBlocksByCG:
+    def _block(self, seed, E=None):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((12, 7))
+        b = rng.standard_normal(12)
+        E = np.eye(7) if E is None else E
+        blk = BlockSpec(n=7, E=E, objective=FunctionDescriptor(
+            smooth=SmoothPart("least_squares", A, b)))
+        return blk, rng.standard_normal(E.shape[0]), rng.standard_normal(7)
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_certificate_is_recomputed_gradient(self, general):
+        E = np.random.default_rng(1).standard_normal((5, 7)) if general else None
+        blk, t, z = self._block(2, E)
+        solver = LbfgsBlockSolver(blk, penalty=1.5, prox_weight=0.5)
+        thr = 1e-6
+        cert = solver.solve(t, z, accept=lambda x, bound: bound <= thr)
+        assert not cert.exact_fallback and 0 < cert.inner_iters <= 7 + 5
+        _, g = solver._fun_grad(t, z)(cert.x)
+        assert cert.subgrad_bound == float(np.linalg.norm(g)) <= thr
+
+    def test_unattainable_threshold_falls_back_to_exact_solve(self):
+        blk, t, z = self._block(3)
+        solver = LbfgsBlockSolver(blk, penalty=1.5, prox_weight=0.5)
+        cert = solver.solve(t, z, accept=lambda x, bound: bound <= 0.0)
+        exact = GeneralQuadBlockSolver(blk, penalty=1.5, prox_weight=0.5).solve(t, z)
+        assert cert.exact_fallback and cert.subgrad_bound == 0.0
+        assert 0 < cert.inner_iters <= LbfgsBlockSolver.cg_budget
+        assert np.allclose(cert.x, exact.x, rtol=0, atol=1e-12)
+
+    def test_closed_form_runs_report_no_fallbacks(self, small_exchange):
+        problem, _ = small_exchange
+        params = ag.SolverParams(rho=2.0, c=2.0, max_iters=30)
+        _, trace = ag.run(problem, params, ag.build_block_solvers(problem, params),
+                          stop_mode="max_iters")
+        assert [m.fallbacks for m in trace.metrics] == [0] * 30
