@@ -27,8 +27,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .block_solvers import BlockSolveError
-from .model import (IterateState, Problem, SolverParams, constraint_residual,
-                    make_initial_state, objective, state_g_dist_sq)
+from .model import (IterateState, Problem, SolverParams, make_initial_state,
+                    objective, state_g_dist_sq)
 
 STOP_MODES = ("x_change", "feasibility", "max_iters")
 
@@ -141,6 +141,26 @@ def _block_targets(state: IterateState, problem: Problem, rho: float) -> list:
     return ts
 
 
+def step_metrics(nu: int, problem: Problem, x_prev: Sequence, x_new: Sequence,
+                 resid: np.ndarray, **extra) -> StepMetrics:
+    """``StepMetrics`` of the step ``x_prev -> x_new``, for every engine.
+
+    ``resid = sum_k E_k x_k - q`` at ``x_new``; ``extra`` holds the other
+    fields (``delta_g_norm_sq`` and ``per_block_cert`` at least).
+    """
+    resid_norm = float(np.linalg.norm(resid))
+    x_prev_stacked = np.concatenate(x_prev)
+    dx = float(np.linalg.norm(np.concatenate(x_new) - x_prev_stacked))
+    return StepMetrics(
+        iter=nu,
+        objective=objective(x_new, problem),
+        constraint_residual_norm=resid_norm,
+        x_rel_change=dx / max(1.0, float(np.linalg.norm(x_prev_stacked))),
+        feas_rel=resid_norm / max(1.0, float(np.linalg.norm(problem.q))),
+        **extra,
+    )
+
+
 def ada_step(state: IterateState, problem: Problem, params: SolverParams,
              solvers: Sequence, accept_rules: Optional[Sequence] = None,
              nu: int = 0):
@@ -170,9 +190,11 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
         inner_total += cert.inner_iters
         fallbacks += cert.exact_fallback
 
+    # E_k x_k once per block: the eta update and the residual both use it
+    Ex = [problem.blocks[k].E.apply(new_x[k]) for k in range(K)]
     eta_new = np.empty((K, m))
     for k in range(K):
-        r_k = problem.blocks[k].E.apply(new_x[k]) - state.w[k]
+        r_k = Ex[k] - state.w[k]
         if k == K - 1:
             r_k = r_k - problem.q
         eta_new[k] = state.y[k] + 0.5 * rho * r_k
@@ -186,18 +208,12 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
     new_state = IterateState(w=w_new, x=tuple(new_x), eta=eta_new,
                              zeta_bar=zeta_new, y=y_new)
 
-    resid = constraint_residual(new_x, problem)
-    resid_norm = float(np.linalg.norm(resid))
-    dx = np.concatenate([a - b for a, b in zip(state.x, new_x)])
-    x_prev_norm = float(np.linalg.norm(state.x_stacked()))
-    q_norm = float(np.linalg.norm(problem.q))
-    metrics = StepMetrics(
-        iter=nu,
-        objective=objective(new_x, problem),
-        constraint_residual_norm=resid_norm,
+    resid = -problem.q.copy()  # summed in constraint_residual's order
+    for ex in Ex:
+        resid += ex
+    metrics = step_metrics(
+        nu, problem, state.x, new_x, resid,
         delta_g_norm_sq=state_g_dist_sq(state, new_state, rho, c),
-        x_rel_change=float(np.linalg.norm(dx)) / max(1.0, x_prev_norm),
-        feas_rel=resid_norm / max(1.0, q_norm),
         per_block_cert=tuple(certs),
         inner_iters_total=inner_total,
         w_drift=float(np.linalg.norm(drift)) * np.sqrt(K),
@@ -217,6 +233,43 @@ def check_stop(metrics: StepMetrics, eps: float, mode: str) -> bool:
     if mode == "max_iters":
         return False
     raise ValueError(f"unknown stop mode {mode!r}")
+
+
+def drive(step: Callable, state, max_iters: int, stop_mode, stop_eps: float,
+          record_states: bool = False, initial_state=None):
+    """The outer loop of every engine; returns ``(state, Trace)``.
+
+    ``step(state, nu) -> (new_state, StepMetrics)`` performs iteration ``nu``
+    (1-based).  ``stop_mode`` is one of ``STOP_MODES`` (tested by
+    ``check_stop`` with ``stop_eps``) or a callable ``stop(state, metrics)``;
+    a bad mode or ``stop_eps <= 0`` raises ``ValueError`` before the first
+    step.  Each step's metrics (and state, with ``record_states``) are
+    recorded; a non-finite step then ends the run (``"non_finite"``), and
+    only a finite one reaches the stop rule, so a callable is called once
+    per finite step.  A rule that fires sets ``converged`` and the reason
+    ``"converged"`` (``"custom"`` for a callable, also the trace's
+    ``stop_mode``); otherwise the run ends at ``"max_iters"``.
+    """
+    custom = callable(stop_mode)
+    if not custom and stop_mode not in STOP_MODES:
+        raise ValueError(f"unknown stop mode {stop_mode!r}")
+    if not stop_eps > 0:
+        raise ValueError("stop_eps must be positive")
+    trace = Trace(initial_state=initial_state, states=[] if record_states else None,
+                  stop_mode="custom" if custom else stop_mode, stop_eps=stop_eps)
+    for nu in range(1, max_iters + 1):
+        state, metrics = step(state, nu)
+        trace.metrics.append(metrics)
+        if record_states:
+            trace.states.append(state)
+        if not metrics.finite:
+            trace.stop_reason = "non_finite"
+            break
+        if stop_mode(state, metrics) if custom else check_stop(metrics, stop_eps, stop_mode):
+            trace.converged = True
+            trace.stop_reason = "custom" if custom else "converged"
+            break
+    return state, trace
 
 
 def run(problem: Problem, params: SolverParams, solvers: Sequence,
@@ -243,39 +296,16 @@ def run(problem: Problem, params: SolverParams, solvers: Sequence,
     -------
     (IterateState, Trace)
         Final state and the recorded trace; ``trace.converged`` is False when
-        the iteration cap was reached without meeting the criterion.  A step
-        whose objective or residual norm is not finite ends the run at once,
-        with ``trace.stop_reason == "non_finite"``; that step's state is
-        returned and recorded.
+        the run ended without meeting the criterion (see ``drive``).
     """
     state = make_initial_state(problem) if initial is None else initial
-    custom_stop = callable(stop_mode)
-    if not custom_stop and stop_mode not in STOP_MODES:
-        raise ValueError(f"unknown stop mode {stop_mode!r}")
-    trace = Trace(initial_state=state,
-                  states=[] if record_states else None,
-                  stop_mode=stop_mode if not custom_stop else "custom",
-                  stop_eps=params.stop_eps)
-    for t in range(1, params.max_iters + 1):
-        rules = accept_rule_factory(t, state) if accept_rule_factory is not None else None
-        state, metrics = ada_step(state, problem, params, solvers,
-                                  accept_rules=rules, nu=t)
-        trace.metrics.append(metrics)
-        if record_states:
-            trace.states.append(state)
-        if not metrics.finite:
-            trace.stop_reason = "non_finite"
-            break
-        if custom_stop:
-            if stop_mode(state, metrics):
-                trace.converged = True
-                trace.stop_reason = "custom"
-                break
-        elif check_stop(metrics, params.stop_eps, stop_mode):
-            trace.converged = True
-            trace.stop_reason = "converged"
-            break
-    return state, trace
+
+    def step(state, nu):
+        rules = accept_rule_factory(nu, state) if accept_rule_factory is not None else None
+        return ada_step(state, problem, params, solvers, accept_rules=rules, nu=nu)
+
+    return drive(step, state, params.max_iters, stop_mode, params.stop_eps,
+                 record_states=record_states, initial_state=state)
 
 
 def ergodic_average(x_iterates: Sequence, N: int):

@@ -9,11 +9,9 @@ engines:
   previous sweep and damps the multiplier step;
 * the classic two-block ADMM for the lasso with over-relaxation.
 
-All runners emit the same trace schema as the decomposition engines; the
-G-norm delta column is not defined for these iterations and is recorded as
-NaN.  Like the decomposition engines, every runner stops at the first
-iteration whose objective or residual norm is not finite, with
-``trace.stop_reason == "non_finite"``.
+All runners are a step function handed to the engines' loop ``ada.drive``,
+so they share its stop modes, stop reasons and trace schema; the G-norm
+delta column is not defined for these iterations and is recorded as NaN.
 """
 
 from __future__ import annotations
@@ -23,10 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .ada import StepMetrics, Trace, check_stop
+from .ada import StepMetrics, drive, step_metrics
 from .block_solvers import (CachedQuadSolver, build_penalized_solvers,
                             soft_threshold)
-from .model import Problem, constraint_residual, objective, project_onto_W
+from .model import Problem, constraint_residual, project_onto_W
 
 
 @dataclass(frozen=True)
@@ -63,20 +61,11 @@ def default_prox_weights(problem: Problem, params: BaselineParams) -> tuple:
     return tuple(factor * blk.E.norm ** 2 + 0.1 for blk in problem.blocks)
 
 
-def _metrics(nu, problem, x_new, x_prev_stacked, certs) -> StepMetrics:
-    resid = constraint_residual(x_new, problem)
-    resid_norm = float(np.linalg.norm(resid))
-    dx = float(np.linalg.norm(np.concatenate(x_new) - x_prev_stacked))
-    q_norm = float(np.linalg.norm(problem.q))
-    return StepMetrics(
-        iter=nu,
-        objective=objective(x_new, problem),
-        constraint_residual_norm=resid_norm,
-        delta_g_norm_sq=float("nan"),
-        x_rel_change=dx / max(1.0, float(np.linalg.norm(x_prev_stacked))),
-        feas_rel=resid_norm / max(1.0, q_norm),
-        per_block_cert=certs,
-    )
+def _baseline_metrics(nu, problem, x_prev, x_new) -> StepMetrics:
+    """Shared metrics; no G-norm delta and zero certificates (exact solves)."""
+    return step_metrics(nu, problem, x_prev, x_new, constraint_residual(x_new, problem),
+                        delta_g_norm_sq=float("nan"),
+                        per_block_cert=(0.0,) * len(x_new))
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +105,12 @@ def vsadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
     K, m = problem.num_blocks, problem.m
     state = (np.zeros((K, m)), tuple(np.zeros(n) for n in problem.block_dims()),
              np.zeros((K, m)))
-    trace = Trace(initial_state=None, stop_mode=stop_mode, stop_eps=stop_eps)
-    zeros = tuple(0.0 for _ in range(K))
-    for t in range(1, max_iters + 1):
-        x_prev = np.concatenate(state[1])
-        state = vsadmm_step(state, problem, params, solvers)
-        metrics = _metrics(t, problem, state[1], x_prev, zeros)
-        trace.metrics.append(metrics)
-        if not metrics.finite:
-            trace.stop_reason = "non_finite"
-            break
-        if stop_mode != "max_iters" and check_stop(metrics, stop_eps, stop_mode):
-            trace.converged = True
-            trace.stop_reason = "converged"
-            break
-    return state, trace
+
+    def step(state, nu):
+        new = vsadmm_step(state, problem, params, solvers)
+        return new, _baseline_metrics(nu, problem, state[1], new[1])
+
+    return drive(step, state, max_iters, stop_mode, stop_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -168,23 +148,13 @@ def prox_jadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
         weights = default_prox_weights(problem, params)
     solvers = build_penalized_solvers(problem, penalty=params.beta,
                                       prox_weights=weights)
-    K = problem.num_blocks
     state = (tuple(np.zeros(n) for n in problem.block_dims()), np.zeros(problem.m))
-    trace = Trace(initial_state=None, stop_mode=stop_mode, stop_eps=stop_eps)
-    zeros = tuple(0.0 for _ in range(K))
-    for t in range(1, max_iters + 1):
-        x_prev = np.concatenate(state[0])
-        state = prox_jadmm_step(state, problem, params, solvers)
-        metrics = _metrics(t, problem, state[0], x_prev, zeros)
-        trace.metrics.append(metrics)
-        if not metrics.finite:
-            trace.stop_reason = "non_finite"
-            break
-        if stop_mode != "max_iters" and check_stop(metrics, stop_eps, stop_mode):
-            trace.converged = True
-            trace.stop_reason = "converged"
-            break
-    return state, trace
+
+    def step(state, nu):
+        new = prox_jadmm_step(state, problem, params, solvers)
+        return new, _baseline_metrics(nu, problem, state[0], new[0])
+
+    return drive(step, state, max_iters, stop_mode, stop_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -229,23 +199,15 @@ class Admm2Lasso:
 
     def run(self, max_iters: int, stop_eps: float = 1e-8,
             stop_mode: str = "x_change"):
+        """Run from zero; returns ``((x, z, u), Trace)``."""
         d = self.problem.blocks[0].n
-        state = (np.zeros(d), np.zeros(d), np.zeros(d))
-        trace = Trace(initial_state=None, stop_mode=stop_mode, stop_eps=stop_eps)
-        for t in range(1, max_iters + 1):
-            prev = np.concatenate(state[:2])
-            state = self.step(state)
-            metrics = _metrics(t, self.problem, (state[0], state[1]), prev,
-                               (0.0, 0.0))
-            trace.metrics.append(metrics)
-            if not metrics.finite:
-                trace.stop_reason = "non_finite"
-                break
-            if stop_mode != "max_iters" and check_stop(metrics, stop_eps, stop_mode):
-                trace.converged = True
-                trace.stop_reason = "converged"
-                break
-        return state, trace
+
+        def step(state, nu):
+            new = self.step(state)  # looked up per call, so it can be replaced
+            return new, _baseline_metrics(nu, self.problem, state[:2], new[:2])
+
+        return drive(step, (np.zeros(d), np.zeros(d), np.zeros(d)), max_iters,
+                     stop_mode, stop_eps)
 
     def multiplier(self, state) -> np.ndarray:
         """Unscaled dual for the coupling ``x - z = 0`` (sign matching E1 = I)."""

@@ -255,6 +255,7 @@ def consensus_objective(problem: Problem, z: np.ndarray) -> float:
 
 _EXPERIMENTS = ("lasso", "exchange", "logreg")
 _SOLVERS = ("ada", "iada", "vsadmm", "proxjadmm", "admm2")
+_STOP_MODES = ada.STOP_MODES + ("consensus",)
 
 
 @dataclass(frozen=True)
@@ -294,6 +295,12 @@ class ExperimentConfig:
         for name in ("n", "d", "blocks", "p", "partitions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.stop_mode not in _STOP_MODES:
+            raise ValueError(f"unknown stop mode {self.stop_mode!r}")
+        if self.stop_mode == "consensus" and (self.experiment != "logreg"
+                                              or self.solver not in ("ada", "iada")):
+            raise ValueError("consensus stop mode applies to the logreg experiment "
+                             "with the ada or iada solver")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -348,14 +355,10 @@ def reference_state(problem: Problem, params: SolverParams,
     a tolerance downstream comparisons may claim.
     """
     tight = replace(params, stop_eps=eps, max_iters=max_iters)
-    if schedule is None or schedule.kind == "exact":
-        solvers = build_block_solvers(problem, tight)
-        final, _ = ada.run(problem, tight, solvers, stop_mode="x_change",
-                           record_states=False)
-    else:
-        solvers = build_block_solvers(problem, tight, schedule)
-        final, _ = iada_run(problem, tight, schedule, solvers,
-                            stop_mode="x_change", record_states=False)
+    schedule = schedule or InexactSchedule(kind="exact")
+    final, _ = iada_run(problem, tight, schedule,
+                        build_block_solvers(problem, tight, schedule),
+                        stop_mode="x_change", record_states=False)
     return final
 
 
@@ -372,42 +375,30 @@ def run_experiment(config: ExperimentConfig) -> int:
     params = _solver_params(config)
 
     stop_mode = config.stop_mode
-    schedule = None
     reference = None
-    if config.solver == "iada":
-        schedule = InexactSchedule.for_problem(
-            problem, kind=config.criterion, eps0=config.eps0, gamma=config.gamma)
+    # ada is iada on the exact schedule, which is bit for bit the exact engine
+    schedule = InexactSchedule.for_problem(
+        problem, kind=config.criterion if config.solver == "iada" else "exact",
+        eps0=config.eps0, gamma=config.gamma)
     if stop_mode == "consensus":
-        if config.experiment != "logreg":
-            raise ValueError("consensus stop mode applies to the logreg experiment")
-        ref_sched = schedule or InexactSchedule.for_problem(problem)
+        ref_sched = schedule if config.solver == "iada" \
+            else InexactSchedule.for_problem(problem)
         reference = reference_state(problem, params, ref_sched,
                                     max_iters=max(config.max_iters, 5000))
         f_star = consensus_objective(problem, reference.x[-1])
         stop_mode = _consensus_stop(problem, f_star)
 
-    include_certs = False
-    final_x = None
-    multiplier = None
+    include_certs = config.solver == "iada"  # the ada CSV has no cert columns
     if config.solver in ("ada", "iada"):
-        record = True
-        if config.solver == "ada":
-            solvers = build_block_solvers(problem, params)
-            final, trace = ada.run(problem, params, solvers, stop_mode=stop_mode,
-                                   record_states=record)
-        else:
-            solvers = build_block_solvers(problem, params, schedule)
-            final, trace = iada_run(problem, params, schedule, solvers,
-                                    stop_mode=stop_mode, record_states=record)
-            include_certs = True
+        solvers = build_block_solvers(problem, params, schedule)
+        final, trace = iada_run(problem, params, schedule, solvers, stop_mode=stop_mode)
         final_x = final.x
         multiplier = final.zeta_bar
         if config.full_diagnostics and reference is None:
             reference = reference_state(problem, params, schedule)
         report = diagnostics.rate_report(
             trace, problem, params.rho, params.c, reference=reference,
-            exact_engine=(config.solver == "ada"
-                          or (schedule is not None and schedule.kind == "exact")))
+            exact_engine=schedule.kind == "exact")
     else:
         bparams = baselines.BaselineParams(beta=config.beta,
                                            gamma_damp=config.gamma_damp,
@@ -473,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-iters", type=int, dest="max_iters")
     solve.add_argument("--stop-eps", type=float, dest="stop_eps")
     solve.add_argument("--stop-mode", dest="stop_mode",
-                       choices=("x_change", "feasibility", "max_iters", "consensus"))
+                       choices=_STOP_MODES)
     solve.add_argument("--out", type=str)
     return parser
 

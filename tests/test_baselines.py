@@ -306,3 +306,123 @@ class TestNonFiniteStop:
                               stop_mode="max_iters")[1].stop_reason == "max_iters"
         assert Admm2Lasso(small_lasso, bp).run(5, stop_mode="max_iters")[1] \
             .stop_reason == "max_iters"
+
+
+class CountingSolver:
+    """Delegates to a real block solver and counts its solves."""
+
+    def __init__(self, inner, calls):
+        self.inner, self.calls = inner, calls
+
+    def solve(self, t, z, accept=None):
+        self.calls.append(1)
+        return self.inner.solve(t, z, accept=accept)
+
+
+def _counted_runner(name, problem, monkeypatch):
+    """``(run(stop_mode, stop_eps) -> (state, trace), calls)`` for one runner;
+    ``calls`` grows by one per block solve (per step for admm2)."""
+    calls = []
+    if name == "ada":
+        def run(stop_mode, stop_eps):
+            params = ag.SolverParams(rho=1.0, c=1.0, max_iters=5, stop_eps=stop_eps)
+            solvers = [CountingSolver(s, calls)
+                       for s in ag.build_block_solvers(problem, params)]
+            return ag.run(problem, params, solvers, stop_mode=stop_mode)
+        return run, calls
+    if name == "admm2":
+        solver = Admm2Lasso(problem, BaselineParams(beta=1.0))
+        step = solver.step
+
+        def counting_step(state):
+            calls.append(1)
+            return step(state)
+
+        solver.step = counting_step
+        return (lambda stop_mode, stop_eps: solver.run(5, stop_eps, stop_mode)), calls
+
+    original = baselines.build_penalized_solvers
+    monkeypatch.setattr(baselines, "build_penalized_solvers", lambda *a, **kw: [
+        CountingSolver(s, calls) for s in original(*a, **kw)])
+    runner = {"vsadmm": vsadmm_run, "proxjadmm": prox_jadmm_run}[name]
+    bp = BaselineParams(beta=1.0, gamma_damp=0.5)
+    return (lambda stop_mode, stop_eps: runner(problem, bp, 5, stop_eps, stop_mode)), calls
+
+
+@pytest.mark.parametrize("name", ["ada", "vsadmm", "proxjadmm", "admm2"])
+def test_stop_arguments_checked_before_first_sweep(name, small_lasso, monkeypatch):
+    run, calls = _counted_runner(name, small_lasso, monkeypatch)
+    for stop_mode, stop_eps in (("bogus", 1e-8), ("x_change", 0.0)):
+        with pytest.raises(ValueError):
+            run(stop_mode, stop_eps)
+        assert calls == []
+    seen = []
+
+    def stop(state, metrics):
+        seen.append(metrics.iter)
+        return metrics.iter == 2
+
+    _, trace = run(stop, 1e-8)
+    assert seen == [1, 2]
+    assert len(trace) == 2
+    assert trace.converged
+    assert trace.stop_reason == "custom"
+    assert trace.stop_mode == "custom"
+
+
+def _oracle_columns(problem, x_new, x_prev_stacked):
+    """The baselines' metric formulas, written out independently of the runners."""
+    resid_norm = float(np.linalg.norm(ag.constraint_residual(x_new, problem)))
+    dx = float(np.linalg.norm(np.concatenate(x_new) - x_prev_stacked))
+    return (ag.objective(x_new, problem), resid_norm, float("nan"),
+            dx / max(1.0, float(np.linalg.norm(x_prev_stacked))),
+            resid_norm / max(1.0, float(np.linalg.norm(problem.q))))
+
+
+def _trace_columns(trace):
+    return [np.array([(m.objective, m.constraint_residual_norm, m.delta_g_norm_sq,
+                       m.x_rel_change, m.feas_rel) for m in trace.metrics]),
+            np.array([m.per_block_cert for m in trace.metrics]),
+            [m.iter for m in trace.metrics]]
+
+
+@pytest.mark.parametrize("name", ["vsadmm", "proxjadmm", "admm2"])
+def test_baseline_traces_match_hand_loop(name, small_lasso):
+    """30 sweeps through the public step functions reproduce each runner's
+    trace bit for bit."""
+    problem, iters = small_lasso, 30
+    K, m = problem.num_blocks, problem.m
+    zeros_x = tuple(np.zeros(n) for n in problem.block_dims())
+    bp = BaselineParams(beta=1.0, gamma_damp=0.5)
+    if name == "vsadmm":
+        solvers = build_penalized_solvers(problem, penalty=bp.beta, prox_weights=0.0)
+        state = (np.zeros((K, m)), zeros_x, np.zeros((K, m)))
+        step = lambda s: vsadmm_step(s, problem, bp, solvers)
+        blocks = lambda s: s[1]
+        final, trace = vsadmm_run(problem, bp, iters, stop_mode="max_iters")
+    elif name == "proxjadmm":
+        solvers = build_penalized_solvers(problem, penalty=bp.beta,
+                                          prox_weights=default_prox_weights(problem, bp))
+        state = (zeros_x, np.zeros(m))
+        step = lambda s: prox_jadmm_step(s, problem, bp, solvers)
+        blocks = lambda s: s[0]
+        final, trace = prox_jadmm_run(problem, bp, iters, stop_mode="max_iters")
+    else:
+        solver = Admm2Lasso(problem, bp)
+        state = zeros_x + (np.zeros(m),)
+        step = solver.step
+        blocks = lambda s: (s[0], s[1])
+        final, trace = Admm2Lasso(problem, bp).run(iters, stop_mode="max_iters")
+
+    rows = []
+    for _ in range(iters):
+        x_prev = np.concatenate(blocks(state))
+        state = step(state)
+        rows.append(_oracle_columns(problem, blocks(state), x_prev))
+    values, certs, its = _trace_columns(trace)
+    assert np.array_equal(values, np.array(rows), equal_nan=True)
+    assert np.array_equal(certs, np.zeros((iters, K)))
+    assert its == list(range(1, iters + 1))
+    for a, b in zip(blocks(final), blocks(state)):
+        assert np.array_equal(a, b)
+    assert trace.stop_reason == "max_iters" and not trace.converged

@@ -353,3 +353,22 @@ def test_summary_counts_exact_fallbacks(tmp_path):
         counts[solver] = json.loads((out / "summary.json").read_text())["exact_fallbacks"]
     assert counts["ada"] == 0
     assert counts["iada"] > 0
+
+
+def test_config_rejects_stop_modes_it_cannot_run(tmp_path):
+    for experiment, solver in (("logreg", "vsadmm"), ("logreg", "proxjadmm"),
+                               ("lasso", "ada"), ("exchange", "iada")):
+        with pytest.raises(ValueError, match="consensus"):
+            ExperimentConfig(experiment=experiment, solver=solver, stop_mode="consensus")
+    for solver in ("ada", "iada"):
+        assert ExperimentConfig(experiment="logreg", solver=solver,
+                                stop_mode="consensus").stop_mode == "consensus"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "lasso", "stop_mode": "bogus"}))
+    with pytest.raises(ValueError, match="bogus"):
+        ExperimentConfig.from_json(path)
+    # the CLI fails on the config, before it generates or solves anything
+    out = tmp_path / "run"
+    assert main(["solve", "--experiment", "logreg", "--solver", "vsadmm",
+                 "--stop-mode", "consensus", "--out", str(out)]) == 1
+    assert not out.exists()
