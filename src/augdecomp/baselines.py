@@ -83,18 +83,20 @@ def vsadmm_step(state, problem: Problem, params: BaselineParams, solvers):
     K, m = problem.num_blocks, problem.m
     beta = params.beta
     new_x = []
+    ex = np.empty((K, m))
     v = np.empty((K, m))
     for k in range(K):
         qk = problem.q if k == K - 1 else 0.0
         t = qk + w[k] - y[k] / beta
         cert = solvers[k].solve(t, x[k], accept=None)
         new_x.append(cert.x)
-        v[k] = problem.blocks[k].E.apply(cert.x) - qk + y[k] / beta
+        ex[k] = problem.blocks[k].E.apply(cert.x)
+        v[k] = ex[k] - qk + y[k] / beta
     w_new = project_onto_W(v)
     y_new = np.empty((K, m))
     for k in range(K):
         qk = problem.q if k == K - 1 else 0.0
-        y_new[k] = y[k] + beta * (problem.blocks[k].E.apply(new_x[k]) - qk - w_new[k])
+        y_new[k] = y[k] + beta * (ex[k] - qk - w_new[k])
     return w_new, tuple(new_x), y_new
 
 

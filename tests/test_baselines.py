@@ -71,6 +71,26 @@ class TestVsadmm:
         assert np.abs(w2 - ref.w).max() < 1e-8
         assert np.abs(y2 - ref.y).max() < 1e-8
 
+    def test_one_coupling_product_per_block(self, monkeypatch):
+        # v and the multiplier update share E_k x_k (2K products before)
+        problem, _ = ag.gen_exchange(5, 100, 80, seed=1)
+        params = BaselineParams(beta=1.0)
+        solvers = build_penalized_solvers(problem, penalty=1.0, prox_weights=0.0)
+        K, m = problem.num_blocks, problem.m
+        calls = []
+        apply = ag.Coupling.apply
+
+        def counting_apply(self, x):
+            calls.append(1)
+            return apply(self, x)
+
+        monkeypatch.setattr(ag.Coupling, "apply", counting_apply)
+        state = (np.zeros((K, m)), tuple(np.zeros(n) for n in problem.block_dims()),
+                 np.zeros((K, m)))
+        for sweep in range(1, 4):
+            state = vsadmm_step(state, problem, params, solvers)
+            assert len(calls) == K * sweep
+
 
 class TestProxJadmm:
     def test_fixed_point(self, small_exchange, small_exchange_saddle):

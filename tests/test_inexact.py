@@ -360,3 +360,84 @@ class TestQuadraticBlocksByCG:
         _, trace = ag.run(problem, params, ag.build_block_solvers(problem, params),
                           stop_mode="max_iters")
         assert [m.fallbacks for m in trace.metrics] == [0] * 30
+
+
+class TestCGFloorStop:
+    """The conjugate-gradient solve falls back once the rule refuses the
+    rounding floor of the gradient, and only then."""
+
+    @staticmethod
+    def _exchange_block(seed=0):
+        problem, _ = ag.gen_exchange(5, 100, 80, seed=1)
+        solver = LbfgsBlockSolver(problem.blocks[0], penalty=5.0, prox_weight=0.1)
+        rng = np.random.default_rng(seed)
+        return solver, rng.standard_normal(100), rng.standard_normal(100)
+
+    def test_fallback_returns_the_exact_solve(self):
+        problem, _ = ag.gen_exchange(5, 100, 80, seed=1000)
+        params = ag.SolverParams(rho=10.0, c=10.0, max_iters=45)
+        sched = InexactSchedule.for_problem(problem, "criterion_B", eps0=1e-5,
+                                            gamma=2.0)
+        fallbacks = []
+
+        class Check:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def solve(self, t, z, accept=None):
+                cert = self.inner.solve(t, z, accept=accept)
+                if cert.exact_fallback:
+                    fallbacks.append(cert)
+                    assert np.array_equal(cert.x, self.inner._fallback.solve(t, z).x)
+                    assert cert.subgrad_bound == 0.0 and cert.inner_iters > 0
+                return cert
+
+        solvers = [Check(s) for s in ag.build_block_solvers(problem, params, sched)]
+        iada_run(problem, params, sched, solvers, stop_mode="max_iters")
+        assert len(fallbacks) > 0
+
+    def test_refused_floor_stops_early(self):
+        # without the floor stop this solve ran to the 300-step budget
+        solver, t, z = self._exchange_block()
+        cert = solver.solve(t, z, accept=lambda x, bound: bound <= 1e-30)
+        assert cert.exact_fallback and cert.subgrad_bound == 0.0
+        assert 0 < cert.inner_iters <= 30
+        assert np.array_equal(cert.x, solver._fallback.solve(t, z).x)
+
+    def test_threshold_above_the_floor_is_certified(self):
+        solver, t, z = self._exchange_block()
+        fun_grad = solver._fun_grad(t, z)
+        A = solver.block.objective.smooth.A
+        x_star = solver._fallback.solve(t, z).x
+        b = A.T @ (A @ z) + solver._shift * z - fun_grad(z)[1]
+        floor = np.finfo(float).eps * (
+            (np.linalg.norm(A, 2) ** 2 + solver._shift) * np.linalg.norm(x_star)
+            + np.linalg.norm(b))
+        cert = solver.solve(t, z, accept=lambda x, bound: bound <= 100 * floor)
+        assert not cert.exact_fallback and cert.inner_iters > 0
+        _, g = fun_grad(cert.x)
+        assert cert.subgrad_bound == float(np.linalg.norm(g)) <= 100 * floor
+
+
+class TestFormedHessian:
+    def test_lazy_hessian_matches_the_two_products(self):
+        problem, _ = ag.gen_exchange(5, 100, 80, seed=1)
+        params = ag.SolverParams(rho=10.0, c=10.0)
+        sched = InexactSchedule.for_problem(problem, "criterion_B")
+        solvers = ag.build_block_solvers(problem, params, sched)
+        assert all("_hess" not in vars(s) for s in solvers)
+        rng = np.random.default_rng(0)
+        for s in solvers:
+            A = s.block.objective.smooth.A
+            for _ in range(3):
+                d = rng.standard_normal(100)
+                want = A.T @ (A @ d) + s._shift * d
+                # relative to the vector: single entries can cancel to ~1e-3 of it
+                assert np.linalg.norm(s._hess @ d - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_general_coupling_keeps_the_matrix_free_product(self):
+        rng = np.random.default_rng(1)
+        blk = BlockSpec(n=7, E=rng.standard_normal((5, 7)), objective=FunctionDescriptor(
+            smooth=SmoothPart("least_squares", rng.standard_normal((12, 7)),
+                              rng.standard_normal(12))))
+        assert LbfgsBlockSolver(blk, penalty=1.5, prox_weight=0.5)._hess is None
