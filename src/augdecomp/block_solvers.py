@@ -12,9 +12,9 @@ least-squares and l1 blocks, a certified iterative solver for smooth blocks
 ones), and a proximal-gradient solver for smooth-plus-l1 composites.
 Iterative solvers report a certified upper bound on ``dist(0, d phi(x))`` at
 the returned point, computed from the gradient evaluated at that point;
-closed forms certify zero.  When finite precision cannot certify a quadratic
-block to its threshold, the exact factorized solve is returned instead and
-the certificate says so (``exact_fallback``).
+closed forms certify zero.  When a quadratic block's threshold is at about
+what finite precision can certify, the exact factorized solve is returned
+instead and the certificate says so (``exact_fallback``).
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .model import BlockSpec
 
 # Conjugate-gradient floor stop (``LbfgsBlockSolver``): the floor is tested
 # once ||r|| <= _FLOOR_TRIGGER * lam_min * ||x - z||, and the attainable
-# gradient accuracy is taken as _MACHINE_EPS * (||H|| ||x|| + ||b||).
+# gradient accuracy is estimated as _UNIT_ROUNDOFF * (||H|| ||x|| + ||b||).
 _FLOOR_TRIGGER = 0.1
-_MACHINE_EPS = np.finfo(float).eps
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 class BlockSolveError(RuntimeError):
@@ -449,17 +449,22 @@ class LbfgsBlockSolver:
     gradient by a recursive residual.  When that residual passes, the
     gradient is recomputed at the point and its norm must pass too; the
     first time it does not, the residual is replaced by it and the iteration
-    continues.  Three events mean the threshold sits below what finite
-    precision can certify, and return the exact factorized minimizer with
+    continues.  Each step multiplies by the Hessian ``H``, formed once on the
+    first solve.  Three events return the exact factorized minimizer with
     certificate 0 and ``exact_fallback=True``:
 
     * the floor stop: once the residual is small enough to fix ``||e||`` to
       within 10% (``||r|| <= 0.1 lam_min ||e||``), the rule is asked once
-      whether it would accept the rounding floor of the gradient,
-      ``eps (||H|| ||x|| + ||b||)`` for the system ``H x = b``, and it
-      refuses;
+      whether it would accept the estimated rounding floor of the gradient,
+      ``u (||H|| ||x|| + ||b||)`` with the unit roundoff ``u`` for the
+      system ``H x = b``, and it refuses;
     * a second refusal of the recomputed gradient;
     * ``min(max_inner, 300)`` steps without a pass.
+
+    The floor is Greenbaum's estimate of the attainable accuracy, not a
+    proof: a refused floor means the threshold is at or below what the
+    recomputed gradient can be expected to show, and the exact solve is
+    cheaper than finding out.
 
     A logistic block that misses a caller's rule within ``max_inner`` steps
     raises ``BlockSolveError``; without a rule the iterate with the smallest
@@ -509,37 +514,27 @@ class LbfgsBlockSolver:
 
         return fun_grad
 
-    def _hess_vec(self, d: np.ndarray) -> np.ndarray:
-        """``(A^T A + p E^T E + s I) d`` for a quadratic block."""
-        A = self.block.objective.smooth.A
-        hd = A.T @ (A @ d)
-        if self._shift is not None:
-            return hd + self._shift * d
-        E = self.block.E
-        return hd + self.penalty * E.apply_T(E.apply(d)) + self.prox_weight * d
-
     @cached_property
-    def _hess(self):
-        """``H = A^T A + shift I`` when one product with it costs no more than
-        ``A^T (A d)`` (dense ``A`` with at least ``n/2`` rows), else None.
-        Formed on the first conjugate-gradient solve, not at construction."""
+    def _hess(self) -> np.ndarray:
+        """``H = A^T A + p E^T E + s I`` of a quadratic block, dense; formed on
+        the first conjugate-gradient solve, not at construction."""
         A = self.block.objective.smooth.A
-        if self._shift is None or sp.issparse(A) or self.block.n > 2 * A.shape[0]:
-            return None
+        A = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
         H = A.T @ A
-        H[np.diag_indices_from(H)] += self._shift
+        if self._shift is not None:
+            H[np.diag_indices_from(H)] += self._shift
+        else:
+            E = self.block.E.toarray()
+            H += self.penalty * (E.T @ E)
+            H[np.diag_indices_from(H)] += self.prox_weight
         return H
 
     @cached_property
     def _hess_norm(self) -> float:
-        """``||H||_2 = ||A||^2 + shift`` for a scalar-Gram coupling, else the
-        upper bound ``||A||^2 + p ||E||^2 + s``.  The floor needs ``||A||``
-        to a few percent only; power iteration to 1e-4 gives that in about a
-        millisecond, where a dense SVD grows the resident set by about 1 MB."""
-        a_norm_sq = spectral_norm(self.block.objective.smooth.A, rel_tol=1e-4) ** 2
-        if self._shift is not None:
-            return a_norm_sq + self._shift
-        return a_norm_sq + self.penalty * self.block.E.norm ** 2 + self.prox_weight
+        """``||H||_2``.  The floor needs it to a few percent only; power
+        iteration to 1e-4 gives that in about a millisecond, where a dense
+        SVD grows the resident set by about 1 MB."""
+        return spectral_norm(self._hess, rel_tol=1e-4)
 
     def _conjugate_gradients(self, fun_grad, z, done):
         """Warm-started CG on ``e = x - z``; ``(x, grad_norm, steps)``, with
@@ -550,7 +545,6 @@ class LbfgsBlockSolver:
         if done(z, gnorm):
             return z.copy(), gnorm, 0
         H = self._hess
-        hess_vec = self._hess_vec if H is None else H.__matmul__
         # H >= lam_min I; the floor stop needs it positive
         lam_min = self.prox_weight if self._shift is None else self._shift
         floor_armed = lam_min > 0.0
@@ -562,7 +556,7 @@ class LbfgsBlockSolver:
         rr = float(r @ r)
         steps = min(self.max_inner, self.cg_budget)
         for it in range(1, steps + 1):
-            hd = hess_vec(d)
+            hd = H @ d
             dhd = float(d @ hd)
             if not dhd > 0.0:  # d vanished or the products are no longer finite
                 return None, gnorm, it
@@ -575,8 +569,8 @@ class LbfgsBlockSolver:
                 # ||x - x*|| <= ||r|| / lam_min <= 0.1 ||e||: the step is known,
                 # so ask once whether the rule accepts the rounding floor
                 floor_armed = False
-                b_norm = float(np.linalg.norm(hess_vec(z) - g0))
-                floor = _MACHINE_EPS * (
+                b_norm = float(np.linalg.norm(H @ z - g0))
+                floor = _UNIT_ROUNDOFF * (
                     self._hess_norm * float(np.linalg.norm(x)) + b_norm)
                 if not done(x, floor):
                     return None, gnorm, it

@@ -410,7 +410,7 @@ class TestCGFloorStop:
         A = solver.block.objective.smooth.A
         x_star = solver._fallback.solve(t, z).x
         b = A.T @ (A @ z) + solver._shift * z - fun_grad(z)[1]
-        floor = np.finfo(float).eps * (
+        floor = np.finfo(float).eps / 2 * (
             (np.linalg.norm(A, 2) ** 2 + solver._shift) * np.linalg.norm(x_star)
             + np.linalg.norm(b))
         cert = solver.solve(t, z, accept=lambda x, bound: bound <= 100 * floor)
@@ -435,9 +435,15 @@ class TestFormedHessian:
                 # relative to the vector: single entries can cancel to ~1e-3 of it
                 assert np.linalg.norm(s._hess @ d - want) <= 1e-13 * np.linalg.norm(want)
 
-    def test_general_coupling_keeps_the_matrix_free_product(self):
+    def test_general_coupling_hessian_matches_the_products(self):
         rng = np.random.default_rng(1)
         blk = BlockSpec(n=7, E=rng.standard_normal((5, 7)), objective=FunctionDescriptor(
             smooth=SmoothPart("least_squares", rng.standard_normal((12, 7)),
                               rng.standard_normal(12))))
-        assert LbfgsBlockSolver(blk, penalty=1.5, prox_weight=0.5)._hess is None
+        solver = LbfgsBlockSolver(blk, penalty=1.5, prox_weight=0.5)
+        assert "_hess" not in vars(solver)
+        A, E = blk.objective.smooth.A, blk.E
+        for _ in range(3):
+            d = rng.standard_normal(7)
+            want = A.T @ (A @ d) + 1.5 * E.apply_T(E.apply(d)) + 0.5 * d
+            assert np.linalg.norm(solver._hess @ d - want) <= 1e-13 * np.linalg.norm(want)
