@@ -3,8 +3,8 @@
 The data rows are partitioned into N local blocks, each holding a copy x_i
 that must agree with the shared variable z (constraint x_i - z = 0); the z
 block carries the l1 penalty.  Local logistic subproblems are solved by
-L-BFGS just accurately enough to satisfy the summable inexactness criterion;
-the z update is an exact soft threshold.  Termination combines the consensus
+damped Newton steps just accurately enough to satisfy the summable
+inexactness criterion; the z update is an exact soft threshold.  Termination combines the consensus
 ratio with the relative objective gap.
 """
 

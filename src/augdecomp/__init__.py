@@ -13,8 +13,7 @@ from .model import (BlockSpec, FunctionDescriptor, IterateState, Problem,
 from .block_solvers import (BlockSolveCertificate, BlockSolveError,
                             CachedQuadSolver, build_block_solvers,
                             build_penalized_solvers, l1_prox_block,
-                            lbfgs_minimize, quad_solve, soft_threshold,
-                            subgrad_dist_l1)
+                            quad_solve, soft_threshold, subgrad_dist_l1)
 from .ada import (StepMetrics, Trace, ada_step, check_stop, ergodic_average,
                   phi_value, run)
 from .inexact import (InexactSchedule, criterion_a_threshold,

@@ -61,9 +61,14 @@ def default_prox_weights(problem: Problem, params: BaselineParams) -> tuple:
     return tuple(factor * blk.E.norm ** 2 + 0.1 for blk in problem.blocks)
 
 
-def _baseline_metrics(nu, problem, x_prev, x_new) -> StepMetrics:
-    """Shared metrics; no G-norm delta and zero certificates (exact solves)."""
-    return step_metrics(nu, problem, x_prev, x_new, constraint_residual(x_new, problem),
+def _baseline_metrics(nu, problem, x_prev, x_new, resid=None) -> StepMetrics:
+    """Shared metrics; no G-norm delta and zero certificates (exact solves).
+
+    ``resid`` is the constraint residual at ``x_new`` when the step formed it.
+    """
+    if resid is None:
+        resid = constraint_residual(x_new, problem)
+    return step_metrics(nu, problem, x_prev, x_new, resid,
                         delta_g_norm_sq=float("nan"),
                         per_block_cert=(0.0,) * len(x_new))
 
@@ -127,6 +132,12 @@ def prox_jadmm_step(state, problem: Problem, params: BaselineParams, solvers):
     + (tau_k/2)||x_k - x_k_prev||^2`` against the previous sweep, then the
     multiplier takes the damped step ``lam -= gamma*beta*(E x - q)``.
     """
+    new_x, lam_new, _ = _prox_jadmm_sweep(state, problem, params, solvers)
+    return new_x, lam_new
+
+
+def _prox_jadmm_sweep(state, problem, params, solvers):
+    """``prox_jadmm_step`` plus the residual ``E x - q`` at the new point."""
     x, lam = state
     K = problem.num_blocks
     beta = params.beta
@@ -139,7 +150,7 @@ def prox_jadmm_step(state, problem: Problem, params: BaselineParams, solvers):
         new_x.append(cert.x)
     resid = constraint_residual(new_x, problem)
     lam_new = lam - params.gamma_damp * beta * resid
-    return tuple(new_x), lam_new
+    return tuple(new_x), lam_new, resid
 
 
 def prox_jadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
@@ -153,8 +164,8 @@ def prox_jadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
     state = (tuple(np.zeros(n) for n in problem.block_dims()), np.zeros(problem.m))
 
     def step(state, nu):
-        new = prox_jadmm_step(state, problem, params, solvers)
-        return new, _baseline_metrics(nu, problem, state[0], new[0])
+        new_x, lam_new, resid = _prox_jadmm_sweep(state, problem, params, solvers)
+        return (new_x, lam_new), _baseline_metrics(nu, problem, state[0], new_x, resid)
 
     return drive(step, state, max_iters, stop_mode, stop_eps)
 

@@ -8,7 +8,7 @@ independent subproblems of the shape
 for a penalty ``p``, a target ``t``, and a proximal center ``z`` (``s = 0``
 drops the proximal term).  This module provides closed-form solvers for
 least-squares and l1 blocks, a certified iterative solver for smooth blocks
-(conjugate gradients for quadratic losses, limited-memory BFGS for logistic
+(conjugate gradients for quadratic losses, damped Newton steps for logistic
 ones), and a proximal-gradient solver for smooth-plus-l1 composites.
 Iterative solvers report a certified upper bound on ``dist(0, d phi(x))`` at
 the returned point, computed from the gradient evaluated at that point;
@@ -37,13 +37,19 @@ from .model import BlockSpec
 _FLOOR_TRIGGER = 0.1
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
+# Damped Newton (``LbfgsBlockSolver``, logistic blocks): Armijo constant,
+# step halvings before the line search gives up, and the relative rounding
+# level of f below which a step that lowers the gradient norm is taken.
+_ARMIJO = 1e-4
+_BACKTRACKS = 30
+_F_NOISE = 1e-12
+# Newton steps in a row that neither lower f beyond its rounding level nor
+# set a new smallest gradient norm before the solve counts as stalled
+_STALL_STEPS = 10
+
 
 class BlockSolveError(RuntimeError):
     """An inner solver could not produce an acceptable block solution."""
-
-
-class _LineSearchStall(RuntimeError):
-    """Line search cannot make progress at rounding level; caller stops."""
 
 
 @dataclass(frozen=True)
@@ -165,176 +171,6 @@ def l1_prox_block(state, rho: float, c: float, lambda1: float, sign: int) -> np.
 
 
 # ---------------------------------------------------------------------------
-# L-BFGS
-
-
-def _wolfe_line_search(fun_grad, x, f0, g0, direction,
-                       c1: float = 1e-4, c2: float = 0.9, max_steps: int = 30):
-    """Strong-Wolfe step length by bracketing and bisection-with-interpolation.
-
-    Returns ``(alpha, f_new, g_new, n_evals)``.  When objective differences
-    fall below the rounding noise of ``f0``, the exact Armijo test is no
-    longer decidable; a point that passes the curvature test with an
-    approximate (noise-tolerant) decrease is then accepted, which keeps the
-    search progressing on gradient information alone.
-    """
-    d0 = float(g0 @ direction)
-    if d0 >= 0:
-        raise _LineSearchStall("non-descent direction at rounding level")
-    f_noise = 1e-12 * (abs(f0) + 1.0)
-
-    def phi(alpha):
-        f, g = fun_grad(x + alpha * direction)
-        return f, g, float(g @ direction)
-
-    alpha_prev, f_prev, d_prev = 0.0, f0, d0
-    alpha = 1.0
-    lo = hi = None
-    f_lo = None
-    evals = 0
-    best = None         # best Armijo point (exact sufficient decrease)
-    best_approx = None  # curvature + noise-tolerant decrease fallback
-    for _ in range(max_steps):
-        f_a, g_a, d_a = phi(alpha)
-        evals += 1
-        if f_a <= f0 + c1 * alpha * d0:
-            if best is None or f_a < best[1]:
-                best = (alpha, f_a, g_a)
-            if abs(d_a) <= -c2 * d0:
-                return alpha, f_a, g_a, evals
-        elif f_a <= f0 + f_noise and abs(d_a) <= -c2 * d0:
-            if best_approx is None or f_a < best_approx[1]:
-                best_approx = (alpha, f_a, g_a)
-        if f_a > f0 + c1 * alpha * d0 or f_a >= f_prev:
-            lo, f_lo, hi = alpha_prev, f_prev, alpha
-            break
-        if d_a >= 0:
-            lo, f_lo, hi = alpha, f_a, alpha_prev
-            break
-        alpha_prev, f_prev, d_prev = alpha, f_a, d_a
-        alpha *= 2.0
-    else:
-        for cand in (best, best_approx):
-            if cand is not None:
-                return cand[0], cand[1], cand[2], evals
-        raise _LineSearchStall("failed to bracket a Wolfe step")
-
-    # zoom on [lo, hi]
-    for _ in range(max_steps):
-        alpha = 0.5 * (lo + hi)
-        f_a, g_a, d_a = phi(alpha)
-        evals += 1
-        if f_a <= f0 + f_noise and abs(d_a) <= -c2 * d0:
-            if best_approx is None or f_a < best_approx[1]:
-                best_approx = (alpha, f_a, g_a)
-        if f_a > f0 + c1 * alpha * d0 or f_a >= f_lo:
-            hi = alpha
-        else:
-            if best is None or f_a < best[1]:
-                best = (alpha, f_a, g_a)
-            if abs(d_a) <= -c2 * d0:
-                return alpha, f_a, g_a, evals
-            if d_a * (hi - lo) >= 0:
-                hi = lo
-            lo, f_lo = alpha, f_a
-    for cand in (best, best_approx):
-        if cand is not None:
-            return cand[0], cand[1], cand[2], evals
-    raise _LineSearchStall("failed to satisfy the Wolfe conditions")
-
-
-def lbfgs_minimize(fun_grad, x0: np.ndarray, grad_tol: float,
-                   max_inner: int = 500, memory: int = 10, accept=None):
-    """Limited-memory BFGS with a strong-Wolfe line search.
-
-    Serves the smooth blocks that are not quadratic (the logistic loss);
-    quadratic blocks are solved by conjugate gradients in
-    ``LbfgsBlockSolver``.  The gradient tested against ``grad_tol`` or
-    ``accept`` is the one ``fun_grad`` returned at the current point.
-
-    Parameters
-    ----------
-    fun_grad : callable
-        Returns ``(value, gradient)`` at a point.
-    x0 : ndarray
-        Starting point.
-    grad_tol : float
-        Stop once ``||grad||_2 <= grad_tol``; for smooth objectives this norm
-        is a valid bound on the subgradient distance.
-    max_inner : int, optional
-        Iteration budget; on exhaustion the iterate with the smallest
-        gradient norm seen so far is returned.
-    memory : int, optional
-        Number of curvature pairs kept by the two-loop recursion.
-    accept : callable, optional
-        ``accept(x, grad_norm) -> bool`` overriding the ``grad_tol`` test,
-        used to stop as soon as an external inexactness criterion holds.
-
-    Returns
-    -------
-    x : ndarray
-    grad_norm : float
-    iters : int
-    """
-    if grad_tol <= 0:
-        raise ValueError("grad_tol must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    f, g = fun_grad(x)
-    gnorm = float(np.linalg.norm(g))
-    best_x, best_gnorm = x.copy(), gnorm
-    s_hist: list = []
-    done = (lambda xx, gn: gn <= grad_tol) if accept is None else accept
-    stalled = 0
-    used = 0
-
-    for it in range(max_inner):
-        if done(x, gnorm):
-            return x, gnorm, it
-        if stalled > 50:
-            break  # gradient norm pinned at its rounding floor
-        used = it + 1
-        # two-loop recursion
-        q = g.copy()
-        alphas = []
-        for s_i, y_i, rho_i in reversed(s_hist):
-            a_i = rho_i * float(s_i @ q)
-            alphas.append(a_i)
-            q -= a_i * y_i
-        if s_hist:
-            s_l, y_l, _ = s_hist[-1]
-            q *= float(s_l @ y_l) / float(y_l @ y_l)
-        for (s_i, y_i, rho_i), a_i in zip(s_hist, reversed(alphas)):
-            b_i = rho_i * float(y_i @ q)
-            q += (a_i - b_i) * s_i
-        direction = -q
-        if float(g @ direction) >= 0:
-            direction = -g  # safeguard: reset to steepest descent
-        try:
-            alpha, f_new, g_new, _ = _wolfe_line_search(fun_grad, x, f, g, direction)
-        except _LineSearchStall:
-            break  # progress limited by rounding; best iterate is the answer
-        s_vec = alpha * direction
-        y_vec = g_new - g
-        sy = float(s_vec @ y_vec)
-        if sy > 1e-14 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-            s_hist.append((s_vec, y_vec, 1.0 / sy))
-            if len(s_hist) > memory:
-                s_hist.pop(0)
-        x = x + s_vec
-        f, g = f_new, g_new
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < best_gnorm * (1.0 - 1e-6):
-            stalled = 0
-        else:
-            stalled += 1
-        if gnorm < best_gnorm:
-            best_x, best_gnorm = x.copy(), gnorm
-    if done(x, gnorm):
-        return x, gnorm, used
-    return best_x, best_gnorm, used
-
-
-# ---------------------------------------------------------------------------
 # Block solver objects
 
 
@@ -439,18 +275,24 @@ class LbfgsBlockSolver:
 
     Minimizes ``f(x) + (p/2)*||E x - t||^2 + (s/2)*||x - z||^2`` from the
     warm start ``z``: by conjugate gradients when ``f`` is a least-squares or
-    quadratic loss, by L-BFGS (``lbfgs_minimize``) when it is logistic.  The
-    certificate is the norm of the gradient evaluated at the returned point,
-    which equals the subgradient distance for smooth objectives.  The solve
-    stops on the caller's ``accept(x, bound)`` rule or, without one, once the
+    quadratic loss, by damped Newton steps when it is logistic.  (The name
+    is historical: both paths replaced an L-BFGS method.)  The certificate
+    is the norm of the gradient evaluated at the returned point, which
+    equals the subgradient distance for smooth objectives.  The solve stops
+    on the caller's ``accept(x, bound)`` rule or, without one, once the
     gradient norm is at most ``exact_tol``.
+
+    Both paths use the Hessian ``H = A^T diag(h) A + C`` with the loss
+    curvature ``h`` (all ones for a quadratic loss) and the coupling and
+    proximal part ``C = p E^T E + s I``, which is ``(p alpha + s) I`` for a
+    coupling with ``E^T E = alpha I`` and otherwise formed once per solver.
 
     Conjugate gradients iterate on the correction ``e = x - z`` and track the
     gradient by a recursive residual.  When that residual passes, the
     gradient is recomputed at the point and its norm must pass too; the
     first time it does not, the residual is replaced by it and the iteration
-    continues.  Each step multiplies by the Hessian ``H``, formed once on the
-    first solve.  Three events return the exact factorized minimizer with
+    continues.  Each step multiplies by ``H``, formed once on the first
+    solve.  Three events return the exact factorized minimizer with
     certificate 0 and ``exact_fallback=True``:
 
     * the floor stop: once the residual is small enough to fix ``||e||`` to
@@ -466,17 +308,25 @@ class LbfgsBlockSolver:
     recomputed gradient can be expected to show, and the exact solve is
     cheaper than finding out.
 
-    A logistic block that misses a caller's rule within ``max_inner`` steps
-    raises ``BlockSolveError``; without a rule the iterate with the smallest
-    gradient norm is returned, since the proximal term keeps it well inside
-    the basin.
+    A Newton step forms ``H`` at the current point (``8 d^2`` bytes; a
+    sparse ``A`` is multiplied sparse and only the d-by-d product is
+    densified) and takes the direction from one Cholesky solve.  The step
+    length is found by Armijo backtracking from 1; once objective
+    differences are at the rounding level of ``f``, a step that lowers the
+    gradient norm is accepted too, so the iteration keeps progressing on
+    gradient information alone.  The subproblem is strongly convex, so this
+    converges from any warm start.  A logistic block that misses a caller's
+    rule within ``max_inner`` steps, or stalls at rounding level (10 steps
+    that neither lower ``f`` beyond rounding nor set a new smallest gradient
+    norm), raises ``BlockSolveError``; without a rule the iterate with the
+    smallest gradient norm is returned.
     """
 
     exact = False
     cg_budget = 300  # conjugate-gradient steps before the exact fallback
 
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float,
-                 exact_tol: float = 1e-12, max_inner: int = 500, memory: int = 10):
+                 exact_tol: float = 1e-12, max_inner: int = 500):
         fd = block.objective
         if fd.smooth is None or fd.l1_scale != 0.0:
             raise ValueError("LbfgsBlockSolver requires a purely smooth block")
@@ -485,49 +335,62 @@ class LbfgsBlockSolver:
         self.prox_weight = float(prox_weight)
         self.exact_tol = float(exact_tol)
         self.max_inner = int(max_inner)
-        self.memory = int(memory)
+        alpha = block.E.gram_scale
+        # C = shift * I when the coupling has a scalar Gram matrix
+        self._shift = None if alpha is None else self.penalty * alpha + self.prox_weight
         self._fallback = None
         if fd.smooth.kind in ("least_squares", "quadratic"):
-            alpha = block.E.gram_scale
-            if alpha is not None:
-                self._fallback = QuadBlockSolver(block, penalty, prox_weight)
-                self._shift = self.penalty * alpha + self.prox_weight
-            else:
-                self._fallback = GeneralQuadBlockSolver(block, penalty, prox_weight)
-                self._shift = None
+            self._fallback = QuadBlockSolver(block, penalty, prox_weight) \
+                if alpha is not None else GeneralQuadBlockSolver(block, penalty, prox_weight)
 
-    def _fun_grad(self, t, z):
-        fd = self.block.objective
+    def _fun_grad(self, t, z, curvature=False):
+        """``x -> (phi(x), grad phi(x))``; with ``curvature`` the loss
+        curvature ``h`` at ``x`` comes third."""
+        smooth = self.block.objective.smooth
         E = self.block.E
         p, s = self.penalty, self.prox_weight
 
         def fun_grad(x):
             r = E.apply(x) - t
-            val, grad = fd.smooth.value_and_gradient(x)
+            val, grad, *h = smooth.value_and_gradient(x, curvature)
             val += 0.5 * p * float(r @ r)
             grad = grad + p * E.apply_T(r)
             if s > 0:
                 dz = x - z
                 val += 0.5 * s * float(dz @ dz)
                 grad = grad + s * dz
-            return val, grad
+            return (val, grad, *h)
 
         return fun_grad
 
     @cached_property
-    def _hess(self) -> np.ndarray:
-        """``H = A^T A + p E^T E + s I`` of a quadratic block, dense; formed on
-        the first conjugate-gradient solve, not at construction."""
+    def _coupling_hess(self) -> np.ndarray:
+        """``C = p E^T E + s I``, dense, for a coupling without a scalar Gram."""
+        E = self.block.E.toarray()
+        C = self.penalty * (E.T @ E)
+        C[np.diag_indices_from(C)] += self.prox_weight
+        return C
+
+    def _hessian(self, h=None) -> np.ndarray:
+        """``A^T diag(h) A + C`` (``A^T A + C`` without ``h``) as a new dense
+        array; a sparse ``A`` is never densified."""
         A = self.block.objective.smooth.A
-        A = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
+        if h is not None:
+            root = np.sqrt(h)
+            A = sp.diags(root) @ A if sp.issparse(A) else A * root[:, None]
         H = A.T @ A
+        H = H.toarray() if sp.issparse(H) else H
         if self._shift is not None:
             H[np.diag_indices_from(H)] += self._shift
         else:
-            E = self.block.E.toarray()
-            H += self.penalty * (E.T @ E)
-            H[np.diag_indices_from(H)] += self.prox_weight
+            H += self._coupling_hess
         return H
+
+    @cached_property
+    def _hess(self) -> np.ndarray:
+        """``H`` of a quadratic block; formed on the first conjugate-gradient
+        solve, not at construction."""
+        return self._hessian()
 
     @cached_property
     def _hess_norm(self) -> float:
@@ -590,22 +453,58 @@ class LbfgsBlockSolver:
             rr = rr_new
         return None, gnorm, steps
 
+    def _newton(self, fun_grad, z, done):
+        """Damped Newton from ``z``; ``(x, grad_norm, steps)`` of the first
+        point that passes ``done``, else of the smallest gradient seen."""
+        x = np.array(z, dtype=float)
+        f, g, h = fun_grad(x)
+        gnorm = float(np.linalg.norm(g))
+        best = (x, gnorm)
+        steps = stalled = 0
+        while not done(x, gnorm):
+            if steps == self.max_inner or stalled == _STALL_STEPS:
+                return best + (steps,)
+            try:
+                chol = scipy.linalg.cho_factor(self._hessian(h), lower=True,
+                                               check_finite=False)
+            except np.linalg.LinAlgError:
+                return best + (steps,)
+            direction = -scipy.linalg.cho_solve(chol, g, check_finite=False)
+            slope = float(g @ direction)
+            f_noise = _F_NOISE * (abs(f) + 1.0)
+            step = 1.0
+            for _ in range(_BACKTRACKS):
+                x_new = x + step * direction
+                f_new, g_new, h_new = fun_grad(x_new)
+                gnorm_new = float(np.linalg.norm(g_new))
+                if f_new <= f + _ARMIJO * step * slope \
+                        or (f_new <= f + f_noise and gnorm_new < gnorm):
+                    break
+                step *= 0.5
+            else:  # not even a rounding-level step lowers f or ||g||
+                return best + (steps,)
+            steps += 1
+            # at the rounding floor full steps keep passing Armijo with f
+            # unchanged while ||g|| wanders; count those steps
+            stalled = 0 if gnorm_new < best[1] or f_new < f - f_noise else stalled + 1
+            x, f, g, h, gnorm = x_new, f_new, g_new, h_new, gnorm_new
+            if gnorm < best[1]:
+                best = (x, gnorm)
+        return x, gnorm, steps
+
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
-        fun_grad = self._fun_grad(t, z)
+        done = (lambda xx, gn: gn <= self.exact_tol) if accept is None else accept
         if self._fallback is not None:
-            done = (lambda xx, gn: gn <= self.exact_tol) if accept is None else accept
-            x, gnorm, iters = self._conjugate_gradients(fun_grad, z, done)
+            x, gnorm, iters = self._conjugate_gradients(self._fun_grad(t, z), z, done)
             if x is None:
                 cert = self._fallback.solve(t, z)
                 return BlockSolveCertificate(x=cert.x, subgrad_bound=0.0,
                                              inner_iters=iters, exact_fallback=True)
             return BlockSolveCertificate(x=x, subgrad_bound=gnorm, inner_iters=iters)
-        x, gnorm, iters = lbfgs_minimize(
-            fun_grad, z, grad_tol=self.exact_tol, max_inner=self.max_inner,
-            memory=self.memory, accept=accept)
+        x, gnorm, iters = self._newton(self._fun_grad(t, z, curvature=True), z, done)
         if accept is not None and not accept(x, gnorm):
             raise BlockSolveError(
-                f"inner solver exhausted {self.max_inner} iterations at "
+                f"Newton solve stopped after {iters} of {self.max_inner} steps at "
                 f"gradient norm {gnorm:.3e} without meeting its threshold")
         return BlockSolveCertificate(x=x, subgrad_bound=gnorm, inner_iters=iters)
 
@@ -666,14 +565,13 @@ class CompositeBlockSolver:
 
 
 def build_penalized_solvers(problem, penalty: float, prox_weights,
-                            iterative_smooth: bool = False,
-                            exact_tol: float = 1e-12, max_inner: int = 500):
+                            iterative_smooth: bool = False):
     """Construct one solver per block for a given penalty/proximal pairing.
 
     ``prox_weights`` is a scalar or one weight per block.  With
     ``iterative_smooth`` the quadratic blocks also go through the iterative
     ``LbfgsBlockSolver`` (conjugate gradients) so that their solves carry
-    nontrivial certificates; logistic blocks always do (L-BFGS).
+    nontrivial certificates; logistic blocks always do (damped Newton).
     """
     K = problem.num_blocks
     weights = np.broadcast_to(np.asarray(prox_weights, dtype=float), (K,))
@@ -687,8 +585,7 @@ def build_penalized_solvers(problem, penalty: float, prox_weights,
         elif fd.smooth is None:
             solvers.append(L1ProxBlockSolver(blk, penalty, s))
         elif fd.smooth.kind == "logistic" or iterative_smooth:
-            solvers.append(LbfgsBlockSolver(blk, penalty, s,
-                                            exact_tol=exact_tol, max_inner=max_inner))
+            solvers.append(LbfgsBlockSolver(blk, penalty, s))
         elif blk.E.gram_scale is not None:
             solvers.append(QuadBlockSolver(blk, penalty, s))
         else:
@@ -701,11 +598,13 @@ def build_block_solvers(problem, params, schedule=None):
 
     Under an inexact schedule the smooth blocks are solved iteratively so the
     acceptance criteria are genuinely exercised: quadratic blocks by
-    warm-started conjugate gradients with an exact factorized fallback,
-    logistic blocks by L-BFGS (up to 2000 steps).  With no schedule (or an
-    exact one) every block that admits a closed form uses it.
+    warm-started conjugate gradients with an exact factorized fallback
+    (at most 300 steps).  Logistic blocks are always solved by damped Newton
+    steps (at most 500), to ``1e-12`` in the gradient norm when no schedule
+    sets a threshold.  With no schedule (or an exact one) every block that
+    admits a closed form uses it.
     """
     inexact = schedule is not None and getattr(schedule, "kind", "exact") != "exact"
     return build_penalized_solvers(
         problem, penalty=params.rho / 2.0, prox_weights=1.0 / params.c,
-        iterative_smooth=inexact, max_inner=2000 if inexact else 500)
+        iterative_smooth=inexact)

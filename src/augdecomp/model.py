@@ -85,9 +85,21 @@ class SmoothPart:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self._gradient_at(self.A @ x)
 
-    def value_and_gradient(self, x: np.ndarray):
-        """``(value(x), gradient(x))`` from a single product ``A @ x``."""
+    def _curvature_at(self, u: np.ndarray) -> np.ndarray:
+        if self.kind != "logistic":
+            return np.ones_like(u)
+        s = expit(-self.b * u)
+        return s * (1.0 - s)
+
+    def value_and_gradient(self, x: np.ndarray, curvature: bool = False):
+        """``(value(x), gradient(x))`` from a single product ``A @ x``.
+
+        With ``curvature`` a third entry holds the weights ``h = g''(A x)``,
+        so that the Hessian of the loss is ``A^T diag(h) A``.
+        """
         u = self.A @ x
+        if curvature:
+            return self._value_at(u), self._gradient_at(u), self._curvature_at(u)
         return self._value_at(u), self._gradient_at(u)
 
 

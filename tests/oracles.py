@@ -1,0 +1,178 @@
+"""Reference implementations that the library no longer carries.
+
+``lbfgs_minimize`` is the limited-memory BFGS method with a strong-Wolfe
+line search that solved the logistic blocks before they moved to damped
+Newton steps.  It is kept here as an independent oracle: ``TestLbfgs`` pins
+its behaviour, and the Newton solves of ``LbfgsBlockSolver`` are checked
+against it.
+"""
+
+import numpy as np
+
+
+class _LineSearchStall(RuntimeError):
+    """Line search cannot make progress at rounding level; caller stops."""
+
+
+def _wolfe_line_search(fun_grad, x, f0, g0, direction,
+                       c1: float = 1e-4, c2: float = 0.9, max_steps: int = 30):
+    """Strong-Wolfe step length by bracketing and bisection-with-interpolation.
+
+    Returns ``(alpha, f_new, g_new, n_evals)``.  When objective differences
+    fall below the rounding noise of ``f0``, the exact Armijo test is no
+    longer decidable; a point that passes the curvature test with an
+    approximate (noise-tolerant) decrease is then accepted, which keeps the
+    search progressing on gradient information alone.
+    """
+    d0 = float(g0 @ direction)
+    if d0 >= 0:
+        raise _LineSearchStall("non-descent direction at rounding level")
+    f_noise = 1e-12 * (abs(f0) + 1.0)
+
+    def phi(alpha):
+        f, g = fun_grad(x + alpha * direction)
+        return f, g, float(g @ direction)
+
+    alpha_prev, f_prev, d_prev = 0.0, f0, d0
+    alpha = 1.0
+    lo = hi = None
+    f_lo = None
+    evals = 0
+    best = None         # best Armijo point (exact sufficient decrease)
+    best_approx = None  # curvature + noise-tolerant decrease fallback
+    for _ in range(max_steps):
+        f_a, g_a, d_a = phi(alpha)
+        evals += 1
+        if f_a <= f0 + c1 * alpha * d0:
+            if best is None or f_a < best[1]:
+                best = (alpha, f_a, g_a)
+            if abs(d_a) <= -c2 * d0:
+                return alpha, f_a, g_a, evals
+        elif f_a <= f0 + f_noise and abs(d_a) <= -c2 * d0:
+            if best_approx is None or f_a < best_approx[1]:
+                best_approx = (alpha, f_a, g_a)
+        if f_a > f0 + c1 * alpha * d0 or f_a >= f_prev:
+            lo, f_lo, hi = alpha_prev, f_prev, alpha
+            break
+        if d_a >= 0:
+            lo, f_lo, hi = alpha, f_a, alpha_prev
+            break
+        alpha_prev, f_prev, d_prev = alpha, f_a, d_a
+        alpha *= 2.0
+    else:
+        for cand in (best, best_approx):
+            if cand is not None:
+                return cand[0], cand[1], cand[2], evals
+        raise _LineSearchStall("failed to bracket a Wolfe step")
+
+    # zoom on [lo, hi]
+    for _ in range(max_steps):
+        alpha = 0.5 * (lo + hi)
+        f_a, g_a, d_a = phi(alpha)
+        evals += 1
+        if f_a <= f0 + f_noise and abs(d_a) <= -c2 * d0:
+            if best_approx is None or f_a < best_approx[1]:
+                best_approx = (alpha, f_a, g_a)
+        if f_a > f0 + c1 * alpha * d0 or f_a >= f_lo:
+            hi = alpha
+        else:
+            if best is None or f_a < best[1]:
+                best = (alpha, f_a, g_a)
+            if abs(d_a) <= -c2 * d0:
+                return alpha, f_a, g_a, evals
+            if d_a * (hi - lo) >= 0:
+                hi = lo
+            lo, f_lo = alpha, f_a
+    for cand in (best, best_approx):
+        if cand is not None:
+            return cand[0], cand[1], cand[2], evals
+    raise _LineSearchStall("failed to satisfy the Wolfe conditions")
+
+
+def lbfgs_minimize(fun_grad, x0: np.ndarray, grad_tol: float,
+                   max_inner: int = 500, memory: int = 10, accept=None):
+    """Limited-memory BFGS with a strong-Wolfe line search.
+
+    The gradient tested against ``grad_tol`` or ``accept`` is the one
+    ``fun_grad`` returned at the current point.
+
+    Parameters
+    ----------
+    fun_grad : callable
+        Returns ``(value, gradient)`` at a point.
+    x0 : ndarray
+        Starting point.
+    grad_tol : float
+        Stop once ``||grad||_2 <= grad_tol``; for smooth objectives this norm
+        is a valid bound on the subgradient distance.
+    max_inner : int, optional
+        Iteration budget; on exhaustion the iterate with the smallest
+        gradient norm seen so far is returned.
+    memory : int, optional
+        Number of curvature pairs kept by the two-loop recursion.
+    accept : callable, optional
+        ``accept(x, grad_norm) -> bool`` overriding the ``grad_tol`` test,
+        used to stop as soon as an external inexactness criterion holds.
+
+    Returns
+    -------
+    x : ndarray
+    grad_norm : float
+    iters : int
+    """
+    if grad_tol <= 0:
+        raise ValueError("grad_tol must be positive")
+    x = np.asarray(x0, dtype=float).copy()
+    f, g = fun_grad(x)
+    gnorm = float(np.linalg.norm(g))
+    best_x, best_gnorm = x.copy(), gnorm
+    s_hist: list = []
+    done = (lambda xx, gn: gn <= grad_tol) if accept is None else accept
+    stalled = 0
+    used = 0
+
+    for it in range(max_inner):
+        if done(x, gnorm):
+            return x, gnorm, it
+        if stalled > 50:
+            break  # gradient norm pinned at its rounding floor
+        used = it + 1
+        # two-loop recursion
+        q = g.copy()
+        alphas = []
+        for s_i, y_i, rho_i in reversed(s_hist):
+            a_i = rho_i * float(s_i @ q)
+            alphas.append(a_i)
+            q -= a_i * y_i
+        if s_hist:
+            s_l, y_l, _ = s_hist[-1]
+            q *= float(s_l @ y_l) / float(y_l @ y_l)
+        for (s_i, y_i, rho_i), a_i in zip(s_hist, reversed(alphas)):
+            b_i = rho_i * float(y_i @ q)
+            q += (a_i - b_i) * s_i
+        direction = -q
+        if float(g @ direction) >= 0:
+            direction = -g  # safeguard: reset to steepest descent
+        try:
+            alpha, f_new, g_new, _ = _wolfe_line_search(fun_grad, x, f, g, direction)
+        except _LineSearchStall:
+            break  # progress limited by rounding; best iterate is the answer
+        s_vec = alpha * direction
+        y_vec = g_new - g
+        sy = float(s_vec @ y_vec)
+        if sy > 1e-14 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
+            s_hist.append((s_vec, y_vec, 1.0 / sy))
+            if len(s_hist) > memory:
+                s_hist.pop(0)
+        x = x + s_vec
+        f, g = f_new, g_new
+        gnorm = float(np.linalg.norm(g))
+        if gnorm < best_gnorm * (1.0 - 1e-6):
+            stalled = 0
+        else:
+            stalled += 1
+        if gnorm < best_gnorm:
+            best_x, best_gnorm = x.copy(), gnorm
+    if done(x, gnorm):
+        return x, gnorm, used
+    return best_x, best_gnorm, used

@@ -165,6 +165,24 @@ class TestProxJadmm:
         medians = [np.median(tail[i * w:(i + 1) * w]) for i in range(4)]
         assert all(medians[i + 1] <= medians[i] * (1 + 1e-6) for i in range(3))
 
+    def test_two_coupling_products_per_block(self, monkeypatch):
+        # the multiplier step and the metrics share one residual (3K products before)
+        problem, _ = ag.gen_exchange(5, 100, 80, seed=1)
+        K = problem.num_blocks
+        calls = []
+        apply = ag.Coupling.apply
+
+        def counting_apply(self, x):
+            calls.append(1)
+            return apply(self, x)
+
+        monkeypatch.setattr(ag.Coupling, "apply", counting_apply)
+        for sweeps in range(1, 4):
+            calls.clear()
+            prox_jadmm_run(problem, BaselineParams(beta=1.0), max_iters=sweeps,
+                           stop_mode="max_iters")
+            assert len(calls) == 2 * K * sweeps
+
 
 class TestAdmm2:
     def test_zero_data_fixed_point(self):

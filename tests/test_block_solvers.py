@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 import augdecomp as ag
-from augdecomp.block_solvers import (CachedQuadSolver, CompositeBlockSolver,
+from augdecomp.block_solvers import (BlockSolveError, CachedQuadSolver,
+                                     CompositeBlockSolver,
                                      GeneralQuadBlockSolver, L1ProxBlockSolver,
                                      LbfgsBlockSolver, QuadBlockSolver,
                                      e_gram_scale, l1_prox_block,
-                                     lbfgs_minimize, quad_solve,
-                                     soft_threshold, subgrad_dist_l1)
+                                     quad_solve, soft_threshold,
+                                     subgrad_dist_l1)
 from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart
+from oracles import lbfgs_minimize
 
 
 class TestSoftThreshold:
@@ -229,6 +231,81 @@ class TestLbfgs:
                                       accept=lambda xx, g: g <= 1.0)
         assert gn <= 1.0
         assert iters <= 5
+
+
+def _logistic_block(E, rows=40, seed=21):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((rows, E.shape[1]))
+    labels = np.where(rng.standard_normal(rows) >= 0.0, 1.0, -1.0)
+    return BlockSpec(n=E.shape[1], E=E, objective=FunctionDescriptor(
+        smooth=SmoothPart("logistic", A, labels)))
+
+
+class TestLogisticNewton:
+    def test_scalar_logistic_matches_bisection(self):
+        # TestLbfgs's one-sample case, solved by the block solver's Newton steps
+        a_val, b_val, rho, c = 1.3, 1.0, 2.0, 1.0
+        w, y, xp = 0.4, -0.2, 0.7
+
+        def stationarity(t):
+            s = -b_val * a_val / (1.0 + np.exp(b_val * a_val * t))
+            return s + rho / 2 * (t - w + 2 / rho * y) + (t - xp) / c
+
+        lo, hi = -50.0, 50.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if stationarity(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        t_star = 0.5 * (lo + hi)
+
+        blk = BlockSpec(n=1, E=np.eye(1), objective=FunctionDescriptor(
+            smooth=SmoothPart("logistic", np.array([[a_val]]), np.array([b_val]))))
+        solver = LbfgsBlockSolver(blk, penalty=rho / 2, prox_weight=1 / c,
+                                  exact_tol=1e-12)
+        cert = solver.solve(np.array([w - 2 / rho * y]), np.array([xp]))
+        assert cert.subgrad_bound <= 1e-12 and cert.inner_iters > 0
+        assert abs(float(cert.x[0]) - t_star) < 1e-8
+
+    def test_general_coupling_agrees_with_lbfgs_oracle(self):
+        rng = np.random.default_rng(20)
+        blk = _logistic_block(rng.standard_normal((4, 6)))
+        solver = LbfgsBlockSolver(blk, penalty=1.5, prox_weight=0.2)
+        assert solver._shift is None  # E^T E is not a multiple of I
+        t, z = rng.standard_normal(4), 3.0 * rng.standard_normal(6)
+        cert = solver.solve(t, z, accept=lambda x, bound: bound <= 1e-10)
+        fun_grad = solver._fun_grad(t, z)
+        assert cert.subgrad_bound == float(np.linalg.norm(fun_grad(cert.x)[1])) <= 1e-10
+        assert 0 < cert.inner_iters <= 20
+        x_ref, gn_ref, _ = lbfgs_minimize(fun_grad, z, grad_tol=1e-10)
+        assert gn_ref <= 1e-10
+        # phi is 0.2-strongly convex: ||x - x_ref|| <= (||g|| + ||g_ref||) / 0.2
+        assert np.linalg.norm(cert.x - x_ref) <= (cert.subgrad_bound + gn_ref) / 0.2
+
+    def test_hessian_matches_finite_differences_of_the_gradient(self):
+        rng = np.random.default_rng(22)
+        for E in (np.eye(6), rng.standard_normal((4, 6))):
+            solver = LbfgsBlockSolver(_logistic_block(E), penalty=1.5, prox_weight=0.2)
+            t, z = rng.standard_normal(E.shape[0]), rng.standard_normal(6)
+            fun_grad = solver._fun_grad(t, z, curvature=True)
+            x = rng.standard_normal(6)
+            H = solver._hessian(fun_grad(x)[2])
+            fd = np.empty((6, 6))
+            for i in range(6):
+                e = np.zeros(6)
+                e[i] = 1e-6
+                fd[:, i] = (fun_grad(x + e)[1] - fun_grad(x - e)[1]) / 2e-6
+            assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max()
+
+    def test_unattainable_threshold_raises_once_stalled(self):
+        # at the rounding floor full steps pass Armijo with f unchanged; the
+        # stall stop ends the solve long before the 500-step budget
+        solver = LbfgsBlockSolver(_logistic_block(np.eye(6)), penalty=1.0, prox_weight=0.1)
+        rng = np.random.default_rng(23)
+        with pytest.raises(BlockSolveError, match=r"after \d{1,2} of 500 steps"):
+            solver.solve(rng.standard_normal(6), rng.standard_normal(6),
+                         accept=lambda x, bound: bound <= 0.0)
 
 
 def logistic_phi_gradient_fd_check(block, t, z, penalty, prox_weight, rng):

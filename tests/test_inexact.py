@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import augdecomp as ag
+from augdecomp.ada import _block_targets
+from augdecomp.bench import build_logreg_consensus, gen_logreg_data, partition_rows
 from augdecomp.block_solvers import GeneralQuadBlockSolver, LbfgsBlockSolver
 from augdecomp.inexact import (InexactSchedule, _accept_rules,
                                criterion_a_threshold, criterion_b_threshold,
@@ -322,6 +325,57 @@ class TestHonestCertificates:
         assert refused == []
         assert all(c.subgrad_bound == 0.0 for c in fallbacks)
         assert sum(m.fallbacks for m in trace.metrics) == len(fallbacks) > 0
+
+
+class TestLogisticNewton:
+    """Logistic blocks under criterion A: Newton solves, honest certificates."""
+
+    @staticmethod
+    def _run(row_blocks, iters):
+        problem = build_logreg_consensus(row_blocks, lam=0.1)
+        params = ag.SolverParams(rho=10.0, c=10.0, max_iters=iters)
+        sched = InexactSchedule.for_problem(problem, "criterion_A", eps0=1.0,
+                                            gamma=1.5)
+        solvers = ag.build_block_solvers(problem, params, sched)
+        _, trace = iada_run(problem, params, sched, solvers, stop_mode="max_iters",
+                            record_states=True)
+        assert len(trace) == iters
+        return problem, params, sched, solvers, trace
+
+    def test_every_certificate_is_the_recomputed_gradient(self):
+        A, labels = gen_logreg_data(400, 10, seed=7)
+        problem, params, sched, solvers, trace = self._run(
+            partition_rows(A, labels, 3), 30)
+        K = problem.num_blocks
+        prev, checked = trace.initial_state, 0
+        for nu, (state, m) in enumerate(zip(trace.states, trace.metrics), start=1):
+            targets = _block_targets(prev, problem, params.rho)
+            rules = _accept_rules(nu, prev, sched, params, K)
+            for k in range(K - 1):  # the last block is the l1 prox
+                blk, solver = problem.blocks[k], solvers[k]
+                x, t, z = state.x[k], targets[k], prev.x[k]
+                g = blk.objective.smooth_gradient(x) \
+                    + solver.penalty * blk.E.apply_T(blk.E.apply(x) - t) \
+                    + solver.prox_weight * (x - z)
+                gnorm = float(np.linalg.norm(g))
+                assert m.per_block_cert[k] == gnorm
+                assert rules[k](x, gnorm)
+                checked += 1
+            prev = state
+        assert checked == 30 * (K - 1)
+        assert sum(m.inner_iters_total for m in trace.metrics) > 0
+
+    def test_sparse_data_takes_the_same_steps(self):
+        # A^T diag(h) A is formed by sparse products for CSR data
+        A, labels = gen_logreg_data(300, 8, seed=3)
+        parts = partition_rows(A, labels, 2)
+        *_, dense = self._run(parts, 20)
+        problem, *_, sparse = self._run([(sp.csr_matrix(A_i), b_i) for A_i, b_i in parts], 20)
+        assert sp.issparse(problem.blocks[0].objective.smooth.A)
+        for md, ms, sd, ss in zip(dense.metrics, sparse.metrics, dense.states, sparse.states):
+            assert md.inner_iters_total == ms.inner_iters_total
+            for xd, xs in zip(sd.x, ss.x):
+                assert np.linalg.norm(xs - xd) <= 1e-12 * max(1.0, np.linalg.norm(xd))
 
 
 class TestQuadraticBlocksByCG:
