@@ -78,11 +78,6 @@ class Trace:
     def __len__(self):
         return len(self.metrics)
 
-    def x_iterates(self):
-        if self.states is None:
-            raise ValueError("trace was recorded without states")
-        return [s.x for s in self.states]
-
     def delta_g_sq(self) -> np.ndarray:
         return np.array([m.delta_g_norm_sq for m in self.metrics])
 
@@ -308,19 +303,19 @@ def run(problem: Problem, params: SolverParams, solvers: Sequence,
                  record_states=record_states, initial_state=state)
 
 
-def ergodic_average(x_iterates: Sequence, N: int):
+def ergodic_average(iterates: Sequence, N: int):
     """Componentwise mean of the first ``N`` primal iterates.
 
-    ``x_iterates`` is a sequence of per-iteration block tuples, iterate 1
+    ``iterates`` is a sequence of per-iteration block tuples, iterate 1
     first; the averaged point carries the O(1/N) duality-gap guarantee.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    if N > len(x_iterates):
-        raise ValueError(f"N={N} exceeds trace length {len(x_iterates)}")
-    K = len(x_iterates[0])
-    acc = [np.zeros_like(np.asarray(x_iterates[0][k], dtype=float)) for k in range(K)]
-    for xs in x_iterates[:N]:
+    if N > len(iterates):
+        raise ValueError(f"N={N} exceeds trace length {len(iterates)}")
+    K = len(iterates[0])
+    acc = [np.zeros_like(np.asarray(iterates[0][k], dtype=float)) for k in range(K)]
+    for xs in iterates[:N]:
         for k in range(K):
             acc[k] += xs[k]
     return tuple(a / N for a in acc)

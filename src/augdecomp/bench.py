@@ -201,8 +201,8 @@ def partition_rows(A, b, N: int):
     n = A.shape[0]
     if N < 1 or N > n:
         raise ValueError(f"need 1 <= N <= {n} row blocks")
-    bounds = np.array_split(np.arange(n), N)
-    return [(A[idx[0]:idx[-1] + 1], b[idx[0]:idx[-1] + 1]) for idx in bounds]
+    parts = np.array_split(np.arange(n), N)
+    return [(A[idx[0]:idx[-1] + 1], b[idx[0]:idx[-1] + 1]) for idx in parts]
 
 
 def build_logreg_consensus(row_blocks, lam: float) -> Problem:
@@ -256,6 +256,9 @@ def consensus_objective(problem: Problem, z: np.ndarray) -> float:
 _EXPERIMENTS = ("lasso", "exchange", "logreg")
 _SOLVERS = ("ada", "iada", "vsadmm", "proxjadmm", "admm2")
 _STOP_MODES = ada.STOP_MODES + ("consensus",)
+# the "consensus" stop: consensus ratio and relative objective gap to f*
+_CONSENSUS_RATIO_TOL = 1e-6
+_CONSENSUS_GAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -332,16 +335,16 @@ def _solver_params(config: ExperimentConfig) -> SolverParams:
                         max_iters=config.max_iters, stop_eps=config.stop_eps)
 
 
-def _consensus_stop(problem: Problem, f_star: float,
-                    ratio_tol: float = 1e-6, gap_tol: float = 1e-10):
-    """Stop rule: consensus ratio and relative objective gap both small."""
+def _consensus_stop(problem: Problem, f_star: float):
+    """Stop rule: consensus ratio at most 1e-6 and relative objective gap at
+    most 1e-10."""
 
     def stop(state, metrics):
         z = state.x[-1]
-        if consensus_ratio(state.x) > ratio_tol:
+        if consensus_ratio(state.x) > _CONSENSUS_RATIO_TOL:
             return False
         gap = abs(consensus_objective(problem, z) - f_star) / max(1.0, abs(f_star))
-        return gap <= gap_tol
+        return gap <= _CONSENSUS_GAP_TOL
 
     return stop
 
@@ -351,7 +354,7 @@ def reference_state(problem: Problem, params: SolverParams,
                     eps: float = 1e-12, max_iters: int = 20000):
     """High-accuracy oracle: the same configuration run to ``eps`` x-change.
 
-    Solver-generated rather than ground truth; its accuracy bounds how small
+    Solver-generated rather than ground truth; its accuracy limits how small
     a tolerance downstream comparisons may claim.
     """
     tight = replace(params, stop_eps=eps, max_iters=max_iters)

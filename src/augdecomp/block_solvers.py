@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -37,15 +37,18 @@ from .model import BlockSpec
 _FLOOR_TRIGGER = 0.1
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
-# Damped Newton (``LbfgsBlockSolver``, logistic blocks): Armijo constant,
-# step halvings before the line search gives up, and the relative rounding
-# level of f below which a step that lowers the gradient norm is taken.
+# Damped Newton (``LbfgsBlockSolver``, logistic blocks): step budget, Armijo
+# constant, step halvings before the line search gives up, and the relative
+# rounding level of f below which a step that lowers the gradient norm is taken.
+_NEWTON_STEPS = 500
 _ARMIJO = 1e-4
 _BACKTRACKS = 30
 _F_NOISE = 1e-12
 # Newton steps in a row that neither lower f beyond its rounding level nor
 # set a new smallest gradient norm before the solve counts as stalled
 _STALL_STEPS = 10
+# Proximal-gradient steps of ``CompositeBlockSolver`` per solve
+_PROX_GRAD_STEPS = 5000
 
 
 class BlockSolveError(RuntimeError):
@@ -105,13 +108,14 @@ class CachedQuadSolver:
     Factors the d-by-d normal matrix directly when ``d <= p`` (``A`` is
     p-by-d), and the p-by-p dual matrix ``A A^T + sigma I`` otherwise, using
     the Woodbury identity to recover the primal solve.  The factorization is
-    computed once and reused for every right-hand side.
+    computed once and reused for every right-hand side.  A sparse ``A`` stays
+    sparse; only the Gram matrix that is factored is dense.
     """
 
     def __init__(self, A, b, sigma: float, mode: str | None = None):
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        A = np.asarray(A.toarray() if sp.issparse(A) else A, dtype=float)
+        A = A.astype(float, copy=False) if sp.issparse(A) else np.asarray(A, dtype=float)
         self.A = A
         self.b = np.asarray(b, dtype=float) if b is not None else np.zeros(A.shape[0])
         self.sigma = float(sigma)
@@ -121,11 +125,9 @@ class CachedQuadSolver:
         if mode not in ("primal", "woodbury"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
-        if mode == "primal":
-            M = A.T @ A + sigma * np.eye(d)
-        else:
-            M = A @ A.T + sigma * np.eye(p)
-        self._chol = scipy.linalg.cho_factor(M, lower=True)
+        G = A.T @ A if mode == "primal" else A @ A.T
+        G = G.toarray() if sp.issparse(G) else G
+        self._chol = scipy.linalg.cho_factor(G + sigma * np.eye(G.shape[0]), lower=True)
         self.atb = A.T @ self.b
 
     def solve_shifted(self, r: np.ndarray) -> np.ndarray:
@@ -174,43 +176,41 @@ def l1_prox_block(state, rho: float, c: float, lambda1: float, sign: int) -> np.
 # Block solver objects
 
 
+def _coupling_hessian(E, penalty: float, prox_weight: float):
+    """``C = p E^T E + s I``: the float ``p alpha + s`` for a coupling with
+    ``E^T E = alpha I``, otherwise a dense n-by-n array."""
+    alpha = E.gram_scale
+    if alpha is not None:
+        return float(penalty * alpha + prox_weight)
+    M = E.toarray()
+    C = penalty * (M.T @ M)
+    C[np.diag_indices_from(C)] += prox_weight
+    return C
+
+
+def _formed_hessian(A, C, h=None) -> np.ndarray:
+    """``A^T diag(h) A + C`` (``A^T A + C`` without ``h``) as a new dense
+    array; a sparse ``A`` is never densified."""
+    if h is not None:
+        root = np.sqrt(h)
+        A = sp.diags(root) @ A if sp.issparse(A) else A * root[:, None]
+    H = A.T @ A
+    H = H.toarray() if sp.issparse(H) else H
+    if isinstance(C, float):
+        H[np.diag_indices_from(H)] += C
+    else:
+        H += C
+    return H
+
+
 class QuadBlockSolver:
-    """Closed-form solver for smooth quadratic blocks with scalar-Gram coupling.
+    """Closed-form solver for smooth quadratic blocks.
 
-    Handles ``f(x) = 0.5*||A x - b||^2`` (or ``0.5*||A x||^2``) coupled by any
-    ``E`` with ``E^T E = alpha I``; the shifted normal matrix is factored once
-    at construction.
-    """
-
-    exact = True
-
-    def __init__(self, block: BlockSpec, penalty: float, prox_weight: float, mode=None):
-        fd = block.objective
-        if fd.smooth is None or fd.l1_scale != 0.0:
-            raise ValueError("QuadBlockSolver requires a purely smooth block")
-        if fd.smooth.kind not in ("least_squares", "quadratic"):
-            raise ValueError("QuadBlockSolver requires a quadratic loss")
-        alpha = block.E.gram_scale
-        if alpha is None:
-            raise ValueError("coupling matrix must satisfy E^T E = alpha I")
-        self.E = block.E
-        self.penalty = float(penalty)
-        self.prox_weight = float(prox_weight)
-        sigma = penalty * alpha + prox_weight
-        self._quad = CachedQuadSolver(fd.smooth.A, fd.smooth.b, sigma, mode=mode)
-
-    def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
-        rhs = self._quad.atb + self.penalty * self.E.apply_T(t)
-        if self.prox_weight > 0:
-            rhs = rhs + self.prox_weight * z
-        return BlockSolveCertificate(x=self._quad.solve_shifted(rhs), subgrad_bound=0.0)
-
-
-class GeneralQuadBlockSolver:
-    """Dense-factorization solver for quadratic blocks with arbitrary coupling.
-
-    Factors ``A^T A + p E^T E + s I`` once; used when the coupling Gram
-    matrix is not a multiple of the identity.
+    Handles ``f(x) = 0.5*||A x - b||^2`` (or ``0.5*||A x||^2``) under any
+    coupling; the factorization follows the coupling and is computed once at
+    construction.  For ``E^T E = alpha I`` it is a ``CachedQuadSolver`` with
+    ``sigma = p alpha + s`` (primal or Woodbury, whichever system is
+    smaller); otherwise a Cholesky factor of ``A^T A + p E^T E + s I``.
     """
 
     exact = True
@@ -218,26 +218,27 @@ class GeneralQuadBlockSolver:
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float):
         fd = block.objective
         if fd.smooth is None or fd.l1_scale != 0.0:
-            raise ValueError("GeneralQuadBlockSolver requires a purely smooth block")
+            raise ValueError("QuadBlockSolver requires a purely smooth block")
         if fd.smooth.kind not in ("least_squares", "quadratic"):
-            raise ValueError("GeneralQuadBlockSolver requires a quadratic loss")
-        A = fd.smooth.A
-        A = A.toarray() if sp.issparse(A) else A
-        E = block.E.toarray()
+            raise ValueError("QuadBlockSolver requires a quadratic loss")
         self.E = block.E
         self.penalty = float(penalty)
         self.prox_weight = float(prox_weight)
-        M = A.T @ A + penalty * (E.T @ E) + prox_weight * np.eye(block.n)
-        self._chol = scipy.linalg.cho_factor(M, lower=True)
-        b = fd.smooth.b if fd.smooth.b is not None else np.zeros(A.shape[0])
-        self.atb = A.T @ b
+        C = _coupling_hessian(block.E, penalty, prox_weight)
+        if isinstance(C, float):
+            quad = CachedQuadSolver(fd.smooth.A, fd.smooth.b, C)
+            self.atb, self._solve = quad.atb, quad.solve_shifted
+        else:
+            A, b = fd.smooth.A, fd.smooth.b
+            chol = scipy.linalg.cho_factor(_formed_hessian(A, C), lower=True)
+            self.atb = A.T @ (b if b is not None else np.zeros(A.shape[0]))
+            self._solve = partial(scipy.linalg.cho_solve, chol)
 
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
         rhs = self.atb + self.penalty * self.E.apply_T(t)
         if self.prox_weight > 0:
             rhs = rhs + self.prox_weight * z
-        x = scipy.linalg.cho_solve(self._chol, rhs)
-        return BlockSolveCertificate(x=x, subgrad_bound=0.0)
+        return BlockSolveCertificate(x=self._solve(rhs), subgrad_bound=0.0)
 
 
 class L1ProxBlockSolver:
@@ -301,7 +302,7 @@ class LbfgsBlockSolver:
       ``u (||H|| ||x|| + ||b||)`` with the unit roundoff ``u`` for the
       system ``H x = b``, and it refuses;
     * a second refusal of the recomputed gradient;
-    * ``min(max_inner, 300)`` steps without a pass.
+    * ``cg_budget`` (300) steps without a pass.
 
     The floor is Greenbaum's estimate of the attainable accuracy, not a
     proof: a refused floor means the threshold is at or below what the
@@ -316,7 +317,7 @@ class LbfgsBlockSolver:
     gradient norm is accepted too, so the iteration keeps progressing on
     gradient information alone.  The subproblem is strongly convex, so this
     converges from any warm start.  A logistic block that misses a caller's
-    rule within ``max_inner`` steps, or stalls at rounding level (10 steps
+    rule within 500 steps, or stalls at rounding level (10 steps
     that neither lower ``f`` beyond rounding nor set a new smallest gradient
     norm), raises ``BlockSolveError``; without a rule the iterate with the
     smallest gradient norm is returned.
@@ -326,7 +327,7 @@ class LbfgsBlockSolver:
     cg_budget = 300  # conjugate-gradient steps before the exact fallback
 
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float,
-                 exact_tol: float = 1e-12, max_inner: int = 500):
+                 exact_tol: float = 1e-12):
         fd = block.objective
         if fd.smooth is None or fd.l1_scale != 0.0:
             raise ValueError("LbfgsBlockSolver requires a purely smooth block")
@@ -334,14 +335,15 @@ class LbfgsBlockSolver:
         self.penalty = float(penalty)
         self.prox_weight = float(prox_weight)
         self.exact_tol = float(exact_tol)
-        self.max_inner = int(max_inner)
-        alpha = block.E.gram_scale
-        # C = shift * I when the coupling has a scalar Gram matrix
-        self._shift = None if alpha is None else self.penalty * alpha + self.prox_weight
+        self._coupling = _coupling_hessian(block.E, self.penalty, self.prox_weight)
         self._fallback = None
         if fd.smooth.kind in ("least_squares", "quadratic"):
-            self._fallback = QuadBlockSolver(block, penalty, prox_weight) \
-                if alpha is not None else GeneralQuadBlockSolver(block, penalty, prox_weight)
+            self._fallback = QuadBlockSolver(block, penalty, prox_weight)
+
+    @property
+    def _shift(self) -> float | None:
+        """``c`` when ``C = c I`` (a coupling with a scalar Gram), else None."""
+        return self._coupling if isinstance(self._coupling, float) else None
 
     def _fun_grad(self, t, z, curvature=False):
         """``x -> (phi(x), grad phi(x))``; with ``curvature`` the loss
@@ -363,28 +365,9 @@ class LbfgsBlockSolver:
 
         return fun_grad
 
-    @cached_property
-    def _coupling_hess(self) -> np.ndarray:
-        """``C = p E^T E + s I``, dense, for a coupling without a scalar Gram."""
-        E = self.block.E.toarray()
-        C = self.penalty * (E.T @ E)
-        C[np.diag_indices_from(C)] += self.prox_weight
-        return C
-
     def _hessian(self, h=None) -> np.ndarray:
-        """``A^T diag(h) A + C`` (``A^T A + C`` without ``h``) as a new dense
-        array; a sparse ``A`` is never densified."""
-        A = self.block.objective.smooth.A
-        if h is not None:
-            root = np.sqrt(h)
-            A = sp.diags(root) @ A if sp.issparse(A) else A * root[:, None]
-        H = A.T @ A
-        H = H.toarray() if sp.issparse(H) else H
-        if self._shift is not None:
-            H[np.diag_indices_from(H)] += self._shift
-        else:
-            H += self._coupling_hess
-        return H
+        """``A^T diag(h) A + C`` (``A^T A + C`` without ``h``), new and dense."""
+        return _formed_hessian(self.block.objective.smooth.A, self._coupling, h)
 
     @cached_property
     def _hess(self) -> np.ndarray:
@@ -417,8 +400,7 @@ class LbfgsBlockSolver:
         r = g0.copy()
         d = -r
         rr = float(r @ r)
-        steps = min(self.max_inner, self.cg_budget)
-        for it in range(1, steps + 1):
+        for it in range(1, self.cg_budget + 1):
             hd = H @ d
             dhd = float(d @ hd)
             if not dhd > 0.0:  # d vanished or the products are no longer finite
@@ -451,7 +433,7 @@ class LbfgsBlockSolver:
             d *= rr_new / rr
             d -= r
             rr = rr_new
-        return None, gnorm, steps
+        return None, gnorm, self.cg_budget
 
     def _newton(self, fun_grad, z, done):
         """Damped Newton from ``z``; ``(x, grad_norm, steps)`` of the first
@@ -462,7 +444,7 @@ class LbfgsBlockSolver:
         best = (x, gnorm)
         steps = stalled = 0
         while not done(x, gnorm):
-            if steps == self.max_inner or stalled == _STALL_STEPS:
+            if steps == _NEWTON_STEPS or stalled == _STALL_STEPS:
                 return best + (steps,)
             try:
                 chol = scipy.linalg.cho_factor(self._hessian(h), lower=True,
@@ -504,7 +486,7 @@ class LbfgsBlockSolver:
         x, gnorm, iters = self._newton(self._fun_grad(t, z, curvature=True), z, done)
         if accept is not None and not accept(x, gnorm):
             raise BlockSolveError(
-                f"Newton solve stopped after {iters} of {self.max_inner} steps at "
+                f"Newton solve stopped after {iters} of {_NEWTON_STEPS} steps at "
                 f"gradient norm {gnorm:.3e} without meeting its threshold")
         return BlockSolveCertificate(x=x, subgrad_bound=gnorm, inner_iters=iters)
 
@@ -519,20 +501,17 @@ class CompositeBlockSolver:
     exact = False
 
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float,
-                 exact_tol: float = 1e-10, max_inner: int = 5000):
+                 exact_tol: float = 1e-10):
         fd = block.objective
         if fd.smooth is None or fd.l1_scale <= 0.0:
             raise ValueError("CompositeBlockSolver requires smooth and l1 parts")
-        A = fd.smooth.A
-        A = A.toarray() if sp.issparse(A) else A
         lip_g = 0.25 if fd.smooth.kind == "logistic" else 1.0
-        self.lipschitz = lip_g * float(np.linalg.norm(A, 2)) ** 2 \
+        self.lipschitz = lip_g * spectral_norm(fd.smooth.A) ** 2 \
             + penalty * block.E.norm ** 2 + prox_weight
         self.block = block
         self.penalty = float(penalty)
         self.prox_weight = float(prox_weight)
         self.exact_tol = float(exact_tol)
-        self.max_inner = int(max_inner)
 
     def _smooth_grad(self, x, t, z):
         fd = self.block.objective
@@ -547,7 +526,7 @@ class CompositeBlockSolver:
         step = 1.0 / self.lipschitz
         x = np.asarray(z, dtype=float).copy()
         done = (lambda xx, bound: bound <= self.exact_tol) if accept is None else accept
-        for it in range(self.max_inner):
+        for it in range(_PROX_GRAD_STEPS):
             g = self._smooth_grad(x, t, z)
             bound = subgrad_dist_l1(x, g, lam)
             if done(x, bound):
@@ -556,12 +535,12 @@ class CompositeBlockSolver:
         g = self._smooth_grad(x, t, z)
         bound = subgrad_dist_l1(x, g, lam)
         if done(x, bound):
-            return BlockSolveCertificate(x=x, subgrad_bound=bound, inner_iters=self.max_inner)
+            return BlockSolveCertificate(x=x, subgrad_bound=bound, inner_iters=_PROX_GRAD_STEPS)
         if accept is not None:
             raise BlockSolveError(
-                f"proximal gradient exhausted {self.max_inner} iterations at "
+                f"proximal gradient exhausted {_PROX_GRAD_STEPS} iterations at "
                 f"bound {bound:.3e} without meeting its threshold")
-        return BlockSolveCertificate(x=x, subgrad_bound=bound, inner_iters=self.max_inner)
+        return BlockSolveCertificate(x=x, subgrad_bound=bound, inner_iters=_PROX_GRAD_STEPS)
 
 
 def build_penalized_solvers(problem, penalty: float, prox_weights,
@@ -577,8 +556,6 @@ def build_penalized_solvers(problem, penalty: float, prox_weights,
     weights = np.broadcast_to(np.asarray(prox_weights, dtype=float), (K,))
     solvers = []
     for blk, s in zip(problem.blocks, weights):
-        if not blk.is_free:
-            raise NotImplementedError("bundled block solvers handle free blocks only")
         fd = blk.objective
         if fd.smooth is not None and fd.l1_scale > 0.0:
             solvers.append(CompositeBlockSolver(blk, penalty, s))
@@ -586,10 +563,8 @@ def build_penalized_solvers(problem, penalty: float, prox_weights,
             solvers.append(L1ProxBlockSolver(blk, penalty, s))
         elif fd.smooth.kind == "logistic" or iterative_smooth:
             solvers.append(LbfgsBlockSolver(blk, penalty, s))
-        elif blk.E.gram_scale is not None:
-            solvers.append(QuadBlockSolver(blk, penalty, s))
         else:
-            solvers.append(GeneralQuadBlockSolver(blk, penalty, s))
+            solvers.append(QuadBlockSolver(blk, penalty, s))
     return solvers
 
 

@@ -161,13 +161,10 @@ def kkt_residual(x: Sequence[np.ndarray], y: np.ndarray, problem: Problem) -> fl
 
     Root-sum-square of the per-block minimal subgradient norms of
     ``f_k + <E_k^T y, .>`` together with the coupling residual norm; every
-    block must be smooth, l1, or a smooth-plus-l1 composite over the whole
-    space.
+    block is smooth, l1, or a smooth-plus-l1 composite.
     """
     total = float(np.linalg.norm(constraint_residual(x, problem))) ** 2
     for blk, xk in zip(problem.blocks, x):
-        if not blk.is_free:
-            raise ValueError("no subgradient distance formula for bounded blocks")
         xk = np.asarray(xk, dtype=float)
         g = blk.objective.smooth_gradient(xk) + blk.E.apply_T(y)
         if blk.objective.l1_scale > 0.0:

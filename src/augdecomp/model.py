@@ -135,47 +135,25 @@ class FunctionDescriptor:
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """One variable block: dimension, coupling operator, objective, feasible set.
+    """One variable block: dimension, coupling operator and objective.
 
     ``E`` is a ``Coupling`` (``Coupling.identity`` for ``+-I``,
     ``Coupling.copies`` for stacked copies of the identity) or a dense or
     sparse matrix, which is wrapped as a general ``"matrix"`` coupling.  The
     engines use ``E.apply``/``E.apply_T`` and the closed-form solvers
-    ``E.gram_scale``; ``np.asarray(E)`` gives the matrix.
-
-    ``bounds`` is either None (whole space) or a ``(lo, hi)`` pair of
-    coordinatewise arrays, with -inf/+inf allowed.
+    ``E.gram_scale``; ``np.asarray(E)`` gives the matrix.  The block ranges
+    over the whole space ``R^n``.
     """
 
     n: int
     E: object
     objective: FunctionDescriptor
-    bounds: Optional[tuple] = None
 
     def __post_init__(self):
         if not isinstance(self.E, Coupling):
             object.__setattr__(self, "E", Coupling(matrix=self.E))
         if self.E.shape[1] != self.n:
             raise ValueError(f"E has {self.E.shape[1]} columns, block dimension is {self.n}")
-        if self.bounds is not None:
-            lo = np.asarray(self.bounds[0], dtype=float)
-            hi = np.asarray(self.bounds[1], dtype=float)
-            if lo.shape != (self.n,) or hi.shape != (self.n,):
-                raise ValueError("box bounds must match the block dimension")
-            finite = np.isfinite(lo) & np.isfinite(hi)
-            if np.any(lo[finite] > hi[finite]):
-                raise ValueError("box bounds must satisfy lo <= hi")
-            object.__setattr__(self, "bounds", (lo, hi))
-
-    @property
-    def is_free(self) -> bool:
-        return self.bounds is None
-
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
-        if self.bounds is None:
-            return True
-        lo, hi = self.bounds
-        return bool(np.all(x >= lo - tol) and np.all(x <= hi + tol))
 
 
 @dataclass(frozen=True)
@@ -254,9 +232,6 @@ class IterateState:
     @property
     def num_blocks(self) -> int:
         return self.w.shape[0]
-
-    def x_stacked(self) -> np.ndarray:
-        return np.concatenate(self.x)
 
 
 def make_initial_state(problem: Problem) -> IterateState:
@@ -355,6 +330,6 @@ def constraint_residual(x: Sequence[np.ndarray], problem: Problem) -> np.ndarray
 
 
 def objective(x: Sequence[np.ndarray], problem: Problem) -> float:
-    """``sum_k f_k(x_k)``; assumes each ``x_k`` lies in its feasible box."""
+    """``sum_k f_k(x_k)``."""
     return sum(blk.objective.value(np.asarray(xk, dtype=float))
                for blk, xk in zip(problem.blocks, x))

@@ -5,9 +5,54 @@ line search that solved the logistic blocks before they moved to damped
 Newton steps.  It is kept here as an independent oracle: ``TestLbfgs`` pins
 its behaviour, and the Newton solves of ``LbfgsBlockSolver`` are checked
 against it.
+
+``GeneralQuadBlockSolver`` is the dense-factorization solver that served
+quadratic blocks without a scalar-Gram coupling before ``QuadBlockSolver``
+took them over.  It forms ``A^T A + p E^T E + s I`` from dense copies of
+``A`` and ``E`` and is the exact reference for the certified and closed-form
+quadratic solves.
 """
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
+
+from augdecomp.block_solvers import BlockSolveCertificate
+from augdecomp.model import BlockSpec
+
+
+class GeneralQuadBlockSolver:
+    """Dense-factorization solver for quadratic blocks with arbitrary coupling.
+
+    Factors ``A^T A + p E^T E + s I`` once; used when the coupling Gram
+    matrix is not a multiple of the identity.
+    """
+
+    exact = True
+
+    def __init__(self, block: BlockSpec, penalty: float, prox_weight: float):
+        fd = block.objective
+        if fd.smooth is None or fd.l1_scale != 0.0:
+            raise ValueError("GeneralQuadBlockSolver requires a purely smooth block")
+        if fd.smooth.kind not in ("least_squares", "quadratic"):
+            raise ValueError("GeneralQuadBlockSolver requires a quadratic loss")
+        A = fd.smooth.A
+        A = A.toarray() if sp.issparse(A) else A
+        E = block.E.toarray()
+        self.E = block.E
+        self.penalty = float(penalty)
+        self.prox_weight = float(prox_weight)
+        M = A.T @ A + penalty * (E.T @ E) + prox_weight * np.eye(block.n)
+        self._chol = scipy.linalg.cho_factor(M, lower=True)
+        b = fd.smooth.b if fd.smooth.b is not None else np.zeros(A.shape[0])
+        self.atb = A.T @ b
+
+    def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
+        rhs = self.atb + self.penalty * self.E.apply_T(t)
+        if self.prox_weight > 0:
+            rhs = rhs + self.prox_weight * z
+        x = scipy.linalg.cho_solve(self._chol, rhs)
+        return BlockSolveCertificate(x=x, subgrad_bound=0.0)
 
 
 class _LineSearchStall(RuntimeError):

@@ -18,14 +18,14 @@ import augdecomp as ag
 from augdecomp.baselines import Admm2Lasso, BaselineParams, prox_jadmm_run, vsadmm_run
 from augdecomp.bench import (build_logreg_consensus, consensus_objective,
                              consensus_ratio, gen_logreg_data, partition_rows)
-from augdecomp.block_solvers import (GeneralQuadBlockSolver, LbfgsBlockSolver,
-                                     soft_threshold)
+from augdecomp.block_solvers import LbfgsBlockSolver, soft_threshold
 from augdecomp.diagnostics import nu_a_nu_medians
 from augdecomp.inexact import (InexactSchedule, criterion_a_threshold,
                                iada_run)
 from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart
 
 from conftest import exchange_saddle, lasso_polish
+from oracles import GeneralQuadBlockSolver
 
 
 def report(num, ok, detail):

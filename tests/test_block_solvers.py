@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import augdecomp as ag
 from augdecomp.block_solvers import (BlockSolveError, CachedQuadSolver,
-                                     CompositeBlockSolver,
-                                     GeneralQuadBlockSolver, L1ProxBlockSolver,
+                                     CompositeBlockSolver, L1ProxBlockSolver,
                                      LbfgsBlockSolver, QuadBlockSolver,
                                      e_gram_scale, l1_prox_block,
                                      quad_solve, soft_threshold,
                                      subgrad_dist_l1)
 from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart
-from oracles import lbfgs_minimize
+from oracles import GeneralQuadBlockSolver, lbfgs_minimize
 
 
 class TestSoftThreshold:
@@ -356,12 +356,41 @@ class TestBlockSolverObjects:
         rng = np.random.default_rng(11)
         A = rng.standard_normal((8, 5))
         b = rng.standard_normal(8)
-        block = BlockSpec(n=5, E=np.eye(5), objective=FunctionDescriptor(
-            smooth=SmoothPart("least_squares", A, b)))
-        t, z = rng.standard_normal(5), rng.standard_normal(5)
-        x1 = QuadBlockSolver(block, 1.2, 0.3).solve(t, z).x
-        x2 = GeneralQuadBlockSolver(block, 1.2, 0.3).solve(t, z).x
-        assert np.allclose(x1, x2, atol=1e-10)
+        # scalar Gram (cached primal solve), then a general coupling (Cholesky
+        # of A^T A + p E^T E + s I); both against the dense oracle
+        for E in (np.eye(5), rng.standard_normal((3, 5))):
+            block = BlockSpec(n=5, E=E, objective=FunctionDescriptor(
+                smooth=SmoothPart("least_squares", A, b)))
+            problem = ag.Problem(blocks=(block, BlockSpec(
+                n=E.shape[0], E=-np.eye(E.shape[0]),
+                objective=FunctionDescriptor(l1_scale=0.5))), q=np.zeros(E.shape[0]))
+            solver = ag.build_penalized_solvers(problem, 1.2, 0.3)[0]
+            fallback = LbfgsBlockSolver(block, 1.2, 0.3)._fallback
+            assert isinstance(solver, QuadBlockSolver)
+            assert isinstance(fallback, QuadBlockSolver)
+            t, z = rng.standard_normal(E.shape[0]), rng.standard_normal(5)
+            x_ref = GeneralQuadBlockSolver(block, 1.2, 0.3).solve(t, z).x
+            for s in (solver, fallback):
+                x = s.solve(t, z).x
+                assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    @pytest.mark.parametrize("shape", [(12, 5), (5, 12)])  # primal, Woodbury
+    def test_sparse_data_matches_dense(self, shape):
+        rng = np.random.default_rng(14)
+        A = rng.standard_normal(shape) * (rng.random(shape) < 0.5)
+        b = rng.standard_normal(shape[0])
+        n = shape[1]
+        for E in (-np.eye(n), rng.standard_normal((3, n))):
+            t, z = rng.standard_normal(E.shape[0]), rng.standard_normal(n)
+            x = [QuadBlockSolver(BlockSpec(n=n, E=E, objective=FunctionDescriptor(
+                smooth=SmoothPart("least_squares", data, b))), 1.2, 0.3).solve(t, z).x
+                for data in (A, sp.csr_matrix(A))]
+            assert np.linalg.norm(x[1] - x[0]) <= 1e-12 * np.linalg.norm(x[0])
+        t, z = rng.standard_normal(n), rng.standard_normal(n)
+        x = [CompositeBlockSolver(BlockSpec(n=n, E=np.eye(n), objective=FunctionDescriptor(
+            smooth=SmoothPart("least_squares", data, b), l1_scale=0.1)), 1.0, 0.5,
+            exact_tol=1e-12).solve(t, z).x for data in (A, sp.csr_matrix(A))]
+        assert np.linalg.norm(x[1] - x[0]) <= 1e-12 * np.linalg.norm(x[0])
 
     def test_l1_solver_stacked_coupling(self):
         # consensus-style coupling: E = -[I; I], alpha = 2
@@ -396,12 +425,3 @@ class TestBlockSolverObjects:
         solvers = ag.build_block_solvers(small_lasso, params)
         assert isinstance(solvers[0], QuadBlockSolver)
         assert isinstance(solvers[1], L1ProxBlockSolver)
-
-    def test_factory_rejects_bounded_blocks(self):
-        blk = BlockSpec(n=2, E=np.eye(2), objective=FunctionDescriptor(l1_scale=1.0),
-                        bounds=(np.zeros(2), np.ones(2)))
-        blk2 = BlockSpec(n=2, E=-np.eye(2), objective=FunctionDescriptor(
-            smooth=SmoothPart("quadratic", np.eye(2))))
-        problem = ag.Problem(blocks=(blk, blk2), q=np.zeros(2))
-        with pytest.raises(NotImplementedError):
-            ag.build_block_solvers(problem, ag.SolverParams(rho=1, c=1))

@@ -5,13 +5,15 @@ import scipy.sparse as sp
 import augdecomp as ag
 from augdecomp.ada import _block_targets
 from augdecomp.bench import build_logreg_consensus, gen_logreg_data, partition_rows
-from augdecomp.block_solvers import GeneralQuadBlockSolver, LbfgsBlockSolver
+from augdecomp.block_solvers import LbfgsBlockSolver
 from augdecomp.inexact import (InexactSchedule, _accept_rules,
                                criterion_a_threshold, criterion_b_threshold,
                                iada_run, inexact_block_solve, spectral_norm,
                                stacked_coupling_norm)
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              Problem, SmoothPart, make_initial_state)
+
+from oracles import GeneralQuadBlockSolver
 
 
 def _schedule(kind="criterion_A", eps0=1.0, gamma=1.5, e_norm=1.0):

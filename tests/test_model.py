@@ -194,12 +194,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             Problem(blocks=(blk1, blk2), q=np.zeros(2))
 
-    def test_box_bounds_checked(self):
-        with pytest.raises(ValueError):
-            BlockSpec(n=2, E=np.eye(2),
-                      objective=FunctionDescriptor(l1_scale=1.0),
-                      bounds=(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
-
     def test_empty_descriptor_rejected(self):
         with pytest.raises(ValueError):
             FunctionDescriptor()
