@@ -18,7 +18,8 @@ print(f"exchange instance: K = {problem.num_blocks}, commodities = {problem.m}, 
 
 params = ag.SolverParams(rho=2.0, c=2.0, max_iters=2000, stop_eps=1e-12)
 solvers = ag.build_block_solvers(problem, params)
-final, trace = ag.run(problem, params, solvers, stop_mode="feasibility")
+final, trace = ag.run(problem, params, solvers, stop_mode="feasibility",
+                      record_states=True)
 print(f"run: {len(trace)} iterations, objective {trace.metrics[-1].objective:.3e}, "
       f"residual {trace.metrics[-1].constraint_residual_norm:.3e}")
 

@@ -22,9 +22,9 @@ from .inexact import (InexactSchedule, criterion_a_threshold,
 from .baselines import (Admm2Lasso, BaselineParams, admm2_lasso_step,
                         default_prox_weights, prox_jadmm_run, prox_jadmm_step,
                         vsadmm_run, vsadmm_step)
-from .diagnostics import (RateReport, kkt_residual, nu_a_nu_medians,
-                          rate_report, verify_ergodic, verify_fejer,
-                          verify_linear_tail, verify_monotone)
+from .diagnostics import (RateObserver, RateReport, kkt_residual,
+                          nu_a_nu_medians, rate_report, verify_ergodic,
+                          verify_fejer, verify_linear_tail, verify_monotone)
 from .bench import (ExperimentConfig, build_logreg_consensus, consensus_ratio,
                     gen_exchange, gen_lasso, load_libsvm, partition_rows,
                     run_experiment, write_libsvm)

@@ -231,7 +231,8 @@ def check_stop(metrics: StepMetrics, eps: float, mode: str) -> bool:
 
 
 def drive(step: Callable, state, max_iters: int, stop_mode, stop_eps: float,
-          record_states: bool = False, initial_state=None):
+          record_states: bool = False, initial_state=None,
+          observe: Optional[Callable] = None):
     """The outer loop of every engine; returns ``(state, Trace)``.
 
     ``step(state, nu) -> (new_state, StepMetrics)`` performs iteration ``nu``
@@ -239,11 +240,14 @@ def drive(step: Callable, state, max_iters: int, stop_mode, stop_eps: float,
     ``check_stop`` with ``stop_eps``) or a callable ``stop(state, metrics)``;
     a bad mode or ``stop_eps <= 0`` raises ``ValueError`` before the first
     step.  Each step's metrics (and state, with ``record_states``) are
-    recorded; a non-finite step then ends the run (``"non_finite"``), and
-    only a finite one reaches the stop rule, so a callable is called once
-    per finite step.  A rule that fires sets ``converged`` and the reason
-    ``"converged"`` (``"custom"`` for a callable, also the trace's
-    ``stop_mode``); otherwise the run ends at ``"max_iters"``.
+    recorded and its new state is passed to ``observe(state)`` (such as a
+    ``diagnostics.RateObserver``), so an observer sees every state that
+    ``record_states`` would keep; a non-finite step then ends the run
+    (``"non_finite"``), and only a finite one reaches the stop rule, so a
+    callable is called once per finite step.  A rule that fires sets
+    ``converged`` and the reason ``"converged"`` (``"custom"`` for a
+    callable, also the trace's ``stop_mode``); otherwise the run ends at
+    ``"max_iters"``.
     """
     custom = callable(stop_mode)
     if not custom and stop_mode not in STOP_MODES:
@@ -257,6 +261,8 @@ def drive(step: Callable, state, max_iters: int, stop_mode, stop_eps: float,
         trace.metrics.append(metrics)
         if record_states:
             trace.states.append(state)
+        if observe is not None:
+            observe(state)
         if not metrics.finite:
             trace.stop_reason = "non_finite"
             break
@@ -269,7 +275,8 @@ def drive(step: Callable, state, max_iters: int, stop_mode, stop_eps: float,
 
 def run(problem: Problem, params: SolverParams, solvers: Sequence,
         initial: Optional[IterateState] = None, stop_mode="x_change",
-        record_states: bool = True, accept_rule_factory: Optional[Callable] = None):
+        record_states: bool = False, accept_rule_factory: Optional[Callable] = None,
+        observe: Optional[Callable] = None):
     """Iterate to the chosen criterion or the iteration cap.
 
     Parameters
@@ -282,10 +289,16 @@ def run(problem: Problem, params: SolverParams, solvers: Sequence,
         One of ``"x_change"``, ``"feasibility"``, ``"max_iters"``, or a
         callable ``stop(state, metrics) -> bool`` for custom termination.
     record_states : bool, optional
-        Keep every iterate in the trace (needed by the rate diagnostics).
+        Keep every iterate in ``trace.states``; off by default.  The post-hoc
+        ``verify_fejer``, ``verify_ergodic``, ``verify_linear_tail`` and
+        ``rate_report`` with a reference read them; ``observe`` gives the
+        same checks without them.
     accept_rule_factory : callable, optional
         ``factory(nu, state) -> list of accept rules``; used by the inexact
         engine to install its per-iteration criteria.
+    observe : callable, optional
+        Called with the state after each step (see ``drive``), such as a
+        ``diagnostics.RateObserver`` built with the same ``initial``.
 
     Returns
     -------
@@ -300,7 +313,7 @@ def run(problem: Problem, params: SolverParams, solvers: Sequence,
         return ada_step(state, problem, params, solvers, accept_rules=rules, nu=nu)
 
     return drive(step, state, params.max_iters, stop_mode, params.stop_eps,
-                 record_states=record_states, initial_state=state)
+                 record_states=record_states, initial_state=state, observe=observe)
 
 
 def ergodic_average(iterates: Sequence, N: int):

@@ -26,7 +26,8 @@ from .block_solvers import build_block_solvers
 from .coupling import Coupling
 from .inexact import InexactSchedule, iada_run
 from .model import (BlockSpec, FunctionDescriptor, Problem, SmoothPart,
-                    SolverParams, constraint_residual, objective)
+                    SolverParams, constraint_residual, make_initial_state,
+                    objective)
 
 
 class RandomStream:
@@ -370,6 +371,9 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     Artifacts under ``config.out``: ``trace.csv`` (engine schema),
     ``rate_report.json``, and ``summary.json`` with the headline numbers.
+    The reference of the rate checks (``full_diagnostics``, or the
+    ``consensus`` stop) is computed before the run, whose states are fed to
+    a ``RateObserver`` and not kept.
     """
     t_start = time.perf_counter()
     out = Path(config.out)
@@ -393,15 +397,19 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     include_certs = config.solver == "iada"  # the ada CSV has no cert columns
     if config.solver in ("ada", "iada"):
-        solvers = build_block_solvers(problem, params, schedule)
-        final, trace = iada_run(problem, params, schedule, solvers, stop_mode=stop_mode)
-        final_x = final.x
-        multiplier = final.zeta_bar
         if config.full_diagnostics and reference is None:
             reference = reference_state(problem, params, schedule)
-        report = diagnostics.rate_report(
-            trace, problem, params.rho, params.c, reference=reference,
-            exact_engine=schedule.kind == "exact")
+        # the rate checks ride along with the run, which keeps no states
+        initial = make_initial_state(problem)
+        observer = diagnostics.RateObserver(problem, params.rho, params.c, reference,
+                                            initial, exact_engine=schedule.kind == "exact")
+        solvers = build_block_solvers(problem, params, schedule)
+        final, trace = iada_run(problem, params, schedule, solvers, initial=initial,
+                                stop_mode=stop_mode, record_states=False,
+                                observe=observer)
+        final_x = final.x
+        multiplier = final.zeta_bar
+        report = observer.report(trace)
     else:
         bparams = baselines.BaselineParams(beta=config.beta,
                                            gamma_damp=config.gamma_damp,

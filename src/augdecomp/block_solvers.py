@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -102,6 +102,20 @@ def subgrad_dist_l1(x: np.ndarray, smooth_grad_at_x: np.ndarray, lambda1: float)
     return float(np.linalg.norm(r))
 
 
+def _cholesky_solver(M: np.ndarray):
+    """Factor the symmetric positive definite ``M`` once; returns
+    ``solve(r) = M^{-1} r``.
+
+    Each solve is one call of LAPACK ``potrs`` on the factor: the numbers of
+    ``scipy.linalg.cho_solve``, without its finiteness scan of the factor
+    and the right-hand side on every call.  A non-finite ``r`` gives a
+    non-finite solution, which ends an engine run as ``"non_finite"``.
+    """
+    factor, lower = scipy.linalg.cho_factor(M, lower=True)
+    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (factor,))
+    return lambda r: potrs(factor, r, lower=lower)[0]
+
+
 class CachedQuadSolver:
     """Factorization cache for ``(A^T A + sigma I) x = r``.
 
@@ -127,14 +141,14 @@ class CachedQuadSolver:
         self.mode = mode
         G = A.T @ A if mode == "primal" else A @ A.T
         G = G.toarray() if sp.issparse(G) else G
-        self._chol = scipy.linalg.cho_factor(G + sigma * np.eye(G.shape[0]), lower=True)
+        self._cho_solve = _cholesky_solver(G + sigma * np.eye(G.shape[0]))
         self.atb = A.T @ self.b
 
     def solve_shifted(self, r: np.ndarray) -> np.ndarray:
         """Solve ``(A^T A + sigma I) x = r``."""
         if self.mode == "primal":
-            return scipy.linalg.cho_solve(self._chol, r)
-        inner = scipy.linalg.cho_solve(self._chol, self.A @ r)
+            return self._cho_solve(r)
+        inner = self._cho_solve(self.A @ r)
         return (r - self.A.T @ inner) / self.sigma
 
 
@@ -230,9 +244,8 @@ class QuadBlockSolver:
             self.atb, self._solve = quad.atb, quad.solve_shifted
         else:
             A, b = fd.smooth.A, fd.smooth.b
-            chol = scipy.linalg.cho_factor(_formed_hessian(A, C), lower=True)
             self.atb = A.T @ (b if b is not None else np.zeros(A.shape[0]))
-            self._solve = partial(scipy.linalg.cho_solve, chol)
+            self._solve = _cholesky_solver(_formed_hessian(A, C))
 
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
         rhs = self.atb + self.penalty * self.E.apply_T(t)

@@ -136,13 +136,18 @@ def inexact_block_solve(k: int, state: IterateState, problem: Problem,
 
 def iada_run(problem: Problem, params: SolverParams, schedule: InexactSchedule,
              solvers, initial: IterateState | None = None,
-             stop_mode="x_change", record_states: bool = True):
+             stop_mode="x_change", record_states: bool = True,
+             observe=None):
     """Run the decomposition with certified inexact block solves.
 
     With ``schedule.kind == "exact"`` this is bit-for-bit the exact engine on
     the same solvers; otherwise each outer step installs the criterion-A or
     criterion-B acceptance rules and the trace records the per-block
-    certificates.
+    certificates.  ``observe`` is passed to ``ada.run``.  Unlike
+    ``ada.run``, this keeps every state by default (``record_states=True``):
+    the benchmark's certificate gate recomputes criterion-B thresholds from
+    ``trace.states``.  Pass ``record_states=False`` with a
+    ``diagnostics.RateObserver`` to run the rate checks without them.
     """
     factory = None
     if schedule.kind != "exact":
@@ -153,4 +158,4 @@ def iada_run(problem: Problem, params: SolverParams, schedule: InexactSchedule,
 
     return ada.run(problem, params, solvers, initial=initial,
                    stop_mode=stop_mode, record_states=record_states,
-                   accept_rule_factory=factory)
+                   accept_rule_factory=factory, observe=observe)

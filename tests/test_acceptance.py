@@ -58,7 +58,8 @@ def criterion1_run(exchange_problem):
         return m.objective <= 1e-6 and m.constraint_residual_norm <= 1e-6
 
     t0 = time.perf_counter()
-    final, trace = ag.run(exchange_problem, params, solvers, stop_mode=stop)
+    final, trace = ag.run(exchange_problem, params, solvers, stop_mode=stop,
+                          record_states=True)
     elapsed = time.perf_counter() - t0
     return final, trace, elapsed
 
@@ -77,7 +78,8 @@ def lasso_params():
 @pytest.fixture(scope="module")
 def lasso_ada_run(lasso_problem, lasso_params):
     solvers = ag.build_block_solvers(lasso_problem, lasso_params)
-    return ag.run(lasso_problem, lasso_params, solvers, stop_mode="max_iters")
+    return ag.run(lasso_problem, lasso_params, solvers, stop_mode="max_iters",
+                  record_states=True)
 
 
 @pytest.fixture(scope="module")

@@ -255,12 +255,23 @@ class TestRun:
         problem, _ = small_exchange
         params = ag.SolverParams(rho=2.0, c=2.0, max_iters=400)
         solvers = ag.build_block_solvers(problem, params)
-        final, trace = run(problem, params, solvers, stop_mode="max_iters")
+        final, trace = run(problem, params, solvers, stop_mode="max_iters",
+                           record_states=True)
         ok, first = ag.verify_monotone(trace)
         assert ok, f"first G-monotonicity violation at iteration {first}"
         fejer_ok, viol = ag.verify_fejer(trace, small_exchange_saddle,
                                          params.rho, params.c)
         assert fejer_ok, f"Fejer violation at index {viol}"
+
+    def test_states_kept_only_on_request(self, small_exchange):
+        problem, _ = small_exchange
+        params = ag.SolverParams(rho=2.0, c=2.0, max_iters=6)
+        _, trace = run(problem, params, ag.build_block_solvers(problem, params),
+                       stop_mode="max_iters")
+        assert trace.states is None
+        _, trace = run(problem, params, ag.build_block_solvers(problem, params),
+                       stop_mode="max_iters", record_states=True)
+        assert len(trace.states) == 6
 
     def test_w_drift_stays_small(self, small_exchange):
         problem, _ = small_exchange
@@ -373,7 +384,8 @@ class TestStopReason:
         params = ag.SolverParams(rho=1.0, c=1.0, max_iters=50)
         solvers = ag.build_block_solvers(problem, params)
         solvers[1] = NaNAfterTwo(solvers[1])
-        final, trace = run(problem, params, solvers, stop_mode="max_iters")
+        final, trace = run(problem, params, solvers, stop_mode="max_iters",
+                           record_states=True)
         assert len(trace) == 3
         assert trace.stop_reason == "non_finite"
         assert not trace.converged

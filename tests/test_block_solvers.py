@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import augdecomp as ag
 from augdecomp.block_solvers import (BlockSolveError, CachedQuadSolver,
                                      CompositeBlockSolver, L1ProxBlockSolver,
                                      LbfgsBlockSolver, QuadBlockSolver,
+                                     _coupling_hessian, _formed_hessian,
                                      e_gram_scale, l1_prox_block,
                                      quad_solve, soft_threshold,
                                      subgrad_dist_l1)
@@ -117,6 +119,32 @@ class TestCachedQuadSolver:
         x = solver.solve_shifted(r)
         resid = np.linalg.norm((A.T @ A + 2.2 * np.eye(8)) @ x - r)
         assert resid <= 1e-10 * (1 + np.linalg.norm(r))
+
+    @pytest.mark.parametrize("case", ["primal", "woodbury", "general"])
+    def test_solves_equal_cho_solve_bitwise(self, case):
+        # each solve calls LAPACK potrs on the factor, as cho_solve does
+        rng = np.random.default_rng(17)
+        A = rng.standard_normal((40, 25) if case == "primal" else (25, 40))
+        d = A.shape[1]
+        if case == "general":
+            E = ag.Coupling(matrix=rng.standard_normal((7, d)))
+            solver = QuadBlockSolver(BlockSpec(n=d, E=E, objective=FunctionDescriptor(
+                smooth=SmoothPart("least_squares", A, np.zeros(A.shape[0])))), 1.2, 0.3)
+            M = _formed_hessian(A, _coupling_hessian(E, 1.2, 0.3))
+            solve = solver._solve
+        else:
+            solver = CachedQuadSolver(A, None, sigma=1.7)
+            assert solver.mode == case
+            M = (A.T @ A if case == "primal" else A @ A.T) + 1.7 * np.eye(min(A.shape))
+            solve = solver.solve_shifted
+        chol = scipy.linalg.cho_factor(M, lower=True)
+        for _ in range(50):
+            r = rng.standard_normal(d)
+            if case == "woodbury":
+                want = (r - A.T @ scipy.linalg.cho_solve(chol, A @ r)) / 1.7
+            else:
+                want = scipy.linalg.cho_solve(chol, r)
+            assert np.array_equal(solve(r), want)
 
 
 class TestL1Prox:

@@ -1,15 +1,19 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import augdecomp as ag
 from augdecomp.ada import StepMetrics, Trace
-from augdecomp.diagnostics import (RateReport, delta_partial_sums,
+from augdecomp.diagnostics import (RateObserver, RateReport, delta_partial_sums,
                                    kkt_residual, nu_a_nu_medians, rate_report,
                                    verify_ergodic, verify_fejer,
                                    verify_linear_tail, verify_monotone)
+from augdecomp.inexact import InexactSchedule, iada_run
 from augdecomp.model import IterateState, make_initial_state
+
+from conftest import lasso_polish
 
 
 def trace_with_deltas(deltas):
@@ -69,7 +73,8 @@ class TestErgodic:
     def _run(self, problem, rho=2.0, c=2.0, iters=400):
         params = ag.SolverParams(rho=rho, c=c, max_iters=iters)
         solvers = ag.build_block_solvers(problem, params)
-        return ag.run(problem, params, solvers, stop_mode="max_iters")
+        return ag.run(problem, params, solvers, stop_mode="max_iters",
+                      record_states=True)
 
     def test_bound_holds_against_saddle(self, small_exchange,
                                         small_exchange_saddle):
@@ -173,13 +178,27 @@ class TestRateReport:
         problem, _ = small_exchange
         params = ag.SolverParams(rho=2.0, c=2.0, max_iters=300)
         solvers = ag.build_block_solvers(problem, params)
-        _, trace = ag.run(problem, params, solvers, stop_mode="max_iters")
+        _, trace = ag.run(problem, params, solvers, stop_mode="max_iters",
+                          record_states=True)
         report = rate_report(trace, problem, 2.0, 2.0,
                              reference=small_exchange_saddle)
         assert report.monotone_ok
         assert report.fejer_ok
         assert report.ergodic_max_violation <= 1e-8
         assert report.partial_sums[-1] >= report.partial_sums[0]
+
+    def test_reference_needs_states_or_an_observer(self, small_exchange,
+                                                   small_exchange_saddle):
+        problem, _ = small_exchange
+        params = ag.SolverParams(rho=2.0, c=2.0, max_iters=5)
+        solvers = ag.build_block_solvers(problem, params)
+        _, trace = ag.run(problem, params, solvers, stop_mode="max_iters")
+        with pytest.raises(ValueError, match="without states"):
+            rate_report(trace, problem, 2.0, 2.0, reference=small_exchange_saddle)
+        unfed = RateObserver(problem, 2.0, 2.0, small_exchange_saddle,
+                             trace.initial_state)
+        with pytest.raises(ValueError, match="fed 0 states for a trace of 5"):
+            unfed.report(trace)
 
     def test_reference_free_report(self, small_exchange):
         problem, _ = small_exchange
@@ -190,3 +209,39 @@ class TestRateReport:
         assert report.fejer_ok is None
         assert report.ergodic_max_violation is None
         assert report.monotone_ok is not None
+
+
+class TestRateObserver:
+    @pytest.mark.parametrize("case", ["exchange-ada", "exchange-iada-b", "lasso-ada"])
+    def test_fed_during_the_run_equals_post_hoc(self, case, small_exchange,
+                                                small_exchange_saddle, small_lasso):
+        if case == "lasso-ada":
+            problem = small_lasso
+            reference = lasso_polish(problem, ag.SolverParams(rho=5.0, c=5.0))
+        else:
+            problem, reference = small_exchange[0], small_exchange_saddle
+        params = ag.SolverParams(rho=2.0, c=2.0, max_iters=200)
+        exact = case != "exchange-iada-b"
+        sched = InexactSchedule(kind="exact") if exact \
+            else InexactSchedule.for_problem(problem, "criterion_B", 1.0, 2.0)
+
+        def solve(**kwargs):
+            solvers = ag.build_block_solvers(problem, params, sched)
+            if exact:
+                return ag.run(problem, params, solvers, stop_mode="max_iters", **kwargs)
+            return iada_run(problem, params, sched, solvers, stop_mode="max_iters",
+                            **kwargs)
+
+        initial = make_initial_state(problem)
+        observer = RateObserver(problem, params.rho, params.c, reference, initial,
+                                exact_engine=exact)
+        _, fed = solve(initial=initial, record_states=False, observe=observer)
+        _, kept = solve(record_states=True)
+        assert fed.states is None and observer.steps == len(fed) == 200
+        got = observer.report(fed)
+        want = rate_report(kept, problem, params.rho, params.c, reference=reference,
+                           exact_engine=exact)
+        for f in fields(RateReport):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert got.ergodic_max_violation is not None
+        assert (got.fejer_ok is not None) == exact
