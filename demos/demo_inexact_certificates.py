@@ -29,7 +29,7 @@ for t in range(1, len(trace) + 1, 40):
     print(f"  step {t:4d}: threshold {thr:.3e}, worst certificate {worst:.3e}")
 
 # exact mode reproduces the exact engine bit for bit
-sched_exact = InexactSchedule(kind="exact")
+sched_exact = None
 solvers_e = ag.build_block_solvers(problem, params)
 _, trace_exact = ag.run(problem, params, solvers_e, stop_mode="max_iters")
 solvers_e2 = ag.build_block_solvers(problem, params)

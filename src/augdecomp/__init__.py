@@ -9,19 +9,18 @@ from .coupling import Coupling
 from .model import (BlockSpec, FunctionDescriptor, IterateState, Problem,
                     SmoothPart, SolverParams, constraint_residual, g_norm_sq,
                     make_initial_state, objective, project_onto_W,
-                    project_onto_Wperp, saddle_state, state_g_dist_sq)
+                    saddle_state, state_g_dist_sq)
 from .block_solvers import (BlockSolveCertificate, BlockSolveError,
                             CachedQuadSolver, build_block_solvers,
-                            build_penalized_solvers, l1_prox_block,
-                            quad_solve, soft_threshold, subgrad_dist_l1)
-from .ada import (StepMetrics, Trace, ada_step, check_stop, ergodic_average,
-                  phi_value, run)
+                            build_penalized_solvers, soft_threshold,
+                            subgrad_dist_l1)
+from .ada import StepMetrics, Trace, ada_step, check_stop, run
 from .inexact import (InexactSchedule, criterion_a_threshold,
-                      criterion_b_threshold, iada_run, inexact_block_solve,
-                      spectral_norm, stacked_coupling_norm)
-from .baselines import (Admm2Lasso, BaselineParams, admm2_lasso_step,
-                        default_prox_weights, prox_jadmm_run, prox_jadmm_step,
-                        vsadmm_run, vsadmm_step)
+                      criterion_b_threshold, iada_run, spectral_norm,
+                      stacked_coupling_norm)
+from .baselines import (Admm2Lasso, BaselineParams, default_prox_weights,
+                        prox_jadmm_run, prox_jadmm_step, vsadmm_run,
+                        vsadmm_step)
 from .diagnostics import (RateObserver, RateReport, kkt_residual,
                           nu_a_nu_medians, rate_report, verify_ergodic,
                           verify_fejer, verify_linear_tail, verify_monotone)

@@ -103,26 +103,6 @@ class Trace:
                 writer.writerow(row)
 
 
-def phi_value(k: int, x_k: np.ndarray, state: IterateState,
-              problem: Problem, params: SolverParams) -> float:
-    """Block subproblem objective at ``x_k`` (0-based block index).
-
-    ``f_k(x_k) + (rho/4)*||E_k x_k - q_k - w_k + (2/rho) y_k||^2
-    + (1/2c)*||x_k - x_k_prev||^2``.
-    """
-    K = problem.num_blocks
-    if not 0 <= k < K:
-        raise IndexError(f"block index {k} out of range for K={K}")
-    blk = problem.blocks[k]
-    x_k = np.asarray(x_k, dtype=float)
-    qk = problem.q if k == K - 1 else 0.0
-    r = blk.E.apply(x_k) - qk - state.w[k] + (2.0 / params.rho) * state.y[k]
-    dx = x_k - state.x[k]
-    return blk.objective.value(x_k) \
-        + 0.25 * params.rho * float(r @ r) \
-        + 0.5 / params.c * float(dx @ dx)
-
-
 def _block_targets(state: IterateState, problem: Problem, rho: float) -> list:
     """Targets ``t_k = q_k + w_k - (2/rho) y_k`` so each subproblem penalizes
     ``||E_k x_k - t_k||^2``."""
@@ -275,9 +255,10 @@ def drive(step: Callable, state, max_iters: int, stop_mode, stop_eps: float,
 
 def run(problem: Problem, params: SolverParams, solvers: Sequence,
         initial: Optional[IterateState] = None, stop_mode="x_change",
-        record_states: bool = False, accept_rule_factory: Optional[Callable] = None,
+        record_states: bool = False, schedule=None,
         observe: Optional[Callable] = None):
-    """Iterate to the chosen criterion or the iteration cap.
+    """Run ADA, or iADA under ``schedule``, to the chosen criterion or the
+    iteration cap.
 
     Parameters
     ----------
@@ -293,9 +274,11 @@ def run(problem: Problem, params: SolverParams, solvers: Sequence,
         ``verify_fejer``, ``verify_ergodic``, ``verify_linear_tail`` and
         ``rate_report`` with a reference read them; ``observe`` gives the
         same checks without them.
-    accept_rule_factory : callable, optional
-        ``factory(nu, state) -> list of accept rules``; used by the inexact
-        engine to install its per-iteration criteria.
+    schedule : inexact.InexactSchedule, optional
+        With a schedule, step ``nu`` solves the blocks under its acceptance
+        rules ``schedule.accept_rules(nu, state, params, K)`` (iADA); with
+        None every block solver runs in its exact mode (ADA).  Pass the
+        schedule that built ``solvers``.
     observe : callable, optional
         Called with the state after each step (see ``drive``), such as a
         ``diagnostics.RateObserver`` built with the same ``initial``.
@@ -307,28 +290,11 @@ def run(problem: Problem, params: SolverParams, solvers: Sequence,
         the run ended without meeting the criterion (see ``drive``).
     """
     state = make_initial_state(problem) if initial is None else initial
+    K = problem.num_blocks
 
     def step(state, nu):
-        rules = accept_rule_factory(nu, state) if accept_rule_factory is not None else None
+        rules = None if schedule is None else schedule.accept_rules(nu, state, params, K)
         return ada_step(state, problem, params, solvers, accept_rules=rules, nu=nu)
 
     return drive(step, state, params.max_iters, stop_mode, params.stop_eps,
                  record_states=record_states, initial_state=state, observe=observe)
-
-
-def ergodic_average(iterates: Sequence, N: int):
-    """Componentwise mean of the first ``N`` primal iterates.
-
-    ``iterates`` is a sequence of per-iteration block tuples, iterate 1
-    first; the averaged point carries the O(1/N) duality-gap guarantee.
-    """
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    if N > len(iterates):
-        raise ValueError(f"N={N} exceeds trace length {len(iterates)}")
-    K = len(iterates[0])
-    acc = [np.zeros_like(np.asarray(iterates[0][k], dtype=float)) for k in range(K)]
-    for xs in iterates[:N]:
-        for k in range(K):
-            acc[k] += xs[k]
-    return tuple(a / N for a in acc)

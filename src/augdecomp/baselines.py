@@ -225,11 +225,3 @@ class Admm2Lasso:
     def multiplier(self, state) -> np.ndarray:
         """Unscaled dual for the coupling ``x - z = 0`` (sign matching E1 = I)."""
         return self.params.beta * state[2]
-
-
-def admm2_lasso_step(state, problem: Problem, params: BaselineParams,
-                     solver: Optional[Admm2Lasso] = None):
-    """Single two-block ADMM sweep; builds the factorization cache if needed."""
-    if solver is None:
-        solver = Admm2Lasso(problem, params)
-    return solver.step(state)

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from . import ada, baselines, diagnostics
 from .block_solvers import build_block_solvers
 from .coupling import Coupling
-from .inexact import InexactSchedule, iada_run
+from .inexact import SCHEDULE_KINDS, InexactSchedule
 from .model import (BlockSpec, FunctionDescriptor, Problem, SmoothPart,
                     SolverParams, constraint_residual, make_initial_state,
                     objective)
@@ -100,7 +100,10 @@ def gen_exchange(K: int, n: int, p: int, seed: int):
     Draws ``x*_1..x*_{K-1}`` standard Gaussian and sets
     ``x*_K = -sum_{k<K} x*_k``; each block cost is
     ``0.5 ||A_k x_k - A_k x*_k||^2`` with Gaussian p-by-n ``A_k``, so ``x*``
-    is feasible for ``sum_k x_k = 0`` and attains objective zero.  Returns
+    is feasible for ``sum_k x_k = 0`` and attains objective zero.  Each
+    block's gradient vanishes there, so ``saddle_state(problem, x_star,
+    np.zeros(problem.m))`` is an exact saddle (KKT residual 0), also where
+    ``K (n - p) > n`` leaves the solution set roomy.  Returns
     ``(problem, x_star_blocks)``.
     """
     if K < 2:
@@ -296,6 +299,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.solver not in _SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
+        if self.criterion not in SCHEDULE_KINDS:
+            raise ValueError(f"unknown criterion {self.criterion!r}: use one of "
+                             f"{SCHEDULE_KINDS}, or solver=\"ada\" for exact solves")
         for name in ("n", "d", "blocks", "p", "partitions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -359,10 +365,8 @@ def reference_state(problem: Problem, params: SolverParams,
     a tolerance downstream comparisons may claim.
     """
     tight = replace(params, stop_eps=eps, max_iters=max_iters)
-    schedule = schedule or InexactSchedule(kind="exact")
-    final, _ = iada_run(problem, tight, schedule,
-                        build_block_solvers(problem, tight, schedule),
-                        stop_mode="x_change", record_states=False)
+    final, _ = ada.run(problem, tight, build_block_solvers(problem, tight, schedule),
+                       stop_mode="x_change", schedule=schedule)
     return final
 
 
@@ -383,12 +387,13 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     stop_mode = config.stop_mode
     reference = None
-    # ada is iada on the exact schedule, which is bit for bit the exact engine
-    schedule = InexactSchedule.for_problem(
-        problem, kind=config.criterion if config.solver == "iada" else "exact",
-        eps0=config.eps0, gamma=config.gamma)
+    # iada is ada under an inexact schedule; ada runs without one
+    schedule = None
+    if config.solver == "iada":
+        schedule = InexactSchedule.for_problem(problem, kind=config.criterion,
+                                               eps0=config.eps0, gamma=config.gamma)
     if stop_mode == "consensus":
-        ref_sched = schedule if config.solver == "iada" \
+        ref_sched = schedule if schedule is not None \
             else InexactSchedule.for_problem(problem)
         reference = reference_state(problem, params, ref_sched,
                                     max_iters=max(config.max_iters, 5000))
@@ -402,11 +407,10 @@ def run_experiment(config: ExperimentConfig) -> int:
         # the rate checks ride along with the run, which keeps no states
         initial = make_initial_state(problem)
         observer = diagnostics.RateObserver(problem, params.rho, params.c, reference,
-                                            initial, exact_engine=schedule.kind == "exact")
+                                            initial, exact_engine=schedule is None)
         solvers = build_block_solvers(problem, params, schedule)
-        final, trace = iada_run(problem, params, schedule, solvers, initial=initial,
-                                stop_mode=stop_mode, record_states=False,
-                                observe=observer)
+        final, trace = ada.run(problem, params, solvers, initial=initial,
+                               stop_mode=stop_mode, schedule=schedule, observe=observer)
         final_x = final.x
         multiplier = final.zeta_bar
         report = observer.report(trace)
@@ -485,11 +489,8 @@ def main(argv=None) -> int:
     try:
         config = (ExperimentConfig.from_json(args.config)
                   if args.config else ExperimentConfig())
-        overrides = {name: getattr(args, name)
-                     for name in ("experiment", "solver", "rho", "c", "gamma",
-                                  "eps0", "seed", "max_iters", "stop_eps",
-                                  "stop_mode", "out")
-                     if getattr(args, name) is not None}
+        overrides = {name: value for name, value in vars(args).items()
+                     if value is not None and name not in ("command", "config")}
         if overrides:
             config = replace(config, **overrides)
         return run_experiment(config)

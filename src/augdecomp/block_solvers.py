@@ -152,40 +152,6 @@ class CachedQuadSolver:
         return (r - self.A.T @ inner) / self.sigma
 
 
-def quad_solve(solver: CachedQuadSolver, rhs_state, rho: float, c: float) -> np.ndarray:
-    """Exact minimizer of the identity-coupled regularized least-squares block.
-
-    For the subproblem with ``f = 0.5*||A x - b||^2`` and coupling ``E = I``,
-    returns ``(A^T A + sigma I)^{-1} (A^T b + (rho/2) w + x_prev/c - y)`` with
-    ``sigma = rho/2 + 1/c``; raises if the cached factorization was built for
-    different coefficients.
-    """
-    if rho <= 0 or c <= 0:
-        raise ValueError("rho and c must be positive")
-    sigma = rho / 2.0 + 1.0 / c
-    if not np.isclose(sigma, solver.sigma, rtol=1e-12):
-        raise ValueError(f"cached sigma={solver.sigma} does not match rho/2 + 1/c = {sigma}")
-    w, x_prev, y = (np.asarray(v, dtype=float) for v in rhs_state)
-    return solver.solve_shifted(solver.atb + 0.5 * rho * w + x_prev / c - y)
-
-
-def l1_prox_block(state, rho: float, c: float, lambda1: float, sign: int) -> np.ndarray:
-    """Closed-form l1 block update for a signed-identity coupling.
-
-    Solves ``min lambda1*||x||_1 + (rho/4)*||sign*x - w + (2/rho) y||^2
-    + (1/2c)*||x - x_prev||^2`` by soft thresholding; with ``sign = -1`` this
-    is the familiar ``S((y + x_prev/c - rho w/2)/(rho/2 + 1/c), .)`` update.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if rho <= 0 or c <= 0:
-        raise ValueError("rho and c must be positive")
-    w, x_prev, y = (np.asarray(v, dtype=float) for v in state)
-    denom = rho / 2.0 + 1.0 / c
-    numer = sign * (0.5 * rho * w - y) + x_prev / c
-    return soft_threshold(numer / denom, lambda1 / denom)
-
-
 # ---------------------------------------------------------------------------
 # Block solver objects
 
@@ -584,15 +550,14 @@ def build_penalized_solvers(problem, penalty: float, prox_weights,
 def build_block_solvers(problem, params, schedule=None):
     """Solvers for the decomposition engines: penalty ``rho/2``, prox ``1/c``.
 
-    Under an inexact schedule the smooth blocks are solved iteratively so the
-    acceptance criteria are genuinely exercised: quadratic blocks by
-    warm-started conjugate gradients with an exact factorized fallback
-    (at most 300 steps).  Logistic blocks are always solved by damped Newton
-    steps (at most 500), to ``1e-12`` in the gradient norm when no schedule
-    sets a threshold.  With no schedule (or an exact one) every block that
-    admits a closed form uses it.
+    Under an inexact schedule (pass the same one to ``ada.run``) the smooth
+    blocks are solved iteratively so the acceptance criteria are genuinely
+    exercised: quadratic blocks by warm-started conjugate gradients with an
+    exact factorized fallback (at most 300 steps).  Logistic blocks are
+    always solved by damped Newton steps (at most 500), to ``1e-12`` in the
+    gradient norm when no schedule sets a threshold.  With no schedule every
+    block that admits a closed form uses it.
     """
-    inexact = schedule is not None and getattr(schedule, "kind", "exact") != "exact"
     return build_penalized_solvers(
         problem, penalty=params.rho / 2.0, prox_weights=1.0 / params.c,
-        iterative_smooth=inexact)
+        iterative_smooth=schedule is not None)

@@ -283,16 +283,6 @@ def project_onto_W(v) -> np.ndarray:
     return a - a.mean(axis=0)
 
 
-def project_onto_Wperp(v) -> np.ndarray:
-    """Common value of the projection onto the all-equal subspace.
-
-    Returns the mean ``(1/K) sum_j v_j``; replicating it K times gives the
-    actual projection.
-    """
-    a = _stack(v)
-    return a.mean(axis=0)
-
-
 def g_norm_sq(dw, dx, deta, dzeta, rho: float, c: float) -> float:
     """Squared weighted norm ``rho*||dw||^2 + ||dx||^2/c + (||deta||^2 + ||dzeta||^2)/rho``.
 

@@ -1,9 +1,9 @@
 """Shared instances and reference oracles for the test suite.
 
 Reference points are built by routes independent of the code they check:
-the exchange saddle comes from a dense KKT solve, and the lasso optimum from
-an active-set polish whose result is verified against the optimality
-conditions before use.
+the exchange saddle is the generator's optimum with multiplier zero, and the
+lasso optimum comes from an active-set polish whose result is verified
+against the optimality conditions before use.
 """
 
 import numpy as np
@@ -11,30 +11,6 @@ import pytest
 
 import augdecomp as ag
 from augdecomp.model import IterateState, saddle_state
-
-
-def exchange_saddle(problem):
-    """Exact saddle of an exchange instance via its (unique) KKT system.
-
-    Stationarity ``A_k^T A_k x_k + y = A_k^T b_k`` for every block plus
-    ``sum_k x_k = 0``; returns the assembled state.
-    """
-    K = problem.num_blocks
-    n = problem.m
-    size = K * n + n
-    M = np.zeros((size, size))
-    rhs = np.zeros(size)
-    for k in range(K):
-        A = problem.blocks[k].objective.smooth.A
-        b = problem.blocks[k].objective.smooth.b
-        M[k * n:(k + 1) * n, k * n:(k + 1) * n] = A.T @ A
-        M[k * n:(k + 1) * n, K * n:] = np.eye(n)
-        M[K * n:, k * n:(k + 1) * n] = np.eye(n)
-        rhs[k * n:(k + 1) * n] = A.T @ b
-    sol = np.linalg.solve(M, rhs)
-    x_hat = [sol[k * n:(k + 1) * n] for k in range(K)]
-    y_hat = sol[K * n:]
-    return saddle_state(problem, x_hat, y_hat)
 
 
 def lasso_polish(problem, params, run_iters=3000, kkt_tol=1e-10):
@@ -87,5 +63,6 @@ def small_exchange():
 
 @pytest.fixture(scope="session")
 def small_exchange_saddle(small_exchange):
-    problem, _ = small_exchange
-    return exchange_saddle(problem)
+    """Exact saddle: ``x*`` zeroes every block gradient, so ``y = 0``."""
+    problem, x_star = small_exchange
+    return saddle_state(problem, x_star, np.zeros(problem.m))

@@ -11,14 +11,22 @@ quadratic blocks without a scalar-Gram coupling before ``QuadBlockSolver``
 took them over.  It forms ``A^T A + p E^T E + s I`` from dense copies of
 ``A`` and ``E`` and is the exact reference for the certified and closed-form
 quadratic solves.
+
+``quad_solve``, ``l1_prox_block``, ``phi_value``, ``ergodic_average`` and
+``project_onto_Wperp`` write formulas of the method out by hand, apart from
+the engines' solver objects; no code in the library calls them.
 """
+
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from augdecomp.block_solvers import BlockSolveCertificate
-from augdecomp.model import BlockSpec
+from augdecomp.block_solvers import (BlockSolveCertificate, CachedQuadSolver,
+                                     soft_threshold)
+from augdecomp.model import (BlockSpec, IterateState, Problem, SolverParams,
+                             _stack)
 
 
 class GeneralQuadBlockSolver:
@@ -221,3 +229,85 @@ def lbfgs_minimize(fun_grad, x0: np.ndarray, grad_tol: float,
     if done(x, gnorm):
         return x, gnorm, used
     return best_x, best_gnorm, used
+
+
+def quad_solve(solver: CachedQuadSolver, rhs_state, rho: float, c: float) -> np.ndarray:
+    """Exact minimizer of the identity-coupled regularized least-squares block.
+
+    For the subproblem with ``f = 0.5*||A x - b||^2`` and coupling ``E = I``,
+    returns ``(A^T A + sigma I)^{-1} (A^T b + (rho/2) w + x_prev/c - y)`` with
+    ``sigma = rho/2 + 1/c``; raises if the cached factorization was built for
+    different coefficients.
+    """
+    if rho <= 0 or c <= 0:
+        raise ValueError("rho and c must be positive")
+    sigma = rho / 2.0 + 1.0 / c
+    if not np.isclose(sigma, solver.sigma, rtol=1e-12):
+        raise ValueError(f"cached sigma={solver.sigma} does not match rho/2 + 1/c = {sigma}")
+    w, x_prev, y = (np.asarray(v, dtype=float) for v in rhs_state)
+    return solver.solve_shifted(solver.atb + 0.5 * rho * w + x_prev / c - y)
+
+
+def l1_prox_block(state, rho: float, c: float, lambda1: float, sign: int) -> np.ndarray:
+    """Closed-form l1 block update for a signed-identity coupling.
+
+    Solves ``min lambda1*||x||_1 + (rho/4)*||sign*x - w + (2/rho) y||^2
+    + (1/2c)*||x - x_prev||^2`` by soft thresholding; with ``sign = -1`` this
+    is the familiar ``S((y + x_prev/c - rho w/2)/(rho/2 + 1/c), .)`` update.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if rho <= 0 or c <= 0:
+        raise ValueError("rho and c must be positive")
+    w, x_prev, y = (np.asarray(v, dtype=float) for v in state)
+    denom = rho / 2.0 + 1.0 / c
+    numer = sign * (0.5 * rho * w - y) + x_prev / c
+    return soft_threshold(numer / denom, lambda1 / denom)
+
+
+def phi_value(k: int, x_k: np.ndarray, state: IterateState,
+              problem: Problem, params: SolverParams) -> float:
+    """Block subproblem objective at ``x_k`` (0-based block index).
+
+    ``f_k(x_k) + (rho/4)*||E_k x_k - q_k - w_k + (2/rho) y_k||^2
+    + (1/2c)*||x_k - x_k_prev||^2``.
+    """
+    K = problem.num_blocks
+    if not 0 <= k < K:
+        raise IndexError(f"block index {k} out of range for K={K}")
+    blk = problem.blocks[k]
+    x_k = np.asarray(x_k, dtype=float)
+    qk = problem.q if k == K - 1 else 0.0
+    r = blk.E.apply(x_k) - qk - state.w[k] + (2.0 / params.rho) * state.y[k]
+    dx = x_k - state.x[k]
+    return blk.objective.value(x_k) \
+        + 0.25 * params.rho * float(r @ r) \
+        + 0.5 / params.c * float(dx @ dx)
+
+
+def ergodic_average(iterates: Sequence, N: int):
+    """Componentwise mean of the first ``N`` primal iterates.
+
+    ``iterates`` is a sequence of per-iteration block tuples, iterate 1
+    first; the averaged point carries the O(1/N) duality-gap guarantee.
+    """
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    if N > len(iterates):
+        raise ValueError(f"N={N} exceeds trace length {len(iterates)}")
+    K = len(iterates[0])
+    acc = [np.zeros_like(np.asarray(iterates[0][k], dtype=float)) for k in range(K)]
+    for xs in iterates[:N]:
+        for k in range(K):
+            acc[k] += xs[k]
+    return tuple(a / N for a in acc)
+
+
+def project_onto_Wperp(v) -> np.ndarray:
+    """Common value of the projection onto the all-equal subspace.
+
+    Returns the mean ``(1/K) sum_j v_j``; replicating it K times gives the
+    actual projection.
+    """
+    a = _stack(v)
+    return a.mean(axis=0)

@@ -22,10 +22,10 @@ from augdecomp.block_solvers import LbfgsBlockSolver, soft_threshold
 from augdecomp.diagnostics import nu_a_nu_medians
 from augdecomp.inexact import (InexactSchedule, criterion_a_threshold,
                                iada_run)
-from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart
+from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart, saddle_state
 
-from conftest import exchange_saddle, lasso_polish
-from oracles import GeneralQuadBlockSolver
+from conftest import lasso_polish
+from oracles import GeneralQuadBlockSolver, project_onto_Wperp
 
 
 def report(num, ok, detail):
@@ -38,14 +38,19 @@ def report(num, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def exchange_problem():
-    problem, _ = ag.gen_exchange(5, 100, 80, seed=1)
-    return problem
+def exchange_instance():
+    return ag.gen_exchange(5, 100, 80, seed=1)
 
 
 @pytest.fixture(scope="module")
-def exchange_reference(exchange_problem):
-    return exchange_saddle(exchange_problem)
+def exchange_problem(exchange_instance):
+    return exchange_instance[0]
+
+
+@pytest.fixture(scope="module")
+def exchange_reference(exchange_instance):
+    problem, x_star = exchange_instance
+    return saddle_state(problem, x_star, np.zeros(problem.m))
 
 
 @pytest.fixture(scope="module")
@@ -314,7 +319,7 @@ def test_criterion_11_unit_and_property_suites(tmp_path):
     # projection Pythagoras
     v = rng.standard_normal((5, 7))
     w = ag.project_onto_W(v)
-    mean = ag.project_onto_Wperp(v)
+    mean = project_onto_Wperp(v)
     assert abs(float((v * v).sum())
                - (float((w * w).sum()) + 5 * float(mean @ mean))) < 1e-10
     # prox-oracle equivalence of the soft threshold

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import augdecomp as ag
-from augdecomp.ada import (StepMetrics, ada_step, check_stop, ergodic_average,
-                           phi_value, run)
+from augdecomp.ada import StepMetrics, ada_step, check_stop, run
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              Problem, SmoothPart, make_initial_state,
                              saddle_state)
+
+from oracles import ergodic_average, phi_value
 
 
 def scalar_quadratic_problem():

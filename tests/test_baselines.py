@@ -5,9 +5,9 @@ import pytest
 
 import augdecomp as ag
 from augdecomp import baselines
-from augdecomp.baselines import (Admm2Lasso, BaselineParams, admm2_lasso_step,
-                                 default_prox_weights, prox_jadmm_run,
-                                 prox_jadmm_step, vsadmm_run, vsadmm_step)
+from augdecomp.baselines import (Admm2Lasso, BaselineParams, default_prox_weights,
+                                 prox_jadmm_run, prox_jadmm_step, vsadmm_run,
+                                 vsadmm_step)
 from augdecomp.block_solvers import build_penalized_solvers
 from augdecomp.model import (BlockSpec, FunctionDescriptor, Problem,
                              SmoothPart)
@@ -221,16 +221,6 @@ class TestAdmm2:
         state, trace = solver.run(max_iters=1000, stop_mode="max_iters")
         objs = trace.objectives()
         assert objs[-1] < objs[0]
-
-    def test_step_function_wrapper(self, small_lasso):
-        params = BaselineParams(beta=1.0)
-        d = small_lasso.blocks[0].n
-        state = (np.zeros(d), np.zeros(d), np.zeros(d))
-        out = admm2_lasso_step(state, small_lasso, params)
-        solver = Admm2Lasso(small_lasso, params)
-        out2 = solver.step(state)
-        for a, b in zip(out, out2):
-            assert np.array_equal(a, b)
 
     def test_rejects_non_lasso_form(self, small_exchange):
         problem, _ = small_exchange

@@ -1,12 +1,13 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import augdecomp as ag
-from augdecomp.bench import (ExperimentConfig, RandomStream,
+from augdecomp.bench import (ExperimentConfig, RandomStream, _build_parser,
                              build_logreg_consensus, consensus_objective,
                              consensus_ratio, gen_exchange, gen_lasso,
                              gen_logreg_data, load_libsvm, main,
@@ -372,3 +373,21 @@ def test_config_rejects_stop_modes_it_cannot_run(tmp_path):
     assert main(["solve", "--experiment", "logreg", "--solver", "vsadmm",
                  "--stop-mode", "consensus", "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_config_rejects_criteria_outside_the_schedule_kinds(tmp_path):
+    # exact solves are solver="ada"; there is no exact criterion for iada
+    with pytest.raises(ValueError, match='solver="ada"'):
+        ExperimentConfig(solver="iada", criterion="exact")
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "run"
+    cfg.write_text(json.dumps({"solver": "iada", "criterion": "exact", "out": str(out)}))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert not out.exists()
+
+
+def test_every_solve_option_names_a_config_field():
+    # main() passes every option it was given to ExperimentConfig by name
+    options = set(vars(_build_parser().parse_args(["solve"]))) - {"command", "config"}
+    assert len(options) == 11
+    assert options <= {f.name for f in fields(ExperimentConfig)}

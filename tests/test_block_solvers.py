@@ -8,11 +8,11 @@ from augdecomp.block_solvers import (BlockSolveError, CachedQuadSolver,
                                      CompositeBlockSolver, L1ProxBlockSolver,
                                      LbfgsBlockSolver, QuadBlockSolver,
                                      _coupling_hessian, _formed_hessian,
-                                     e_gram_scale, l1_prox_block,
-                                     quad_solve, soft_threshold,
+                                     e_gram_scale, soft_threshold,
                                      subgrad_dist_l1)
 from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart
-from oracles import GeneralQuadBlockSolver, lbfgs_minimize
+from oracles import (GeneralQuadBlockSolver, l1_prox_block, lbfgs_minimize,
+                     quad_solve)
 
 
 class TestSoftThreshold:
@@ -189,6 +189,13 @@ class TestL1Prox:
                 out = l1_prox_block((np.array([w]), np.array([xp]), np.array([y])),
                                     rho, c, lam, sign=sign)
                 assert abs(float(out[0]) - t_star) < 1e-8
+                # the engines' solver on the same subproblem: penalty rho/2,
+                # prox 1/c and target t = w - (2/rho) y
+                blk = BlockSpec(n=1, E=ag.Coupling.identity(1, sign=sign),
+                                objective=FunctionDescriptor(l1_scale=lam))
+                cert = L1ProxBlockSolver(blk, rho / 2, 1 / c).solve(
+                    np.array([w - 2 / rho * y]), np.array([xp]))
+                assert abs(float(cert.x[0]) - t_star) < 1e-8
 
     def test_bad_sign_rejected(self):
         z = np.zeros(2)

@@ -222,7 +222,7 @@ class TestRateObserver:
             problem, reference = small_exchange[0], small_exchange_saddle
         params = ag.SolverParams(rho=2.0, c=2.0, max_iters=200)
         exact = case != "exchange-iada-b"
-        sched = InexactSchedule(kind="exact") if exact \
+        sched = None if exact \
             else InexactSchedule.for_problem(problem, "criterion_B", 1.0, 2.0)
 
         def solve(**kwargs):

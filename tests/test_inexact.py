@@ -6,9 +6,8 @@ import augdecomp as ag
 from augdecomp.ada import _block_targets
 from augdecomp.bench import build_logreg_consensus, gen_logreg_data, partition_rows
 from augdecomp.block_solvers import LbfgsBlockSolver
-from augdecomp.inexact import (InexactSchedule, _accept_rules,
-                               criterion_a_threshold, criterion_b_threshold,
-                               iada_run, inexact_block_solve, spectral_norm,
+from augdecomp.inexact import (InexactSchedule, criterion_a_threshold,
+                               criterion_b_threshold, iada_run, spectral_norm,
                                stacked_coupling_norm)
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              Problem, SmoothPart, make_initial_state)
@@ -117,16 +116,18 @@ class TestInexactBlockSolve:
     def test_closed_form_certifies_zero(self):
         problem, params, sched, state = self._setup()
         solvers = ag.build_block_solvers(problem, params)  # exact closed forms
-        cert = inexact_block_solve(0, state, problem, params, sched,
-                                   solvers[0], nu=1)
+        t = _block_targets(state, problem, params.rho)[0]
+        cert = solvers[0].solve(t, state.x[0],
+                                accept=sched.accept_rules(1, state, params, 3)[0])
         assert cert.subgrad_bound == 0.0
 
     def test_smooth_bound_is_gradient_norm(self):
         problem, params, sched, state = self._setup()
         solvers = ag.build_block_solvers(problem, params, sched)
         thr = criterion_a_threshold(1, sched, params.rho, params.c, 3)
-        cert = inexact_block_solve(0, state, problem, params, sched,
-                                   solvers[0], nu=1)
+        t = _block_targets(state, problem, params.rho)[0]
+        cert = solvers[0].solve(t, state.x[0],
+                                accept=sched.accept_rules(1, state, params, 3)[0])
         assert 0.0 <= cert.subgrad_bound <= thr
         # recompute the gradient of phi at the returned point
         blk = problem.blocks[0]
@@ -165,7 +166,7 @@ class TestIadaRun:
     def test_exact_schedule_bitwise_identical(self, small_exchange):
         problem, _ = small_exchange
         params = ag.SolverParams(rho=2.0, c=2.0, max_iters=40)
-        sched = InexactSchedule(kind="exact")
+        sched = None
         solvers = ag.build_block_solvers(problem, params)
         final_a, trace_a = ag.run(problem, params, solvers, stop_mode="max_iters")
         solvers_b = ag.build_block_solvers(problem, params)
@@ -175,6 +176,20 @@ class TestIadaRun:
             assert ma == mb
         for xa, xb in zip(final_a.x, final_b.x):
             assert np.array_equal(xa, xb)
+
+    @pytest.mark.parametrize("kind", ["criterion_A", "criterion_B"])
+    def test_run_with_schedule_equals_iada_run(self, small_exchange, kind):
+        problem, _ = small_exchange
+        params = ag.SolverParams(rho=2.0, c=2.0, max_iters=60)
+        sched = InexactSchedule.for_problem(problem, kind, 1.0, 2.0)
+        _, trace_a = ag.run(problem, params, ag.build_block_solvers(problem, params, sched),
+                            stop_mode="max_iters", schedule=sched)
+        _, trace_b = iada_run(problem, params, sched,
+                              ag.build_block_solvers(problem, params, sched),
+                              stop_mode="max_iters", record_states=False)
+        assert len(trace_a) == len(trace_b) == 60
+        for ma, mb in zip(trace_a.metrics, trace_b.metrics):
+            assert ma == mb
 
     def test_criterion_a_certificates_and_budget(self, small_exchange):
         problem, _ = small_exchange
@@ -265,7 +280,7 @@ class TestCriterionBRule:
         state = IterateState(w=state.w, x=tuple(rng.standard_normal(6) for _ in range(3)),
                              eta=state.eta, zeta_bar=state.zeta_bar, y=state.y)
         nu = 7
-        rules = _accept_rules(nu, state, sched, params, 3)
+        rules = sched.accept_rules(nu, state, params, 3)
         base = criterion_a_threshold(nu, sched, params.rho, params.c, 3)
         special = [0.0, base, np.nextafter(base, 0.0), np.nextafter(base, 1.0),
                    np.inf, np.nan]
@@ -352,7 +367,7 @@ class TestLogisticNewton:
         prev, checked = trace.initial_state, 0
         for nu, (state, m) in enumerate(zip(trace.states, trace.metrics), start=1):
             targets = _block_targets(prev, problem, params.rho)
-            rules = _accept_rules(nu, prev, sched, params, K)
+            rules = sched.accept_rules(nu, prev, params, K)
             for k in range(K - 1):  # the last block is the l1 prox
                 blk, solver = problem.blocks[k], solvers[k]
                 x, t, z = state.x[k], targets[k], prev.x[k]

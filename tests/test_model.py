@@ -4,8 +4,9 @@ import scipy.sparse as sp
 
 import augdecomp as ag
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
-                             Problem, SmoothPart, g_norm_sq, project_onto_W,
-                             project_onto_Wperp)
+                             Problem, SmoothPart, g_norm_sq, project_onto_W)
+
+from oracles import project_onto_Wperp
 
 
 def project_w_oracle(v):
