@@ -11,13 +11,11 @@ from .model import (BlockSpec, FunctionDescriptor, IterateState, Problem,
                     make_initial_state, objective, project_onto_W,
                     saddle_state, state_g_dist_sq)
 from .block_solvers import (BlockSolveCertificate, BlockSolveError,
-                            CachedQuadSolver, build_block_solvers,
-                            build_penalized_solvers, soft_threshold,
-                            subgrad_dist_l1)
+                            build_block_solvers, build_penalized_solvers,
+                            soft_threshold, subgrad_dist_l1)
 from .ada import StepMetrics, Trace, ada_step, check_stop, run
 from .inexact import (InexactSchedule, criterion_a_threshold,
-                      criterion_b_threshold, iada_run, spectral_norm,
-                      stacked_coupling_norm)
+                      criterion_b_threshold, iada_run)
 from .baselines import (Admm2Lasso, BaselineParams, default_prox_weights,
                         prox_jadmm_run, prox_jadmm_step, vsadmm_run,
                         vsadmm_step)

@@ -9,9 +9,11 @@ engines:
   previous sweep and damps the multiplier step;
 * the classic two-block ADMM for the lasso with over-relaxation.
 
-All runners are a step function handed to the engines' loop ``ada.drive``,
-so they share its stop modes, stop reasons and trace schema; the G-norm
-delta column is not defined for these iterations and is recorded as NaN.
+Every least-squares block update, the two-block ADMM's x-update included,
+is a ``QuadBlockSolver`` solve.  All runners are a step function handed to
+the engines' loop ``ada.drive``, so they share its stop modes, stop reasons
+and trace schema; the G-norm delta column is not defined for these
+iterations and is recorded as NaN.
 """
 
 from __future__ import annotations
@@ -22,14 +24,16 @@ from typing import Optional
 import numpy as np
 
 from .ada import StepMetrics, drive, step_metrics
-from .block_solvers import (CachedQuadSolver, build_penalized_solvers,
+from .block_solvers import (QuadBlockSolver, build_penalized_solvers,
                             soft_threshold)
 from .model import Problem, constraint_residual, project_onto_W
 
 
 @dataclass(frozen=True)
 class BaselineParams:
-    """Penalty, damping, and proximal weights for the baseline solvers."""
+    """Penalty, damping, and proximal weights for the baseline solvers, and
+    the two-block ADMM's over-relaxation ``admm_step`` in the open interval
+    (0, 2) (Eckstein and Bertsekas, 1992)."""
 
     beta: float = 1.0
     gamma_damp: float = 1.0
@@ -41,6 +45,8 @@ class BaselineParams:
             raise ValueError("beta must be positive")
         if self.gamma_damp <= 0:
             raise ValueError("gamma_damp must be positive")
+        if not 0.0 < self.admm_step < 2.0:
+            raise ValueError("admm_step must lie in the open interval (0, 2)")
         if self.prox_weights is not None:
             pw = tuple(float(t) for t in self.prox_weights)
             if any(t <= 0 for t in pw):
@@ -174,37 +180,46 @@ def prox_jadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
 # Two-block lasso ADMM
 
 
-def _require_lasso_form(problem: Problem):
+def _is_signed_identity(E, sign: int) -> bool:
+    """``E == sign * I``, read from the structure or compared exactly."""
+    if E.kind == "matrix":
+        return np.array_equal(E.toarray(), sign * np.eye(E.shape[1]))
+    return E.kind == "identity" and E.sign == sign
+
+
+def _require_lasso_form(problem: Problem) -> float:
+    """The l1 weight of a lasso coupled by ``x - z = 0``, the only coupling
+    that ``Admm2Lasso``'s z- and multiplier updates are written for.  The
+    least-squares block is checked by its ``QuadBlockSolver``."""
     if problem.num_blocks != 2:
         raise ValueError("two-block lasso form required")
     b1, b2 = problem.blocks
-    ok = (b1.objective.smooth is not None and b1.objective.l1_scale == 0.0
-          and b1.objective.smooth.kind == "least_squares"
-          and b2.objective.smooth is None and b2.objective.l1_scale > 0.0
-          and np.allclose(problem.q, 0.0))
+    ok = (b2.objective.smooth is None and b2.objective.l1_scale > 0.0
+          and np.allclose(problem.q, 0.0)
+          and _is_signed_identity(b1.E, 1) and _is_signed_identity(b2.E, -1))
     if not ok:
-        raise ValueError("expected blocks (least squares, l1) with q = 0")
-    return b1.objective.smooth, b2.objective.l1_scale
+        raise ValueError("expected blocks (least squares, l1) coupled by x - z = 0")
+    return b2.objective.l1_scale
 
 
 class Admm2Lasso:
     """Classic two-block ADMM for ``0.5||Ax-b||^2 + lam||z||_1`` s.t. ``x = z``.
 
-    Scaled-dual form with over-relaxation ``admm_step`` and penalty ``beta``;
-    the shifted normal matrix is factored once.
+    Scaled-dual form with over-relaxation ``admm_step`` and penalty ``beta``.
+    The x-update is VSADMM's block-0 solve (penalty ``beta``, no proximal
+    term) with target ``z - u``.
     """
 
     def __init__(self, problem: Problem, params: BaselineParams):
-        smooth, lam = _require_lasso_form(problem)
+        self.lam = _require_lasso_form(problem)
         self.problem = problem
         self.params = params
-        self.lam = lam
-        self._quad = CachedQuadSolver(smooth.A, smooth.b, sigma=params.beta)
+        self._quad = QuadBlockSolver(problem.blocks[0], params.beta, 0.0)
 
     def step(self, state):
         x, z, u = state
         beta, alpha = self.params.beta, self.params.admm_step
-        x_new = self._quad.solve_shifted(self._quad.atb + beta * (z - u))
+        x_new = self._quad.solve(z - u, x).x
         x_relaxed = alpha * x_new + (1.0 - alpha) * z
         z_new = soft_threshold(x_relaxed + u, self.lam / beta)
         u_new = u + x_relaxed - z_new

@@ -27,7 +27,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .coupling import e_gram_scale  # noqa: F401 -- part of this module's interface
 from .coupling import spectral_norm
 from .model import BlockSpec
 
@@ -116,42 +115,6 @@ def _cholesky_solver(M: np.ndarray):
     return lambda r: potrs(factor, r, lower=lower)[0]
 
 
-class CachedQuadSolver:
-    """Factorization cache for ``(A^T A + sigma I) x = r``.
-
-    Factors the d-by-d normal matrix directly when ``d <= p`` (``A`` is
-    p-by-d), and the p-by-p dual matrix ``A A^T + sigma I`` otherwise, using
-    the Woodbury identity to recover the primal solve.  The factorization is
-    computed once and reused for every right-hand side.  A sparse ``A`` stays
-    sparse; only the Gram matrix that is factored is dense.
-    """
-
-    def __init__(self, A, b, sigma: float, mode: str | None = None):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        A = A.astype(float, copy=False) if sp.issparse(A) else np.asarray(A, dtype=float)
-        self.A = A
-        self.b = np.asarray(b, dtype=float) if b is not None else np.zeros(A.shape[0])
-        self.sigma = float(sigma)
-        p, d = A.shape
-        if mode is None:
-            mode = "woodbury" if d > p else "primal"
-        if mode not in ("primal", "woodbury"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
-        G = A.T @ A if mode == "primal" else A @ A.T
-        G = G.toarray() if sp.issparse(G) else G
-        self._cho_solve = _cholesky_solver(G + sigma * np.eye(G.shape[0]))
-        self.atb = A.T @ self.b
-
-    def solve_shifted(self, r: np.ndarray) -> np.ndarray:
-        """Solve ``(A^T A + sigma I) x = r``."""
-        if self.mode == "primal":
-            return self._cho_solve(r)
-        inner = self._cho_solve(self.A @ r)
-        return (r - self.A.T @ inner) / self.sigma
-
-
 # ---------------------------------------------------------------------------
 # Block solver objects
 
@@ -184,13 +147,13 @@ def _formed_hessian(A, C, h=None) -> np.ndarray:
 
 
 class QuadBlockSolver:
-    """Closed-form solver for smooth quadratic blocks.
+    """Closed-form solver for least-squares blocks, under any coupling.
 
-    Handles ``f(x) = 0.5*||A x - b||^2`` (or ``0.5*||A x||^2``) under any
-    coupling; the factorization follows the coupling and is computed once at
-    construction.  For ``E^T E = alpha I`` it is a ``CachedQuadSolver`` with
-    ``sigma = p alpha + s`` (primal or Woodbury, whichever system is
-    smaller); otherwise a Cholesky factor of ``A^T A + p E^T E + s I``.
+    Solves ``(A^T A + C) x = A^T b + p E^T t + s z`` with ``C = p E^T E + s I``,
+    factored once, at construction: when ``C`` is a scalar ``sigma`` and ``A``
+    has more columns than rows, the smaller ``A A^T + sigma I`` is factored
+    and the Woodbury identity recovers the solve; otherwise ``A^T A + C`` is.
+    A sparse ``A`` stays sparse; only the factored matrix is dense.
     """
 
     exact = True
@@ -199,18 +162,24 @@ class QuadBlockSolver:
         fd = block.objective
         if fd.smooth is None or fd.l1_scale != 0.0:
             raise ValueError("QuadBlockSolver requires a purely smooth block")
-        if fd.smooth.kind not in ("least_squares", "quadratic"):
-            raise ValueError("QuadBlockSolver requires a quadratic loss")
+        if fd.smooth.kind != "least_squares":
+            raise ValueError("QuadBlockSolver requires a least-squares loss")
+        A = fd.smooth.A
         self.E = block.E
         self.penalty = float(penalty)
         self.prox_weight = float(prox_weight)
+        self.atb = A.T @ fd.smooth.b
         C = _coupling_hessian(block.E, penalty, prox_weight)
-        if isinstance(C, float):
-            quad = CachedQuadSolver(fd.smooth.A, fd.smooth.b, C)
-            self.atb, self._solve = quad.atb, quad.solve_shifted
+        scalar = isinstance(C, float)
+        if scalar and not C > 0:
+            raise ValueError("p E^T E + s I must be positive definite")
+        rows, cols = A.shape
+        if scalar and cols > rows:
+            G = A @ A.T
+            G = G.toarray() if sp.issparse(G) else G
+            inner = _cholesky_solver(G + C * np.eye(rows))
+            self._solve = lambda r: (r - A.T @ inner(A @ r)) / C
         else:
-            A, b = fd.smooth.A, fd.smooth.b
-            self.atb = A.T @ (b if b is not None else np.zeros(A.shape[0]))
             self._solve = _cholesky_solver(_formed_hessian(A, C))
 
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
@@ -254,8 +223,8 @@ class LbfgsBlockSolver:
     """Certified iterative solver for smooth blocks.
 
     Minimizes ``f(x) + (p/2)*||E x - t||^2 + (s/2)*||x - z||^2`` from the
-    warm start ``z``: by conjugate gradients when ``f`` is a least-squares or
-    quadratic loss, by damped Newton steps when it is logistic.  (The name
+    warm start ``z``: by conjugate gradients when ``f`` is a least-squares
+    loss, by damped Newton steps when it is logistic.  (The name
     is historical: both paths replaced an L-BFGS method.)  The certificate
     is the norm of the gradient evaluated at the returned point, which
     equals the subgradient distance for smooth objectives.  The solve stops
@@ -316,7 +285,7 @@ class LbfgsBlockSolver:
         self.exact_tol = float(exact_tol)
         self._coupling = _coupling_hessian(block.E, self.penalty, self.prox_weight)
         self._fallback = None
-        if fd.smooth.kind in ("least_squares", "quadratic"):
+        if fd.smooth.kind == "least_squares":
             self._fallback = QuadBlockSolver(block, penalty, prox_weight)
 
     @property

@@ -23,21 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ada
-from .block_solvers import BlockSolveCertificate
-from .coupling import spectral_norm, stacked_norm
+from .coupling import stacked_norm
 from .model import IterateState, Problem, SolverParams
 
 __all__ = [
-    "InexactSchedule", "BlockSolveCertificate", "criterion_a_threshold",
-    "criterion_b_threshold", "spectral_norm", "stacked_coupling_norm", "iada_run",
+    "InexactSchedule", "criterion_a_threshold", "criterion_b_threshold", "iada_run",
 ]
 
 SCHEDULE_KINDS = ("criterion_A", "criterion_B")
-
-
-def stacked_coupling_norm(problem: Problem) -> float:
-    """Spectral norm of the full ``m x n`` matrix ``[E_1 ... E_K]``."""
-    return stacked_norm([blk.E for blk in problem.blocks])
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,7 @@ class InexactSchedule:
     def for_problem(cls, problem: Problem, kind: str = "criterion_A",
                     eps0: float = 1.0, gamma: float = 1.5) -> "InexactSchedule":
         return cls(kind=kind, eps0=eps0, gamma=gamma,
-                   e_norm=stacked_coupling_norm(problem))
+                   e_norm=stacked_norm([blk.E for blk in problem.blocks]))
 
     def eps_at(self, nu: int) -> float:
         if nu < 1:

@@ -41,8 +41,6 @@ class SmoothPart:
         ``g(u) = 0.5 * ||u - b||^2``.
     ``"logistic"``
         ``g(u) = sum_j log(1 + exp(-b_j u_j))`` with labels ``b_j`` in {-1,+1}.
-    ``"quadratic"``
-        ``g(u) = 0.5 * ||u||^2``.
     """
 
     kind: str
@@ -51,14 +49,13 @@ class SmoothPart:
 
     def __post_init__(self):
         object.__setattr__(self, "A", _as_matrix(self.A))
-        if self.kind not in ("least_squares", "logistic", "quadratic"):
+        if self.kind not in ("least_squares", "logistic"):
             raise ValueError(f"unknown smooth kind {self.kind!r}")
-        if self.kind in ("least_squares", "logistic"):
-            if self.b is None:
-                raise ValueError(f"{self.kind} requires a right-hand side / label vector")
-            object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-            if self.b.shape[0] != self.A.shape[0]:
-                raise ValueError("b length does not match the rows of A")
+        if self.b is None:
+            raise ValueError(f"{self.kind} requires a right-hand side / label vector")
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        if self.b.shape[0] != self.A.shape[0]:
+            raise ValueError("b length does not match the rows of A")
         if self.kind == "logistic" and not np.all(np.isin(self.b, (-1.0, 1.0))):
             raise ValueError("logistic labels must be +1/-1")
 
@@ -66,16 +63,12 @@ class SmoothPart:
         if self.kind == "least_squares":
             r = u - self.b
             return 0.5 * float(r @ r)
-        if self.kind == "quadratic":
-            return 0.5 * float(u @ u)
         # log(1 + exp(-b*u)) evaluated stably for large |u|
         return float(np.logaddexp(0.0, -self.b * u).sum())
 
     def _gradient_at(self, u: np.ndarray) -> np.ndarray:
         if self.kind == "least_squares":
             return self.A.T @ (u - self.b)
-        if self.kind == "quadratic":
-            return self.A.T @ u
         s = -self.b * expit(-self.b * u)
         return self.A.T @ s
 

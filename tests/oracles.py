@@ -12,6 +12,9 @@ took them over.  It forms ``A^T A + p E^T E + s I`` from dense copies of
 ``A`` and ``E`` and is the exact reference for the certified and closed-form
 quadratic solves.
 
+``identity_quad_solver`` builds the ``QuadBlockSolver`` of the shifted
+normal system ``(A^T A + sigma I) x = r``.
+
 ``quad_solve``, ``l1_prox_block``, ``phi_value``, ``ergodic_average`` and
 ``project_onto_Wperp`` write formulas of the method out by hand, apart from
 the engines' solver objects; no code in the library calls them.
@@ -23,10 +26,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from augdecomp.block_solvers import (BlockSolveCertificate, CachedQuadSolver,
+from augdecomp.block_solvers import (BlockSolveCertificate, QuadBlockSolver,
                                      soft_threshold)
-from augdecomp.model import (BlockSpec, IterateState, Problem, SolverParams,
-                             _stack)
+from augdecomp.coupling import Coupling
+from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
+                             Problem, SmoothPart, SolverParams, _stack)
 
 
 class GeneralQuadBlockSolver:
@@ -42,8 +46,8 @@ class GeneralQuadBlockSolver:
         fd = block.objective
         if fd.smooth is None or fd.l1_scale != 0.0:
             raise ValueError("GeneralQuadBlockSolver requires a purely smooth block")
-        if fd.smooth.kind not in ("least_squares", "quadratic"):
-            raise ValueError("GeneralQuadBlockSolver requires a quadratic loss")
+        if fd.smooth.kind != "least_squares":
+            raise ValueError("GeneralQuadBlockSolver requires a least-squares loss")
         A = fd.smooth.A
         A = A.toarray() if sp.issparse(A) else A
         E = block.E.toarray()
@@ -52,8 +56,7 @@ class GeneralQuadBlockSolver:
         self.prox_weight = float(prox_weight)
         M = A.T @ A + penalty * (E.T @ E) + prox_weight * np.eye(block.n)
         self._chol = scipy.linalg.cho_factor(M, lower=True)
-        b = fd.smooth.b if fd.smooth.b is not None else np.zeros(A.shape[0])
-        self.atb = A.T @ b
+        self.atb = A.T @ fd.smooth.b
 
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
         rhs = self.atb + self.penalty * self.E.apply_T(t)
@@ -231,21 +234,33 @@ def lbfgs_minimize(fun_grad, x0: np.ndarray, grad_tol: float,
     return best_x, best_gnorm, used
 
 
-def quad_solve(solver: CachedQuadSolver, rhs_state, rho: float, c: float) -> np.ndarray:
+def identity_quad_solver(A, sigma: float, b=None) -> QuadBlockSolver:
+    """``QuadBlockSolver`` whose ``_solve`` is ``r -> (A^T A + sigma I)^{-1} r``:
+    the block ``0.5*||A x - b||^2`` (``b = 0`` by default) under the coupling
+    ``E = I`` with penalty ``sigma`` and no proximal term."""
+    rows, d = A.shape
+    b = np.zeros(rows) if b is None else b
+    block = BlockSpec(n=d, E=Coupling.identity(d), objective=FunctionDescriptor(
+        smooth=SmoothPart("least_squares", A, b)))
+    return QuadBlockSolver(block, sigma, 0.0)
+
+
+def quad_solve(solver: QuadBlockSolver, rhs_state, rho: float, c: float) -> np.ndarray:
     """Exact minimizer of the identity-coupled regularized least-squares block.
 
     For the subproblem with ``f = 0.5*||A x - b||^2`` and coupling ``E = I``,
     returns ``(A^T A + sigma I)^{-1} (A^T b + (rho/2) w + x_prev/c - y)`` with
-    ``sigma = rho/2 + 1/c``; raises if the cached factorization was built for
-    different coefficients.
+    ``sigma = rho/2 + 1/c``; raises if the solver was factored for a
+    different ``sigma`` (its penalty plus its proximal weight, as ``E = I``).
     """
     if rho <= 0 or c <= 0:
         raise ValueError("rho and c must be positive")
     sigma = rho / 2.0 + 1.0 / c
-    if not np.isclose(sigma, solver.sigma, rtol=1e-12):
-        raise ValueError(f"cached sigma={solver.sigma} does not match rho/2 + 1/c = {sigma}")
+    factored = solver.penalty + solver.prox_weight
+    if not np.isclose(sigma, factored, rtol=1e-12):
+        raise ValueError(f"factored sigma={factored} does not match rho/2 + 1/c = {sigma}")
     w, x_prev, y = (np.asarray(v, dtype=float) for v in rhs_state)
-    return solver.solve_shifted(solver.atb + 0.5 * rho * w + x_prev / c - y)
+    return solver._solve(solver.atb + 0.5 * rho * w + x_prev / c - y)
 
 
 def l1_prox_block(state, rho: float, c: float, lambda1: float, sign: int) -> np.ndarray:

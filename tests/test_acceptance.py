@@ -25,7 +25,7 @@ from augdecomp.inexact import (InexactSchedule, criterion_a_threshold,
 from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart, saddle_state
 
 from conftest import lasso_polish
-from oracles import GeneralQuadBlockSolver, project_onto_Wperp
+from oracles import GeneralQuadBlockSolver, identity_quad_solver, project_onto_Wperp
 
 
 def report(num, ok, detail):
@@ -328,11 +328,11 @@ def test_criterion_11_unit_and_property_suites(tmp_path):
     best = grid[np.argmin(0.5 * (grid - a) ** 2 + kappa * np.abs(grid))]
     assert abs(soft_threshold(a, kappa) - best) < 1e-5
     # Woodbury/primal agreement
-    from augdecomp.block_solvers import CachedQuadSolver
+    from augdecomp.block_solvers import _cholesky_solver, _formed_hessian
     A = rng.standard_normal((10, 16))
     r = rng.standard_normal(16)
-    xp = CachedQuadSolver(A, None, 1.3, mode="primal").solve_shifted(r)
-    xw = CachedQuadSolver(A, None, 1.3, mode="woodbury").solve_shifted(r)
+    xp = _cholesky_solver(_formed_hessian(A, 1.3))(r)
+    xw = identity_quad_solver(A, 1.3)._solve(r)
     assert np.linalg.norm(xp - xw) <= 1e-9 * (1 + np.linalg.norm(xp))
     # LIBSVM round-trip
     import scipy.sparse as sp

@@ -16,7 +16,7 @@ def scalar_quadratic_problem():
     """K=2, m=n_k=1, f_k = x^2/2, E_k = [1], q = 0."""
     blocks = tuple(
         BlockSpec(n=1, E=np.array([[1.0]]), objective=FunctionDescriptor(
-            smooth=SmoothPart("quadratic", np.array([[1.0]]))))
+            smooth=SmoothPart("least_squares", [[1.0]], [0.0])))
         for _ in range(2))
     return Problem(blocks=blocks, q=np.zeros(1))
 

@@ -149,7 +149,7 @@ class TestProxJadmm:
         params = BaselineParams(beta=2.0, gamma_damp=1.0)
         weights = default_prox_weights(problem, params)
         K = problem.num_blocks
-        from augdecomp.inexact import spectral_norm
+        from augdecomp.coupling import spectral_norm
         for tau, blk in zip(weights, problem.blocks):
             lower = 2.0 * (K / (2.0 - 1.0) - 1.0) * spectral_norm(blk.E) ** 2
             assert tau > lower
@@ -226,6 +226,37 @@ class TestAdmm2:
         problem, _ = small_exchange
         with pytest.raises(ValueError):
             Admm2Lasso(problem, BaselineParams())
+
+    def test_rejects_couplings_other_than_x_minus_z(self, small_lasso):
+        # its z- and u-updates are written for E = (I, -I); a scaled, permuted
+        # or negated coupling would be solved as x = z
+        d = small_lasso.blocks[0].n
+        for E0, E1 in ((2.0 * np.eye(d), -2.0 * np.eye(d)),
+                       (np.eye(d)[::-1], -np.eye(d)),
+                       (ag.Coupling.identity(d, sign=-1), ag.Coupling.identity(d))):
+            blocks = tuple(BlockSpec(n=d, E=E, objective=blk.objective)
+                           for E, blk in zip((E0, E1), small_lasso.blocks))
+            with pytest.raises(ValueError, match="x - z"):
+                Admm2Lasso(Problem(blocks=blocks, q=np.zeros(d)), BaselineParams())
+
+    def test_x_update_is_the_vsadmm_block_solve(self, small_lasso):
+        # with w[0] = z - u and y[0] = 0, VSADMM's block-0 target is ADMM2's z - u
+        rng = np.random.default_rng(21)
+        d = small_lasso.blocks[0].n
+        x, z, u = (rng.standard_normal(d) for _ in range(3))
+        params = BaselineParams(beta=1.7)
+        x_admm = Admm2Lasso(small_lasso, params).step((x, z, u))[0]
+        solvers = build_penalized_solvers(small_lasso, penalty=params.beta,
+                                          prox_weights=0.0)
+        w = np.stack([z - u, rng.standard_normal(d)])
+        y = np.stack([np.zeros(d), rng.standard_normal(d)])
+        _, (x_vs, _), _ = vsadmm_step((w, (x, z), y), small_lasso, params, solvers)
+        assert np.array_equal(x_admm, x_vs)
+
+    @pytest.mark.parametrize("admm_step", [0.0, 2.0, -1.0, float("nan")])
+    def test_admm_step_outside_open_interval_rejected(self, admm_step):
+        with pytest.raises(ValueError, match="admm_step"):
+            BaselineParams(admm_step=admm_step)
 
 
 class TestSolverAgreement:

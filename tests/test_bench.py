@@ -386,6 +386,17 @@ def test_config_rejects_criteria_outside_the_schedule_kinds(tmp_path):
     assert not out.exists()
 
 
+def test_cli_rejects_admm_step_outside_open_interval(tmp_path):
+    # with admm_step 0 the iterates stall, and the x-change stop reads that
+    # as convergence
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "lasso", "solver": "admm2", "admm_step": 0,
+                               "n": 50, "d": 100, "out": str(out)}))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert not (out / "summary.json").exists()
+
+
 def test_every_solve_option_names_a_config_field():
     # main() passes every option it was given to ExperimentConfig by name
     options = set(vars(_build_parser().parse_args(["solve"]))) - {"command", "config"}

@@ -4,15 +4,16 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import augdecomp as ag
-from augdecomp.block_solvers import (BlockSolveError, CachedQuadSolver,
-                                     CompositeBlockSolver, L1ProxBlockSolver,
-                                     LbfgsBlockSolver, QuadBlockSolver,
+from augdecomp import block_solvers
+from augdecomp.block_solvers import (BlockSolveError, CompositeBlockSolver,
+                                     L1ProxBlockSolver, LbfgsBlockSolver,
+                                     QuadBlockSolver, _cholesky_solver,
                                      _coupling_hessian, _formed_hessian,
-                                     e_gram_scale, soft_threshold,
-                                     subgrad_dist_l1)
+                                     soft_threshold, subgrad_dist_l1)
+from augdecomp.coupling import e_gram_scale
 from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart
-from oracles import (GeneralQuadBlockSolver, l1_prox_block, lbfgs_minimize,
-                     quad_solve)
+from oracles import (GeneralQuadBlockSolver, identity_quad_solver, l1_prox_block,
+                     lbfgs_minimize, quad_solve)
 
 
 class TestSoftThreshold:
@@ -79,21 +80,25 @@ class TestSubgradDistL1:
             subgrad_dist_l1(np.zeros(2), np.zeros(2), -1.0)
 
 
-class TestCachedQuadSolver:
+class TestQuadFactorization:
+    """The factorizations ``QuadBlockSolver`` picks at construction: Cholesky
+    of ``A^T A + C`` for a tall ``A`` or a non-scalar ``C``, Woodbury through
+    ``A A^T + sigma I`` for a wide ``A`` and ``C = sigma I``."""
+
     def test_scalar_identity_case(self):
         # sigma = rho/2 + 1/c = 2, divisor A^T A + sigma = 3
-        solver = CachedQuadSolver(np.array([[1.0]]), np.array([0.0]), sigma=2.0)
+        solver = identity_quad_solver(np.array([[1.0]]), 2.0)
         out = quad_solve(solver, (np.array([3.0]), np.array([3.0]), np.array([3.0])),
                          rho=2.0, c=1.0)
         assert out == pytest.approx(1.0)
 
     def test_all_zero(self):
-        solver = CachedQuadSolver(np.array([[1.0]]), np.array([0.0]), sigma=2.0)
+        solver = identity_quad_solver(np.array([[1.0]]), 2.0)
         out = quad_solve(solver, (np.zeros(1), np.zeros(1), np.zeros(1)), 2.0, 1.0)
         assert out == pytest.approx(0.0)
 
     def test_sigma_mismatch_rejected(self):
-        solver = CachedQuadSolver(np.array([[1.0]]), np.array([0.0]), sigma=2.0)
+        solver = identity_quad_solver(np.array([[1.0]]), 2.0)
         with pytest.raises(ValueError):
             quad_solve(solver, (np.zeros(1), np.zeros(1), np.zeros(1)), 4.0, 1.0)
 
@@ -102,11 +107,11 @@ class TestCachedQuadSolver:
         A = rng.standard_normal((30, 50))
         b = rng.standard_normal(30)
         sigma = 1.7
-        primal = CachedQuadSolver(A, b, sigma, mode="primal")
-        dual = CachedQuadSolver(A, b, sigma, mode="woodbury")
+        primal = _cholesky_solver(_formed_hessian(A, sigma))
+        dual = identity_quad_solver(A, sigma, b)
         r = rng.standard_normal(50)
-        x_p = primal.solve_shifted(r)
-        x_w = dual.solve_shifted(r)
+        x_p = primal(r)
+        x_w = dual._solve(r)
         x_direct = np.linalg.solve(A.T @ A + sigma * np.eye(50), r)
         assert np.linalg.norm(x_w - x_p) <= 1e-9 * (1 + np.linalg.norm(x_p))
         assert np.allclose(x_w, x_direct, rtol=1e-9)
@@ -114,15 +119,22 @@ class TestCachedQuadSolver:
     def test_normal_equation_residual(self):
         rng = np.random.default_rng(4)
         A = rng.standard_normal((12, 8))
-        solver = CachedQuadSolver(A, rng.standard_normal(12), sigma=2.2)
+        solver = identity_quad_solver(A, 2.2, rng.standard_normal(12))
         r = rng.standard_normal(8)
-        x = solver.solve_shifted(r)
+        x = solver._solve(r)
         resid = np.linalg.norm((A.T @ A + 2.2 * np.eye(8)) @ x - r)
         assert resid <= 1e-10 * (1 + np.linalg.norm(r))
 
     @pytest.mark.parametrize("case", ["primal", "woodbury", "general"])
-    def test_solves_equal_cho_solve_bitwise(self, case):
+    def test_solves_equal_cho_solve_bitwise(self, case, monkeypatch):
         # each solve calls LAPACK potrs on the factor, as cho_solve does
+        factored = []
+
+        def spy(M):
+            factored.append(M.copy())
+            return _cholesky_solver(M)
+
+        monkeypatch.setattr(block_solvers, "_cholesky_solver", spy)
         rng = np.random.default_rng(17)
         A = rng.standard_normal((40, 25) if case == "primal" else (25, 40))
         d = A.shape[1]
@@ -131,12 +143,12 @@ class TestCachedQuadSolver:
             solver = QuadBlockSolver(BlockSpec(n=d, E=E, objective=FunctionDescriptor(
                 smooth=SmoothPart("least_squares", A, np.zeros(A.shape[0])))), 1.2, 0.3)
             M = _formed_hessian(A, _coupling_hessian(E, 1.2, 0.3))
-            solve = solver._solve
         else:
-            solver = CachedQuadSolver(A, None, sigma=1.7)
-            assert solver.mode == case
+            solver = identity_quad_solver(A, 1.7)
             M = (A.T @ A if case == "primal" else A @ A.T) + 1.7 * np.eye(min(A.shape))
-            solve = solver.solve_shifted
+        # the tall block factors the primal system, the wide one the dual
+        assert len(factored) == 1 and np.array_equal(factored[0], M)
+        solve = solver._solve
         chol = scipy.linalg.cho_factor(M, lower=True)
         for _ in range(50):
             r = rng.standard_normal(d)
@@ -145,6 +157,19 @@ class TestCachedQuadSolver:
             else:
                 want = scipy.linalg.cho_solve(chol, r)
             assert np.array_equal(solve(r), want)
+
+
+    def test_zero_scalar_shift_rejected(self):
+        # C = p E^T E + s I = 0 for a zero coupling and no proximal term; the
+        # wide block's Woodbury solve would divide by it
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((4, 9))
+        block = BlockSpec(n=9, E=ag.Coupling(matrix=np.zeros((3, 9))),
+                          objective=FunctionDescriptor(
+                              smooth=SmoothPart("least_squares", A, np.zeros(4))))
+        assert block.E.gram_scale == 0.0
+        with pytest.raises(ValueError, match="positive definite"):
+            QuadBlockSolver(block, 1.0, 0.0)
 
 
 class TestL1Prox:

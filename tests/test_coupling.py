@@ -5,10 +5,8 @@ import scipy.sparse as sp
 import augdecomp as ag
 from augdecomp import coupling
 from augdecomp.bench import gen_logreg_data
-from augdecomp.block_solvers import (L1ProxBlockSolver, QuadBlockSolver,
-                                     e_gram_scale)
-from augdecomp.coupling import Coupling
-from augdecomp.inexact import spectral_norm, stacked_coupling_norm
+from augdecomp.block_solvers import L1ProxBlockSolver, QuadBlockSolver
+from augdecomp.coupling import Coupling, e_gram_scale, spectral_norm, stacked_norm
 from augdecomp.model import BlockSpec, FunctionDescriptor
 
 STRUCTURED = [
@@ -90,9 +88,9 @@ def test_stacked_norm_closed_form_matches_power_iteration():
     A, labels = gen_logreg_data(40, 5, seed=4)
     problem = ag.build_logreg_consensus(ag.partition_rows(A, labels, 4), lam=0.1)
     stacked = np.hstack([np.asarray(b.E) for b in problem.blocks])
-    assert stacked_coupling_norm(problem) == pytest.approx(np.sqrt(5.0), rel=1e-15)
-    assert abs(stacked_coupling_norm(problem) - spectral_norm(stacked)) \
-        <= 1e-10 * np.sqrt(5.0)
+    norm = stacked_norm([b.E for b in problem.blocks])
+    assert norm == pytest.approx(np.sqrt(5.0), rel=1e-15)
+    assert abs(norm - spectral_norm(stacked)) <= 1e-10 * np.sqrt(5.0)
 
 
 def test_structured_problems_skip_numerical_detection(monkeypatch):

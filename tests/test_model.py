@@ -218,14 +218,14 @@ class TestValidation:
 
 
 class TestValueAndGradient:
-    @pytest.mark.parametrize("kind", ["least_squares", "quadratic", "logistic"])
+    @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
     @pytest.mark.parametrize("sparse", [False, True])
     def test_bit_identical_to_separate_calls(self, kind, sparse):
         rng = np.random.default_rng(9)
         A = rng.standard_normal((7, 4))
         if sparse:
             A = sp.csr_matrix(np.where(np.abs(A) > 0.5, A, 0.0))
-        b = np.where(rng.standard_normal(7) >= 0, 1.0, -1.0) if kind != "quadratic" else None
+        b = np.where(rng.standard_normal(7) >= 0, 1.0, -1.0)
         part = SmoothPart(kind, A, b)
         for _ in range(5):
             x = rng.standard_normal(4)
