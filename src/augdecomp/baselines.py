@@ -29,6 +29,17 @@ from .block_solvers import (QuadBlockSolver, build_penalized_solvers,
 from .model import Problem, constraint_residual, project_onto_W
 
 
+def check_baseline_params(beta: float, gamma_damp: float, admm_step: float) -> None:
+    """Raise ``ValueError`` unless ``beta`` and ``gamma_damp`` are positive and
+    ``admm_step`` lies in (0, 2); NaN fails every check."""
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    if not gamma_damp > 0:
+        raise ValueError("gamma_damp must be positive")
+    if not 0.0 < admm_step < 2.0:
+        raise ValueError("admm_step must lie in the open interval (0, 2)")
+
+
 @dataclass(frozen=True)
 class BaselineParams:
     """Penalty, damping, and proximal weights for the baseline solvers, and
@@ -41,15 +52,10 @@ class BaselineParams:
     admm_step: float = 1.618
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.gamma_damp <= 0:
-            raise ValueError("gamma_damp must be positive")
-        if not 0.0 < self.admm_step < 2.0:
-            raise ValueError("admm_step must lie in the open interval (0, 2)")
+        check_baseline_params(self.beta, self.gamma_damp, self.admm_step)
         if self.prox_weights is not None:
             pw = tuple(float(t) for t in self.prox_weights)
-            if any(t <= 0 for t in pw):
+            if not all(t > 0 for t in pw):
                 raise ValueError("prox_weights must be positive")
             object.__setattr__(self, "prox_weights", pw)
 

@@ -305,6 +305,7 @@ class ExperimentConfig:
         for name in ("n", "d", "blocks", "p", "partitions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        baselines.check_baseline_params(self.beta, self.gamma_damp, self.admm_step)
         if self.stop_mode not in _STOP_MODES:
             raise ValueError(f"unknown stop mode {self.stop_mode!r}")
         if self.stop_mode == "consensus" and (self.experiment != "logreg"

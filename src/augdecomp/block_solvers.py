@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .coupling import spectral_norm
 from .model import BlockSpec
@@ -105,14 +105,16 @@ def _cholesky_solver(M: np.ndarray):
     """Factor the symmetric positive definite ``M`` once; returns
     ``solve(r) = M^{-1} r``.
 
-    Each solve is one call of LAPACK ``potrs`` on the factor: the numbers of
-    ``scipy.linalg.cho_solve``, without its finiteness scan of the factor
-    and the right-hand side on every call.  A non-finite ``r`` gives a
+    The factor is one call of LAPACK ``potrf`` and each solve one of
+    ``potrs``: the numbers of ``scipy.linalg.cho_factor`` and ``cho_solve``,
+    without their wrappers and finiteness scans.  A non-finite ``r`` gives a
     non-finite solution, which ends an engine run as ``"non_finite"``.
+    Raises ``np.linalg.LinAlgError`` when the factorization fails.
     """
-    factor, lower = scipy.linalg.cho_factor(M, lower=True)
-    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (factor,))
-    return lambda r: potrs(factor, r, lower=lower)[0]
+    factor, info = dpotrf(M, lower=True, clean=False)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Cholesky factorization failed (potrf info {info})")
+    return lambda r: dpotrs(factor, r, lower=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -127,33 +129,66 @@ def _coupling_hessian(E, penalty: float, prox_weight: float):
         return float(penalty * alpha + prox_weight)
     M = E.toarray()
     C = penalty * (M.T @ M)
-    C[np.diag_indices_from(C)] += prox_weight
+    C.flat[::C.shape[0] + 1] += prox_weight
     return C
+
+
+def _row_scaled(A, h):
+    """``diag(sqrt h) A`` (``A`` itself without ``h``); a sparse ``A`` stays
+    sparse."""
+    if h is None:
+        return A
+    root = np.sqrt(h)
+    return sp.diags(root) @ A if sp.issparse(A) else A * root[:, None]
+
+
+def _dense(M) -> np.ndarray:
+    return M.toarray() if sp.issparse(M) else M
 
 
 def _formed_hessian(A, C, h=None) -> np.ndarray:
     """``A^T diag(h) A + C`` (``A^T A + C`` without ``h``) as a new dense
     array; a sparse ``A`` is never densified."""
-    if h is not None:
-        root = np.sqrt(h)
-        A = sp.diags(root) @ A if sp.issparse(A) else A * root[:, None]
-    H = A.T @ A
-    H = H.toarray() if sp.issparse(H) else H
+    B = _row_scaled(A, h)
+    H = _dense(B.T @ B)
     if isinstance(C, float):
-        H[np.diag_indices_from(H)] += C
+        H.flat[::H.shape[0] + 1] += C
     else:
         H += C
     return H
+
+
+def _hessian_solver(A, C, h=None):
+    """``solve(r) = (A^T diag(h) A + C)^{-1} r`` from one factorization
+    (``h = None`` means all ones).
+
+    When ``C`` is a positive scalar ``sigma`` and ``A`` has more columns than
+    rows, the smaller ``sigma I + B B^T`` with ``B = diag(sqrt h) A`` is
+    factored and the Woodbury identity gives ``(r - B^T inner(B r)) / sigma``;
+    scaling by ``sqrt h`` needs no ``diag(h)^{-1}``, so curvature that
+    underflows to 0 is harmless.  Otherwise ``A^T diag(h) A + C`` is formed
+    and factored.  A sparse ``A`` stays sparse; only the factored matrix is
+    dense.  Raises ``np.linalg.LinAlgError`` when that matrix is not
+    positive definite.
+    """
+    rows, cols = A.shape
+    if not (isinstance(C, float) and C > 0 and cols > rows):
+        return _cholesky_solver(_formed_hessian(A, C, h))
+    B = _row_scaled(A, h)
+    G = _dense(B @ B.T)
+    G.flat[::rows + 1] += C
+    inner = _cholesky_solver(G)
+    return lambda r: (r - B.T @ inner(B @ r)) / C
 
 
 class QuadBlockSolver:
     """Closed-form solver for least-squares blocks, under any coupling.
 
     Solves ``(A^T A + C) x = A^T b + p E^T t + s z`` with ``C = p E^T E + s I``,
-    factored once, at construction: when ``C`` is a scalar ``sigma`` and ``A``
-    has more columns than rows, the smaller ``A A^T + sigma I`` is factored
-    and the Woodbury identity recovers the solve; otherwise ``A^T A + C`` is.
-    A sparse ``A`` stays sparse; only the factored matrix is dense.
+    factored once, at construction, by ``_hessian_solver``: when ``C`` is a
+    scalar ``sigma`` and ``A`` has more columns than rows, the smaller
+    ``A A^T + sigma I`` is factored and the Woodbury identity recovers the
+    solve; otherwise ``A^T A + C`` is.
     """
 
     exact = True
@@ -170,17 +205,12 @@ class QuadBlockSolver:
         self.prox_weight = float(prox_weight)
         self.atb = A.T @ fd.smooth.b
         C = _coupling_hessian(block.E, penalty, prox_weight)
-        scalar = isinstance(C, float)
-        if scalar and not C > 0:
+        if isinstance(C, float) and not C > 0:
             raise ValueError("p E^T E + s I must be positive definite")
-        rows, cols = A.shape
-        if scalar and cols > rows:
-            G = A @ A.T
-            G = G.toarray() if sp.issparse(G) else G
-            inner = _cholesky_solver(G + C * np.eye(rows))
-            self._solve = lambda r: (r - A.T @ inner(A @ r)) / C
-        else:
-            self._solve = _cholesky_solver(_formed_hessian(A, C))
+        # the factorization does not scan its input: check the data once here
+        if not (np.isfinite(self.atb).all() and np.isfinite(C).all()):
+            raise ValueError("least-squares data and p E^T E + s I must be finite")
+        self._solve = _hessian_solver(A, C)
 
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
         rhs = self.atb + self.penalty * self.E.apply_T(t)
@@ -257,9 +287,16 @@ class LbfgsBlockSolver:
     recomputed gradient can be expected to show, and the exact solve is
     cheaper than finding out.
 
-    A Newton step forms ``H`` at the current point (``8 d^2`` bytes; a
-    sparse ``A`` is multiplied sparse and only the d-by-d product is
-    densified) and takes the direction from one Cholesky solve.  The step
+    A Newton step costs one loss evaluation, one factorization and one
+    solve.  ``_hessian_solver`` factors ``H`` at the current point (``8 d^2``
+    bytes) on a block with at least as many rows as columns, and the
+    rows-by-rows Woodbury matrix ``sigma I + B B^T``, ``B = diag(sqrt h) A``,
+    on a wider one with ``C = sigma I``; a sparse ``A`` is multiplied sparse
+    and only the factored matrix is dense.  The loss's value, gradient and
+    curvature at the last point evaluated are kept, so a solve that starts
+    where the previous one stopped does not evaluate the loss there again;
+    the coupling and proximal terms are recomputed for the new ``t`` and
+    ``z``.  The step
     length is found by Armijo backtracking from 1; once objective
     differences are at the rounding level of ``f``, a step that lowers the
     gradient norm is accepted too, so the iteration keeps progressing on
@@ -285,6 +322,7 @@ class LbfgsBlockSolver:
         self.exact_tol = float(exact_tol)
         self._coupling = _coupling_hessian(block.E, self.penalty, self.prox_weight)
         self._fallback = None
+        self._memo = None  # (x, (value, gradient, curvature) of the loss at x)
         if fd.smooth.kind == "least_squares":
             self._fallback = QuadBlockSolver(block, penalty, prox_weight)
 
@@ -296,13 +334,15 @@ class LbfgsBlockSolver:
     def _fun_grad(self, t, z, curvature=False):
         """``x -> (phi(x), grad phi(x))``; with ``curvature`` the loss
         curvature ``h`` at ``x`` comes third."""
-        smooth = self.block.objective.smooth
         E = self.block.E
         p, s = self.penalty, self.prox_weight
 
+        evaluate = self._smooth_with_curvature if curvature \
+            else self.block.objective.smooth.value_and_gradient
+
         def fun_grad(x):
             r = E.apply(x) - t
-            val, grad, *h = smooth.value_and_gradient(x, curvature)
+            val, grad, *h = evaluate(x)
             val += 0.5 * p * float(r @ r)
             grad = grad + p * E.apply_T(r)
             if s > 0:
@@ -312,6 +352,16 @@ class LbfgsBlockSolver:
             return (val, grad, *h)
 
         return fun_grad
+
+    def _smooth_with_curvature(self, x):
+        """The loss's ``(value, gradient, h)`` at ``x``.  The last evaluation
+        is kept: a solve starts at the point the previous one returned, where
+        the loss has just been evaluated."""
+        if self._memo is not None and np.array_equal(x, self._memo[0]):
+            return self._memo[1]
+        out = self.block.objective.smooth.value_and_gradient(x, curvature=True)
+        self._memo = (np.array(x, dtype=float), out)
+        return out
 
     def _hessian(self, h=None) -> np.ndarray:
         """``A^T diag(h) A + C`` (``A^T A + C`` without ``h``), new and dense."""
@@ -395,11 +445,11 @@ class LbfgsBlockSolver:
             if steps == _NEWTON_STEPS or stalled == _STALL_STEPS:
                 return best + (steps,)
             try:
-                chol = scipy.linalg.cho_factor(self._hessian(h), lower=True,
-                                               check_finite=False)
+                solve = _hessian_solver(self.block.objective.smooth.A,
+                                        self._coupling, h)
             except np.linalg.LinAlgError:
                 return best + (steps,)
-            direction = -scipy.linalg.cho_solve(chol, g, check_finite=False)
+            direction = -solve(g)
             slope = float(g @ direction)
             f_noise = _F_NOISE * (abs(f) + 1.0)
             step = 1.0

@@ -90,8 +90,7 @@ class Coupling:
     ``M @ x`` and ``M.T @ r`` with the CSR form of the represented matrix
     ``M``: exact zero terms add nothing, a negation rounds like the value it
     negates, and a sum of copies accumulates in row-block order.
-    ``__array__``/``toarray`` give ``M`` as a dense array, so code that reads
-    ``E`` as an array keeps working.
+    ``toarray`` gives ``M`` as a dense array.
     """
 
     def __init__(self, *, matrix=None, n: int = 0, blocks: int = 1, rows=(0,),
@@ -176,23 +175,11 @@ class Coupling:
             out[i * self.n:(i + 1) * self.n] = self.sign * np.eye(self.n)
         return out
 
-    def __array__(self, dtype=None, copy=None):
-        a = self.toarray()
-        return a if dtype is None else a.astype(dtype, copy=False)
-
-    def __matmul__(self, other):
-        """``E @ v`` for a vector (via ``apply``), the dense product otherwise."""
-        if np.ndim(other) == 1:
-            return self.apply(other)
-        return self.toarray() @ other
-
-    @property
-    def T(self) -> np.ndarray:
-        """Dense transpose, for reading; products should use ``apply_T``."""
-        return self.toarray().T
-
-    def __getitem__(self, key):
-        return self.toarray()[key]
+    def __matmul__(self, x):
+        """``E @ x`` for a vector, via ``apply``."""
+        if np.ndim(x) != 1:
+            raise TypeError("a Coupling multiplies vectors; use toarray() for the matrix")
+        return self.apply(x)
 
     def __repr__(self):
         if self._matrix is not None:

@@ -66,11 +66,14 @@ class SmoothPart:
         # log(1 + exp(-b*u)) evaluated stably for large |u|
         return float(np.logaddexp(0.0, -self.b * u).sum())
 
-    def _gradient_at(self, u: np.ndarray) -> np.ndarray:
+    def _gradient_at(self, u: np.ndarray, sig=None) -> np.ndarray:
+        """Gradient at ``u = A x``; a logistic loss may pass its sigmoid
+        ``sig = expit(-b u)`` when already computed."""
         if self.kind == "least_squares":
             return self.A.T @ (u - self.b)
-        s = -self.b * expit(-self.b * u)
-        return self.A.T @ s
+        if sig is None:
+            sig = expit(-self.b * u)
+        return self.A.T @ (-self.b * sig)
 
     def value(self, x: np.ndarray) -> float:
         return self._value_at(self.A @ x)
@@ -78,22 +81,20 @@ class SmoothPart:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self._gradient_at(self.A @ x)
 
-    def _curvature_at(self, u: np.ndarray) -> np.ndarray:
-        if self.kind != "logistic":
-            return np.ones_like(u)
-        s = expit(-self.b * u)
-        return s * (1.0 - s)
-
     def value_and_gradient(self, x: np.ndarray, curvature: bool = False):
         """``(value(x), gradient(x))`` from a single product ``A @ x``.
 
         With ``curvature`` a third entry holds the weights ``h = g''(A x)``,
-        so that the Hessian of the loss is ``A^T diag(h) A``.
+        so that the Hessian of the loss is ``A^T diag(h) A``; a logistic loss
+        computes its sigmoid once for the gradient and ``h``.
         """
         u = self.A @ x
-        if curvature:
-            return self._value_at(u), self._gradient_at(u), self._curvature_at(u)
-        return self._value_at(u), self._gradient_at(u)
+        if not curvature:
+            return self._value_at(u), self._gradient_at(u)
+        if self.kind != "logistic":
+            return self._value_at(u), self._gradient_at(u), np.ones_like(u)
+        sig = expit(-self.b * u)
+        return self._value_at(u), self._gradient_at(u, sig), sig * (1.0 - sig)
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ class BlockSpec:
     ``Coupling.copies`` for stacked copies of the identity) or a dense or
     sparse matrix, which is wrapped as a general ``"matrix"`` coupling.  The
     engines use ``E.apply``/``E.apply_T`` and the closed-form solvers
-    ``E.gram_scale``; ``np.asarray(E)`` gives the matrix.  The block ranges
+    ``E.gram_scale``; ``E.toarray()`` gives the matrix.  The block ranges
     over the whole space ``R^n``.
     """
 

@@ -42,7 +42,7 @@ class TestPhiValue:
         x = [rng.standard_normal(4) for _ in range(3)]
         w = np.array([problem.blocks[k].E @ x[k] for k in range(3)])
         w -= w.mean(axis=0)  # keep the state valid; adjust x to match w
-        x = [np.linalg.solve(problem.blocks[k].E, w[k]) for k in range(3)]
+        x = [np.linalg.solve(problem.blocks[k].E.toarray(), w[k]) for k in range(3)]
         state = IterateState(w=w, x=tuple(x), eta=np.zeros((3, 4)),
                              zeta_bar=np.zeros(4), y=np.zeros((3, 4)))
         for k in range(3):

@@ -151,7 +151,7 @@ class TestProxJadmm:
         K = problem.num_blocks
         from augdecomp.coupling import spectral_norm
         for tau, blk in zip(weights, problem.blocks):
-            lower = 2.0 * (K / (2.0 - 1.0) - 1.0) * spectral_norm(blk.E) ** 2
+            lower = 2.0 * (K / (2.0 - 1.0) - 1.0) * spectral_norm(blk.E.toarray()) ** 2
             assert tau > lower
 
     def test_residual_tail_nonincreasing(self, small_lasso):

@@ -64,8 +64,8 @@ class TestGenLasso:
     def test_block_structure(self):
         problem, _ = gen_lasso(10, 15, seed=2)
         assert problem.num_blocks == 2
-        assert np.array_equal(problem.blocks[0].E, np.eye(15))
-        assert np.array_equal(problem.blocks[1].E, -np.eye(15))
+        assert np.array_equal(problem.blocks[0].E.toarray(), np.eye(15))
+        assert np.array_equal(problem.blocks[1].E.toarray(), -np.eye(15))
         assert np.all(problem.q == 0)
 
 
@@ -395,6 +395,23 @@ def test_cli_rejects_admm_step_outside_open_interval(tmp_path):
                                "n": 50, "d": 100, "out": str(out)}))
     assert main(["solve", "--config", str(cfg)]) == 1
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("name, value", [("beta", 0.0), ("beta", float("nan")),
+                                         ("gamma_damp", -1.0), ("gamma_damp", float("nan")),
+                                         ("admm_step", 2.0), ("admm_step", float("nan"))])
+def test_config_rejects_bad_baseline_params_before_any_work(tmp_path, name, value):
+    # the config and BaselineParams share one check, and NaN fails it
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig(solver="vsadmm", **{name: value})
+    with pytest.raises(ValueError, match=name):
+        ag.BaselineParams(**{name: value})
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "lasso", "solver": "admm2", name: value,
+                               "n": 50, "d": 100, "out": str(out)}))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert not out.exists()
 
 
 def test_every_solve_option_names_a_config_field():

@@ -9,7 +9,8 @@ from augdecomp.block_solvers import (BlockSolveError, CompositeBlockSolver,
                                      L1ProxBlockSolver, LbfgsBlockSolver,
                                      QuadBlockSolver, _cholesky_solver,
                                      _coupling_hessian, _formed_hessian,
-                                     soft_threshold, subgrad_dist_l1)
+                                     _hessian_solver, soft_threshold,
+                                     subgrad_dist_l1)
 from augdecomp.coupling import e_gram_scale
 from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart
 from oracles import (GeneralQuadBlockSolver, identity_quad_solver, l1_prox_block,
@@ -170,6 +171,17 @@ class TestQuadFactorization:
         assert block.E.gram_scale == 0.0
         with pytest.raises(ValueError, match="positive definite"):
             QuadBlockSolver(block, 1.0, 0.0)
+
+
+    def test_non_finite_data_rejected(self):
+        # the factorization does not scan its input; the constructor does
+        A = np.ones((6, 3))
+        A[2, 1] = np.nan
+        for a, b in ((A, np.zeros(6)), (np.ones((6, 3)), np.full(6, np.inf))):
+            block = BlockSpec(n=3, E=np.eye(3), objective=FunctionDescriptor(
+                smooth=SmoothPart("least_squares", a, b)))
+            with pytest.raises(ValueError, match="finite"):
+                QuadBlockSolver(block, 1.0, 0.5)
 
 
 class TestL1Prox:
@@ -368,6 +380,107 @@ class TestLogisticNewton:
                          accept=lambda x, bound: bound <= 0.0)
 
 
+class TestNewtonFactorRule:
+    """``_hessian_solver`` on the Newton path: Woodbury through
+    ``sigma I + B B^T``, ``B = diag(sqrt h) A``, on wide blocks, the formed
+    ``A^T diag(h) A + C`` on tall ones; and the loss memo at the warm start."""
+
+    @staticmethod
+    def _consensus_block(rows, cols, seed, sparse=False):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((rows, cols)) * (rng.random((rows, cols)) < 0.6)
+        A[:rows // 4] *= 1e3  # |A x| far beyond expit's range on these rows
+        labels = np.where(rng.standard_normal(rows) >= 0.0, 1.0, -1.0)
+        E = ag.Coupling.copies(cols, 3, rows=(1,))
+        data = sp.csr_matrix(A) if sparse else A
+        return BlockSpec(n=cols, E=E, objective=FunctionDescriptor(
+            smooth=SmoothPart("logistic", data, labels))), rng
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_wide_block_direction_matches_formed_hessian(self, sparse, monkeypatch):
+        factored = []
+
+        def spy(M):
+            factored.append(M.shape)
+            return _cholesky_solver(M)
+
+        monkeypatch.setattr(block_solvers, "_cholesky_solver", spy)
+        block, rng = self._consensus_block(24, 90, seed=31, sparse=sparse)
+        solver = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1)
+        A, C = block.objective.smooth.A, solver._coupling
+        assert isinstance(C, float)
+        t, z = rng.standard_normal(3 * 90), rng.standard_normal(90)
+        _, g, h = solver._fun_grad(t, z, curvature=True)(rng.standard_normal(90))
+        assert np.count_nonzero(h == 0.0) >= 3  # curvature underflowed to 0
+        direction = _hessian_solver(A, C, h)(g)
+        assert factored == [(24, 24)]
+        formed = _cholesky_solver(_formed_hessian(A, C, h))(g)
+        assert np.linalg.norm(direction - formed) <= 1e-12 * np.linalg.norm(formed)
+
+    def test_tall_block_factors_the_formed_hessian(self, monkeypatch):
+        factored = []
+
+        def spy(M):
+            factored.append(M.shape)
+            return _cholesky_solver(M)
+
+        monkeypatch.setattr(block_solvers, "_cholesky_solver", spy)
+        block, rng = self._consensus_block(60, 8, seed=32)
+        solver = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1)
+        A, C = block.objective.smooth.A, solver._coupling
+        t, z = rng.standard_normal(3 * 8), rng.standard_normal(8)
+        _, g, h = solver._fun_grad(t, z, curvature=True)(rng.standard_normal(8))
+        direction = _hessian_solver(A, C, h)(g)
+        assert factored == [(8, 8)]
+        H = _formed_hessian(A, C, h)
+        assert np.array_equal(direction, _cholesky_solver(H)(g))
+        # the numbers of the cho_factor/cho_solve pair it replaces
+        chol = scipy.linalg.cho_factor(H, lower=True)
+        assert np.array_equal(direction, scipy.linalg.cho_solve(chol, g))
+
+    @pytest.mark.parametrize("shape", [(60, 8), (12, 40)], ids=["tall", "wide"])
+    def test_reused_solver_matches_fresh_solvers(self, shape):
+        # the memo serves the warm start of every solve after the first; a
+        # fresh solver evaluates it, and the certificates agree bit for bit
+        block, rng = self._consensus_block(*shape, seed=33)
+        n = shape[1]
+        reused = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1)
+        z = np.zeros(n)
+        for k in range(6):
+            t = rng.standard_normal(3 * n)
+            rule = lambda x, bound, k=k: bound <= 10.0 ** -(k + 2)
+            got = reused.solve(t, z, accept=rule)
+            want = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1).solve(
+                t, z, accept=rule)
+            assert np.array_equal(got.x, want.x)
+            assert (got.subgrad_bound, got.inner_iters) == (want.subgrad_bound,
+                                                            want.inner_iters)
+            z = got.x
+
+    def test_memo_serves_only_an_equal_warm_start(self, monkeypatch):
+        evaluated = []
+        original = SmoothPart.value_and_gradient
+
+        def spy(part, x, curvature=False):
+            evaluated.append(np.array(x))
+            return original(part, x, curvature)
+
+        monkeypatch.setattr(SmoothPart, "value_and_gradient", spy)
+        block, rng = self._consensus_block(40, 6, seed=34)
+        solver = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1)
+        x = solver.solve(rng.standard_normal(18), rng.standard_normal(6)).x
+        assert np.array_equal(evaluated[-1], x)  # the memo holds the returned point
+        evaluated.clear()
+        x_next = solver.solve(rng.standard_normal(18), x).x
+        assert len(evaluated) > 0 and not any(np.array_equal(v, x) for v in evaluated)
+        assert np.array_equal(evaluated[-1], x_next)
+        z = x_next.copy()
+        z[3] = np.nextafter(z[3], np.inf)
+        evaluated.clear()
+        solver.solve(rng.standard_normal(18), z)
+        assert np.array_equal(evaluated[0], z)
+
+
 def logistic_phi_gradient_fd_check(block, t, z, penalty, prox_weight, rng):
     solver = LbfgsBlockSolver(block, penalty, prox_weight)
     fun_grad = solver._fun_grad(t, z)
@@ -407,7 +520,7 @@ class TestBlockSolverObjects:
         t = rng.standard_normal(5)
         z = rng.standard_normal(5)
         cert = solver.solve(t, z)
-        grad = A.T @ (A @ cert.x - b) + 1.5 * (block.E.T @ (block.E @ cert.x - t)) \
+        grad = A.T @ (A @ cert.x - b) + 1.5 * block.E.apply_T(block.E.apply(cert.x) - t) \
             + 0.4 * (cert.x - z)
         assert np.linalg.norm(grad) <= 1e-9 * (1 + np.linalg.norm(cert.x))
         assert cert.subgrad_bound == 0.0

@@ -28,7 +28,7 @@ def _scaled_normals(rng, size):
 class TestStructuredKinds:
     def test_products_match_dense_and_csr(self, E):
         rng = np.random.default_rng(0)
-        M = np.asarray(E)
+        M = E.toarray()
         assert M.shape == E.shape
         for _ in range(20):
             x = _scaled_normals(rng, E.shape[1])
@@ -39,7 +39,7 @@ class TestStructuredKinds:
             assert np.array_equal(E.apply_T(r), sp.csr_matrix(M).T @ r)
 
     def test_gram_scale_and_norm_closed_forms(self, E):
-        M = np.asarray(E)
+        M = E.toarray()
         assert E.gram_scale == e_gram_scale(M)
         assert abs(E.norm - spectral_norm(M)) <= 1e-10 * spectral_norm(M)
 
@@ -54,6 +54,15 @@ def test_kinds_and_validation():
                 dict(n=3, sign=2)):
         with pytest.raises(ValueError):
             Coupling(**bad)
+
+
+def test_matmul_takes_vectors_only():
+    # no array shims: a matrix operand is refused, the matrix is toarray()
+    E = Coupling.copies(3, 2, rows=(1,), sign=-1)
+    x = np.arange(3.0)
+    assert np.array_equal(E @ x, E.apply(x))
+    with pytest.raises(TypeError, match="toarray"):
+        E @ np.eye(3)
 
 
 def test_general_matrix_keeps_its_products():
@@ -87,7 +96,7 @@ def test_generators_emit_structured_kinds():
 def test_stacked_norm_closed_form_matches_power_iteration():
     A, labels = gen_logreg_data(40, 5, seed=4)
     problem = ag.build_logreg_consensus(ag.partition_rows(A, labels, 4), lam=0.1)
-    stacked = np.hstack([np.asarray(b.E) for b in problem.blocks])
+    stacked = np.hstack([b.E.toarray() for b in problem.blocks])
     norm = stacked_norm([b.E for b in problem.blocks])
     assert norm == pytest.approx(np.sqrt(5.0), rel=1e-15)
     assert abs(norm - spectral_norm(stacked)) <= 1e-10 * np.sqrt(5.0)
@@ -112,7 +121,7 @@ def test_structured_problems_skip_numerical_detection(monkeypatch):
 
 def test_user_dense_identity_gets_closed_form_solvers():
     structured, _ = ag.gen_lasso(6, 4, seed=0)
-    dense = ag.Problem(blocks=tuple(BlockSpec(n=4, E=np.asarray(b.E), objective=b.objective)
+    dense = ag.Problem(blocks=tuple(BlockSpec(n=4, E=b.E.toarray(), objective=b.objective)
                                     for b in structured.blocks), q=structured.q)
     assert [b.E.kind for b in dense.blocks] == ["matrix", "matrix"]
     params = ag.SolverParams(rho=2.0, c=1.0)

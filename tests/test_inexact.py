@@ -133,7 +133,7 @@ class TestInexactBlockSolve:
         blk = problem.blocks[0]
         t = state.w[0] - (2.0 / params.rho) * state.y[0]
         g = blk.objective.smooth_gradient(cert.x) \
-            + 0.5 * params.rho * (blk.E.T @ (blk.E @ cert.x - t)) \
+            + 0.5 * params.rho * blk.E.apply_T(blk.E.apply(cert.x) - t) \
             + (cert.x - state.x[0]) / params.c
         if cert.subgrad_bound > 0:
             assert np.linalg.norm(g) == pytest.approx(cert.subgrad_bound, rel=1e-12)
@@ -325,7 +325,7 @@ class TestHonestCertificates:
                     return cert
                 blk, x = self.blk, cert.x
                 g = blk.objective.smooth_gradient(x) \
-                    + self.inner.penalty * (blk.E.T @ (blk.E @ x - t)) \
+                    + self.inner.penalty * blk.E.apply_T(blk.E.apply(x) - t) \
                     + self.inner.prox_weight * (x - z)
                 gnorm = float(np.linalg.norm(g))
                 checked.append(gnorm)

@@ -146,7 +146,7 @@ class TestResidualAndObjective:
         expected = -q.copy()
         for blk, xk in zip(problem.blocks, x):
             for i in range(4):
-                expected[i] += float(blk.E[i] @ xk)
+                expected[i] += float(blk.E.toarray()[i] @ xk)
         assert np.allclose(ag.constraint_residual(x, problem), expected)
 
     def test_objective_least_squares_at_solution(self):
