@@ -28,7 +28,7 @@ import numpy as np
 
 from .block_solvers import BlockSolveError
 from .model import (IterateState, Problem, SolverParams, make_initial_state,
-                    objective, state_g_dist_sq)
+                    objective, state_g_dist_sq, vnorm)
 
 STOP_MODES = ("x_change", "feasibility", "max_iters")
 
@@ -117,21 +117,23 @@ def _block_targets(state: IterateState, problem: Problem, rho: float) -> list:
 
 
 def step_metrics(nu: int, problem: Problem, x_prev: Sequence, x_new: Sequence,
-                 resid: np.ndarray, **extra) -> StepMetrics:
+                 resid: np.ndarray, values=None, **extra) -> StepMetrics:
     """``StepMetrics`` of the step ``x_prev -> x_new``, for every engine.
 
-    ``resid = sum_k E_k x_k - q`` at ``x_new``; ``extra`` holds the other
-    fields (``delta_g_norm_sq`` and ``per_block_cert`` at least).
+    ``resid = sum_k E_k x_k - q`` at ``x_new``; ``values`` optionally gives
+    ``f_k(x_k)`` where a block solver evaluated it (see ``objective``);
+    ``extra`` holds the other fields (``delta_g_norm_sq`` and
+    ``per_block_cert`` at least).
     """
-    resid_norm = float(np.linalg.norm(resid))
+    resid_norm = vnorm(resid)
     x_prev_stacked = np.concatenate(x_prev)
-    dx = float(np.linalg.norm(np.concatenate(x_new) - x_prev_stacked))
+    dx = vnorm(np.concatenate(x_new) - x_prev_stacked)
     return StepMetrics(
         iter=nu,
-        objective=objective(x_new, problem),
+        objective=objective(x_new, problem, values),
         constraint_residual_norm=resid_norm,
-        x_rel_change=dx / max(1.0, float(np.linalg.norm(x_prev_stacked))),
-        feas_rel=resid_norm / max(1.0, float(np.linalg.norm(problem.q))),
+        x_rel_change=dx / max(1.0, vnorm(x_prev_stacked)),
+        feas_rel=resid_norm / max(1.0, vnorm(problem.q)),
         **extra,
     )
 
@@ -152,6 +154,7 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
 
     new_x = []
     certs = []
+    values = []  # f_k(x_k) where the solver evaluated it, else None
     inner_total = 0
     fallbacks = 0
     for k in range(K):
@@ -162,6 +165,7 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
             raise BlockSolveError(f"block {k}: {err}") from err
         new_x.append(np.asarray(cert.x, dtype=float))
         certs.append(cert.subgrad_bound)
+        values.append(cert.value)
         inner_total += cert.inner_iters
         fallbacks += cert.exact_fallback
 
@@ -187,11 +191,11 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
     for ex in Ex:
         resid += ex
     metrics = step_metrics(
-        nu, problem, state.x, new_x, resid,
+        nu, problem, state.x, new_x, resid, values=values,
         delta_g_norm_sq=state_g_dist_sq(state, new_state, rho, c),
         per_block_cert=tuple(certs),
         inner_iters_total=inner_total,
-        w_drift=float(np.linalg.norm(drift)) * np.sqrt(K),
+        w_drift=vnorm(drift) * np.sqrt(K),
         fallbacks=fallbacks,
     )
     return new_state, metrics

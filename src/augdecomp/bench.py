@@ -306,6 +306,7 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         baselines.check_baseline_params(self.beta, self.gamma_damp, self.admm_step)
+        _solver_params(self)  # rho, c, max_iters and stop_eps
         if self.stop_mode not in _STOP_MODES:
             raise ValueError(f"unknown stop mode {self.stop_mode!r}")
         if self.stop_mode == "consensus" and (self.experiment != "logreg"

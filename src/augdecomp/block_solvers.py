@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .coupling import spectral_norm
-from .model import BlockSpec
+from .model import BlockSpec, vnorm
 
 # Conjugate-gradient floor stop (``LbfgsBlockSolver``): the floor is tested
 # once ||r|| <= _FLOOR_TRIGGER * lam_min * ||x - z||, and the attainable
@@ -61,13 +61,16 @@ class BlockSolveCertificate:
     ``subgrad_bound`` is an upper bound on ``dist(0, d phi(x))`` for the
     subproblem objective phi at ``x``; exact (closed-form) solves report 0.
     ``exact_fallback`` marks an iterative solver that gave up on its
-    threshold and returned the exact factorized solve instead.
+    threshold and returned the exact factorized solve instead.  ``value`` is
+    the block objective ``f_k(x)`` when the solver evaluated it at ``x`` (the
+    engine then sums it into the trace's objective), otherwise None.
     """
 
     x: np.ndarray
     subgrad_bound: float
     inner_iters: int = 0
     exact_fallback: bool = False
+    value: float | None = None
 
     def __post_init__(self):
         if self.subgrad_bound < 0:
@@ -98,7 +101,7 @@ def subgrad_dist_l1(x: np.ndarray, smooth_grad_at_x: np.ndarray, lambda1: float)
     r = np.where(x != 0.0,
                  g + lambda1 * np.sign(x),
                  np.sign(g) * np.maximum(np.abs(g) - lambda1, 0.0))
-    return float(np.linalg.norm(r))
+    return vnorm(r)
 
 
 def _cholesky_solver(M: np.ndarray):
@@ -271,8 +274,14 @@ class LbfgsBlockSolver:
     gradient is recomputed at the point and its norm must pass too; the
     first time it does not, the residual is replaced by it and the iteration
     continues.  Each step multiplies by ``H``, formed once on the first
-    solve.  Three events return the exact factorized minimizer with
-    certificate 0 and ``exact_fallback=True``:
+    solve, into a preallocated vector; ``(e, r)`` and ``(d, H d)`` are the
+    rows of two arrays, so one update moves both, and every reduction is an
+    ``ndarray.dot``: about eight calls into numpy per step, of which the
+    product with ``H`` is the only one that grows with the block.  The
+    point ``x = z + e`` is formed, and the rule asked, only once ``||r||``
+    is at most the rule's ``limit`` (see ``solve``).  Three events return
+    the exact factorized minimizer with certificate 0 and
+    ``exact_fallback=True``:
 
     * the floor stop: once the residual is small enough to fix ``||e||`` to
       within 10% (``||r|| <= 0.1 lam_min ||e||``), the rule is asked once
@@ -296,7 +305,9 @@ class LbfgsBlockSolver:
     curvature at the last point evaluated are kept, so a solve that starts
     where the previous one stopped does not evaluate the loss there again;
     the coupling and proximal terms are recomputed for the new ``t`` and
-    ``z``.  The step
+    ``z``.  (Conjugate gradients keep the loss's value and gradient the same
+    way, and a certificate carries the loss when the returned point is the
+    last one evaluated.)  The step
     length is found by Armijo backtracking from 1; once objective
     differences are at the rounding level of ``f``, a step that lowers the
     gradient norm is accepted too, so the iteration keeps progressing on
@@ -322,7 +333,8 @@ class LbfgsBlockSolver:
         self.exact_tol = float(exact_tol)
         self._coupling = _coupling_hessian(block.E, self.penalty, self.prox_weight)
         self._fallback = None
-        self._memo = None  # (x, (value, gradient, curvature) of the loss at x)
+        # ((curvature, bytes of x), loss's (value, gradient[, curvature]) at x)
+        self._memo = None
         if fd.smooth.kind == "least_squares":
             self._fallback = QuadBlockSolver(block, penalty, prox_weight)
 
@@ -337,31 +349,35 @@ class LbfgsBlockSolver:
         E = self.block.E
         p, s = self.penalty, self.prox_weight
 
-        evaluate = self._smooth_with_curvature if curvature \
-            else self.block.objective.smooth.value_and_gradient
-
         def fun_grad(x):
             r = E.apply(x) - t
-            val, grad, *h = evaluate(x)
-            val += 0.5 * p * float(r @ r)
+            val, grad, *h = self._smooth(x, curvature)
+            val += 0.5 * p * float(r.dot(r))
             grad = grad + p * E.apply_T(r)
             if s > 0:
                 dz = x - z
-                val += 0.5 * s * float(dz @ dz)
+                val += 0.5 * s * float(dz.dot(dz))
                 grad = grad + s * dz
             return (val, grad, *h)
 
         return fun_grad
 
-    def _smooth_with_curvature(self, x):
-        """The loss's ``(value, gradient, h)`` at ``x``.  The last evaluation
-        is kept: a solve starts at the point the previous one returned, where
-        the loss has just been evaluated."""
-        if self._memo is not None and np.array_equal(x, self._memo[0]):
+    def _smooth(self, x, curvature=False):
+        """The loss's ``(value, gradient)`` at ``x``, with ``h`` third under
+        ``curvature``.  The last evaluation is kept: a solve starts at the
+        point the previous one returned, where the loss has just been
+        evaluated.  The memo serves a point with the same bytes only."""
+        key = (curvature, x.tobytes())
+        if self._memo is not None and self._memo[0] == key:
             return self._memo[1]
-        out = self.block.objective.smooth.value_and_gradient(x, curvature=True)
-        self._memo = (np.array(x, dtype=float), out)
+        out = self.block.objective.smooth.value_and_gradient(x, curvature=curvature)
+        self._memo = (key, out)
         return out
+
+    def _loss_at(self, x) -> float | None:
+        """The loss's value at ``x`` when ``x`` is the last point evaluated."""
+        key, out = self._memo
+        return out[0] if key[1] == x.tobytes() else None
 
     def _hessian(self, h=None) -> np.ndarray:
         """``A^T diag(h) A + C`` (``A^T A + C`` without ``h``), new and dense."""
@@ -385,7 +401,7 @@ class LbfgsBlockSolver:
         ``x = None`` when the solve must fall back to the exact one."""
         z = np.asarray(z, dtype=float)
         _, g0 = fun_grad(z)
-        gnorm = float(np.linalg.norm(g0))
+        gnorm = vnorm(g0)
         if done(z, gnorm):
             return z.copy(), gnorm, 0
         H = self._hess
@@ -393,41 +409,47 @@ class LbfgsBlockSolver:
         lam_min = self.prox_weight if self._shift is None else self._shift
         floor_armed = lam_min > 0.0
         trigger_sq = (_FLOOR_TRIGGER * lam_min) ** 2
+        # no bound above the limit passes, so the rule need not see it
+        limit = getattr(done, "limit", math.inf)
         replaced = False
-        e = np.zeros_like(z)
-        r = g0.copy()
-        d = -r
-        rr = float(r @ r)
+        er = np.zeros((2, z.size))  # rows e = x - z and the residual r
+        e, r = er
+        r[:] = g0
+        dh = np.empty((2, z.size))  # rows d and H d
+        d, hd = dh
+        np.negative(r, out=d)
+        rr = float(r.dot(r))
         for it in range(1, self.cg_budget + 1):
-            hd = H @ d
-            dhd = float(d @ hd)
+            np.matmul(H, d, out=hd)
+            dhd = float(d.dot(hd))
             if not dhd > 0.0:  # d vanished or the products are no longer finite
                 return None, gnorm, it
             step = rr / dhd
-            e += step * d
-            r += step * hd
-            rr_new = float(r @ r)
-            x = z + e
-            if floor_armed and rr_new <= trigger_sq * float(e @ e):
+            er += step * dh
+            rr_new = float(r.dot(r))
+            if floor_armed and rr_new <= trigger_sq * float(e.dot(e)):
                 # ||x - x*|| <= ||r|| / lam_min <= 0.1 ||e||: the step is known,
                 # so ask once whether the rule accepts the rounding floor
                 floor_armed = False
-                b_norm = float(np.linalg.norm(H @ z - g0))
+                x = z + e
                 floor = _UNIT_ROUNDOFF * (
-                    self._hess_norm * float(np.linalg.norm(x)) + b_norm)
+                    self._hess_norm * vnorm(x) + vnorm(H @ z - g0))
                 if not done(x, floor):
                     return None, gnorm, it
-            if done(x, math.sqrt(rr_new)):
-                _, g = fun_grad(x)
-                gnorm = float(np.linalg.norm(g))
-                if done(x, gnorm):
-                    return x, gnorm, it
-                if replaced:
-                    return None, gnorm, it
-                # the recursive residual drifted from the gradient: replace it
-                replaced = True
-                r = g
-                rr_new = float(g @ g)
+            r_norm = math.sqrt(rr_new)
+            if r_norm <= limit:
+                x = z + e
+                if done(x, r_norm):
+                    _, g = fun_grad(x)
+                    gnorm = vnorm(g)
+                    if done(x, gnorm):
+                        return x, gnorm, it
+                    if replaced:
+                        return None, gnorm, it
+                    # the recursive residual drifted from the gradient: replace it
+                    replaced = True
+                    r[:] = g
+                    rr_new = float(g.dot(g))
             d *= rr_new / rr
             d -= r
             rr = rr_new
@@ -438,7 +460,7 @@ class LbfgsBlockSolver:
         point that passes ``done``, else of the smallest gradient seen."""
         x = np.array(z, dtype=float)
         f, g, h = fun_grad(x)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = vnorm(g)
         best = (x, gnorm)
         steps = stalled = 0
         while not done(x, gnorm):
@@ -450,13 +472,13 @@ class LbfgsBlockSolver:
             except np.linalg.LinAlgError:
                 return best + (steps,)
             direction = -solve(g)
-            slope = float(g @ direction)
+            slope = float(g.dot(direction))
             f_noise = _F_NOISE * (abs(f) + 1.0)
             step = 1.0
             for _ in range(_BACKTRACKS):
                 x_new = x + step * direction
                 f_new, g_new, h_new = fun_grad(x_new)
-                gnorm_new = float(np.linalg.norm(g_new))
+                gnorm_new = vnorm(g_new)
                 if f_new <= f + _ARMIJO * step * slope \
                         or (f_new <= f + f_noise and gnorm_new < gnorm):
                     break
@@ -473,6 +495,15 @@ class LbfgsBlockSolver:
         return x, gnorm, steps
 
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
+        """Solve from the warm start ``z`` until ``accept(x, bound)`` holds.
+
+        ``accept`` may carry a float attribute ``limit``, a promise that it
+        refuses every ``bound > limit`` whatever ``x`` is; conjugate
+        gradients then form ``x`` and call ``accept`` only once the residual
+        norm is at most ``limit``.  ``InexactSchedule.accept_rules`` sets it
+        to the criterion-A threshold.  A rule without ``limit`` is asked at
+        every step.  Without ``accept`` the solve runs to ``exact_tol``.
+        """
         done = (lambda xx, gn: gn <= self.exact_tol) if accept is None else accept
         if self._fallback is not None:
             x, gnorm, iters = self._conjugate_gradients(self._fun_grad(t, z), z, done)
@@ -480,13 +511,14 @@ class LbfgsBlockSolver:
                 cert = self._fallback.solve(t, z)
                 return BlockSolveCertificate(x=cert.x, subgrad_bound=0.0,
                                              inner_iters=iters, exact_fallback=True)
-            return BlockSolveCertificate(x=x, subgrad_bound=gnorm, inner_iters=iters)
-        x, gnorm, iters = self._newton(self._fun_grad(t, z, curvature=True), z, done)
-        if accept is not None and not accept(x, gnorm):
-            raise BlockSolveError(
-                f"Newton solve stopped after {iters} of {_NEWTON_STEPS} steps at "
-                f"gradient norm {gnorm:.3e} without meeting its threshold")
-        return BlockSolveCertificate(x=x, subgrad_bound=gnorm, inner_iters=iters)
+        else:
+            x, gnorm, iters = self._newton(self._fun_grad(t, z, curvature=True), z, done)
+            if accept is not None and not accept(x, gnorm):
+                raise BlockSolveError(
+                    f"Newton solve stopped after {iters} of {_NEWTON_STEPS} steps at "
+                    f"gradient norm {gnorm:.3e} without meeting its threshold")
+        return BlockSolveCertificate(x=x, subgrad_bound=gnorm, inner_iters=iters,
+                                     value=self._loss_at(x))
 
 
 class CompositeBlockSolver:

@@ -20,11 +20,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import ada
 from .coupling import stacked_norm
-from .model import IterateState, Problem, SolverParams
+from .model import IterateState, Problem, SolverParams, vnorm
 
 __all__ = [
     "InexactSchedule", "criterion_a_threshold", "criterion_b_threshold", "iada_run",
@@ -72,10 +70,19 @@ class InexactSchedule:
     def accept_rules(self, nu: int, state: IterateState, params: SolverParams,
                      num_blocks: int) -> list:
         """Per-block acceptance tests ``accept(x, bound)`` for outer step
-        ``nu`` (1-based) from ``state``."""
+        ``nu`` (1-based) from ``state``.
+
+        Each rule's ``limit`` attribute is the criterion-A threshold: no
+        bound above it passes either criterion, so a block solver may skip
+        the call (see ``LbfgsBlockSolver.solve``).
+        """
         base = criterion_a_threshold(nu, self, params.rho, params.c, num_blocks)
         if self.kind == "criterion_A":
-            return [lambda x, bound: bound <= base] * num_blocks
+            def rule(x, bound):
+                return bound <= base
+
+            rule.limit = base
+            return [rule] * num_blocks
         rules = []
         for k in range(num_blocks):
             x_prev = state.x[k]
@@ -84,8 +91,9 @@ class InexactSchedule:
                 # min(1, .) <= 1, so a bound above base fails without the step norm
                 if bound > base:
                     return False
-                return bound <= base * min(1.0, float(np.linalg.norm(x - x_prev)))
+                return bound <= base * min(1.0, vnorm(x - x_prev))
 
+            rule.limit = base
             rules.append(rule)
         return rules
 

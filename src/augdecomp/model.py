@@ -14,6 +14,7 @@ the weighted norm used by every convergence statement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,6 +23,12 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .coupling import Coupling
+
+
+def vnorm(v: np.ndarray) -> float:
+    """Euclidean norm of a float vector: ``np.linalg.norm(v)``'s own
+    ``sqrt(v.dot(v))``, the same bits without its wrapper."""
+    return math.sqrt(v.dot(v))
 
 
 def _as_matrix(M):
@@ -62,7 +69,7 @@ class SmoothPart:
     def _value_at(self, u: np.ndarray) -> float:
         if self.kind == "least_squares":
             r = u - self.b
-            return 0.5 * float(r @ r)
+            return 0.5 * float(r.dot(r))
         # log(1 + exp(-b*u)) evaluated stably for large |u|
         return float(np.logaddexp(0.0, -self.b * u).sum())
 
@@ -193,11 +200,12 @@ class SolverParams:
     stop_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.rho <= 0 or self.c <= 0:
+        # written so that NaN fails too
+        if not (self.rho > 0 and self.c > 0):
             raise ValueError("rho and c must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.stop_eps <= 0:
+        if not self.stop_eps > 0:
             raise ValueError("stop_eps must be positive")
 
 
@@ -219,8 +227,7 @@ class IterateState:
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(np.asarray(xk, dtype=float) for xk in self.x))
-        s = np.linalg.norm(self.w.sum(axis=0))
-        if s > 1e-12 * (1.0 + np.linalg.norm(self.w)):
+        if vnorm(self.w.sum(axis=0)) > 1e-12 * (1.0 + vnorm(self.w.ravel(order="K"))):
             raise ValueError("w components do not sum to zero")
 
     @property
@@ -297,11 +304,13 @@ def state_g_dist_sq(a: IterateState, b: IterateState, rho: float, c: float) -> f
     dw = a.w - b.w
     deta = a.eta - b.eta
     dz = a.zeta_bar - b.zeta_bar
-    dx_sq = sum(float((xa - xb) @ (xa - xb)) for xa, xb in zip(a.x, b.x))
+    dxs = [xa - xb for xa, xb in zip(a.x, b.x)]
+    dx_sq = sum(float(dx.dot(dx)) for dx in dxs)
+    # (M * M).sum() sums pairwise, which dot does not: keep it for the 2-D parts
     return (
         rho * float((dw * dw).sum())
         + dx_sq / c
-        + (float((deta * deta).sum()) + K * float(dz @ dz)) / rho
+        + (float((deta * deta).sum()) + K * float(dz.dot(dz))) / rho
     )
 
 
@@ -313,7 +322,13 @@ def constraint_residual(x: Sequence[np.ndarray], problem: Problem) -> np.ndarray
     return r
 
 
-def objective(x: Sequence[np.ndarray], problem: Problem) -> float:
-    """``sum_k f_k(x_k)``."""
-    return sum(blk.objective.value(np.asarray(xk, dtype=float))
-               for blk, xk in zip(problem.blocks, x))
+def objective(x: Sequence[np.ndarray], problem: Problem, values=None) -> float:
+    """``sum_k f_k(x_k)``.
+
+    ``values`` may give ``f_k(x_k)`` for some blocks (None for the others),
+    as a block solver evaluated it; those are summed in place, in block order.
+    """
+    if values is None:
+        values = (None,) * problem.num_blocks
+    return sum(blk.objective.value(np.asarray(xk, dtype=float)) if v is None else v
+               for blk, xk, v in zip(problem.blocks, x, values))

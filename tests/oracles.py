@@ -12,6 +12,10 @@ took them over.  It forms ``A^T A + p E^T E + s I`` from dense copies of
 ``A`` and ``E`` and is the exact reference for the certified and closed-form
 quadratic solves.
 
+``conjugate_gradients`` is the conjugate-gradient loop of
+``LbfgsBlockSolver`` before its lean kernel, kept line for line: the kernel
+must return the same bits.
+
 ``identity_quad_solver`` builds the ``QuadBlockSolver`` of the shifted
 normal system ``(A^T A + sigma I) x = r``.
 
@@ -20,13 +24,15 @@ normal system ``(A^T A + sigma I) x = r``.
 the engines' solver objects; no code in the library calls them.
 """
 
+import math
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from augdecomp.block_solvers import (BlockSolveCertificate, QuadBlockSolver,
+from augdecomp.block_solvers import (_FLOOR_TRIGGER, _UNIT_ROUNDOFF,
+                                     BlockSolveCertificate, QuadBlockSolver,
                                      soft_threshold)
 from augdecomp.coupling import Coupling
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
@@ -232,6 +238,66 @@ def lbfgs_minimize(fun_grad, x0: np.ndarray, grad_tol: float,
     if done(x, gnorm):
         return x, gnorm, used
     return best_x, best_gnorm, used
+
+
+def conjugate_gradients(self, fun_grad, z, done):
+    """Warm-started CG on ``e = x - z``; ``(x, grad_norm, steps)``, with
+    ``x = None`` when the solve must fall back to the exact one.
+
+    ``LbfgsBlockSolver._conjugate_gradients`` as it was before its kernel
+    kept ``(e, r)`` and ``(d, H d)`` in stacked arrays, reduced by
+    ``ndarray.dot`` and skipped the rule above its ``limit``; ``self`` is
+    the solver.  The body is unchanged, so the two must agree bit for bit.
+    """
+    z = np.asarray(z, dtype=float)
+    _, g0 = fun_grad(z)
+    gnorm = float(np.linalg.norm(g0))
+    if done(z, gnorm):
+        return z.copy(), gnorm, 0
+    H = self._hess
+    # H >= lam_min I; the floor stop needs it positive
+    lam_min = self.prox_weight if self._shift is None else self._shift
+    floor_armed = lam_min > 0.0
+    trigger_sq = (_FLOOR_TRIGGER * lam_min) ** 2
+    replaced = False
+    e = np.zeros_like(z)
+    r = g0.copy()
+    d = -r
+    rr = float(r @ r)
+    for it in range(1, self.cg_budget + 1):
+        hd = H @ d
+        dhd = float(d @ hd)
+        if not dhd > 0.0:  # d vanished or the products are no longer finite
+            return None, gnorm, it
+        step = rr / dhd
+        e += step * d
+        r += step * hd
+        rr_new = float(r @ r)
+        x = z + e
+        if floor_armed and rr_new <= trigger_sq * float(e @ e):
+            # ||x - x*|| <= ||r|| / lam_min <= 0.1 ||e||: the step is known,
+            # so ask once whether the rule accepts the rounding floor
+            floor_armed = False
+            b_norm = float(np.linalg.norm(H @ z - g0))
+            floor = _UNIT_ROUNDOFF * (
+                self._hess_norm * float(np.linalg.norm(x)) + b_norm)
+            if not done(x, floor):
+                return None, gnorm, it
+        if done(x, math.sqrt(rr_new)):
+            _, g = fun_grad(x)
+            gnorm = float(np.linalg.norm(g))
+            if done(x, gnorm):
+                return x, gnorm, it
+            if replaced:
+                return None, gnorm, it
+            # the recursive residual drifted from the gradient: replace it
+            replaced = True
+            r = g
+            rr_new = float(g @ g)
+        d *= rr_new / rr
+        d -= r
+        rr = rr_new
+    return None, gnorm, self.cg_budget
 
 
 def identity_quad_solver(A, sigma: float, b=None) -> QuadBlockSolver:

@@ -386,6 +386,20 @@ def test_config_rejects_criteria_outside_the_schedule_kinds(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["rho", "c", "stop_eps"])
+def test_config_rejects_nan_solver_params_before_any_work(tmp_path, name):
+    # the config builds its SolverParams at construction, so the CLI exits 1
+    # before it creates the out directory
+    with pytest.raises(ValueError, match="positive"):
+        ExperimentConfig(**{name: float("nan")})
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "exchange", name: float("nan"),
+                               "out": str(out)}))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert not out.exists()
+
+
 def test_cli_rejects_admm_step_outside_open_interval(tmp_path):
     # with admm_step 0 the iterates stall, and the x-change stop reads that
     # as convergence

@@ -12,9 +12,12 @@ from augdecomp.block_solvers import (BlockSolveError, CompositeBlockSolver,
                                      _hessian_solver, soft_threshold,
                                      subgrad_dist_l1)
 from augdecomp.coupling import e_gram_scale
-from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart
-from oracles import (GeneralQuadBlockSolver, identity_quad_solver, l1_prox_block,
-                     lbfgs_minimize, quad_solve)
+from augdecomp.inexact import InexactSchedule
+from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
+                             SmoothPart, make_initial_state)
+from oracles import (GeneralQuadBlockSolver, conjugate_gradients,
+                     identity_quad_solver, l1_prox_block, lbfgs_minimize,
+                     quad_solve)
 
 
 class TestSoftThreshold:
@@ -370,6 +373,23 @@ class TestLogisticNewton:
                 fd[:, i] = (fun_grad(x + e)[1] - fun_grad(x - e)[1]) / 2e-6
             assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max()
 
+    def test_certificate_value_is_the_loss_at_the_returned_point(self):
+        # without a rule a stalled solve returns the point of the smallest
+        # gradient norm, often not the last one evaluated: then it carries no
+        # value, rather than the loss at another point
+        carried = missing = 0
+        for seed in range(10):
+            solver = LbfgsBlockSolver(_logistic_block(np.eye(6)), penalty=1.0,
+                                      prox_weight=0.1, exact_tol=0.0)
+            rng = np.random.default_rng(seed)
+            cert = solver.solve(rng.standard_normal(6), rng.standard_normal(6))
+            if cert.value is None:
+                missing += 1
+            else:
+                assert cert.value == solver.block.objective.value(cert.x)
+                carried += 1
+        assert carried > 0 and missing > 0
+
     def test_unattainable_threshold_raises_once_stalled(self):
         # at the rounding floor full steps pass Armijo with f unchanged; the
         # stall stop ends the solve long before the 500-step budget
@@ -479,6 +499,91 @@ class TestNewtonFactorRule:
         evaluated.clear()
         solver.solve(rng.standard_normal(18), z)
         assert np.array_equal(evaluated[0], z)
+
+
+class TestLeanCGKernel:
+    """The conjugate-gradient kernel returns the bits of the loop it replaced
+    (``oracles.conjugate_gradients``): the same ``x``, gradient norm, step
+    count and fallback, under every kind of rule."""
+
+    @staticmethod
+    def _case(block=0, seed=0, prox_weight=0.1):
+        problem, _ = ag.gen_exchange(5, 100, 80, seed=1)
+        rng = np.random.default_rng(seed)
+        t, z = rng.standard_normal(100), rng.standard_normal(100)
+        # one solver per kernel, so neither sees the other's memo
+        make = lambda: LbfgsBlockSolver(problem.blocks[block], penalty=5.0,
+                                        prox_weight=prox_weight)
+        return problem, make(), make(), t, z
+
+    @staticmethod
+    def _compare(lean, old, t, z, done):
+        calls = {"lean": 0, "old": 0}
+
+        def counted(solver, key):
+            fun_grad = solver._fun_grad(t, z)
+
+            def f(x):
+                calls[key] += 1
+                return fun_grad(x)
+            return f
+
+        got = lean._conjugate_gradients(counted(lean, "lean"), z, done)
+        want = conjugate_gradients(old, counted(old, "old"), z, done)
+        assert (got[0] is None) == (want[0] is None)
+        if want[0] is not None:
+            assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+        assert calls["lean"] == calls["old"]
+        return want, calls["old"]
+
+    def test_no_rule(self):
+        _, lean, old, t, z = self._case()
+        self._compare(lean, old, t, z, lambda x, gn: gn <= lean.exact_tol)
+
+    @pytest.mark.parametrize("nu", [1, 4, 30])
+    @pytest.mark.parametrize("kind", ["criterion_A", "criterion_B"])
+    def test_schedule_rules(self, kind, nu):
+        problem, lean, old, t, z = self._case(block=2, seed=nu)
+        sched = InexactSchedule.for_problem(problem, kind, eps0=1e-5, gamma=2.0)
+        state = make_initial_state(problem)
+        rng = np.random.default_rng(nu)
+        # x_prev one small step from z: criterion B scales by ||x - x_prev|| < 1
+        x_prev = z + 1e-3 * rng.standard_normal(100)
+        state = IterateState(w=state.w, x=(np.zeros(100), np.zeros(100), x_prev,
+                                           np.zeros(100), np.zeros(100)),
+                             eta=state.eta, zeta_bar=state.zeta_bar, y=state.y)
+        params = ag.SolverParams(rho=10.0, c=10.0)
+        rule = sched.accept_rules(nu, state, params, 5)[2]
+        assert rule.limit > 0
+        (_, _, steps), _ = self._compare(lean, old, t, z, rule)
+        assert steps > 0
+
+    def test_plain_lambda_without_limit(self):
+        _, lean, old, t, z = self._case(seed=3)
+        rule = lambda x, bound: bound <= 1e-9
+        assert not hasattr(rule, "limit")
+        (x, _, _), _ = self._compare(lean, old, t, z, rule)
+        assert x is not None
+
+    def test_small_budget(self):
+        _, lean, old, t, z = self._case(seed=4)
+        lean.cg_budget = old.cg_budget = 5
+        (x, _, steps), _ = self._compare(lean, old, t, z, lambda x, b: b <= 1e-9)
+        assert x is None and steps == 5
+
+    def test_floor_stop_fallback(self):
+        _, lean, old, t, z = self._case(seed=5)
+        (x, _, steps), calls = self._compare(lean, old, t, z, lambda x, b: b <= 1e-30)
+        assert x is None and 0 < steps < lean.cg_budget and calls == 1
+
+    @pytest.mark.parametrize("block, seed, accepted", [(1, 1, True), (2, 2, False)])
+    def test_replaced_residual(self, block, seed, accepted):
+        # the recursive residual passes, the recomputed gradient does not, the
+        # residual is replaced; the second pass is accepted or refused again
+        _, lean, old, t, z = self._case(block=block, seed=seed)
+        (x, _, _), calls = self._compare(lean, old, t, z, lambda x, b: b <= 1e-12)
+        assert calls == 3 and (x is not None) == accepted
 
 
 def logistic_phi_gradient_fd_check(block, t, z, penalty, prox_weight, rng):

@@ -7,8 +7,9 @@ from augdecomp.ada import _block_targets
 from augdecomp.bench import build_logreg_consensus, gen_logreg_data, partition_rows
 from augdecomp.block_solvers import LbfgsBlockSolver
 from augdecomp.coupling import spectral_norm, stacked_norm
-from augdecomp.inexact import (InexactSchedule, criterion_a_threshold,
-                               criterion_b_threshold, iada_run)
+from augdecomp.inexact import (SCHEDULE_KINDS, InexactSchedule,
+                               criterion_a_threshold, criterion_b_threshold,
+                               iada_run)
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              Problem, SmoothPart, make_initial_state)
 
@@ -303,6 +304,38 @@ class TestCriterionBRule:
         assert agreed == 3000 and 0 < accepted < agreed
 
 
+class TestRuleLimit:
+    def test_every_rule_refuses_every_bound_above_its_limit(self):
+        # the CG kernel skips the rule while ||r|| > limit: that is sound only
+        # if no rule ever accepts such a bound, whatever x is
+        rng = np.random.default_rng(41)
+        refused = 0
+        for trial in range(300):
+            kind = SCHEDULE_KINDS[trial % 2]
+            K = int(rng.integers(2, 6))
+            sched = _schedule(kind, eps0=10 ** rng.uniform(-8, 1),
+                              gamma=rng.uniform(1.01, 3.0),
+                              e_norm=10 ** rng.uniform(-1, 2))
+            params = ag.SolverParams(rho=10 ** rng.uniform(-2, 2),
+                                     c=10 ** rng.uniform(-2, 2))
+            n = int(rng.integers(1, 8))
+            state = IterateState(w=np.zeros((K, 1)),
+                                 x=tuple(rng.standard_normal(n) for _ in range(K)),
+                                 eta=np.zeros((K, 1)), zeta_bar=np.zeros(1),
+                                 y=np.zeros((K, 1)))
+            nu = int(rng.integers(1, 10_000))
+            base = criterion_a_threshold(nu, sched, params.rho, params.c, K)
+            for k, rule in enumerate(sched.accept_rules(nu, state, params, K)):
+                assert rule.limit == base
+                assert rule(state.x[k] + 10.0, base)  # a step of norm >= 1
+                for bound in (np.nextafter(base, np.inf), base * (1 + rng.random()),
+                              base * 10 ** rng.uniform(0.01, 30), np.inf):
+                    x = state.x[k] + rng.standard_normal(n) * 10 ** rng.uniform(-6, 6)
+                    assert not rule(x, bound)
+                    refused += 1
+        assert refused > 1000
+
+
 class TestHonestCertificates:
     def test_recomputed_gradient_passes_every_accept_rule(self):
         # criterion B with eps0 small enough that thresholds reach rounding
@@ -342,6 +375,47 @@ class TestHonestCertificates:
         assert refused == []
         assert all(c.subgrad_bound == 0.0 for c in fallbacks)
         assert sum(m.fallbacks for m in trace.metrics) == len(fallbacks) > 0
+
+
+class TestObjectiveFromCertificates:
+    """The trace's objective sums the loss values that the iterative block
+    solves carry; it equals ``objective(x, problem)`` bit for bit."""
+
+    @staticmethod
+    def _check(problem, params, sched):
+        carried = []
+
+        class Spy:
+            def __init__(self, inner, blk):
+                self.inner, self.blk = inner, blk
+
+            def solve(self, t, z, accept=None):
+                cert = self.inner.solve(t, z, accept=accept)
+                if cert.value is not None:
+                    assert cert.value == self.blk.objective.value(cert.x)
+                    carried.append(cert.value)
+                return cert
+
+        solvers = [Spy(s, blk) for s, blk in
+                   zip(ag.build_block_solvers(problem, params, sched), problem.blocks)]
+        _, trace = iada_run(problem, params, sched, solvers, stop_mode="max_iters")
+        for m, state in zip(trace.metrics, trace.states):
+            assert m.objective == ag.objective(state.x, problem)
+        return len(carried)
+
+    def test_exchange_criterion_b(self):
+        problem, _ = ag.gen_exchange(5, 100, 80, seed=1000)
+        params = ag.SolverParams(rho=10.0, c=10.0, max_iters=30)
+        sched = InexactSchedule.for_problem(problem, "criterion_B", eps0=1e-5,
+                                            gamma=2.0)
+        assert self._check(problem, params, sched) > 30
+
+    def test_logreg_criterion_a(self):
+        A, labels = gen_logreg_data(400, 10, seed=7)
+        problem = build_logreg_consensus(partition_rows(A, labels, 3), lam=0.1)
+        params = ag.SolverParams(rho=10.0, c=10.0, max_iters=20)
+        sched = InexactSchedule.for_problem(problem, "criterion_A")
+        assert self._check(problem, params, sched) > 20
 
 
 class TestLogisticNewton:

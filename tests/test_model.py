@@ -206,6 +206,13 @@ class TestValidation:
                          eta=np.zeros((2, 2)), zeta_bar=np.zeros(2),
                          y=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("field", ["rho", "c", "stop_eps"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_solver_params_reject_nonpositive_and_nan(self, field, value):
+        kwargs = {"rho": 1.0, "c": 1.0, field: value}
+        with pytest.raises(ValueError, match="positive"):
+            ag.SolverParams(**kwargs)
+
     def test_logistic_labels_checked(self):
         with pytest.raises(ValueError):
             SmoothPart("logistic", np.eye(2), np.array([1.0, 2.0]))
