@@ -103,17 +103,12 @@ class Trace:
                 writer.writerow(row)
 
 
-def _block_targets(state: IterateState, problem: Problem, rho: float) -> list:
-    """Targets ``t_k = q_k + w_k - (2/rho) y_k`` so each subproblem penalizes
-    ``||E_k x_k - t_k||^2``."""
-    K = problem.num_blocks
-    ts = []
-    for k in range(K):
-        t = state.w[k] - (2.0 / rho) * state.y[k]
-        if k == K - 1:
-            t = t + problem.q
-        ts.append(t)
-    return ts
+def _block_targets(state: IterateState, problem: Problem, rho: float) -> np.ndarray:
+    """Targets ``t_k = q_k + w_k - (2/rho) y_k``, row k of a ``(K, m)``
+    array, so each subproblem penalizes ``||E_k x_k - t_k||^2``."""
+    targets = state.w - (2.0 / rho) * state.y
+    targets[-1] += problem.q
+    return targets
 
 
 def step_metrics(nu: int, problem: Problem, x_prev: Sequence, x_new: Sequence,
@@ -171,18 +166,23 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
 
     # E_k x_k once per block: the eta update and the residual both use it
     Ex = [problem.blocks[k].E.apply(new_x[k]) for k in range(K)]
+    # in-place updates with the bits of the formulas in the module docstring;
+    # np.add.reduce(., axis=0) / K is mean(axis=0) without its wrapper
     eta_new = np.empty((K, m))
     for k in range(K):
-        r_k = Ex[k] - state.w[k]
-        if k == K - 1:
-            r_k = r_k - problem.q
-        eta_new[k] = state.y[k] + 0.5 * rho * r_k
-    zeta_new = eta_new.mean(axis=0)
-    w_new = state.w + (eta_new - zeta_new) / rho
+        np.subtract(Ex[k], state.w[k], out=eta_new[k])
+    eta_new[K - 1] -= problem.q
+    eta_new *= 0.5 * rho
+    eta_new += state.y
+    zeta_new = np.add.reduce(eta_new, axis=0) / K
+    w_new = eta_new - zeta_new
+    w_new /= rho
+    w_new += state.w
     # cancel floating-point drift out of the zero-sum subspace
-    drift = w_new.mean(axis=0)
-    w_new = w_new - drift
-    y_new = 0.5 * (eta_new + zeta_new)
+    drift = np.add.reduce(w_new, axis=0) / K
+    w_new -= drift
+    y_new = eta_new + zeta_new
+    y_new *= 0.5
 
     new_state = IterateState(w=w_new, x=tuple(new_x), eta=eta_new,
                              zeta_bar=zeta_new, y=y_new)

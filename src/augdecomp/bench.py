@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from . import ada, baselines, diagnostics
 from .block_solvers import build_block_solvers
 from .coupling import Coupling
-from .inexact import SCHEDULE_KINDS, InexactSchedule
+from .inexact import SCHEDULE_KINDS, InexactSchedule, check_schedule_params
 from .model import (BlockSpec, FunctionDescriptor, Problem, SmoothPart,
                     SolverParams, constraint_residual, make_initial_state,
                     objective)
@@ -209,6 +209,13 @@ def partition_rows(A, b, N: int):
     return [(A[idx[0]:idx[-1] + 1], b[idx[0]:idx[-1] + 1]) for idx in parts]
 
 
+def check_l1_weight(lam: float) -> None:
+    """Raise ``ValueError`` unless the consensus l1 weight ``lam`` is
+    positive; NaN fails the check."""
+    if not lam > 0:
+        raise ValueError("lam must be positive")
+
+
 def build_logreg_consensus(row_blocks, lam: float) -> Problem:
     """Consensus formulation of l1-regularized logistic regression.
 
@@ -216,8 +223,7 @@ def build_logreg_consensus(row_blocks, lam: float) -> Problem:
     copies ``x_i``; block N+1 carries ``lam * ||z||_1``; the coupling stacks
     ``x_i - z = 0`` for every i, so the constraint dimension is ``N * d``.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    check_l1_weight(lam)
     N = len(row_blocks)
     if N < 1:
         raise ValueError("need at least one row block")
@@ -305,6 +311,8 @@ class ExperimentConfig:
         for name in ("n", "d", "blocks", "p", "partitions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        check_l1_weight(self.lam)
+        check_schedule_params(self.eps0, self.gamma)
         baselines.check_baseline_params(self.beta, self.gamma_damp, self.admm_step)
         _solver_params(self)  # rho, c, max_iters and stop_eps
         if self.stop_mode not in _STOP_MODES:

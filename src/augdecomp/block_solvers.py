@@ -62,8 +62,13 @@ class BlockSolveCertificate:
     subproblem objective phi at ``x``; exact (closed-form) solves report 0.
     ``exact_fallback`` marks an iterative solver that gave up on its
     threshold and returned the exact factorized solve instead.  ``value`` is
-    the block objective ``f_k(x)`` when the solver evaluated it at ``x`` (the
-    engine then sums it into the trace's objective), otherwise None.
+    the block objective ``f_k(x)`` when the solver has it, otherwise None;
+    the engine then sums it into the trace's objective.  An iterative solve
+    carries the loss it evaluated at ``x``, the same bits as
+    ``f_k(x)``.  A Woodbury ``QuadBlockSolver`` solve carries the loss at
+    its inner vector, which is ``A x`` up to rounding, so ``value`` equals
+    ``f_k(x)`` up to about ``u ||A x|| ||A x - b||`` for the unit roundoff
+    ``u`` times a modest factor.
     """
 
     x: np.ndarray
@@ -161,37 +166,58 @@ def _formed_hessian(A, C, h=None) -> np.ndarray:
     return H
 
 
-def _hessian_solver(A, C, h=None):
-    """``solve(r) = (A^T diag(h) A + C)^{-1} r`` from one factorization
-    (``h = None`` means all ones).
+def _factored_solver(A, C, h=None):
+    """``solve(r) = (x, v)`` with ``x = (A^T diag(h) A + C)^{-1} r`` from one
+    factorization (``h = None`` means all ones).
 
     When ``C`` is a positive scalar ``sigma`` and ``A`` has more columns than
     rows, the smaller ``sigma I + B B^T`` with ``B = diag(sqrt h) A`` is
-    factored and the Woodbury identity gives ``(r - B^T inner(B r)) / sigma``;
-    scaling by ``sqrt h`` needs no ``diag(h)^{-1}``, so curvature that
-    underflows to 0 is harmless.  Otherwise ``A^T diag(h) A + C`` is formed
-    and factored.  A sparse ``A`` stays sparse; only the factored matrix is
+    factored and the Woodbury identity gives ``x = (r - B^T v) / sigma`` with
+    ``v = inner(B r)``; then ``B x = (B r - B B^T v) / sigma = v`` in exact
+    arithmetic, so ``v`` is ``B x`` up to rounding.  Scaling by ``sqrt h``
+    needs no ``diag(h)^{-1}``, so curvature that underflows to 0 is
+    harmless.  Otherwise ``A^T diag(h) A + C`` is formed and factored, and
+    ``v`` is None.  A sparse ``A`` stays sparse; only the factored matrix is
     dense.  Raises ``np.linalg.LinAlgError`` when that matrix is not
     positive definite.
     """
     rows, cols = A.shape
     if not (isinstance(C, float) and C > 0 and cols > rows):
-        return _cholesky_solver(_formed_hessian(A, C, h))
+        primal = _cholesky_solver(_formed_hessian(A, C, h))
+        return lambda r: (primal(r), None)
     B = _row_scaled(A, h)
     G = _dense(B @ B.T)
     G.flat[::rows + 1] += C
     inner = _cholesky_solver(G)
-    return lambda r: (r - B.T @ inner(B @ r)) / C
+
+    def solve(r):
+        v = inner(B @ r)
+        x = B.T @ v
+        np.subtract(r, x, out=x)
+        x /= C
+        return x, v
+
+    return solve
+
+
+def _hessian_solver(A, C, h=None):
+    """``solve(r) = (A^T diag(h) A + C)^{-1} r``: the ``x`` of
+    ``_factored_solver``."""
+    solve = _factored_solver(A, C, h)
+    return lambda r: solve(r)[0]
 
 
 class QuadBlockSolver:
     """Closed-form solver for least-squares blocks, under any coupling.
 
     Solves ``(A^T A + C) x = A^T b + p E^T t + s z`` with ``C = p E^T E + s I``,
-    factored once, at construction, by ``_hessian_solver``: when ``C`` is a
+    factored once, at construction, by ``_factored_solver``: when ``C`` is a
     scalar ``sigma`` and ``A`` has more columns than rows, the smaller
     ``A A^T + sigma I`` is factored and the Woodbury identity recovers the
-    solve; otherwise ``A^T A + C`` is.
+    solve; otherwise ``A^T A + C`` is.  The Woodbury solve forms ``v``, which
+    is ``A x`` up to rounding, so its certificate carries the loss
+    ``0.5 ||v - b||^2`` as ``value`` and the engine's objective needs no
+    further product with ``A``; the formed path carries no value.
     """
 
     exact = True
@@ -207,19 +233,29 @@ class QuadBlockSolver:
         self.penalty = float(penalty)
         self.prox_weight = float(prox_weight)
         self.atb = A.T @ fd.smooth.b
+        self._loss = fd.smooth
         C = _coupling_hessian(block.E, penalty, prox_weight)
         if isinstance(C, float) and not C > 0:
             raise ValueError("p E^T E + s I must be positive definite")
         # the factorization does not scan its input: check the data once here
         if not (np.isfinite(self.atb).all() and np.isfinite(C).all()):
             raise ValueError("least-squares data and p E^T E + s I must be finite")
-        self._solve = _hessian_solver(A, C)
+        self._factored = _factored_solver(A, C)
+
+    def _solve(self, r: np.ndarray) -> np.ndarray:
+        """``(A^T A + C)^{-1} r``."""
+        return self._factored(r)[0]
 
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
-        rhs = self.atb + self.penalty * self.E.apply_T(t)
+        # p E^T t + A^T b (+ s z), assembled in place: the bits of A^T b + p E^T t
+        rhs = self.E.apply_T(t)
+        rhs *= self.penalty
+        rhs += self.atb
         if self.prox_weight > 0:
-            rhs = rhs + self.prox_weight * z
-        return BlockSolveCertificate(x=self._solve(rhs), subgrad_bound=0.0)
+            rhs += self.prox_weight * z
+        x, ax = self._factored(rhs)
+        value = None if ax is None else self._loss._value_at(ax)
+        return BlockSolveCertificate(x=x, subgrad_bound=0.0, value=value)
 
 
 class L1ProxBlockSolver:
@@ -245,10 +281,12 @@ class L1ProxBlockSolver:
         self.denom = penalty * alpha + prox_weight
 
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
-        numer = self.penalty * self.E.apply_T(t)
+        numer = self.E.apply_T(t)
+        numer *= self.penalty
         if self.prox_weight > 0:
-            numer = numer + self.prox_weight * z
-        x = soft_threshold(numer / self.denom, self.lam / self.denom)
+            numer += self.prox_weight * z
+        numer /= self.denom
+        x = soft_threshold(numer, self.lam / self.denom)
         return BlockSolveCertificate(x=x, subgrad_bound=0.0)
 
 
@@ -508,6 +546,8 @@ class LbfgsBlockSolver:
         if self._fallback is not None:
             x, gnorm, iters = self._conjugate_gradients(self._fun_grad(t, z), z, done)
             if x is None:
+                # the fallback's Woodbury loss equals f(x) only up to
+                # rounding, so it is not carried (see BlockSolveCertificate)
                 cert = self._fallback.solve(t, z)
                 return BlockSolveCertificate(x=cert.x, subgrad_bound=0.0,
                                              inner_iters=iters, exact_fallback=True)

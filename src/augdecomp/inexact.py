@@ -31,6 +31,13 @@ __all__ = [
 SCHEDULE_KINDS = ("criterion_A", "criterion_B")
 
 
+def check_schedule_params(eps0: float, gamma: float) -> None:
+    """Raise ``ValueError`` unless ``eps0`` and ``gamma`` are positive; NaN
+    fails the check."""
+    if not (eps0 > 0 and gamma > 0):
+        raise ValueError("eps0 and gamma must be positive")
+
+
 @dataclass(frozen=True)
 class InexactSchedule:
     """Inexactness budget ``eps_nu = eps0 / nu^gamma`` plus the coupling norm.
@@ -48,9 +55,8 @@ class InexactSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.eps0 <= 0 or self.gamma <= 0:
-            raise ValueError("eps0 and gamma must be positive")
-        if self.e_norm <= 0:
+        check_schedule_params(self.eps0, self.gamma)
+        if not self.e_norm > 0:
             raise ValueError("e_norm (spectral norm of the stacked coupling) required")
         if self.gamma <= 1.0:
             warnings.warn("gamma <= 1: inexactness budget is not summable, "

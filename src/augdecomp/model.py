@@ -116,7 +116,7 @@ class FunctionDescriptor:
     l1_scale: float = 0.0
 
     def __post_init__(self):
-        if self.l1_scale < 0:
+        if not self.l1_scale >= 0:  # NaN fails too
             raise ValueError("l1_scale must be nonnegative")
         if self.smooth is None and self.l1_scale == 0.0:
             raise ValueError("block objective has neither a smooth nor an l1 part")

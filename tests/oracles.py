@@ -16,6 +16,12 @@ quadratic solves.
 ``LbfgsBlockSolver`` before its lean kernel, kept line for line: the kernel
 must return the same bits.
 
+``ada_step`` (with its ``_block_targets``), ``quad_block_solve`` and
+``l1_block_solve`` are the engine's sweep, ``QuadBlockSolver.solve`` and
+``L1ProxBlockSolver.solve`` as they were before they updated their arrays in
+place and the Woodbury solve carried its loss, kept line for line: with the loss stripped from the certificates, the two sweeps
+must agree bit for bit.
+
 ``identity_quad_solver`` builds the ``QuadBlockSolver`` of the shifted
 normal system ``(A^T A + sigma I) x = r``.
 
@@ -25,18 +31,20 @@ the engines' solver objects; no code in the library calls them.
 """
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from augdecomp.ada import step_metrics
 from augdecomp.block_solvers import (_FLOOR_TRIGGER, _UNIT_ROUNDOFF,
-                                     BlockSolveCertificate, QuadBlockSolver,
-                                     soft_threshold)
+                                     BlockSolveCertificate, BlockSolveError,
+                                     QuadBlockSolver, soft_threshold)
 from augdecomp.coupling import Coupling
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
-                             Problem, SmoothPart, SolverParams, _stack)
+                             Problem, SmoothPart, SolverParams, _stack,
+                             state_g_dist_sq, vnorm)
 
 
 class GeneralQuadBlockSolver:
@@ -298,6 +306,101 @@ def conjugate_gradients(self, fun_grad, z, done):
         d -= r
         rr = rr_new
     return None, gnorm, self.cg_budget
+
+
+def _block_targets(state: IterateState, problem: Problem, rho: float) -> list:
+    """Targets ``t_k = q_k + w_k - (2/rho) y_k`` so each subproblem penalizes
+    ``||E_k x_k - t_k||^2``."""
+    K = problem.num_blocks
+    ts = []
+    for k in range(K):
+        t = state.w[k] - (2.0 / rho) * state.y[k]
+        if k == K - 1:
+            t = t + problem.q
+        ts.append(t)
+    return ts
+
+
+def ada_step(state: IterateState, problem: Problem, params: SolverParams,
+             solvers: Sequence, accept_rules: Optional[Sequence] = None,
+             nu: int = 0):
+    """One full sweep; returns ``(new_state, StepMetrics)``.
+
+    ``accept_rules`` optionally supplies a per-block inexactness test
+    ``accept(x, bound) -> bool`` forwarded to iterative solvers; with None
+    every solver runs in its exact mode.  A solver failure aborts the step
+    with the failing block index.
+    """
+    K, m = problem.num_blocks, problem.m
+    rho, c = params.rho, params.c
+    targets = _block_targets(state, problem, rho)
+
+    new_x = []
+    certs = []
+    values = []  # f_k(x_k) where the solver evaluated it, else None
+    inner_total = 0
+    fallbacks = 0
+    for k in range(K):
+        accept = accept_rules[k] if accept_rules is not None else None
+        try:
+            cert = solvers[k].solve(targets[k], state.x[k], accept=accept)
+        except BlockSolveError as err:
+            raise BlockSolveError(f"block {k}: {err}") from err
+        new_x.append(np.asarray(cert.x, dtype=float))
+        certs.append(cert.subgrad_bound)
+        values.append(cert.value)
+        inner_total += cert.inner_iters
+        fallbacks += cert.exact_fallback
+
+    # E_k x_k once per block: the eta update and the residual both use it
+    Ex = [problem.blocks[k].E.apply(new_x[k]) for k in range(K)]
+    eta_new = np.empty((K, m))
+    for k in range(K):
+        r_k = Ex[k] - state.w[k]
+        if k == K - 1:
+            r_k = r_k - problem.q
+        eta_new[k] = state.y[k] + 0.5 * rho * r_k
+    zeta_new = eta_new.mean(axis=0)
+    w_new = state.w + (eta_new - zeta_new) / rho
+    # cancel floating-point drift out of the zero-sum subspace
+    drift = w_new.mean(axis=0)
+    w_new = w_new - drift
+    y_new = 0.5 * (eta_new + zeta_new)
+
+    new_state = IterateState(w=w_new, x=tuple(new_x), eta=eta_new,
+                             zeta_bar=zeta_new, y=y_new)
+
+    resid = -problem.q.copy()  # summed in constraint_residual's order
+    for ex in Ex:
+        resid += ex
+    metrics = step_metrics(
+        nu, problem, state.x, new_x, resid, values=values,
+        delta_g_norm_sq=state_g_dist_sq(state, new_state, rho, c),
+        per_block_cert=tuple(certs),
+        inner_iters_total=inner_total,
+        w_drift=vnorm(drift) * np.sqrt(K),
+        fallbacks=fallbacks,
+    )
+    return new_state, metrics
+
+
+def quad_block_solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
+    """``QuadBlockSolver.solve`` before it assembled the right-hand side in
+    place and carried the loss; ``self`` is the solver."""
+    rhs = self.atb + self.penalty * self.E.apply_T(t)
+    if self.prox_weight > 0:
+        rhs = rhs + self.prox_weight * z
+    return BlockSolveCertificate(x=self._solve(rhs), subgrad_bound=0.0)
+
+
+def l1_block_solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
+    """``L1ProxBlockSolver.solve`` before it assembled the numerator in
+    place; ``self`` is the solver."""
+    numer = self.penalty * self.E.apply_T(t)
+    if self.prox_weight > 0:
+        numer = numer + self.prox_weight * z
+    x = soft_threshold(numer / self.denom, self.lam / self.denom)
+    return BlockSolveCertificate(x=x, subgrad_bound=0.0)
 
 
 def identity_quad_solver(A, sigma: float, b=None) -> QuadBlockSolver:

@@ -1,10 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import augdecomp as ag
+import oracles
 from augdecomp.ada import StepMetrics, ada_step, check_stop, run
+from augdecomp.bench import gen_logreg_data
+from augdecomp.block_solvers import L1ProxBlockSolver, QuadBlockSolver
+from augdecomp.inexact import InexactSchedule
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              Problem, SmoothPart, make_initial_state,
                              saddle_state)
@@ -181,6 +186,74 @@ class TestAdaStep:
             assert np.allclose(new_state.x[k], sol[xi(k)], atol=1e-12)
             assert np.allclose(new_state.w[k], sol[wi(k)], atol=1e-12)
             assert np.allclose(new_state.eta[k], sol[ei(k)], atol=1e-12)
+
+
+class TestSweepMatchesOracle:
+    """``ada_step`` against ``oracles.ada_step``, the sweep before its
+    in-place updates, over the parent's closed-form solves: the same states
+    and ``StepMetrics`` bit for bit.  The loss that a Woodbury solve now
+    carries is stripped, so both sides take that block's objective from
+    ``objective(x)``; iterative solvers are shared code on both sides."""
+
+    class _Stripped:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def solve(self, t, z, accept=None):
+            return replace(self.inner.solve(t, z, accept=accept), value=None)
+
+    class _Parent:
+        def __init__(self, inner, solve):
+            self.inner, self._solve = inner, solve
+
+        def solve(self, t, z, accept=None):
+            return self._solve(self.inner, t, z, accept=accept)
+
+    @classmethod
+    def _compare(cls, problem, params, schedule, iters):
+        new_solvers, old_solvers = [], []
+        for new, old in zip(ag.build_block_solvers(problem, params, schedule),
+                            ag.build_block_solvers(problem, params, schedule)):
+            if isinstance(new, QuadBlockSolver):
+                new, old = cls._Stripped(new), cls._Parent(old, oracles.quad_block_solve)
+            elif isinstance(new, L1ProxBlockSolver):
+                old = cls._Parent(old, oracles.l1_block_solve)
+            new_solvers.append(new)
+            old_solvers.append(old)
+        K = problem.num_blocks
+        new = old = make_initial_state(problem)
+        fallbacks = 0
+        for nu in range(1, iters + 1):
+            rules = [None if schedule is None else schedule.accept_rules(nu, st, params, K)
+                     for st in (new, old)]
+            new, m_new = ada_step(new, problem, params, new_solvers, rules[0], nu)
+            old, m_old = oracles.ada_step(old, problem, params, old_solvers, rules[1], nu)
+            assert repr(m_new) == repr(m_old)
+            for a, b in zip((new.w, new.eta, new.zeta_bar, new.y, *new.x),
+                            (old.w, old.eta, old.zeta_bar, old.y, *old.x)):
+                assert a.tobytes() == b.tobytes()
+            fallbacks += m_new.fallbacks
+        return fallbacks
+
+    def test_exact_lasso(self):
+        problem, _ = ag.gen_lasso(60, 150, seed=31)
+        self._compare(problem, ag.SolverParams(rho=10.0, c=10.0), None, 40)
+
+    def test_exact_exchange(self):
+        problem, _ = ag.gen_exchange(5, 100, 80, seed=32)
+        self._compare(problem, ag.SolverParams(rho=10.0, c=10.0), None, 30)
+
+    def test_criterion_b_exchange(self):
+        problem, _ = ag.gen_exchange(5, 100, 80, seed=1000)
+        sched = InexactSchedule.for_problem(problem, "criterion_B", eps0=1e-5, gamma=2.0)
+        # the exact fallback runs QuadBlockSolver.solve on both sides
+        assert self._compare(problem, ag.SolverParams(rho=10.0, c=10.0), sched, 32) > 0
+
+    def test_criterion_a_logreg(self):
+        A, labels = gen_logreg_data(400, 10, seed=7)
+        problem = ag.build_logreg_consensus(ag.partition_rows(A, labels, 3), lam=0.1)
+        sched = InexactSchedule.for_problem(problem, "criterion_A")
+        self._compare(problem, ag.SolverParams(rho=10.0, c=10.0), sched, 20)
 
 
 class TestCheckStop:

@@ -428,6 +428,32 @@ def test_config_rejects_bad_baseline_params_before_any_work(tmp_path, name, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, value", [("eps0", float("nan")), ("eps0", -1.0),
+                                         ("gamma", float("nan")), ("gamma", 0.0)])
+def test_config_rejects_bad_schedule_params_before_any_work(tmp_path, name, value):
+    # the config and InexactSchedule share one check, and NaN fails it
+    with pytest.raises(ValueError, match="eps0 and gamma"):
+        ExperimentConfig(solver="iada", **{name: value})
+    out = tmp_path / "run"
+    flag = {"eps0": "--eps0", "gamma": "--gamma"}[name]
+    assert main(["solve", "--experiment", "exchange", "--solver", "iada",
+                 flag, str(value), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), 0.0])
+def test_config_rejects_bad_l1_weight_before_any_work(tmp_path, value):
+    with pytest.raises(ValueError, match="lam"):
+        ExperimentConfig(experiment="logreg", lam=value)
+    with pytest.raises(ValueError, match="lam"):
+        build_logreg_consensus(partition_rows(np.eye(4), np.ones(4), 2), value)
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "logreg", "lam": value, "out": str(out)}))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert not out.exists()
+
+
 def test_every_solve_option_names_a_config_field():
     # main() passes every option it was given to ExperimentConfig by name
     options = set(vars(_build_parser().parse_args(["solve"]))) - {"command", "config"}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -185,6 +187,95 @@ class TestQuadFactorization:
                 smooth=SmoothPart("least_squares", a, b)))
             with pytest.raises(ValueError, match="finite"):
                 QuadBlockSolver(block, 1.0, 0.5)
+
+
+class TestWoodburyValue:
+    """A Woodbury ``QuadBlockSolver`` solve carries the loss at its inner
+    vector ``v``, which is ``A x`` up to rounding; the formed path carries
+    none."""
+
+    @staticmethod
+    def _gap_and_bound(smooth, x, value):
+        # |0.5||v - b||^2 - 0.5||A x - b||^2| for v = A x + delta with
+        # ||delta|| <= 1e-12 ||A x||
+        ax = smooth.A @ x
+        gap = abs(value - smooth.value(x))
+        return gap, 1e-12 * np.linalg.norm(ax) * np.linalg.norm(ax - smooth.b) \
+            + (1e-12 * np.linalg.norm(ax)) ** 2
+
+    @classmethod
+    def _check(cls, solver, smooth, t, z):
+        """Assert the bound on one solve; return the certificate and whether
+        ``v`` scaled by ``1 + 1e-9`` would break the bound."""
+        factored, formed = solver._factored, []
+        solver._factored = lambda r: formed.append(factored(r)) or formed[-1]
+        try:
+            cert = solver.solve(t, z)
+        finally:
+            solver._factored = factored
+        (x, v), = formed
+        assert x is cert.x and cert.value == smooth._value_at(v)
+        gap, bound = cls._gap_and_bound(smooth, x, cert.value)
+        assert gap <= bound
+        off, _ = cls._gap_and_bound(smooth, x, smooth._value_at(v * (1.0 + 1e-9)))
+        return cert, off > bound
+
+    @classmethod
+    def _check_run(cls, problem, params, iters):
+        """Check every Woodbury solve of an exact ADA run; for each, whether
+        a ``1e-9`` relative error in ``v`` would break its bound."""
+        solvers = ag.build_block_solvers(problem, params)
+        caught = []
+
+        class Spy:
+            def __init__(self, inner, smooth):
+                self.inner, self.smooth = inner, smooth
+
+            def solve(self, t, z, accept=None):
+                cert, broken = cls._check(self.inner, self.smooth, t, z)
+                caught.append(broken)
+                return cert
+
+        spied = [Spy(s, blk.objective.smooth) if isinstance(s, QuadBlockSolver) else s
+                 for s, blk in zip(solvers, problem.blocks)]
+        ag.run(problem, replace(params, max_iters=iters), spied, stop_mode="max_iters")
+        return caught
+
+    def test_wide_dense_lasso_run(self):
+        problem, _ = ag.gen_lasso(60, 150, seed=21)
+        caught = self._check_run(problem, ag.SolverParams(rho=10.0, c=10.0), 60)
+        assert len(caught) == 60 and all(caught)
+
+    def test_exchange_run(self):
+        problem, _ = ag.gen_exchange(5, 100, 80, seed=22)
+        caught = self._check_run(problem, ag.SolverParams(rho=10.0, c=10.0), 30)
+        assert len(caught) == 150 and all(caught)
+
+    def test_wide_csr_block(self):
+        rng = np.random.default_rng(23)
+        A = sp.random(30, 70, density=0.3, random_state=rng, format="csr")
+        b = rng.standard_normal(30)
+        block = BlockSpec(n=70, E=ag.Coupling.copies(70, 2, rows=(0, 1)),
+                          objective=FunctionDescriptor(
+                              smooth=SmoothPart("least_squares", A, b)))
+        solver = QuadBlockSolver(block, 0.6, 0.3)
+        caught = [self._check(solver, block.objective.smooth,
+                              rng.standard_normal(140), rng.standard_normal(70))[1]
+                  for _ in range(20)]
+        assert all(caught)
+
+    @pytest.mark.parametrize("case", ["tall", "matrix"])
+    def test_formed_path_carries_no_value(self, case):
+        rng = np.random.default_rng(24)
+        A = rng.standard_normal((40, 25) if case == "tall" else (25, 40))
+        d = A.shape[1]
+        E = ag.Coupling.identity(d) if case == "tall" \
+            else ag.Coupling(matrix=rng.standard_normal((7, d)))
+        solver = QuadBlockSolver(BlockSpec(n=d, E=E, objective=FunctionDescriptor(
+            smooth=SmoothPart("least_squares", A, rng.standard_normal(A.shape[0])))),
+            1.2, 0.3)
+        cert = solver.solve(rng.standard_normal(E.shape[0]), rng.standard_normal(d))
+        assert cert.value is None
 
 
 class TestL1Prox:

@@ -72,6 +72,13 @@ class TestThresholds:
         with pytest.raises(ValueError):
             sched.eps_at(0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("eps0", float("nan")), ("eps0", 0.0), ("gamma", float("nan")),
+        ("gamma", -1.0), ("e_norm", float("nan")), ("e_norm", -1.0)])
+    def test_rejects_nonpositive_and_nan(self, field, value):
+        with pytest.raises(ValueError):
+            _schedule(**{field: value})
+
 
 class TestSpectralNorm:
     def test_diagonal(self):

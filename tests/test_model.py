@@ -199,6 +199,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             FunctionDescriptor()
 
+    @pytest.mark.parametrize("value", [-0.5, float("nan")])
+    def test_negative_and_nan_l1_weight_rejected(self, value):
+        with pytest.raises(ValueError, match="l1_scale"):
+            FunctionDescriptor(l1_scale=value)
+
     def test_state_w_sum_invariant(self):
         w = np.ones((2, 2))
         with pytest.raises(ValueError):
