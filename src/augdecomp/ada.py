@@ -19,14 +19,13 @@ subspace; the tiny floating-point drift is removed and recorded each step.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .block_solvers import BlockSolveError
+from .block_solvers import solve_sweep
 from .model import (IterateState, Problem, SolverParams, make_initial_state,
                     objective, state_g_dist_sq, vnorm)
 
@@ -85,22 +84,29 @@ class Trace:
         return np.array([m.objective for m in self.metrics])
 
     def to_csv(self, path, include_certs: bool = False):
-        """Write the metrics table; 17 significant digits, '.' decimal point."""
-        fmt = lambda v: f"{v:.17g}"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["iter", "objective", "residual", "delta_g", "x_rel", "feas_rel"]
+        """Write the metrics table; 17 significant digits, '.' decimal point.
+
+        The bytes of ``csv.writer`` with floats formatted ``%.17g``: no field
+        needs quoting, so each row is one ``%`` format and the file one
+        write.
+        """
+        header = ["iter", "objective", "residual", "delta_g", "x_rel", "feas_rel"]
+        row = "%d" + ",%.17g" * 5
+        if include_certs:
+            K = len(self.metrics[0].per_block_cert) if self.metrics \
+                else self.initial_state.num_blocks
+            header += [f"cert_{k + 1}" for k in range(K)] + ["inner_iters_total"]
+            row += ",%.17g" * K + ",%d"
+        row += "\r\n"
+        lines = [",".join(header) + "\r\n"]
+        for m in self.metrics:
+            fields = (m.iter, m.objective, m.constraint_residual_norm,
+                      m.delta_g_norm_sq, m.x_rel_change, m.feas_rel)
             if include_certs:
-                K = len(self.metrics[0].per_block_cert) if self.metrics \
-                    else self.initial_state.num_blocks
-                header += [f"cert_{k + 1}" for k in range(K)] + ["inner_iters_total"]
-            writer.writerow(header)
-            for m in self.metrics:
-                row = [m.iter, fmt(m.objective), fmt(m.constraint_residual_norm),
-                       fmt(m.delta_g_norm_sq), fmt(m.x_rel_change), fmt(m.feas_rel)]
-                if include_certs:
-                    row += [fmt(cb) for cb in m.per_block_cert] + [m.inner_iters_total]
-                writer.writerow(row)
+                fields += tuple(m.per_block_cert) + (m.inner_iters_total,)
+            lines.append(row % fields)
+        with open(path, "w", newline="") as fh:
+            fh.write("".join(lines))
 
 
 def _block_targets(state: IterateState, problem: Problem, rho: float) -> np.ndarray:
@@ -140,29 +146,22 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
 
     ``accept_rules`` optionally supplies a per-block inexactness test
     ``accept(x, bound) -> bool`` forwarded to iterative solvers; with None
-    every solver runs in its exact mode.  A solver failure aborts the step
-    with the failing block index.
+    every solver runs in its exact mode.  The K subproblems are independent
+    given ``state``: ``block_solvers.solve_sweep`` solves them, the
+    quadratic blocks of a shared Hessian stack in lockstep, with the bits of
+    solving one block after another.  A solver failure aborts the step with
+    a ``BlockSolveError`` naming the failing block.
     """
     K, m = problem.num_blocks, problem.m
     rho, c = params.rho, params.c
     targets = _block_targets(state, problem, rho)
 
-    new_x = []
-    certs = []
-    values = []  # f_k(x_k) where the solver evaluated it, else None
-    inner_total = 0
-    fallbacks = 0
-    for k in range(K):
-        accept = accept_rules[k] if accept_rules is not None else None
-        try:
-            cert = solvers[k].solve(targets[k], state.x[k], accept=accept)
-        except BlockSolveError as err:
-            raise BlockSolveError(f"block {k}: {err}") from err
-        new_x.append(np.asarray(cert.x, dtype=float))
-        certs.append(cert.subgrad_bound)
-        values.append(cert.value)
-        inner_total += cert.inner_iters
-        fallbacks += cert.exact_fallback
+    sweep = solve_sweep(solvers, targets, state.x, accept_rules)
+    new_x = [np.asarray(cert.x, dtype=float) for cert in sweep]
+    certs = [cert.subgrad_bound for cert in sweep]
+    values = [cert.value for cert in sweep]  # f_k(x_k) where the solver evaluated it
+    inner_total = sum(cert.inner_iters for cert in sweep)
+    fallbacks = sum(cert.exact_fallback for cert in sweep)
 
     # E_k x_k once per block: the eta update and the residual both use it
     Ex = [problem.blocks[k].E.apply(new_x[k]) for k in range(K)]

@@ -14,13 +14,15 @@ Iterative solvers report a certified upper bound on ``dist(0, d phi(x))`` at
 the returned point, computed from the gradient evaluated at that point;
 closed forms certify zero.  When a quadratic block's threshold is at about
 what finite precision can certify, the exact factorized solve is returned
-instead and the certificate says so (``exact_fallback``).
+instead and the certificate says so (``exact_fallback``).  ``solve_sweep``
+solves the K subproblems of one sweep together, the conjugate-gradient
+blocks of one dimension in lockstep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -290,6 +292,254 @@ class L1ProxBlockSolver:
         return BlockSolveCertificate(x=x, subgrad_bound=0.0)
 
 
+class _HessianStack:
+    """The Hessians ``H_k = A_k^T A_k + C_k`` of quadratic blocks of one
+    dimension as one ``(L, n, n)`` array, formed on first use.
+
+    Each quadratic ``LbfgsBlockSolver`` adds its block's ``(A_k, C_k)`` when
+    it is built, to the stack it is given or to one of its own.  The stack
+    keeps those parts, not the solvers: the solvers own the stack, and it
+    goes when they do.
+    """
+
+    def __init__(self):
+        self._parts = []
+
+    def add(self, A, C) -> int:
+        """Add the block ``(A, C)``; returns its slot."""
+        if "hessians" in self.__dict__:
+            raise ValueError("the Hessian stack is already formed")
+        self._parts.append((A, C))
+        return len(self._parts) - 1
+
+    @cached_property
+    def hessians(self) -> np.ndarray:
+        n = self._parts[0][0].shape[1]
+        out = np.empty((len(self._parts), n, n))
+        for k, (A, C) in enumerate(self._parts):
+            out[k] = _formed_hessian(A, C)
+        return out
+
+
+@dataclass(eq=False, slots=True)
+class _CGLane:
+    """One block of a lockstep conjugate-gradient solve: its place in the
+    caller's list, solver, gradient, warm start and rule, the gradient at
+    the warm start and the last gradient norm, the rule's ``limit``, the
+    floor test's trigger and whether it is still to come, and whether the
+    residual has been replaced."""
+
+    index: int
+    solver: "LbfgsBlockSolver"
+    fun_grad: object
+    z: np.ndarray
+    done: object
+    g0: np.ndarray
+    gnorm: float
+    limit: float = field(init=False)
+    trigger_sq: float = field(init=False)
+    armed: bool = field(init=False)
+    replaced: bool = False
+
+    def __post_init__(self):
+        sv = self.solver
+        # H >= lam_min I; the floor stop needs it positive
+        lam_min = sv.prox_weight if sv._shift is None else sv._shift
+        self.armed = lam_min > 0.0
+        self.trigger_sq = (_FLOOR_TRIGGER * lam_min) ** 2
+        # no bound above the limit passes, so the rule need not see it
+        self.limit = getattr(self.done, "limit", math.inf)
+
+    def floor_refused(self, x) -> bool:
+        """Whether the rule refuses the rounding floor of the gradient at
+        ``x``, ``u (||H|| ||x|| + ||b||)`` with ``b = H z - g0``."""
+        sv = self.solver
+        floor = _UNIT_ROUNDOFF * (
+            sv._hess_norm * vnorm(x) + vnorm(sv._hess @ self.z - self.g0))
+        return not self.done(x, floor)
+
+    def check(self, it, e, r, ee, rr):
+        """The tests after step ``it`` on this block's rows ``e`` and ``r``,
+        with ``ee = e.e`` (read only while the floor test is armed) and
+        ``rr = r.r``; ``(result, rr)``, with the block's ``(x, grad_norm,
+        steps)`` when it stops, else None, and ``rr`` after a replaced
+        residual."""
+        if self.armed and rr <= self.trigger_sq * ee:
+            # ||x - x*|| <= ||r|| / lam_min <= 0.1 ||e||: the step is known,
+            # so ask once whether the rule accepts the rounding floor
+            self.armed = False
+            if self.floor_refused(self.z + e):
+                return (None, self.gnorm, it), rr
+        r_norm = math.sqrt(rr)
+        if r_norm <= self.limit:
+            x = self.z + e
+            if self.done(x, r_norm):
+                _, g = self.fun_grad(x)
+                self.gnorm = vnorm(g)
+                if self.done(x, self.gnorm):
+                    return (x, self.gnorm, it), rr
+                if self.replaced:
+                    return (None, self.gnorm, it), rr
+                # the recursive residual drifted from the gradient: replace it
+                self.replaced = True
+                r[:] = g
+                rr = float(g.dot(g))
+        return None, rr
+
+    def rows(self):
+        """The start of a solve alone: rows ``er`` (``e = 0``, ``r = g0``),
+        ``dh`` (``d = -g0``, ``H d`` unset) and ``r.r``."""
+        er = np.zeros((2, self.z.size))
+        er[1] = self.g0
+        dh = np.empty_like(er)
+        np.negative(er[1], out=dh[0])
+        return er, dh, float(self.g0.dot(self.g0))
+
+    def run(self, it, er, dh, rr):
+        """Steps ``it + 1`` onward of this block, alone, from its rows ``er``
+        (``e``, ``r``) and ``dh`` (``d``, ``H d``) and ``rr = r.r``: per step
+        a ``matmul``, three ``dot`` calls and four elementwise updates on
+        ``(n,)`` rows, the calls of the loop the lockstep kernel replaced.
+        Returns ``(x, grad_norm, steps)``."""
+        e, r = er
+        d, hd = dh
+        hess, budget = self.solver._hess, self.solver.cg_budget
+        for it in range(it + 1, budget + 1):
+            np.matmul(hess, d, out=hd)
+            dhd = float(d.dot(hd))
+            if not dhd > 0.0:  # d vanished or the product is no longer finite
+                return None, self.gnorm, it
+            er += rr / dhd * dh
+            rr_new = float(r.dot(r))
+            ee = float(e.dot(e)) if self.armed else 0.0
+            # most steps pass neither test of check, and skip the call
+            if (self.armed and rr_new <= self.trigger_sq * ee) \
+                    or math.sqrt(rr_new) <= self.limit:
+                result, rr_new = self.check(it, e, r, ee, rr_new)
+                if result is not None:
+                    return result
+            d *= rr_new / rr
+            d -= r
+            rr = rr_new
+        return None, self.gnorm, budget
+
+
+class _CGBatch:
+    """The blocks of a lockstep solve still iterating; row ``j`` of every
+    array is ``lanes[j]``'s.  ``er`` stacks ``e`` and the residual ``r``,
+    ``dh`` stacks ``d`` and ``H d`` (both ``(2, L, n)``) and ``rr = r.r``.
+    ``products`` holds ``(H, d, H d)`` views per run of blocks in adjacent
+    slots of the stack, one ``matmul`` each: a block that leaves splits a
+    run, and no Hessian is copied."""
+
+    def __init__(self, stack: _HessianStack, lanes):
+        self.stack = stack
+        er = np.zeros((2, len(lanes), lanes[0].z.size))
+        for j, lane in enumerate(lanes):
+            er[1, j] = lane.g0
+        dh = np.empty_like(er)
+        np.negative(er[1], out=dh[0])
+        self._select(lanes, er, dh, np.array([float(g.dot(g)) for g in er[1]]))
+
+    def _select(self, lanes, er, dh, rr):
+        self.lanes, self.er, self.dh, self.rr = lanes, er, dh, rr
+        self.e, self.r = er
+        self.d, self.hd = dh
+        if len(lanes) > 1:
+            d3, hd3 = self.d[:, :, None], self.hd[:, :, None]
+            slots = [lane.solver._slot for lane in lanes]
+            cuts = [0] + [j for j in range(1, len(slots))
+                          if slots[j] != slots[j - 1] + 1] + [len(slots)]
+            hessians = self.stack.hessians
+            self.products = [(hessians[slots[a]:slots[b - 1] + 1], d3[a:b], hd3[a:b])
+                             for a, b in zip(cuts, cuts[1:])]
+        self.last_round = min((lane.solver.cg_budget for lane in lanes), default=0)
+
+    def drop(self, stopped) -> np.ndarray:
+        """Drop the blocks at the positions in ``stopped``; returns the
+        positions kept."""
+        keep = np.array([j for j in range(len(self.lanes)) if j not in stopped], dtype=int)
+        self._select([self.lanes[j] for j in keep], self.er.take(keep, axis=1),
+                     self.dh.take(keep, axis=1), self.rr.take(keep))
+        return keep
+
+
+def _lockstep_cg(stack: _HessianStack, solvers, fun_grads, zs, dones) -> list:
+    """Warm-started CG on ``e_k = x_k - z_k`` for quadratic blocks whose
+    Hessians are in ``stack``, one round per step for all of them; per block
+    ``(x, grad_norm, steps)``, with ``x = None`` when the block must fall
+    back to the exact solve.
+
+    A block's arrays, gradient evaluations and rule calls are those of
+    solving it alone: a batched ``matmul`` gives the bits of each
+    ``H_k @ d_k``, ``np.vecdot`` those of each ``ndarray.dot``, and the
+    elementwise updates are the per-block ones.  The per-block scalars
+    (step tests, the rule's limit, the floor trigger) are Python floats, so
+    a round makes about a dozen calls into numpy however many blocks it
+    moves.  A block leaves the batch when it stops: on a rule's pass, a
+    refused floor, a second refused gradient, non-positive curvature or its
+    step budget.  A block solved alone, and the last block left in a batch,
+    go on by ``_CGLane.run``, on their own rows: a round of one block costs
+    less there than in the batch, and a solve alone builds no batch.
+    """
+    results = [None] * len(solvers)
+    lanes = []
+    for i, (solver, fun_grad, z, done) in enumerate(zip(solvers, fun_grads, zs, dones)):
+        z = np.asarray(z, dtype=float)
+        _, g0 = fun_grad(z)
+        gnorm = vnorm(g0)
+        if done(z, gnorm):
+            results[i] = (z.copy(), gnorm, 0)
+        elif solver.cg_budget < 1:
+            results[i] = (None, gnorm, solver.cg_budget)
+        else:
+            lanes.append(_CGLane(i, solver, fun_grad, z, done, g0, gnorm))
+    if len(lanes) == 1:
+        results[lanes[0].index] = lanes[0].run(0, *lanes[0].rows())
+    if len(lanes) < 2:
+        return results
+    b = _CGBatch(stack, lanes)
+    it = 0
+    while len(b.lanes) > 1:
+        it += 1
+        for hess, d3, hd3 in b.products:
+            np.matmul(hess, d3, out=hd3)
+        dhd = np.vecdot(b.d, b.hd)
+        stopped = [j for j, v in enumerate(dhd.tolist()) if not v > 0.0]
+        if stopped:  # d vanished or the products are no longer finite
+            for j in stopped:
+                results[b.lanes[j].index] = (None, b.lanes[j].gnorm, it)
+            dhd = dhd.take(b.drop(stopped))
+            if not b.lanes:
+                return results
+            stopped = []
+        b.er += (b.rr / dhd)[:, None] * b.dh
+        dots = np.vecdot(b.er, b.er)  # rows e.e and r.r
+        rr_new = dots[1]
+        for j, (ee, rr) in enumerate(zip(*dots.tolist())):
+            lane = b.lanes[j]
+            # most steps pass neither test of check, and skip the call
+            if (lane.armed and rr <= lane.trigger_sq * ee) or math.sqrt(rr) <= lane.limit:
+                result, rr_new[j] = lane.check(it, b.e[j], b.r[j], ee, rr)
+                if result is not None:
+                    results[lane.index] = result
+                    stopped.append(j)
+        b.d *= (rr_new / b.rr)[:, None]
+        b.d -= b.r
+        b.rr = rr_new
+        if it == b.last_round:  # the step budget of some block is spent
+            for j, lane in enumerate(b.lanes):
+                if lane.solver.cg_budget == it and j not in stopped:
+                    results[lane.index] = (None, lane.gnorm, it)
+                    stopped.append(j)
+        if stopped:
+            b.drop(stopped)
+    if b.lanes:
+        lane = b.lanes[0]
+        results[lane.index] = lane.run(it, b.er[:, 0], b.dh[:, 0], float(b.rr[0]))
+    return results
+
+
 class LbfgsBlockSolver:
     """Certified iterative solver for smooth blocks.
 
@@ -311,15 +561,21 @@ class LbfgsBlockSolver:
     gradient by a recursive residual.  When that residual passes, the
     gradient is recomputed at the point and its norm must pass too; the
     first time it does not, the residual is replaced by it and the iteration
-    continues.  Each step multiplies by ``H``, formed once on the first
-    solve, into a preallocated vector; ``(e, r)`` and ``(d, H d)`` are the
-    rows of two arrays, so one update moves both, and every reduction is an
-    ``ndarray.dot``: about eight calls into numpy per step, of which the
-    product with ``H`` is the only one that grows with the block.  The
-    point ``x = z + e`` is formed, and the rule asked, only once ``||r||``
-    is at most the rule's ``limit`` (see ``solve``).  Three events return
-    the exact factorized minimizer with certificate 0 and
-    ``exact_fallback=True``:
+    continues.  The kernel, ``_lockstep_cg``, moves the blocks of a sweep
+    that share a Hessian stack (see ``build_penalized_solvers`` and
+    ``solve_sweep``) together, one round per step.  A round forms the
+    products ``H_k d_k`` by one batched ``matmul`` per run of adjacent
+    blocks and makes about a dozen calls into numpy in all, however many
+    blocks it moves; each block gets the bits of solving it alone and
+    leaves the batch when it stops.  A lone ``solve``, and the last block
+    left in a batch, step on their own ``(n,)`` rows, about eight calls a
+    step.  ``stack`` is the Hessian stack a least-squares block joins;
+    without one it gets a stack of its own.  ``H`` is formed with the other
+    Hessians of its stack on the first solve.  The point ``x = z + e`` is
+    formed, and the rule asked, only once ``||r||`` is at most the rule's
+    ``limit`` (see ``solve``).
+    Three events return the exact factorized minimizer with certificate 0
+    and ``exact_fallback=True``:
 
     * the floor stop: once the residual is small enough to fix ``||e||`` to
       within 10% (``||r|| <= 0.1 lam_min ||e||``), the rule is asked once
@@ -361,10 +617,13 @@ class LbfgsBlockSolver:
     cg_budget = 300  # conjugate-gradient steps before the exact fallback
 
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float,
-                 exact_tol: float = 1e-12):
+                 exact_tol: float = 1e-12, stack: _HessianStack | None = None):
         fd = block.objective
         if fd.smooth is None or fd.l1_scale != 0.0:
             raise ValueError("LbfgsBlockSolver requires a purely smooth block")
+        quadratic = fd.smooth.kind == "least_squares"
+        if stack is not None and not quadratic:
+            raise ValueError("only a least-squares block joins a Hessian stack")
         self.block = block
         self.penalty = float(penalty)
         self.prox_weight = float(prox_weight)
@@ -373,8 +632,12 @@ class LbfgsBlockSolver:
         self._fallback = None
         # ((curvature, bytes of x), loss's (value, gradient[, curvature]) at x)
         self._memo = None
-        if fd.smooth.kind == "least_squares":
+        # a quadratic block's Hessian is slot _slot of _stack
+        self._stack, self._slot = None, 0
+        if quadratic:
             self._fallback = QuadBlockSolver(block, penalty, prox_weight)
+            self._stack = _HessianStack() if stack is None else stack
+            self._slot = self._stack.add(fd.smooth.A, self._coupling)
 
     @property
     def _shift(self) -> float | None:
@@ -423,9 +686,9 @@ class LbfgsBlockSolver:
 
     @cached_property
     def _hess(self) -> np.ndarray:
-        """``H`` of a quadratic block; formed on the first conjugate-gradient
-        solve, not at construction."""
-        return self._hessian()
+        """``H`` of a quadratic block, a view into its stack; formed on the
+        first conjugate-gradient solve, not at construction."""
+        return self._stack.hessians[self._slot]
 
     @cached_property
     def _hess_norm(self) -> float:
@@ -436,62 +699,9 @@ class LbfgsBlockSolver:
 
     def _conjugate_gradients(self, fun_grad, z, done):
         """Warm-started CG on ``e = x - z``; ``(x, grad_norm, steps)``, with
-        ``x = None`` when the solve must fall back to the exact one."""
-        z = np.asarray(z, dtype=float)
-        _, g0 = fun_grad(z)
-        gnorm = vnorm(g0)
-        if done(z, gnorm):
-            return z.copy(), gnorm, 0
-        H = self._hess
-        # H >= lam_min I; the floor stop needs it positive
-        lam_min = self.prox_weight if self._shift is None else self._shift
-        floor_armed = lam_min > 0.0
-        trigger_sq = (_FLOOR_TRIGGER * lam_min) ** 2
-        # no bound above the limit passes, so the rule need not see it
-        limit = getattr(done, "limit", math.inf)
-        replaced = False
-        er = np.zeros((2, z.size))  # rows e = x - z and the residual r
-        e, r = er
-        r[:] = g0
-        dh = np.empty((2, z.size))  # rows d and H d
-        d, hd = dh
-        np.negative(r, out=d)
-        rr = float(r.dot(r))
-        for it in range(1, self.cg_budget + 1):
-            np.matmul(H, d, out=hd)
-            dhd = float(d.dot(hd))
-            if not dhd > 0.0:  # d vanished or the products are no longer finite
-                return None, gnorm, it
-            step = rr / dhd
-            er += step * dh
-            rr_new = float(r.dot(r))
-            if floor_armed and rr_new <= trigger_sq * float(e.dot(e)):
-                # ||x - x*|| <= ||r|| / lam_min <= 0.1 ||e||: the step is known,
-                # so ask once whether the rule accepts the rounding floor
-                floor_armed = False
-                x = z + e
-                floor = _UNIT_ROUNDOFF * (
-                    self._hess_norm * vnorm(x) + vnorm(H @ z - g0))
-                if not done(x, floor):
-                    return None, gnorm, it
-            r_norm = math.sqrt(rr_new)
-            if r_norm <= limit:
-                x = z + e
-                if done(x, r_norm):
-                    _, g = fun_grad(x)
-                    gnorm = vnorm(g)
-                    if done(x, gnorm):
-                        return x, gnorm, it
-                    if replaced:
-                        return None, gnorm, it
-                    # the recursive residual drifted from the gradient: replace it
-                    replaced = True
-                    r[:] = g
-                    rr_new = float(g.dot(g))
-            d *= rr_new / rr
-            d -= r
-            rr = rr_new
-        return None, gnorm, self.cg_budget
+        ``x = None`` when the solve must fall back to the exact one: the
+        lockstep kernel on this block alone."""
+        return _lockstep_cg(self._stack, [self], [fun_grad], [z], [done])[0]
 
     def _newton(self, fun_grad, z, done):
         """Damped Newton from ``z``; ``(x, grad_norm, steps)`` of the first
@@ -532,6 +742,23 @@ class LbfgsBlockSolver:
                 best = (x, gnorm)
         return x, gnorm, steps
 
+    def _rule(self, accept):
+        """``accept``, or the ``exact_tol`` test without one."""
+        return (lambda xx, gn: gn <= self.exact_tol) if accept is None else accept
+
+    def _cg_certificate(self, t, z, result) -> BlockSolveCertificate:
+        """The certificate of a conjugate-gradient ``(x, grad_norm, steps)``;
+        ``x = None`` gives the exact factorized solve."""
+        x, gnorm, iters = result
+        if x is None:
+            # the fallback's Woodbury loss equals f(x) only up to
+            # rounding, so it is not carried (see BlockSolveCertificate)
+            cert = self._fallback.solve(t, z)
+            return BlockSolveCertificate(x=cert.x, subgrad_bound=0.0,
+                                         inner_iters=iters, exact_fallback=True)
+        return BlockSolveCertificate(x=x, subgrad_bound=gnorm, inner_iters=iters,
+                                     value=self._loss_at(x))
+
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
         """Solve from the warm start ``z`` until ``accept(x, bound)`` holds.
 
@@ -541,22 +768,18 @@ class LbfgsBlockSolver:
         norm is at most ``limit``.  ``InexactSchedule.accept_rules`` sets it
         to the criterion-A threshold.  A rule without ``limit`` is asked at
         every step.  Without ``accept`` the solve runs to ``exact_tol``.
+        ``solve_sweep`` solves several quadratic blocks at once, with the
+        bits of this method.
         """
-        done = (lambda xx, gn: gn <= self.exact_tol) if accept is None else accept
-        if self._fallback is not None:
-            x, gnorm, iters = self._conjugate_gradients(self._fun_grad(t, z), z, done)
-            if x is None:
-                # the fallback's Woodbury loss equals f(x) only up to
-                # rounding, so it is not carried (see BlockSolveCertificate)
-                cert = self._fallback.solve(t, z)
-                return BlockSolveCertificate(x=cert.x, subgrad_bound=0.0,
-                                             inner_iters=iters, exact_fallback=True)
-        else:
-            x, gnorm, iters = self._newton(self._fun_grad(t, z, curvature=True), z, done)
-            if accept is not None and not accept(x, gnorm):
-                raise BlockSolveError(
-                    f"Newton solve stopped after {iters} of {_NEWTON_STEPS} steps at "
-                    f"gradient norm {gnorm:.3e} without meeting its threshold")
+        done = self._rule(accept)
+        if self._stack is not None:
+            return self._cg_certificate(
+                t, z, self._conjugate_gradients(self._fun_grad(t, z), z, done))
+        x, gnorm, iters = self._newton(self._fun_grad(t, z, curvature=True), z, done)
+        if accept is not None and not accept(x, gnorm):
+            raise BlockSolveError(
+                f"Newton solve stopped after {iters} of {_NEWTON_STEPS} steps at "
+                f"gradient norm {gnorm:.3e} without meeting its threshold")
         return BlockSolveCertificate(x=x, subgrad_bound=gnorm, inner_iters=iters,
                                      value=self._loss_at(x))
 
@@ -613,6 +836,41 @@ class CompositeBlockSolver:
         return BlockSolveCertificate(x=x, subgrad_bound=bound, inner_iters=_PROX_GRAD_STEPS)
 
 
+def solve_sweep(solvers, targets, zs, rules=None) -> list:
+    """Solve the K block subproblems of one sweep; one certificate per block.
+
+    Block ``k`` is solved for the target ``targets[k]`` from the warm start
+    ``zs[k]`` under the rule ``rules[k]`` (with ``rules=None`` every solver
+    runs in its exact mode).  The quadratic ``LbfgsBlockSolver``s that share
+    a Hessian stack (see ``build_penalized_solvers``) are solved together by
+    the lockstep kernel, when the first of them comes up; every other
+    solver, a wrapper of one included, by its own ``solve``, in block
+    order.  Each certificate has the bits of solving that block alone.  A
+    ``BlockSolveError`` is raised again with the index of its block.
+    """
+    units = {}  # a stack, or a block index, to the blocks solved together
+    for k, sv in enumerate(solvers):
+        stack = sv._stack if isinstance(sv, LbfgsBlockSolver) else None
+        units.setdefault(k if stack is None else stack, []).append(k)
+    certs = [None] * len(solvers)
+    for unit, ks in units.items():
+        if isinstance(unit, _HessianStack):
+            group = [solvers[k] for k in ks]
+            fun_grads = [sv._fun_grad(targets[k], zs[k]) for sv, k in zip(group, ks)]
+            dones = [sv._rule(None if rules is None else rules[k])
+                     for sv, k in zip(group, ks)]
+            results = _lockstep_cg(unit, group, fun_grads, [zs[k] for k in ks], dones)
+            for sv, k, result in zip(group, ks, results):
+                certs[k] = sv._cg_certificate(targets[k], zs[k], result)
+            continue
+        try:
+            certs[unit] = solvers[unit].solve(
+                targets[unit], zs[unit], accept=None if rules is None else rules[unit])
+        except BlockSolveError as err:
+            raise BlockSolveError(f"block {unit}: {err}") from err
+    return certs
+
+
 def build_penalized_solvers(problem, penalty: float, prox_weights,
                             iterative_smooth: bool = False):
     """Construct one solver per block for a given penalty/proximal pairing.
@@ -620,10 +878,13 @@ def build_penalized_solvers(problem, penalty: float, prox_weights,
     ``prox_weights`` is a scalar or one weight per block.  With
     ``iterative_smooth`` the quadratic blocks also go through the iterative
     ``LbfgsBlockSolver`` (conjugate gradients) so that their solves carry
-    nontrivial certificates; logistic blocks always do (damped Newton).
+    nontrivial certificates, and those of one dimension share one Hessian
+    stack, which ``solve_sweep`` solves in lockstep; logistic blocks always
+    use it (damped Newton).
     """
     K = problem.num_blocks
     weights = np.broadcast_to(np.asarray(prox_weights, dtype=float), (K,))
+    stacks = {}  # block dimension to the Hessian stack of its quadratic blocks
     solvers = []
     for blk, s in zip(problem.blocks, weights):
         fd = blk.objective
@@ -631,8 +892,11 @@ def build_penalized_solvers(problem, penalty: float, prox_weights,
             solvers.append(CompositeBlockSolver(blk, penalty, s))
         elif fd.smooth is None:
             solvers.append(L1ProxBlockSolver(blk, penalty, s))
-        elif fd.smooth.kind == "logistic" or iterative_smooth:
+        elif fd.smooth.kind == "logistic":
             solvers.append(LbfgsBlockSolver(blk, penalty, s))
+        elif iterative_smooth:
+            stack = stacks.setdefault(blk.n, _HessianStack())
+            solvers.append(LbfgsBlockSolver(blk, penalty, s, stack=stack))
         else:
             solvers.append(QuadBlockSolver(blk, penalty, s))
     return solvers
@@ -644,7 +908,8 @@ def build_block_solvers(problem, params, schedule=None):
     Under an inexact schedule (pass the same one to ``ada.run``) the smooth
     blocks are solved iteratively so the acceptance criteria are genuinely
     exercised: quadratic blocks by warm-started conjugate gradients with an
-    exact factorized fallback (at most 300 steps).  Logistic blocks are
+    exact factorized fallback (at most 300 steps), those of one dimension
+    in lockstep when ``ada.ada_step`` passes a sweep to ``solve_sweep``.  Logistic blocks are
     always solved by damped Newton steps (at most 500), to ``1e-12`` in the
     gradient norm when no schedule sets a threshold.  With no schedule every
     block that admits a closed form uses it.

@@ -13,14 +13,18 @@ took them over.  It forms ``A^T A + p E^T E + s I`` from dense copies of
 quadratic solves.
 
 ``conjugate_gradients`` is the conjugate-gradient loop of
-``LbfgsBlockSolver`` before its lean kernel, kept line for line: the kernel
-must return the same bits.
+``LbfgsBlockSolver`` before its lean kernel, kept line for line: the
+lockstep kernel, for one block or a sweep's worth, must return the same
+bits.
 
 ``ada_step`` (with its ``_block_targets``), ``quad_block_solve`` and
 ``l1_block_solve`` are the engine's sweep, ``QuadBlockSolver.solve`` and
 ``L1ProxBlockSolver.solve`` as they were before they updated their arrays in
 place and the Woodbury solve carried its loss, kept line for line: with the loss stripped from the certificates, the two sweeps
 must agree bit for bit.
+
+``trace_to_csv`` is ``Trace.to_csv`` as it was before it formatted whole
+rows: a ``csv.writer`` fed one formatted field at a time.
 
 ``identity_quad_solver`` builds the ``QuadBlockSolver`` of the shifted
 normal system ``(A^T A + sigma I) x = r``.
@@ -30,6 +34,7 @@ normal system ``(A^T A + sigma I) x = r``.
 the engines' solver objects; no code in the library calls them.
 """
 
+import csv
 import math
 from typing import Optional, Sequence
 
@@ -306,6 +311,25 @@ def conjugate_gradients(self, fun_grad, z, done):
         d -= r
         rr = rr_new
     return None, gnorm, self.cg_budget
+
+
+def trace_to_csv(trace, path, include_certs: bool = False):
+    """``Trace.to_csv`` by ``csv.writer``; ``trace`` is the trace."""
+    fmt = lambda v: f"{v:.17g}"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["iter", "objective", "residual", "delta_g", "x_rel", "feas_rel"]
+        if include_certs:
+            K = len(trace.metrics[0].per_block_cert) if trace.metrics \
+                else trace.initial_state.num_blocks
+            header += [f"cert_{k + 1}" for k in range(K)] + ["inner_iters_total"]
+        writer.writerow(header)
+        for m in trace.metrics:
+            row = [m.iter, fmt(m.objective), fmt(m.constraint_residual_norm),
+                   fmt(m.delta_g_norm_sq), fmt(m.x_rel_change), fmt(m.feas_rel)]
+            if include_certs:
+                row += [fmt(cb) for cb in m.per_block_cert] + [m.inner_iters_total]
+            writer.writerow(row)
 
 
 def _block_targets(state: IterateState, problem: Problem, rho: float) -> list:

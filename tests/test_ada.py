@@ -436,6 +436,27 @@ class TestTraceCsv:
             assert float(parts[1]) == m.objective  # %.17g is value-exact
             assert float(parts[3]) == m.delta_g_norm_sq
 
+    @pytest.mark.parametrize("include_certs", [False, True])
+    @pytest.mark.parametrize("rows", [0, 1, 45])
+    def test_bytes_match_csv_writer(self, small_exchange, tmp_path, include_certs, rows):
+        problem, _ = small_exchange
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -1e300, 1e16, 2.0 ** 53 + 2, 0.1, -1 / 3,
+                   np.float64(123456.789), 7]
+        rng = np.random.default_rng(rows)
+        pick = lambda: special[rng.integers(len(special))] if rng.random() < 0.5 \
+            else float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+        trace = ag.Trace(initial_state=ag.make_initial_state(problem), metrics=[
+            StepMetrics(iter=i + 1, objective=pick(), constraint_residual_norm=pick(),
+                        delta_g_norm_sq=pick(), x_rel_change=pick(), feas_rel=pick(),
+                        per_block_cert=tuple(pick() for _ in range(3)),
+                        inner_iters_total=int(rng.integers(0, 10 ** 6)))
+            for i in range(rows)])
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        trace.to_csv(got, include_certs=include_certs)
+        oracles.trace_to_csv(trace, want, include_certs=include_certs)
+        assert got.read_bytes() == want.read_bytes()
+
 
 class TestStopReason:
     def test_non_finite_block_solution_stops_the_run(self, small_exchange):

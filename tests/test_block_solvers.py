@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +8,13 @@ import scipy.sparse as sp
 
 import augdecomp as ag
 from augdecomp import block_solvers
-from augdecomp.block_solvers import (BlockSolveError, CompositeBlockSolver,
-                                     L1ProxBlockSolver, LbfgsBlockSolver,
-                                     QuadBlockSolver, _cholesky_solver,
-                                     _coupling_hessian, _formed_hessian,
-                                     _hessian_solver, soft_threshold,
-                                     subgrad_dist_l1)
+from augdecomp.block_solvers import (BlockSolveCertificate, BlockSolveError,
+                                     CompositeBlockSolver, L1ProxBlockSolver,
+                                     LbfgsBlockSolver, QuadBlockSolver,
+                                     _cholesky_solver, _coupling_hessian,
+                                     _formed_hessian, _hessian_solver,
+                                     build_penalized_solvers, soft_threshold,
+                                     solve_sweep, subgrad_dist_l1)
 from augdecomp.coupling import e_gram_scale
 from augdecomp.inexact import InexactSchedule
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
@@ -668,13 +670,30 @@ class TestLeanCGKernel:
         (x, _, steps), calls = self._compare(lean, old, t, z, lambda x, b: b <= 1e-30)
         assert x is None and 0 < steps < lean.cg_budget and calls == 1
 
-    @pytest.mark.parametrize("block, seed, accepted", [(1, 1, True), (2, 2, False)])
+    @pytest.mark.parametrize("block, seed, accepted",
+                             [(1, 1, True), (2, 2, None), (4, 24, False)])
     def test_replaced_residual(self, block, seed, accepted):
         # the recursive residual passes, the recomputed gradient does not, the
-        # residual is replaced; the second pass is accepted or refused again
+        # residual is replaced; the second pass is accepted or refused again.
+        # (2, 2) ends either way by the last bits of its gradient, which
+        # depend on the BLAS thread count; (1, 1) and (4, 24) end the same
+        # way with one BLAS thread or several
         _, lean, old, t, z = self._case(block=block, seed=seed)
-        (x, _, _), calls = self._compare(lean, old, t, z, lambda x, b: b <= 1e-12)
-        assert calls == 3 and (x is not None) == accepted
+        asked = []
+
+        def rule(x, bound):
+            asked.append((bound, bound <= 1e-12))
+            return asked[-1][1]
+
+        (x, gnorm, steps), calls = self._compare(lean, old, t, z, rule)
+        assert calls == 3
+        if accepted is not None:
+            assert (x is not None) == accepted
+        if accepted is False:
+            # refused again: the last question was the second recomputed
+            # gradient norm, well before the step budget
+            assert asked[-1] == (gnorm, False) and gnorm > 1e-12
+            assert steps < old.cg_budget
 
 
 def logistic_phi_gradient_fd_check(block, t, z, penalty, prox_weight, rng):
@@ -692,6 +711,210 @@ def logistic_phi_gradient_fd_check(block, t, z, penalty, prox_weight, rng):
         fd[i] = (fp - fm) / (2 * h)
     denom = np.maximum(np.abs(fd), 1.0)
     assert np.max(np.abs(g - fd) / denom) <= 1e-6
+
+
+class TestLockstepSweep:
+    """``solve_sweep`` gives every block the certificate of solving it alone
+    by the loop the lockstep kernel replaced (``oracles.conjugate_gradients``
+    plus the exact fallback), bit for bit, and asks each block's rule what
+    a one-block ``solve`` asks, in the same order."""
+
+    @staticmethod
+    def _solo(solver, t, z, rule):
+        done = (lambda x, gn: gn <= solver.exact_tol) if rule is None else rule
+        x, gnorm, iters = conjugate_gradients(solver, solver._fun_grad(t, z), z, done)
+        if x is None:
+            return BlockSolveCertificate(x=solver._fallback.solve(t, z).x, subgrad_bound=0.0,
+                                         inner_iters=iters, exact_fallback=True)
+        return BlockSolveCertificate(x=x, subgrad_bound=gnorm, inner_iters=iters,
+                                     value=solver.block.objective.smooth.value(x))
+
+    @staticmethod
+    def _logged(rule, log):
+        """``rule`` that appends each ``(bound, verdict)`` to ``log``; it
+        keeps the rule's ``limit``."""
+        def logged(x, bound):
+            log.append((bound, bool(rule(x, bound))))
+            return log[-1][1]
+
+        if hasattr(rule, "limit"):
+            logged.limit = rule.limit
+        return logged
+
+    def _check(self, problem, targets, zs, rules, penalty=5.0, prox_weight=0.1,
+               budgets=None):
+        """One sweep against solo solves; returns the sweep's certificates
+        and each block's number of gradient evaluations."""
+        K = problem.num_blocks
+        # separate solvers, so no side sees another's memo
+        swept, alone, solo = (build_penalized_solvers(problem, penalty, prox_weight,
+                                                      iterative_smooth=True)
+                              for _ in range(3))
+        for k, budget in (budgets or {}).items():
+            for side in (swept, alone, solo):
+                side[k].cg_budget = budget
+        calls = [0] * K
+
+        def counted(k, make):
+            def fun_grad_factory(t, z):
+                fun_grad = make(t, z)
+
+                def f(x):
+                    calls[k] += 1
+                    return fun_grad(x)
+                return f
+            return fun_grad_factory
+
+        for k, sv in enumerate(swept):
+            if isinstance(sv, LbfgsBlockSolver):
+                sv._fun_grad = counted(k, sv._fun_grad)
+        logs = {side: [[] for _ in range(K)] for side in ("swept", "alone", "solo")}
+        wrap = lambda side: [None if rules[k] is None else
+                             self._logged(rules[k], logs[side][k]) for k in range(K)]
+        certs = solve_sweep(swept, targets, zs, wrap("swept"))
+        alone_rules, solo_rules = wrap("alone"), wrap("solo")
+        for k in range(K):
+            alone_cert = alone[k].solve(targets[k], zs[k], accept=alone_rules[k])
+            if isinstance(solo[k], LbfgsBlockSolver):
+                want = self._solo(solo[k], targets[k], zs[k], solo_rules[k])
+            else:
+                want = solo[k].solve(targets[k], zs[k], accept=solo_rules[k])
+            for got in (certs[k], alone_cert):
+                assert got.x.tobytes() == want.x.tobytes(), k
+                assert (got.subgrad_bound, got.inner_iters, got.exact_fallback, got.value) \
+                    == (want.subgrad_bound, want.inner_iters, want.exact_fallback,
+                        want.value), k
+        # the lockstep sweep asks what the one-block solve asks; after the
+        # warm start, the loop it replaced also asked every bound above a
+        # rule's limit, all refused
+        assert logs["swept"] == logs["alone"]
+        for k, rule in enumerate(rules):
+            if rule is None:
+                continue
+            limit = getattr(rule, "limit", math.inf)
+            first, *rest = logs["solo"][k]
+            assert all(ok is False for bound, ok in rest if bound > limit)
+            assert logs["swept"][k] == [first] + [q for q in rest if q[0] <= limit]
+        return certs, calls
+
+    @staticmethod
+    def _exchange_sweep(seed):
+        problem, _ = ag.gen_exchange(5, 100, 80, seed=1)
+        rng = np.random.default_rng(seed)
+        return problem, rng.standard_normal((5, 100)), rng.standard_normal((5, 100))
+
+    @pytest.mark.parametrize("nu", [1, 4, 30])
+    @pytest.mark.parametrize("kind", ["criterion_A", "criterion_B"])
+    def test_schedule_rules(self, kind, nu):
+        problem, targets, zs = self._exchange_sweep(nu)
+        sched = InexactSchedule.for_problem(problem, kind, eps0=1e-5, gamma=2.0)
+        rng = np.random.default_rng(100 + nu)
+        # x_prev one small step from z: criterion B scales by ||x - x_prev|| < 1
+        x_prev = tuple(zs + 1e-3 * rng.standard_normal((5, 100)))
+        state = replace(make_initial_state(problem), x=x_prev)
+        rules = sched.accept_rules(nu, state, ag.SolverParams(rho=10.0, c=10.0), 5)
+        certs, _ = self._check(problem, targets, zs, rules)
+        # the blocks finish in different rounds
+        assert len({c.inner_iters for c in certs}) > 1 and min(c.inner_iters for c in certs) > 0
+
+    def test_no_rules(self):
+        problem, targets, zs = self._exchange_sweep(7)
+        certs, _ = self._check(problem, targets, zs, [None] * 5)
+        assert len({c.inner_iters for c in certs}) > 1
+
+    def test_every_event_in_one_sweep(self):
+        # per block the (block, seed) of TestLeanCGKernel: block 0 refuses the
+        # floor, block 1 passes after a replaced residual, block 2 spends a
+        # budget of 5 steps, block 3 is accepted at its warm start and block 4
+        # refuses its replaced residual again; the others keep going meanwhile
+        problem, _ = ag.gen_exchange(5, 100, 80, seed=1)
+        seeds = [5, 1, 4, 0, 24]
+        draws = [np.random.default_rng(s).standard_normal((2, 100)) for s in seeds]
+        targets, zs = np.array([d[0] for d in draws]), np.array([d[1] for d in draws])
+        rules = [lambda x, b: b <= 1e-30, lambda x, b: b <= 1e-12,
+                 lambda x, b: b <= 1e-9, lambda x, b: True, lambda x, b: b <= 1e-12]
+        certs, calls = self._check(problem, targets, zs, rules, budgets={2: 5})
+        steps = [c.inner_iters for c in certs]
+        assert [c.exact_fallback for c in certs] == [True, False, True, False, True]
+        assert calls == [1, 3, 1, 1, 3]
+        assert steps[2] == 5 and steps[3] == 0
+        assert all(5 < steps[k] < LbfgsBlockSolver.cg_budget for k in (0, 1, 4))
+
+    def test_two_dimensions_and_a_closed_form_block(self):
+        rng = np.random.default_rng(11)
+        m = 6
+
+        def quad(n):
+            return BlockSpec(n=n, E=rng.standard_normal((m, n)), objective=FunctionDescriptor(
+                smooth=SmoothPart("least_squares", rng.standard_normal((9, n)),
+                                  rng.standard_normal(9))))
+
+        l1 = BlockSpec(n=m, E=ag.Coupling.identity(m, sign=-1),
+                       objective=FunctionDescriptor(l1_scale=0.3))
+        problem = ag.Problem(blocks=(quad(7), quad(5), l1, quad(7), quad(5)), q=np.zeros(m))
+        solvers = build_penalized_solvers(problem, 1.5, 0.5, iterative_smooth=True)
+        stacks = [sv._stack for sv in solvers if isinstance(sv, LbfgsBlockSolver)]
+        assert isinstance(solvers[2], L1ProxBlockSolver)
+        assert stacks[0] is stacks[2] and stacks[1] is stacks[3] and stacks[0] is not stacks[1]
+        targets = rng.standard_normal((5, m))
+        zs = [rng.standard_normal(blk.n) for blk in problem.blocks]
+        rules = [lambda x, b: b <= 1e-10, lambda x, b: b <= 1e-6, None,
+                 lambda x, b: b <= 1e-8, None]
+        self._check(problem, targets, zs, rules, penalty=1.5, prox_weight=0.5)
+
+    def test_hessians_are_views_of_one_stack(self):
+        problem, targets, zs = self._exchange_sweep(3)
+        solvers = build_penalized_solvers(problem, 5.0, 0.1, iterative_smooth=True)
+        solve_sweep(solvers, targets, zs)
+        stack = solvers[0]._stack.hessians
+        assert stack.shape == (5, 100, 100)
+        for k, sv in enumerate(solvers):
+            assert sv._hess.base is stack and np.shares_memory(sv._hess, stack[k])
+
+    def test_solvers_join_their_stack_when_built(self):
+        # each quadratic solver adds its block to the stack it is given, in
+        # block order; one built alone gets a stack of its own, a logistic
+        # block joins none, and a formed stack takes no more blocks
+        problem, targets, zs = self._exchange_sweep(3)
+        solvers = build_penalized_solvers(problem, 5.0, 0.1, iterative_smooth=True)
+        shared = solvers[0]._stack
+        assert [sv._slot for sv in solvers] == list(range(5))
+        assert all(sv._stack is shared for sv in solvers)
+        alone = LbfgsBlockSolver(problem.blocks[0], 5.0, 0.1)
+        assert alone._stack is not shared and alone._slot == 0
+        with pytest.raises(ValueError, match="least-squares"):
+            LbfgsBlockSolver(_logistic_block(np.eye(6)), 1.0, 0.1, stack=shared)
+        solve_sweep(solvers, targets, zs)
+        with pytest.raises(ValueError, match="already formed"):
+            LbfgsBlockSolver(problem.blocks[0], 5.0, 0.1, stack=shared)
+        assert shared.hessians.shape == (5, 100, 100)
+
+    def test_whole_run_matches_a_per_block_sweep(self):
+        # ada.run with the lockstep sweep against the same run whose blocks
+        # are solved one at a time by the loop the kernel replaced
+        problem, _ = ag.gen_exchange(5, 100, 80, seed=1000)
+        params = ag.SolverParams(rho=10.0, c=10.0, max_iters=45)
+        sched = InexactSchedule.for_problem(problem, "criterion_B", eps0=1e-5, gamma=2.0)
+        solo = self._solo
+
+        class PerBlock:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def solve(self, t, z, accept=None):
+                return solo(self.inner, t, z, accept)
+
+        runs = [ag.run(problem, params, solvers, stop_mode="max_iters", schedule=sched)
+                for solvers in (ag.build_block_solvers(problem, params, sched),
+                                [PerBlock(s) for s in
+                                 ag.build_block_solvers(problem, params, sched)])]
+        (final, trace), (final_solo, trace_solo) = runs
+        assert [repr(m) for m in trace.metrics] == [repr(m) for m in trace_solo.metrics]
+        for a, b in ((final.w, final_solo.w), (final.y, final_solo.y),
+                     (final.eta, final_solo.eta), (final.zeta_bar, final_solo.zeta_bar)):
+            assert a.tobytes() == b.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(final.x, final_solo.x))
+        assert sum(m.fallbacks for m in trace.metrics) > 0
 
 
 class TestBlockSolverObjects:
