@@ -200,8 +200,7 @@ def _require_lasso_form(problem: Problem) -> float:
     if problem.num_blocks != 2:
         raise ValueError("two-block lasso form required")
     b1, b2 = problem.blocks
-    ok = (b2.objective.smooth is None and b2.objective.l1_scale > 0.0
-          and np.allclose(problem.q, 0.0)
+    ok = (b2.objective.smooth is None and np.allclose(problem.q, 0.0)
           and _is_signed_identity(b1.E, 1) and _is_signed_identity(b2.E, -1))
     if not ok:
         raise ValueError("expected blocks (least squares, l1) coupled by x - z = 0")

@@ -321,6 +321,13 @@ class ExperimentConfig:
                                               or self.solver not in ("ada", "iada")):
             raise ValueError("consensus stop mode applies to the logreg experiment "
                              "with the ada or iada solver")
+        # pairings the runner would ignore or fail on after generating the instance
+        if self.solver == "admm2" and self.experiment != "lasso":
+            raise ValueError("the admm2 solver applies to the lasso experiment only")
+        if self.full_diagnostics and self.solver not in ("ada", "iada"):
+            raise ValueError("full_diagnostics applies to the ada and iada solvers only")
+        if self.data_path is not None and self.experiment != "logreg":
+            raise ValueError("data_path applies to the logreg experiment only")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

@@ -7,16 +7,15 @@ independent subproblems of the shape
 
 for a penalty ``p``, a target ``t``, and a proximal center ``z`` (``s = 0``
 drops the proximal term).  This module provides closed-form solvers for
-least-squares and l1 blocks, a certified iterative solver for smooth blocks
-(conjugate gradients for quadratic losses, damped Newton steps for logistic
-ones), and a proximal-gradient solver for smooth-plus-l1 composites.
-Iterative solvers report a certified upper bound on ``dist(0, d phi(x))`` at
-the returned point, computed from the gradient evaluated at that point;
-closed forms certify zero.  When a quadratic block's threshold is at about
-what finite precision can certify, the exact factorized solve is returned
-instead and the certificate says so (``exact_fallback``).  ``solve_sweep``
-solves the K subproblems of one sweep together, the conjugate-gradient
-blocks of one dimension in lockstep.
+least-squares and l1 blocks and a certified iterative solver for smooth
+blocks (conjugate gradients for quadratic losses, damped Newton steps for
+logistic ones).  Iterative solvers report a certified upper bound on
+``dist(0, d phi(x))`` at the returned point, computed from the gradient
+evaluated at that point; closed forms certify zero.  When a quadratic
+block's threshold is at about what finite precision can certify, the exact
+factorized solve is returned instead and the certificate says so
+(``exact_fallback``).  ``solve_sweep`` solves the K subproblems of one sweep
+together, the conjugate-gradient blocks of one dimension in lockstep.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ _F_NOISE = 1e-12
 # Newton steps in a row that neither lower f beyond its rounding level nor
 # set a new smallest gradient norm before the solve counts as stalled
 _STALL_STEPS = 10
-# Proximal-gradient steps of ``CompositeBlockSolver`` per solve
-_PROX_GRAD_STEPS = 5000
 
 
 class BlockSolveError(RuntimeError):
@@ -133,12 +130,14 @@ def _cholesky_solver(M: np.ndarray):
 
 def _coupling_hessian(E, penalty: float, prox_weight: float):
     """``C = p E^T E + s I``: the float ``p alpha + s`` for a coupling with
-    ``E^T E = alpha I``, otherwise a dense n-by-n array."""
+    ``E^T E = alpha I``, otherwise a dense n-by-n array.  Only a ``"matrix"``
+    coupling has no scalar Gram; a sparse one is multiplied sparse, and
+    only the n-by-n product is densified."""
     alpha = E.gram_scale
     if alpha is not None:
         return float(penalty * alpha + prox_weight)
-    M = E.toarray()
-    C = penalty * (M.T @ M)
+    M = E._matrix if sp.issparse(E._matrix) else E.toarray()
+    C = _dense(penalty * (M.T @ M))
     C.flat[::C.shape[0] + 1] += prox_weight
     return C
 
@@ -226,10 +225,8 @@ class QuadBlockSolver:
 
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float):
         fd = block.objective
-        if fd.smooth is None or fd.l1_scale != 0.0:
-            raise ValueError("QuadBlockSolver requires a purely smooth block")
-        if fd.smooth.kind != "least_squares":
-            raise ValueError("QuadBlockSolver requires a least-squares loss")
+        if fd.smooth is None or fd.smooth.kind != "least_squares":
+            raise ValueError("QuadBlockSolver requires a least-squares block")
         A = fd.smooth.A
         self.E = block.E
         self.penalty = float(penalty)
@@ -271,8 +268,8 @@ class L1ProxBlockSolver:
 
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float):
         fd = block.objective
-        if fd.smooth is not None or fd.l1_scale <= 0.0:
-            raise ValueError("L1ProxBlockSolver requires a pure l1 block")
+        if fd.smooth is not None:
+            raise ValueError("L1ProxBlockSolver requires an l1 block")
         alpha = block.E.gram_scale
         if alpha is None:
             raise ValueError("coupling matrix must satisfy E^T E = alpha I")
@@ -619,8 +616,8 @@ class LbfgsBlockSolver:
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float,
                  exact_tol: float = 1e-12, stack: _HessianStack | None = None):
         fd = block.objective
-        if fd.smooth is None or fd.l1_scale != 0.0:
-            raise ValueError("LbfgsBlockSolver requires a purely smooth block")
+        if fd.smooth is None:
+            raise ValueError("LbfgsBlockSolver requires a smooth block")
         quadratic = fd.smooth.kind == "least_squares"
         if stack is not None and not quadratic:
             raise ValueError("only a least-squares block joins a Hessian stack")
@@ -679,10 +676,6 @@ class LbfgsBlockSolver:
         """The loss's value at ``x`` when ``x`` is the last point evaluated."""
         key, out = self._memo
         return out[0] if key[1] == x.tobytes() else None
-
-    def _hessian(self, h=None) -> np.ndarray:
-        """``A^T diag(h) A + C`` (``A^T A + C`` without ``h``), new and dense."""
-        return _formed_hessian(self.block.objective.smooth.A, self._coupling, h)
 
     @cached_property
     def _hess(self) -> np.ndarray:
@@ -784,58 +777,6 @@ class LbfgsBlockSolver:
                                      value=self._loss_at(x))
 
 
-class CompositeBlockSolver:
-    """Proximal-gradient solver for smooth-plus-l1 blocks.
-
-    The certificate is the exact minimal-norm subgradient at the returned
-    point, evaluated from the smooth gradient by ``subgrad_dist_l1``.
-    """
-
-    exact = False
-
-    def __init__(self, block: BlockSpec, penalty: float, prox_weight: float,
-                 exact_tol: float = 1e-10):
-        fd = block.objective
-        if fd.smooth is None or fd.l1_scale <= 0.0:
-            raise ValueError("CompositeBlockSolver requires smooth and l1 parts")
-        lip_g = 0.25 if fd.smooth.kind == "logistic" else 1.0
-        self.lipschitz = lip_g * spectral_norm(fd.smooth.A) ** 2 \
-            + penalty * block.E.norm ** 2 + prox_weight
-        self.block = block
-        self.penalty = float(penalty)
-        self.prox_weight = float(prox_weight)
-        self.exact_tol = float(exact_tol)
-
-    def _smooth_grad(self, x, t, z):
-        fd = self.block.objective
-        E = self.block.E
-        g = fd.smooth.gradient(x) + self.penalty * E.apply_T(E.apply(x) - t)
-        if self.prox_weight > 0:
-            g = g + self.prox_weight * (x - z)
-        return g
-
-    def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
-        lam = self.block.objective.l1_scale
-        step = 1.0 / self.lipschitz
-        x = np.asarray(z, dtype=float).copy()
-        done = (lambda xx, bound: bound <= self.exact_tol) if accept is None else accept
-        for it in range(_PROX_GRAD_STEPS):
-            g = self._smooth_grad(x, t, z)
-            bound = subgrad_dist_l1(x, g, lam)
-            if done(x, bound):
-                return BlockSolveCertificate(x=x, subgrad_bound=bound, inner_iters=it)
-            x = soft_threshold(x - step * g, step * lam)
-        g = self._smooth_grad(x, t, z)
-        bound = subgrad_dist_l1(x, g, lam)
-        if done(x, bound):
-            return BlockSolveCertificate(x=x, subgrad_bound=bound, inner_iters=_PROX_GRAD_STEPS)
-        if accept is not None:
-            raise BlockSolveError(
-                f"proximal gradient exhausted {_PROX_GRAD_STEPS} iterations at "
-                f"bound {bound:.3e} without meeting its threshold")
-        return BlockSolveCertificate(x=x, subgrad_bound=bound, inner_iters=_PROX_GRAD_STEPS)
-
-
 def solve_sweep(solvers, targets, zs, rules=None) -> list:
     """Solve the K block subproblems of one sweep; one certificate per block.
 
@@ -888,9 +829,7 @@ def build_penalized_solvers(problem, penalty: float, prox_weights,
     solvers = []
     for blk, s in zip(problem.blocks, weights):
         fd = blk.objective
-        if fd.smooth is not None and fd.l1_scale > 0.0:
-            solvers.append(CompositeBlockSolver(blk, penalty, s))
-        elif fd.smooth is None:
+        if fd.smooth is None:
             solvers.append(L1ProxBlockSolver(blk, penalty, s))
         elif fd.smooth.kind == "logistic":
             solvers.append(LbfgsBlockSolver(blk, penalty, s))

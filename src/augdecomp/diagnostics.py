@@ -257,7 +257,7 @@ def kkt_residual(x: Sequence[np.ndarray], y: np.ndarray, problem: Problem) -> fl
 
     Root-sum-square of the per-block minimal subgradient norms of
     ``f_k + <E_k^T y, .>`` together with the coupling residual norm; every
-    block is smooth, l1, or a smooth-plus-l1 composite.
+    block is a smooth loss or an l1 term.
     """
     total = float(np.linalg.norm(constraint_residual(x, problem))) ** 2
     for blk, xk in zip(problem.blocks, x):

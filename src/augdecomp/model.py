@@ -5,8 +5,7 @@ A problem couples ``K`` variable blocks through a single linear constraint
     minimize    f_1(x_1) + ... + f_K(x_K)
     subject to  E_1 x_1 + ... + E_K x_K = q,    x_k in X_k,
 
-where each ``f_k`` splits into a smooth loss composed with a matrix and an
-optional l1 term.  The decomposition algorithms work on a lifted copy of the
+where each ``f_k`` is a smooth loss composed with a matrix or an l1 term.  The decomposition algorithms work on a lifted copy of the
 constraint that lives in the zero-sum subspace ``W`` of stacked m-vectors and
 its all-equal orthogonal complement; this module owns those projections and
 the weighted norm used by every convergence statement.
@@ -106,10 +105,12 @@ class SmoothPart:
 
 @dataclass(frozen=True)
 class FunctionDescriptor:
-    """Block objective ``f_k(x) = g_k(A_k x) + l1_scale * ||x||_1``.
+    """Block objective: the smooth loss ``f_k(x) = g_k(A_k x)`` or the l1
+    term ``f_k(x) = l1_scale * ||x||_1``.
 
-    At least one of the two parts must be present (``smooth`` not None or
-    ``l1_scale > 0``).
+    Exactly one part is present: ``smooth`` not None, or ``l1_scale > 0``.
+    A loss with an l1 penalty is two blocks, the loss on ``x`` and the l1
+    term on a copy ``z`` coupled by ``x - z = 0``, as ``gen_lasso`` builds.
     """
 
     smooth: Optional[SmoothPart] = None
@@ -120,12 +121,15 @@ class FunctionDescriptor:
             raise ValueError("l1_scale must be nonnegative")
         if self.smooth is None and self.l1_scale == 0.0:
             raise ValueError("block objective has neither a smooth nor an l1 part")
+        if self.smooth is not None and self.l1_scale > 0.0:
+            raise ValueError("a block objective is a smooth loss or an l1 term, not "
+                             "both: put the l1 term on its own block coupled by "
+                             "x - z = 0, as gen_lasso does")
 
     def value(self, x: np.ndarray) -> float:
-        v = self.smooth.value(x) if self.smooth is not None else 0.0
-        if self.l1_scale > 0.0:
-            v += self.l1_scale * float(np.abs(x).sum())
-        return v
+        if self.smooth is not None:
+            return self.smooth.value(x)
+        return self.l1_scale * float(np.abs(x).sum())
 
     def smooth_gradient(self, x: np.ndarray) -> np.ndarray:
         """Gradient of the smooth part alone (zero vector if absent)."""

@@ -134,6 +134,24 @@ class TestLibsvm:
         with pytest.raises(ValueError, match="empty"):
             load_libsvm(path)
 
+    def test_data_path_run_matches_the_dense_run(self, tmp_path):
+        # the file's rows are CSR, so Newton forms its Hessians through the
+        # sparse row scaling; the generated rows are dense
+        path = tmp_path / "logreg.svm"
+        write_libsvm(path, *gen_logreg_data(60, 8, 3))
+        summaries = []
+        for name, data_path in (("csr", str(path)), ("dense", None)):
+            out = tmp_path / name
+            config = ExperimentConfig(experiment="logreg", solver="ada", seed=3, n=60,
+                                      d=8, partitions=3, data_path=data_path,
+                                      max_iters=40, stop_mode="max_iters", out=str(out))
+            assert run_experiment(config) == 2
+            summaries.append(json.loads((out / "summary.json").read_text()))
+        csr, dense = summaries
+        assert csr["iterations"] == dense["iterations"] == 40
+        for key in ("objective", "kkt_residual"):
+            assert abs(csr[key] - dense[key]) <= 1e-9 * abs(dense[key])
+
 
 class TestPartitionRows:
     def test_five_rows_two_blocks(self):
@@ -372,6 +390,23 @@ def test_config_rejects_stop_modes_it_cannot_run(tmp_path):
     out = tmp_path / "run"
     assert main(["solve", "--experiment", "logreg", "--solver", "vsadmm",
                  "--stop-mode", "consensus", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pairing", [
+    {"experiment": "exchange", "solver": "admm2"},
+    {"experiment": "lasso", "solver": "vsadmm", "full_diagnostics": True},
+    {"experiment": "lasso", "data_path": "/nonexistent.svm"},
+])
+def test_config_rejects_pairings_the_runner_ignores_before_any_work(tmp_path, pairing):
+    # admm2 runs only the two-block lasso, the baselines fill no reference
+    # fields, and only logreg reads a data file
+    with pytest.raises(ValueError, match="applies to"):
+        ExperimentConfig(**pairing)
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**pairing, "out": str(out)}))
+    assert main(["solve", "--config", str(cfg)]) == 1
     assert not out.exists()
 
 

@@ -9,8 +9,8 @@ import scipy.sparse as sp
 import augdecomp as ag
 from augdecomp import block_solvers
 from augdecomp.block_solvers import (BlockSolveCertificate, BlockSolveError,
-                                     CompositeBlockSolver, L1ProxBlockSolver,
-                                     LbfgsBlockSolver, QuadBlockSolver,
+                                     L1ProxBlockSolver, LbfgsBlockSolver,
+                                     QuadBlockSolver,
                                      _cholesky_solver, _coupling_hessian,
                                      _formed_hessian, _hessian_solver,
                                      build_penalized_solvers, soft_threshold,
@@ -458,7 +458,8 @@ class TestLogisticNewton:
             t, z = rng.standard_normal(E.shape[0]), rng.standard_normal(6)
             fun_grad = solver._fun_grad(t, z, curvature=True)
             x = rng.standard_normal(6)
-            H = solver._hessian(fun_grad(x)[2])
+            H = _formed_hessian(solver.block.objective.smooth.A, solver._coupling,
+                                fun_grad(x)[2])
             fd = np.empty((6, 6))
             for i in range(6):
                 e = np.zeros(6)
@@ -978,11 +979,22 @@ class TestBlockSolverObjects:
                 smooth=SmoothPart("least_squares", data, b))), 1.2, 0.3).solve(t, z).x
                 for data in (A, sp.csr_matrix(A))]
             assert np.linalg.norm(x[1] - x[0]) <= 1e-12 * np.linalg.norm(x[0])
-        t, z = rng.standard_normal(n), rng.standard_normal(n)
-        x = [CompositeBlockSolver(BlockSpec(n=n, E=np.eye(n), objective=FunctionDescriptor(
-            smooth=SmoothPart("least_squares", data, b), l1_scale=0.1)), 1.0, 0.5,
-            exact_tol=1e-12).solve(t, z).x for data in (A, sp.csr_matrix(A))]
-        assert np.linalg.norm(x[1] - x[0]) <= 1e-12 * np.linalg.norm(x[0])
+
+    def test_sparse_matrix_coupling_is_not_densified(self, monkeypatch):
+        # p E^T E + s I for a 1%-dense CSR coupling: only the n-by-n product
+        # may be densified, never the m-by-n E
+        shapes = []
+        for cls in (sp.csr_matrix, sp.csc_matrix, ag.Coupling):
+            def spy(self, *args, _orig=cls.toarray, **kwargs):
+                shapes.append(self.shape)
+                return _orig(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "toarray", spy)
+        E = sp.random(2000, 50, density=0.01, random_state=23, format="csr")
+        C = _coupling_hessian(ag.Coupling(matrix=E), 1.2, 0.3)
+        assert (2000, 50) not in shapes
+        monkeypatch.undo()
+        C_dense = _coupling_hessian(ag.Coupling(matrix=E.toarray()), 1.2, 0.3)
+        assert np.linalg.norm(C - C_dense) <= 1e-14 * np.linalg.norm(C_dense)
 
     def test_l1_solver_stacked_coupling(self):
         # consensus-style coupling: E = -[I; I], alpha = 2
@@ -997,20 +1009,6 @@ class TestBlockSolverObjects:
         # check against the subgradient condition of the full objective
         g_smooth = 1.0 * (E.T @ (E @ cert.x - t)) + 0.25 * (cert.x - z)
         assert subgrad_dist_l1(cert.x, g_smooth, 0.5) < 1e-12
-
-    def test_composite_solver_certificate(self):
-        rng = np.random.default_rng(13)
-        A = rng.standard_normal((10, 4))
-        b = rng.standard_normal(10)
-        block = BlockSpec(n=4, E=np.eye(4), objective=FunctionDescriptor(
-            smooth=SmoothPart("least_squares", A, b), l1_scale=0.8))
-        solver = CompositeBlockSolver(block, penalty=1.0, prox_weight=0.5,
-                                      exact_tol=1e-11)
-        t, z = rng.standard_normal(4), rng.standard_normal(4)
-        cert = solver.solve(t, z)
-        assert cert.subgrad_bound <= 1e-11
-        g = A.T @ (A @ cert.x - b) + (cert.x - t) + 0.5 * (cert.x - z)
-        assert subgrad_dist_l1(cert.x, g, 0.8) <= 1e-10
 
     def test_factory_covers_descriptor_space(self, small_lasso):
         params = ag.SolverParams(rho=2.0, c=1.0, max_iters=5)

@@ -166,22 +166,6 @@ class TestResidualAndObjective:
         x = [np.array([1.0, -3.0]), np.zeros(2)]
         assert ag.objective(x, problem) == pytest.approx(8.0)
 
-    def test_composite_matches_termwise_oracle(self):
-        rng = np.random.default_rng(8)
-        A = rng.standard_normal((5, 3))
-        b = rng.standard_normal(5)
-        lam = 0.7
-        blk = BlockSpec(n=3, E=np.eye(3), objective=FunctionDescriptor(
-            smooth=SmoothPart("least_squares", A, b), l1_scale=lam))
-        blk2 = _ls_block(3, np.eye(3), np.zeros(3), -np.eye(3))
-        problem = Problem(blocks=(blk, blk2), q=np.zeros(3))
-        x1 = rng.standard_normal(3)
-        x2 = rng.standard_normal(3)
-        expected = 0.5 * sum((A[i] @ x1 - b[i]) ** 2 for i in range(5)) \
-            + lam * sum(abs(v) for v in x1) \
-            + 0.5 * sum((x2[i]) ** 2 for i in range(3))
-        assert ag.objective([x1, x2], problem) == pytest.approx(expected)
-
 
 class TestValidation:
     def test_single_block_rejected(self):
@@ -198,6 +182,12 @@ class TestValidation:
     def test_empty_descriptor_rejected(self):
         with pytest.raises(ValueError):
             FunctionDescriptor()
+
+    def test_smooth_plus_l1_descriptor_rejected(self):
+        # the l1 term goes on its own block, coupled by x - z = 0
+        smooth = SmoothPart("least_squares", np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match="own block coupled by x - z = 0"):
+            FunctionDescriptor(smooth=smooth, l1_scale=0.5)
 
     @pytest.mark.parametrize("value", [-0.5, float("nan")])
     def test_negative_and_nan_l1_weight_rejected(self, value):
