@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .block_solvers import solve_sweep
+from .block_solvers import BlockSolveError, solve_sweep
 from .model import (IterateState, Problem, SolverParams, make_initial_state,
                     objective, state_g_dist_sq, vnorm)
 
@@ -46,6 +46,7 @@ class StepMetrics:
     inner_iters_total: int = 0
     w_drift: float = 0.0
     fallbacks: int = 0  # block solves that fell back to the exact solve
+    factorizations: int = 0  # Hessian factorizations made by the block solves
 
     @property
     def finite(self) -> bool:
@@ -63,7 +64,10 @@ class Trace:
     the full trajectory.  ``stop_reason`` says why the run ended:
     ``"converged"`` (the stopping criterion was met), ``"max_iters"`` (the
     iteration cap), ``"non_finite"`` (the last step produced a non-finite
-    objective or residual norm) or ``"custom"`` (a callable stop rule).
+    objective or residual norm), ``"solver_error"`` (a block solver raised
+    ``BlockSolveError`` in the next step, whose message is ``error``; the
+    metrics and states hold the steps before it) or ``"custom"`` (a callable
+    stop rule).
     """
 
     initial_state: IterateState
@@ -73,6 +77,7 @@ class Trace:
     stop_mode: str = "max_iters"
     stop_eps: float = 0.0
     stop_reason: str = "max_iters"
+    error: Optional[str] = None
 
     def __len__(self):
         return len(self.metrics)
@@ -162,6 +167,7 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
     values = [cert.value for cert in sweep]  # f_k(x_k) where the solver evaluated it
     inner_total = sum(cert.inner_iters for cert in sweep)
     fallbacks = sum(cert.exact_fallback for cert in sweep)
+    factorizations = sum(cert.factorizations for cert in sweep)
 
     # E_k x_k once per block: the eta update and the residual both use it
     Ex = [problem.blocks[k].E.apply(new_x[k]) for k in range(K)]
@@ -196,6 +202,7 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
         inner_iters_total=inner_total,
         w_drift=vnorm(drift) * np.sqrt(K),
         fallbacks=fallbacks,
+        factorizations=factorizations,
     )
     return new_state, metrics
 
@@ -222,7 +229,10 @@ def drive(step: Callable, state, max_iters: int, stop_mode, stop_eps: float,
     (1-based).  ``stop_mode`` is one of ``STOP_MODES`` (tested by
     ``check_stop`` with ``stop_eps``) or a callable ``stop(state, metrics)``;
     a bad mode or ``stop_eps <= 0`` raises ``ValueError`` before the first
-    step.  Each step's metrics (and state, with ``record_states``) are
+    step.  A step that raises ``BlockSolveError`` ends the run with the
+    reason ``"solver_error"`` and the message as the trace's ``error``,
+    keeping what the steps before it recorded.  Each step's metrics (and
+    state, with ``record_states``) are
     recorded and its new state is passed to ``observe(state)`` (such as a
     ``diagnostics.RateObserver``), so an observer sees every state that
     ``record_states`` would keep; a non-finite step then ends the run
@@ -240,7 +250,12 @@ def drive(step: Callable, state, max_iters: int, stop_mode, stop_eps: float,
     trace = Trace(initial_state=initial_state, states=[] if record_states else None,
                   stop_mode="custom" if custom else stop_mode, stop_eps=stop_eps)
     for nu in range(1, max_iters + 1):
-        state, metrics = step(state, nu)
+        try:
+            state, metrics = step(state, nu)
+        except BlockSolveError as err:
+            trace.stop_reason = "solver_error"
+            trace.error = str(err)
+            break
         trace.metrics.append(metrics)
         if record_states:
             trace.states.append(state)

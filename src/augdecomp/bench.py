@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import ada, baselines, diagnostics
-from .block_solvers import build_block_solvers
+from .block_solvers import BlockSolveError, build_block_solvers
 from .coupling import Coupling
 from .inexact import SCHEDULE_KINDS, InexactSchedule, check_schedule_params
 from .model import (BlockSpec, FunctionDescriptor, Problem, SmoothPart,
@@ -379,19 +379,25 @@ def reference_state(problem: Problem, params: SolverParams,
     """High-accuracy oracle: the same configuration run to ``eps`` x-change.
 
     Solver-generated rather than ground truth; its accuracy limits how small
-    a tolerance downstream comparisons may claim.
+    a tolerance downstream comparisons may claim.  Raises ``BlockSolveError``
+    when a block solver fails on the way.
     """
     tight = replace(params, stop_eps=eps, max_iters=max_iters)
-    final, _ = ada.run(problem, tight, build_block_solvers(problem, tight, schedule),
-                       stop_mode="x_change", schedule=schedule)
+    final, trace = ada.run(problem, tight, build_block_solvers(problem, tight, schedule),
+                           stop_mode="x_change", schedule=schedule)
+    if trace.error is not None:
+        raise BlockSolveError(f"reference run: {trace.error}")
     return final
 
 
 def run_experiment(config: ExperimentConfig) -> int:
-    """Generate, solve, and write artifacts; 0 on convergence, 2 otherwise.
+    """Generate, solve, and write artifacts; 0 on convergence, 1 when a block
+    solver failed (stop reason ``"solver_error"``, the message printed and
+    recorded as the summary's ``error``), 2 otherwise.
 
     Artifacts under ``config.out``: ``trace.csv`` (engine schema),
-    ``rate_report.json``, and ``summary.json`` with the headline numbers.
+    ``rate_report.json``, and ``summary.json`` with the headline numbers;
+    a run ended by a solver error writes them for the steps it completed.
     The reference of the rate checks (``full_diagnostics``, or the
     ``consensus`` stop) is computed before the run, whose states are fed to
     a ``RateObserver`` and not kept.
@@ -463,14 +469,20 @@ def run_experiment(config: ExperimentConfig) -> int:
         "converged": bool(trace.converged),
         "stop_reason": trace.stop_reason,
         "exact_fallbacks": sum(m.fallbacks for m in trace.metrics),
+        "hessian_factorizations": sum(m.factorizations for m in trace.metrics),
         "objective": objective(final_x, problem),
         "residual_norm": float(np.linalg.norm(constraint_residual(final_x, problem))),
         "kkt_residual": diagnostics.kkt_residual(final_x, multiplier, problem),
         "wall_time_s": time.perf_counter() - t_start,
     }
+    if trace.error is not None:
+        summary["error"] = trace.error
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
+    if trace.error is not None:
+        print(f"error: {trace.error}", file=sys.stderr)
+        return 1
     return 0 if trace.converged else 2
 
 

@@ -8,13 +8,13 @@ independent subproblems of the shape
 for a penalty ``p``, a target ``t``, and a proximal center ``z`` (``s = 0``
 drops the proximal term).  This module provides closed-form solvers for
 least-squares and l1 blocks and a certified iterative solver for smooth
-blocks (conjugate gradients for quadratic losses, damped Newton steps for
-logistic ones).  Iterative solvers report a certified upper bound on
-``dist(0, d phi(x))`` at the returned point, computed from the gradient
-evaluated at that point; closed forms certify zero.  When a quadratic
-block's threshold is at about what finite precision can certify, the exact
-factorized solve is returned instead and the certificate says so
-(``exact_fallback``).  ``solve_sweep`` solves the K subproblems of one sweep
+blocks (conjugate gradients for quadratic losses, damped Newton steps with
+a kept Hessian factor for logistic ones).  Iterative solvers report a
+certified upper bound on ``dist(0, d phi(x))`` at the returned point,
+computed from the gradient evaluated at that point; closed forms certify
+zero.  When a quadratic block's threshold is at about what finite precision
+can certify, the exact factorized solve is returned instead and the
+certificate says so (``exact_fallback``).  ``solve_sweep`` solves the K subproblems of one sweep
 together, the conjugate-gradient blocks of one dimension in lockstep.
 """
 
@@ -44,6 +44,9 @@ _NEWTON_STEPS = 500
 _ARMIJO = 1e-4
 _BACKTRACKS = 30
 _F_NOISE = 1e-12
+# the kept Hessian factor is dropped after a step that does not cut ||g|| to
+# at most this share of its value before the step
+_CONTRACTION = 0.1
 # Newton steps in a row that neither lower f beyond its rounding level nor
 # set a new smallest gradient norm before the solve counts as stalled
 _STALL_STEPS = 10
@@ -60,7 +63,10 @@ class BlockSolveCertificate:
     ``subgrad_bound`` is an upper bound on ``dist(0, d phi(x))`` for the
     subproblem objective phi at ``x``; exact (closed-form) solves report 0.
     ``exact_fallback`` marks an iterative solver that gave up on its
-    threshold and returned the exact factorized solve instead.  ``value`` is
+    threshold and returned the exact factorized solve instead.
+    ``factorizations`` counts the Hessian factorizations the solve made
+    (damped Newton only; the closed forms and the exact fallback reuse the
+    factor made when the solver was built).  ``value`` is
     the block objective ``f_k(x)`` when the solver has it, otherwise None;
     the engine then sums it into the trace's objective.  An iterative solve
     carries the loss it evaluated at ``x``, the same bits as
@@ -75,6 +81,7 @@ class BlockSolveCertificate:
     inner_iters: int = 0
     exact_fallback: bool = False
     value: float | None = None
+    factorizations: int = 0
 
     def __post_init__(self):
         if self.subgrad_bound < 0:
@@ -537,6 +544,27 @@ def _lockstep_cg(stack: _HessianStack, solvers, fun_grads, zs, dones) -> list:
     return results
 
 
+def _line_search(fun_grad, x, f, g, gnorm, direction, f_noise):
+    """Armijo backtracking from step 1 along the descent ``direction``.
+
+    Returns ``(step, armijo, x, f, g, h, gnorm)`` at the first step that
+    passes Armijo (``armijo`` True) or, failing that, lowers ``f`` by no more
+    than its rounding level ``f_noise`` but lowers the gradient norm; None
+    when ``_BACKTRACKS`` halvings find neither.
+    """
+    slope = float(g.dot(direction))
+    step = 1.0
+    for _ in range(_BACKTRACKS):
+        x_new = x + step * direction
+        f_new, g_new, h_new = fun_grad(x_new)
+        gnorm_new = vnorm(g_new)
+        armijo = f_new <= f + _ARMIJO * step * slope
+        if armijo or (f_new <= f + f_noise and gnorm_new < gnorm):
+            return step, armijo, x_new, f_new, g_new, h_new, gnorm_new
+        step *= 0.5
+    return None
+
+
 class LbfgsBlockSolver:
     """Certified iterative solver for smooth blocks.
 
@@ -587,24 +615,37 @@ class LbfgsBlockSolver:
     recomputed gradient can be expected to show, and the exact solve is
     cheaper than finding out.
 
-    A Newton step costs one loss evaluation, one factorization and one
-    solve.  ``_hessian_solver`` factors ``H`` at the current point (``8 d^2``
-    bytes) on a block with at least as many rows as columns, and the
-    rows-by-rows Woodbury matrix ``sigma I + B B^T``, ``B = diag(sqrt h) A``,
-    on a wider one with ``C = sigma I``; a sparse ``A`` is multiplied sparse
-    and only the factored matrix is dense.  The loss's value, gradient and
-    curvature at the last point evaluated are kept, so a solve that starts
-    where the previous one stopped does not evaluate the loss there again;
-    the coupling and proximal terms are recomputed for the new ``t`` and
-    ``z``.  (Conjugate gradients keep the loss's value and gradient the same
-    way, and a certificate carries the loss when the returned point is the
-    last one evaluated.)  The step
+    Newton steps use the chord (Shamanskii) method: the solver keeps the
+    solve function of its last factorization, across steps and across
+    solves, and a step costs one loss evaluation and one solve with it.
+    ``C`` is fixed for the solver, so only the curvature ``h`` has moved
+    since the factor was made.  The factor is dropped after a step that
+    backtracked, that passed only by the rounding-level clause below, or
+    that did not cut the gradient norm to ``_CONTRACTION`` (0.1) of its
+    value; the next step then factors ``H`` at its own point.  When the line
+    search along a kept factor's direction finds no step, ``H`` is factored
+    at the same point and the search run again; the failure of a fresh
+    factor ends the solve.  ``_hessian_solver`` factors ``H`` at the current
+    point (``8 d^2`` bytes) on a block with at least as many rows as
+    columns, and the rows-by-rows Woodbury matrix ``sigma I + B B^T``,
+    ``B = diag(sqrt h) A``, on a wider one with ``C = sigma I``; a sparse
+    ``A`` is multiplied sparse and only the factored matrix is dense.  The
+    certificate counts the factorizations of the solve.  The loss's value,
+    gradient and curvature at the last point evaluated are kept, so a solve
+    that starts where the previous one stopped does not evaluate the loss
+    there again; the coupling and proximal terms are recomputed for the new
+    ``t`` and ``z``.  (Conjugate gradients keep the loss's value and
+    gradient the same way, and a certificate carries the loss when the
+    returned point is the last one evaluated.)  The step
     length is found by Armijo backtracking from 1; once objective
     differences are at the rounding level of ``f``, a step that lowers the
     gradient norm is accepted too, so the iteration keeps progressing on
-    gradient information alone.  The subproblem is strongly convex, so this
-    converges from any warm start.  A logistic block that misses a caller's
-    rule within 500 steps, or stalls at rounding level (10 steps
+    gradient information alone.  The subproblem is strongly convex and every
+    kept factor is positive definite, so this converges from any warm start;
+    the certificate is the gradient norm at the returned point whichever
+    factor made the steps.  A logistic block that misses a caller's
+    rule within 500 steps (a step with a kept factor counts as one), or
+    stalls at rounding level (10 steps
     that neither lower ``f`` beyond rounding nor set a new smallest gradient
     norm), raises ``BlockSolveError``; without a rule the iterate with the
     smallest gradient norm is returned.
@@ -627,6 +668,9 @@ class LbfgsBlockSolver:
         self.exact_tol = float(exact_tol)
         self._coupling = _coupling_hessian(block.E, self.penalty, self.prox_weight)
         self._fallback = None
+        # a logistic block's kept Newton factor: r -> H^{-1} r for the H of
+        # the last factorization, None until the next step factors
+        self._factor = None
         # ((curvature, bytes of x), loss's (value, gradient[, curvature]) at x)
         self._memo = None
         # a quadratic block's Hessian is slot _slot of _stack
@@ -697,43 +741,46 @@ class LbfgsBlockSolver:
         return _lockstep_cg(self._stack, [self], [fun_grad], [z], [done])[0]
 
     def _newton(self, fun_grad, z, done):
-        """Damped Newton from ``z``; ``(x, grad_norm, steps)`` of the first
-        point that passes ``done``, else of the smallest gradient seen."""
+        """Damped Newton from ``z`` with the kept factor; ``(x, grad_norm,
+        steps, factorizations)`` of the first point that passes ``done``,
+        else of the smallest gradient seen."""
         x = np.array(z, dtype=float)
         f, g, h = fun_grad(x)
         gnorm = vnorm(g)
         best = (x, gnorm)
-        steps = stalled = 0
+        steps = stalled = factored = 0
         while not done(x, gnorm):
             if steps == _NEWTON_STEPS or stalled == _STALL_STEPS:
-                return best + (steps,)
-            try:
-                solve = _hessian_solver(self.block.objective.smooth.A,
-                                        self._coupling, h)
-            except np.linalg.LinAlgError:
-                return best + (steps,)
-            direction = -solve(g)
-            slope = float(g.dot(direction))
+                return best + (steps, factored)
             f_noise = _F_NOISE * (abs(f) + 1.0)
-            step = 1.0
-            for _ in range(_BACKTRACKS):
-                x_new = x + step * direction
-                f_new, g_new, h_new = fun_grad(x_new)
-                gnorm_new = vnorm(g_new)
-                if f_new <= f + _ARMIJO * step * slope \
-                        or (f_new <= f + f_noise and gnorm_new < gnorm):
-                    break
-                step *= 0.5
-            else:  # not even a rounding-level step lowers f or ||g||
-                return best + (steps,)
+            found = None
+            while found is None:
+                fresh = self._factor is None
+                if fresh:
+                    try:
+                        self._factor = _hessian_solver(self.block.objective.smooth.A,
+                                                       self._coupling, h)
+                    except np.linalg.LinAlgError:
+                        return best + (steps, factored)
+                    factored += 1
+                found = _line_search(fun_grad, x, f, g, gnorm, -self._factor(g), f_noise)
+                if found is None:
+                    # no step along a kept factor's direction: refactor at x
+                    # and search again; a fresh factor's failure ends the solve
+                    self._factor = None
+                    if fresh:
+                        return best + (steps, factored)
+            step, armijo, x_new, f_new, g_new, h_new, gnorm_new = found
             steps += 1
+            if step < 1.0 or not armijo or gnorm_new > _CONTRACTION * gnorm:
+                self._factor = None  # the next step factors at its own point
             # at the rounding floor full steps keep passing Armijo with f
             # unchanged while ||g|| wanders; count those steps
             stalled = 0 if gnorm_new < best[1] or f_new < f - f_noise else stalled + 1
             x, f, g, h, gnorm = x_new, f_new, g_new, h_new, gnorm_new
             if gnorm < best[1]:
                 best = (x, gnorm)
-        return x, gnorm, steps
+        return x, gnorm, steps, factored
 
     def _rule(self, accept):
         """``accept``, or the ``exact_tol`` test without one."""
@@ -768,13 +815,14 @@ class LbfgsBlockSolver:
         if self._stack is not None:
             return self._cg_certificate(
                 t, z, self._conjugate_gradients(self._fun_grad(t, z), z, done))
-        x, gnorm, iters = self._newton(self._fun_grad(t, z, curvature=True), z, done)
+        x, gnorm, iters, factored = self._newton(
+            self._fun_grad(t, z, curvature=True), z, done)
         if accept is not None and not accept(x, gnorm):
             raise BlockSolveError(
                 f"Newton solve stopped after {iters} of {_NEWTON_STEPS} steps at "
                 f"gradient norm {gnorm:.3e} without meeting its threshold")
         return BlockSolveCertificate(x=x, subgrad_bound=gnorm, inner_iters=iters,
-                                     value=self._loss_at(x))
+                                     value=self._loss_at(x), factorizations=factored)
 
 
 def solve_sweep(solvers, targets, zs, rules=None) -> list:

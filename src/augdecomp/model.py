@@ -69,17 +69,12 @@ class SmoothPart:
         if self.kind == "least_squares":
             r = u - self.b
             return 0.5 * float(r.dot(r))
-        # log(1 + exp(-b*u)) evaluated stably for large |u|
-        return float(np.logaddexp(0.0, -self.b * u).sum())
+        return _logistic_value(-self.b * u)
 
-    def _gradient_at(self, u: np.ndarray, sig=None) -> np.ndarray:
-        """Gradient at ``u = A x``; a logistic loss may pass its sigmoid
-        ``sig = expit(-b u)`` when already computed."""
+    def _gradient_at(self, u: np.ndarray) -> np.ndarray:
         if self.kind == "least_squares":
             return self.A.T @ (u - self.b)
-        if sig is None:
-            sig = expit(-self.b * u)
-        return self.A.T @ (-self.b * sig)
+        return self.A.T @ (-self.b * expit(-self.b * u))
 
     def value(self, x: np.ndarray) -> float:
         return self._value_at(self.A @ x)
@@ -91,16 +86,24 @@ class SmoothPart:
         """``(value(x), gradient(x))`` from a single product ``A @ x``.
 
         With ``curvature`` a third entry holds the weights ``h = g''(A x)``,
-        so that the Hessian of the loss is ``A^T diag(h) A``; a logistic loss
-        computes its sigmoid once for the gradient and ``h``.
+        so that the Hessian of the loss is ``A^T diag(h) A``.  A logistic
+        loss forms its margins ``-b u`` once, for the value and the sigmoid,
+        and the sigmoid once, for the gradient and ``h``.
         """
         u = self.A @ x
-        if not curvature:
-            return self._value_at(u), self._gradient_at(u)
         if self.kind != "logistic":
-            return self._value_at(u), self._gradient_at(u), np.ones_like(u)
-        sig = expit(-self.b * u)
-        return self._value_at(u), self._gradient_at(u, sig), sig * (1.0 - sig)
+            out = (self._value_at(u), self._gradient_at(u))
+            return out + (np.ones_like(u),) if curvature else out
+        margin = -self.b * u
+        sig = expit(margin)
+        out = (_logistic_value(margin), self.A.T @ (-self.b * sig))
+        return out + (sig * (1.0 - sig),) if curvature else out
+
+
+def _logistic_value(margin: np.ndarray) -> float:
+    """``sum_j log(1 + exp(margin_j))``, evaluated stably for large
+    ``|margin|``."""
+    return float(np.logaddexp(0.0, margin).sum())
 
 
 @dataclass(frozen=True)

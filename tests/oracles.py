@@ -364,6 +364,7 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
     values = []  # f_k(x_k) where the solver evaluated it, else None
     inner_total = 0
     fallbacks = 0
+    factorizations = 0
     for k in range(K):
         accept = accept_rules[k] if accept_rules is not None else None
         try:
@@ -375,6 +376,7 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
         values.append(cert.value)
         inner_total += cert.inner_iters
         fallbacks += cert.exact_fallback
+        factorizations += cert.factorizations
 
     # E_k x_k once per block: the eta update and the residual both use it
     Ex = [problem.blocks[k].E.apply(new_x[k]) for k in range(K)]
@@ -404,6 +406,7 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
         inner_iters_total=inner_total,
         w_drift=vnorm(drift) * np.sqrt(K),
         fallbacks=fallbacks,
+        factorizations=factorizations,
     )
     return new_state, metrics
 

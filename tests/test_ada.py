@@ -357,15 +357,33 @@ class TestRun:
     def test_solver_failure_reports_block(self, small_exchange):
         problem, _ = small_exchange
 
-        class Failing:
-            def solve(self, t, z, accept=None):
-                raise ag.BlockSolveError("boom")
+        class FailsThird:
+            """Delegates to a real solver, then raises on the third solve."""
 
-        params = ag.SolverParams(rho=1.0, c=1.0, max_iters=3)
+            def __init__(self, inner):
+                self.inner, self.calls = inner, 0
+
+            def solve(self, t, z, accept=None):
+                self.calls += 1
+                if self.calls == 3:
+                    raise ag.BlockSolveError("boom")
+                return self.inner.solve(t, z, accept=accept)
+
+        params = ag.SolverParams(rho=1.0, c=1.0, max_iters=5)
         solvers = ag.build_block_solvers(problem, params)
-        solvers[1] = Failing()
-        with pytest.raises(ag.BlockSolveError, match="block 1"):
-            run(problem, params, solvers)
+        failing = FailsThird(solvers[1])
+        failing.calls = 2
+        with pytest.raises(ag.BlockSolveError, match="block 1: boom"):
+            ada_step(make_initial_state(problem), problem, params,
+                     solvers[:1] + [failing] + solvers[2:])
+        # a run ends at the failing step and keeps the steps before it
+        solvers[1] = FailsThird(solvers[1])
+        final, trace = run(problem, params, solvers, stop_mode="max_iters",
+                           record_states=True)
+        assert trace.stop_reason == "solver_error" and not trace.converged
+        assert trace.error == "block 1: boom"
+        assert len(trace) == len(trace.states) == 2
+        assert trace.states[-1] is final
 
 
 class TestErgodicAverage:

@@ -374,6 +374,40 @@ def test_summary_counts_exact_fallbacks(tmp_path):
     assert counts["iada"] > 0
 
 
+def test_solver_error_keeps_the_artifacts_of_the_steps_before_it(tmp_path, capsys):
+    # gamma = 30 drives the criterion-A threshold below the rounding floor of
+    # the gradient at step 3, where a logistic block's Newton solve stalls
+    config = ExperimentConfig(experiment="logreg", solver="iada", n=120, d=6,
+                              partitions=2, eps0=1e-3, gamma=30.0, max_iters=30,
+                              stop_mode="max_iters", out=str(tmp_path))
+    assert run_experiment(config) == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["stop_reason"] == "solver_error" and not summary["converged"]
+    assert summary["iterations"] == 2
+    assert summary["error"].startswith("block 0: Newton solve stopped after")
+    assert summary["error"] in capsys.readouterr().err
+    assert summary["hessian_factorizations"] > 0
+    assert math.isfinite(summary["objective"])
+    rows = (tmp_path / "trace.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2 and rows[0].endswith("inner_iters_total")
+    assert (tmp_path / "rate_report.json").exists()
+
+
+def test_summary_counts_hessian_factorizations(tmp_path):
+    # only a logistic block's Newton steps factor during a run
+    counts = {}
+    for experiment, solver in (("logreg", "iada"), ("logreg", "ada"), ("lasso", "iada")):
+        out = tmp_path / f"{experiment}-{solver}"
+        config = ExperimentConfig(experiment=experiment, solver=solver, n=60, d=12,
+                                  partitions=2, max_iters=10, stop_mode="max_iters",
+                                  out=str(out))
+        assert run_experiment(config) == 2
+        counts[experiment, solver] = json.loads(
+            (out / "summary.json").read_text())["hessian_factorizations"]
+    assert counts["logreg", "iada"] > 0 and counts["logreg", "ada"] > 0
+    assert counts["lasso", "iada"] == 0
+
+
 def test_config_rejects_stop_modes_it_cannot_run(tmp_path):
     for experiment, solver in (("logreg", "vsadmm"), ("logreg", "proxjadmm"),
                                ("lasso", "ada"), ("exchange", "iada")):

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 import augdecomp as ag
 from augdecomp import block_solvers
+from augdecomp.bench import gen_logreg_data
 from augdecomp.block_solvers import (BlockSolveCertificate, BlockSolveError,
                                      L1ProxBlockSolver, LbfgsBlockSolver,
                                      QuadBlockSolver,
@@ -555,21 +556,26 @@ class TestNewtonFactorRule:
     @pytest.mark.parametrize("shape", [(60, 8), (12, 40)], ids=["tall", "wide"])
     def test_reused_solver_matches_fresh_solvers(self, shape):
         # the memo serves the warm start of every solve after the first; a
-        # fresh solver evaluates it, and the certificates agree bit for bit
+        # fresh solver given the reused one's kept factor evaluates it, and
+        # the certificates agree bit for bit
         block, rng = self._consensus_block(*shape, seed=33)
         n = shape[1]
         reused = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1)
         z = np.zeros(n)
+        kept = 0
         for k in range(6):
             t = rng.standard_normal(3 * n)
             rule = lambda x, bound, k=k: bound <= 10.0 ** -(k + 2)
+            fresh = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1)
+            fresh._factor = reused._factor
+            kept += reused._factor is not None
             got = reused.solve(t, z, accept=rule)
-            want = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1).solve(
-                t, z, accept=rule)
+            want = fresh.solve(t, z, accept=rule)
             assert np.array_equal(got.x, want.x)
-            assert (got.subgrad_bound, got.inner_iters) == (want.subgrad_bound,
-                                                            want.inner_iters)
+            assert (got.subgrad_bound, got.inner_iters, got.factorizations) == (
+                want.subgrad_bound, want.inner_iters, want.factorizations)
             z = got.x
+        assert kept > 0  # some solves started from a factor kept by the last
 
     def test_memo_serves_only_an_equal_warm_start(self, monkeypatch):
         evaluated = []
@@ -593,6 +599,95 @@ class TestNewtonFactorRule:
         evaluated.clear()
         solver.solve(rng.standard_normal(18), z)
         assert np.array_equal(evaluated[0], z)
+
+
+class TestKeptNewtonFactor:
+    """Newton steps with the factor kept from the last factorization, across
+    steps and solves: refactored after a step that backtracks, passes only
+    at rounding level or cuts ``||g||`` by less than ``_CONTRACTION``, and
+    at the same point when a kept factor's line search fails."""
+
+    @staticmethod
+    def _consensus(rows, cols, seed):
+        A, labels = gen_logreg_data(rows, cols, seed)
+        return ag.build_logreg_consensus(ag.partition_rows(A, labels, 3), lam=0.1)
+
+    @pytest.mark.parametrize("kind", ["criterion_A", "criterion_B"])
+    @pytest.mark.parametrize("shape", [(240, 8), (36, 40)], ids=["tall", "wide"])
+    def test_stale_factor_never_returns_a_refused_point(self, kind, shape):
+        problem = self._consensus(*shape, seed=41)
+        params = ag.SolverParams(rho=10.0, c=10.0, max_iters=25)
+        sched = InexactSchedule.for_problem(problem, kind, eps0=1.0, gamma=1.5)
+        checked, stale_only = [], 0
+
+        class Recheck:
+            def __init__(self, inner, blk):
+                self.inner, self.blk = inner, blk
+
+            def solve(self, t, z, accept=None):
+                nonlocal stale_only
+                cert = self.inner.solve(t, z, accept=accept)
+                blk, x = self.blk, cert.x
+                g = blk.objective.smooth_gradient(x) \
+                    + self.inner.penalty * blk.E.apply_T(blk.E.apply(x) - t) \
+                    + self.inner.prox_weight * (x - z)
+                gnorm = float(np.linalg.norm(g))
+                assert cert.subgrad_bound == gnorm and accept(x, gnorm)
+                checked.append(gnorm)
+                stale_only += cert.inner_iters > 0 and cert.factorizations == 0
+                return cert
+
+        solvers = ag.build_block_solvers(problem, params, sched)
+        K = problem.num_blocks
+        solvers[:K - 1] = [Recheck(sv, blk) for sv, blk in zip(solvers[:K - 1], problem.blocks)]
+        _, trace = ag.run(problem, params, solvers, stop_mode="max_iters", schedule=sched)
+        assert trace.stop_reason == "max_iters" and len(trace) == 25
+        assert len(checked) == 25 * (K - 1)
+        assert stale_only > 0  # solves whose every step used a kept factor
+        factored = sum(m.factorizations for m in trace.metrics)
+        assert 0 < factored < sum(m.inner_iters_total for m in trace.metrics)
+
+    @pytest.mark.parametrize("shape", [(60, 8), (12, 40)], ids=["tall", "wide"])
+    def test_failed_search_on_a_stale_factor_refactors(self, shape, monkeypatch):
+        searches = []
+        search = block_solvers._line_search
+
+        def spy(*args):
+            searches.append(search(*args))
+            return searches[-1]
+
+        monkeypatch.setattr(block_solvers, "_line_search", spy)
+        block, rng = TestNewtonFactorRule._consensus_block(*shape, seed=35)
+        n = shape[1]
+        t, z = rng.standard_normal(3 * n), rng.standard_normal(n)
+        rule = lambda x, bound: bound <= 1e-8
+        stale = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1)
+        stale._factor = lambda r: -r  # a kept factor whose direction is uphill
+        got = stale.solve(t, z, accept=rule)
+        assert searches[0] is None  # the kept factor's search failed ...
+        want = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1).solve(
+            t, z, accept=rule)
+        # ... and the solve went on as a fresh one from the same point
+        assert np.array_equal(got.x, want.x)
+        assert (got.subgrad_bound, got.inner_iters, got.factorizations) == (
+            want.subgrad_bound, want.inner_iters, want.factorizations)
+        assert got.factorizations > 0 and rule(got.x, got.subgrad_bound)
+
+    def test_factorizations_count_the_factors_made(self, monkeypatch):
+        made = []
+        factor = block_solvers._hessian_solver
+
+        def spy(A, C, h=None):
+            made.append(A.shape)
+            return factor(A, C, h)
+
+        monkeypatch.setattr(block_solvers, "_hessian_solver", spy)
+        problem = self._consensus(240, 8, seed=42)
+        params = ag.SolverParams(rho=10.0, c=10.0, max_iters=20)
+        sched = InexactSchedule.for_problem(problem, "criterion_A")
+        _, trace = ag.run(problem, params, ag.build_block_solvers(problem, params, sched),
+                          stop_mode="max_iters", schedule=sched)
+        assert sum(m.factorizations for m in trace.metrics) == len(made) > 0
 
 
 class TestLeanCGKernel:
