@@ -7,7 +7,7 @@ convergence-rate diagnostics, and the benchmark harness.
 
 from .coupling import Coupling
 from .model import (BlockSpec, FunctionDescriptor, IterateState, Problem,
-                    SmoothPart, SolverParams, constraint_residual, g_norm_sq,
+                    SmoothPart, SolverParams, constraint_residual,
                     make_initial_state, objective, project_onto_W,
                     saddle_state, state_g_dist_sq)
 from .block_solvers import (BlockSolveCertificate, BlockSolveError,
@@ -20,8 +20,7 @@ from .baselines import (Admm2Lasso, BaselineParams, default_prox_weights,
                         prox_jadmm_run, prox_jadmm_step, vsadmm_run,
                         vsadmm_step)
 from .diagnostics import (RateObserver, RateReport, kkt_residual,
-                          nu_a_nu_medians, rate_report, verify_ergodic,
-                          verify_fejer, verify_linear_tail, verify_monotone)
+                          nu_a_nu_medians, rate_report, verify_monotone)
 from .bench import (ExperimentConfig, build_logreg_consensus, consensus_ratio,
                     gen_exchange, gen_lasso, load_libsvm, partition_rows,
                     run_experiment, write_libsvm)

@@ -288,10 +288,10 @@ def run(problem: Problem, params: SolverParams, solvers: Sequence,
         One of ``"x_change"``, ``"feasibility"``, ``"max_iters"``, or a
         callable ``stop(state, metrics) -> bool`` for custom termination.
     record_states : bool, optional
-        Keep every iterate in ``trace.states``; off by default.  The post-hoc
-        ``verify_fejer``, ``verify_ergodic``, ``verify_linear_tail`` and
-        ``rate_report`` with a reference read them; ``observe`` gives the
-        same checks without them.
+        Keep every iterate in ``trace.states``; off by default.
+        ``rate_report`` with a reference reads them, as does the benchmark's
+        certificate gate; a ``diagnostics.RateObserver`` passed as
+        ``observe`` runs the same rate checks without them.
     schedule : inexact.InexactSchedule, optional
         With a schedule, step ``nu`` solves the blocks under its acceptance
         rules ``schedule.accept_rules(nu, state, params, K)`` (iADA); with

@@ -147,7 +147,8 @@ def load_libsvm(path):
 
     One sample per line, ``label idx:val ...`` with 1-based strictly
     increasing indices; labels are coerced to +1 for positive values and -1
-    otherwise.  Malformed lines report their line number.
+    otherwise.  Malformed lines, non-finite labels or values and indices
+    below 1 raise ``ValueError`` with their line number.
     """
     data, indices, indptr, labels = [], [], [0], []
     d = 0
@@ -160,6 +161,8 @@ def load_libsvm(path):
                 raw = float(toks[0])
             except ValueError:
                 raise ValueError(f"line {lineno}: label {toks[0]!r} is not numeric")
+            if not math.isfinite(raw):
+                raise ValueError(f"line {lineno}: label {toks[0]!r} is not finite")
             labels.append(1.0 if raw > 0 else -1.0)
             prev = 0
             for tok in toks[1:]:
@@ -169,9 +172,15 @@ def load_libsvm(path):
                     val = float(val_s)
                 except ValueError:
                     raise ValueError(f"line {lineno}: malformed entry {tok!r}")
+                if idx < 1:
+                    raise ValueError(f"line {lineno}: index {idx} is below 1 "
+                                     f"(indices are 1-based)")
                 if idx <= prev:
                     raise ValueError(
                         f"line {lineno}: index {idx} not strictly increasing")
+                if not math.isfinite(val):
+                    raise ValueError(
+                        f"line {lineno}: value {val_s!r} at index {idx} is not finite")
                 prev = idx
                 indices.append(idx - 1)
                 data.append(val)

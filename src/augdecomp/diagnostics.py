@@ -1,13 +1,12 @@
-"""Verification of convergence-rate claims, fed during a run or afterwards.
+"""Verification of convergence-rate claims, fed during a run.
 
 The checks that need a reference point (a high-accuracy run of the same
 configuration, the documented oracle, accurate to the run's own 1e-12
 stopping tolerance, or an exact saddle) live in ``RateObserver``, which an
 engine feeds each step's state through ``drive(..., observe=)``.  It keeps
-one G-distance per step and the ergodic running sum, never the states.  The
-post-hoc ``rate_report``, ``verify_fejer``, ``verify_ergodic`` and
-``verify_linear_tail`` compute the same numbers from a trace recorded with
-states.  The checks are:
+one G-distance per step and the ergodic running sum, never the states.
+``rate_report`` feeds one the states of a trace recorded with them, for the
+benchmark that still records them.  The checks are:
 
 * monotone decrease of the squared G-norm step ``a_nu = ||u_nu - u_nu+1||_G^2``;
 * summability of ``a_nu`` and the decade-median surrogate for ``a_nu = o(1/nu)``;
@@ -17,7 +16,9 @@ states.  The checks are:
   rate);
 * aggregated KKT residuals at a candidate primal-dual pair.
 
-The first two read only the per-step metrics, which every trace records.
+The first two read only the per-step metrics, which every trace records.  A
+NaN fails the monotone and Fejer checks and makes the ergodic and tail
+numbers NaN, so a run that ended ``"non_finite"`` never reads as passing.
 """
 
 from __future__ import annotations
@@ -73,10 +74,8 @@ def verify_monotone(trace: Trace, slack: float = 1e-9):
     a = trace.delta_g_sq()
     if len(a) < 3:
         raise ValueError("trace too short for a monotonicity check (need >= 3)")
-    for i in range(len(a) - 1):
-        if a[i + 1] > a[i] * (1.0 + slack):
-            return False, trace.metrics[i + 1].iter
-    return True, None
+    ok, i = _fejer_check(a, slack)
+    return ok, None if ok else trace.metrics[i].iter
 
 
 def delta_partial_sums(trace: Trace) -> np.ndarray:
@@ -100,91 +99,45 @@ def nu_a_nu_medians(trace: Trace, frac: float = 0.1):
     return float(np.median(seq[:window])), float(np.median(seq[-window:]))
 
 
-def verify_fejer(trace: Trace, reference: IterateState, rho: float, c: float,
-                 rel_slack: float = _FEJER_SLACK):
-    """Non-increase of ``||u_nu - ref||_G`` from the initial state onward.
-
-    Returns ``(ok, first_violation)``.
-    """
-    if trace.states is None:
-        raise ValueError("trace was recorded without states")
-    seq = [trace.initial_state] + list(trace.states)
-    return _fejer_check([_g_dist(s, reference, rho, c) for s in seq], rel_slack)
-
-
-def verify_ergodic(trace: Trace, reference: IterateState, problem: Problem,
-                   rho: float, c: float) -> float:
-    """Largest violation of the O(1/N) ergodic duality-gap bound.
-
-    For every prefix length N the running primal mean ``x~_N`` must satisfy
-
-        f(x~_N) + <eta_ref, E x~_N - q> - f(x_ref) <= ||ref - u0||_G^2 / N;
-
-    returns ``max_N (lhs - rhs)``, which should not exceed the tolerance that
-    matches the reference accuracy.
-    """
-    if trace.states is None:
-        raise ValueError("trace was recorded without states")
-    if not trace.states:
-        raise ValueError("empty trace")
-    observer = RateObserver(problem, rho, c, reference, trace.initial_state)
-    for state in trace.states:
-        observer(state)
-    return observer.ergodic_max_violation
-
-
-def verify_linear_tail(states: Sequence[IterateState], reference: IterateState,
-                       rho: float, c: float, window_frac: float = _TAIL_WINDOW,
-                       floor: float = _TAIL_FLOOR) -> float:
-    """Max contraction ratio ``d_nu+1 / d_nu`` over the trailing window.
-
-    ``d_nu`` is the G-distance to the reference; pairs whose base distance is
-    below ``floor`` are ignored to avoid ratio blow-up at numerical
-    convergence.  A result below 1 is the empirical local linear rate; an
-    empty window after filtering raises.
-    """
-    if not 0 < window_frac <= 1:
-        raise ValueError("window_frac must be in (0, 1]")
-    return _tail_ratio([_g_dist(s, reference, rho, c) for s in states],
-                       window_frac, floor)
-
-
-def _g_dist(state: IterateState, reference: IterateState, rho: float,
-            c: float) -> float:
-    return math.sqrt(state_g_dist_sq(state, reference, rho, c))
-
-
 def _fejer_check(d: Sequence[float], rel_slack: float):
-    """``(ok, first_violation)`` of ``d[i+1] <= d[i] (1 + rel_slack)``; the
-    violation is an index into ``d``."""
+    """``(ok, first_violation)`` of ``d[i+1] <= d[i] (1 + rel_slack)``, which
+    a NaN fails; the violation is an index into ``d``."""
     for i in range(len(d) - 1):
-        if d[i + 1] > d[i] * (1.0 + rel_slack):
+        if not d[i + 1] <= d[i] * (1.0 + rel_slack):
             return False, i + 1
     return True, None
 
 
 def _tail_ratio(d: Sequence[float], window_frac: float, floor: float) -> float:
-    """Largest ``d[i+1] / d[i]`` over the last ``window_frac`` of ``d``,
-    skipping bases below ``floor``."""
+    """Largest ``d[i+1] / d[i]`` over the last ``window_frac`` of ``d``.
+
+    A NaN ratio makes it NaN.  Bases below ``floor`` (numerical convergence)
+    are skipped; none left raises ``ValueError``.  Below 1 is an empirical
+    local linear rate."""
     start = int(math.floor(len(d) * (1.0 - window_frac)))
     ratios = [d[i + 1] / d[i]
-              for i in range(max(start, 0), len(d) - 1) if d[i] >= floor]
+              for i in range(max(start, 0), len(d) - 1) if not d[i] < floor]
     if not ratios:
         raise ValueError("tail window is empty after the distance floor filter")
-    return float(max(ratios))
+    return float(np.max(ratios))  # unlike max, np.max propagates a NaN
 
 
 class RateObserver:
     """The reference-based rate checks, fed one state per step.
 
-    Pass it as ``observe=`` to ``ada.run``, ``iada_run`` or ``drive``, which
-    call it with the state after each step, in order, from ``initial_state``
-    on.  Per step it keeps the G-distance to ``reference`` (one float, read
-    by the Fejer and tail checks) and adds the primal iterate to the running
-    sum of the ergodic check; it keeps no state.  ``report(trace)`` is the
-    ``RateReport`` that ``rate_report`` gives for the same run recorded with
-    states, float for float.  Without a reference, calls do nothing and the
-    report holds only the fields read from the trace's metrics.
+    Pass it as ``observe=`` to ``ada.run`` or ``drive``, which call it with
+    the state after each step, in order, from ``initial_state`` on.  Per
+    step it appends the G-distance to ``reference`` to ``dists`` (one float,
+    read by the Fejer and tail checks) and adds the primal iterate to the
+    running sum of the ergodic check; it keeps no state.  For every prefix
+    length N the running primal mean ``x~_N`` must satisfy
+
+        f(x~_N) + <eta_ref, E x~_N - q> - f(x_ref) <= ||ref - u0||_G^2 / N,
+
+    and ``ergodic_max_violation`` is ``max_N (lhs - rhs)`` so far.
+    ``report(trace)`` gathers every check of the run.  Without a reference,
+    calls do nothing and the report holds only the fields read from the
+    trace's metrics.
     """
 
     def __init__(self, problem: Problem, rho: float, c: float,
@@ -210,7 +163,8 @@ class RateObserver:
     def __call__(self, state: IterateState) -> None:
         if self.reference is None:
             return
-        self.dists.append(_g_dist(state, self.reference, self.rho, self.c))
+        self.dists.append(math.sqrt(state_g_dist_sq(state, self.reference,
+                                                    self.rho, self.c)))
         if self._x_sum is None:
             self._x_sum = [np.zeros_like(xk) for xk in state.x]
         for acc, xk in zip(self._x_sum, state.x):
@@ -220,8 +174,10 @@ class RateObserver:
         lhs = objective(x_tilde, self.problem) \
             + float(self._eta_ref @ constraint_residual(x_tilde, self.problem)) \
             - self._f_ref
-        self.ergodic_max_violation = max(self.ergodic_max_violation,
-                                         lhs - self._d0_sq / N)
+        violation = lhs - self._d0_sq / N
+        # max(v, nan) is v and max(nan, v) is nan: a NaN is kept once it comes
+        self.ergodic_max_violation = violation if math.isnan(violation) \
+            else max(self.ergodic_max_violation, violation)
 
     def report(self, trace: Trace) -> RateReport:
         """Every applicable check of the run that fed this observer.

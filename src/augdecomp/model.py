@@ -291,20 +291,15 @@ def project_onto_W(v) -> np.ndarray:
     return a - a.mean(axis=0)
 
 
-def g_norm_sq(dw, dx, deta, dzeta, rho: float, c: float) -> float:
-    """Squared weighted norm ``rho*||dw||^2 + ||dx||^2/c + (||deta||^2 + ||dzeta||^2)/rho``.
+def state_g_dist_sq(a: IterateState, b: IterateState, rho: float, c: float) -> float:
+    """Squared G-distance between two states, with ``d = a - b`` partwise:
 
+        rho ||dw||^2 + ||dx||^2 / c + (||deta||^2 + K ||dzeta_bar||^2) / rho
+
+    ``zeta`` holds K copies of ``zeta_bar``, so its part counts K times.
     This is the metric in which the decomposition iteration is a proximal
     step; all monotonicity and rate statements are phrased in it.
     """
-    if rho <= 0 or c <= 0:
-        raise ValueError("rho and c must be positive")
-    sq = lambda parts: sum(float(np.asarray(p) @ np.asarray(p)) for p in parts)
-    return rho * sq(dw) + sq(dx) / c + (sq(deta) + sq(dzeta)) / rho
-
-
-def state_g_dist_sq(a: IterateState, b: IterateState, rho: float, c: float) -> float:
-    """``g_norm_sq`` distance between two states; ``zeta_bar`` counts K times."""
     if rho <= 0 or c <= 0:
         raise ValueError("rho and c must be positive")
     K = a.num_blocks

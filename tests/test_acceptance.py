@@ -19,9 +19,8 @@ from augdecomp.baselines import Admm2Lasso, BaselineParams, prox_jadmm_run, vsad
 from augdecomp.bench import (build_logreg_consensus, consensus_objective,
                              consensus_ratio, gen_logreg_data, partition_rows)
 from augdecomp.block_solvers import LbfgsBlockSolver, soft_threshold
-from augdecomp.diagnostics import nu_a_nu_medians
-from augdecomp.inexact import (InexactSchedule, criterion_a_threshold,
-                               iada_run)
+from augdecomp.diagnostics import _fejer_check, nu_a_nu_medians
+from augdecomp.inexact import InexactSchedule, criterion_a_threshold
 from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart, saddle_state
 
 from conftest import lasso_polish
@@ -54,8 +53,19 @@ def exchange_reference(exchange_instance):
 
 
 @pytest.fixture(scope="module")
-def criterion1_run(exchange_problem):
-    """Exact decomposition on the exchange instance, 2000-iteration budget."""
+def criterion1_observer(exchange_problem, exchange_reference):
+    """Rate checks against the saddle, fed by ``criterion1_run``."""
+    return ag.RateObserver(exchange_problem, 10.0, 10.0, exchange_reference,
+                           ag.make_initial_state(exchange_problem))
+
+
+@pytest.fixture(scope="module")
+def criterion1_run(exchange_problem, criterion1_observer):
+    """Exact decomposition on the exchange instance, 2000-iteration budget.
+
+    Runs from the all-zero start and feeds each state to
+    ``criterion1_observer``; no state is kept.
+    """
     params = ag.SolverParams(rho=10.0, c=10.0, max_iters=2000, stop_eps=1e-14)
     solvers = ag.build_block_solvers(exchange_problem, params)
 
@@ -64,7 +74,7 @@ def criterion1_run(exchange_problem):
 
     t0 = time.perf_counter()
     final, trace = ag.run(exchange_problem, params, solvers, stop_mode=stop,
-                          record_states=True)
+                          observe=criterion1_observer)
     elapsed = time.perf_counter() - t0
     return final, trace, elapsed
 
@@ -81,10 +91,19 @@ def lasso_params():
 
 
 @pytest.fixture(scope="module")
-def lasso_ada_run(lasso_problem, lasso_params):
+def lasso_ada_observer(lasso_problem, lasso_params, lasso_reference):
+    """Rate checks against the polished optimum, fed by ``lasso_ada_run``."""
+    return ag.RateObserver(lasso_problem, lasso_params.rho, lasso_params.c,
+                           lasso_reference, ag.make_initial_state(lasso_problem))
+
+
+@pytest.fixture(scope="module")
+def lasso_ada_run(lasso_problem, lasso_params, lasso_ada_observer):
+    """Exact decomposition on the lasso, 5000 iterations from the all-zero
+    start, each state fed to ``lasso_ada_observer`` and none kept."""
     solvers = ag.build_block_solvers(lasso_problem, lasso_params)
     return ag.run(lasso_problem, lasso_params, solvers, stop_mode="max_iters",
-                  record_states=True)
+                  observe=lasso_ada_observer)
 
 
 @pytest.fixture(scope="module")
@@ -164,21 +183,18 @@ def test_criterion_3_monotone_g_decrease(criterion1_run, lasso_ada_run):
     assert ok
 
 
-def test_criterion_4_fejer(criterion1_run, exchange_reference):
+def test_criterion_4_fejer(criterion1_run, criterion1_observer):
     _, trace, _ = criterion1_run
-    ok, viol = ag.verify_fejer(trace, exchange_reference, rho=10.0, c=10.0,
-                               rel_slack=1e-8)
+    ok, viol = _fejer_check(criterion1_observer.dists, 1e-8)
     report(4, ok, f"G-distance to the saddle nonincreasing within 1e-8 "
                   f"relative over {len(trace)} iterations"
                   + ("" if ok else f"; first violation at {viol}"))
     assert ok
 
 
-def test_criterion_5_ergodic_bound(lasso_ada_run, lasso_reference, lasso_problem,
-                                   lasso_params):
-    _, trace = lasso_ada_run
-    violation = ag.verify_ergodic(trace, lasso_reference, lasso_problem,
-                                  lasso_params.rho, lasso_params.c)
+def test_criterion_5_ergodic_bound(lasso_ada_run, lasso_ada_observer):
+    # requesting lasso_ada_run makes the run that feeds the observer
+    violation = lasso_ada_observer.ergodic_max_violation
     ok = violation <= 1e-8
     report(5, ok, f"max ergodic-bound violation {violation:.3e} (need <=1e-8)")
     assert ok
@@ -199,16 +215,15 @@ def test_criterion_7_inexactness_certificates(lasso_problem):
     sched = InexactSchedule.for_problem(lasso_problem, "criterion_A",
                                         eps0=1.0, gamma=1.5)
     solvers = ag.build_block_solvers(lasso_problem, params, sched)
-    _, trace = iada_run(lasso_problem, params, sched, solvers,
-                        stop_mode="max_iters", record_states=False)
+    _, trace = ag.run(lasso_problem, params, solvers, stop_mode="max_iters",
+                      schedule=sched)
     violations = 0
     for t, m in enumerate(trace.metrics, start=1):
         thr = criterion_a_threshold(t, sched, params.rho, params.c,
                                     lasso_problem.num_blocks)
         violations += sum(1 for cb in m.per_block_cert if cb > thr)
     solvers_e = ag.build_block_solvers(lasso_problem, params)
-    _, trace_e = ag.run(lasso_problem, params, solvers_e, stop_mode="max_iters",
-                        record_states=False)
+    _, trace_e = ag.run(lasso_problem, params, solvers_e, stop_mode="max_iters")
     fi, fe = trace.metrics[-1].objective, trace_e.metrics[-1].objective
     rel = abs(fi - fe) / max(1.0, abs(fe))
     ok = violations == 0 and rel <= 1e-5
@@ -224,10 +239,12 @@ def test_criterion_8_local_linear_tail(exchange_problem, exchange_reference):
     sched = InexactSchedule.for_problem(exchange_problem, "criterion_B",
                                         eps0=1.0, gamma=2.0)
     solvers = ag.build_block_solvers(exchange_problem, params, sched)
-    _, trace = iada_run(exchange_problem, params, sched, solvers,
-                        stop_mode="max_iters")
-    theta = ag.verify_linear_tail(trace.states, exchange_reference,
-                                  params.rho, params.c, window_frac=0.25)
+    initial = ag.make_initial_state(exchange_problem)
+    observer = ag.RateObserver(exchange_problem, params.rho, params.c,
+                               exchange_reference, initial, exact_engine=False)
+    _, trace = ag.run(exchange_problem, params, solvers, initial=initial,
+                      stop_mode="max_iters", schedule=sched, observe=observer)
+    theta = observer.report(trace).tail_ratio_theta  # last 25%, as reported
     ok = theta < 1.0
     report(8, ok, f"tail contraction theta {theta:.6f} over the last 25% "
                   f"(need <1)")
@@ -287,8 +304,8 @@ def test_criterion_10_logreg_consensus():
     # reference optimum from the documented oracle recipe
     ref_params = replace(params, stop_eps=1e-12, max_iters=2500)
     solvers = ag.build_block_solvers(problem, ref_params, sched)
-    ref, _ = iada_run(problem, ref_params, sched, solvers,
-                      stop_mode="x_change", record_states=False)
+    ref, _ = ag.run(problem, ref_params, solvers, stop_mode="x_change",
+                    schedule=sched)
     f_star = consensus_objective(problem, ref.x[-1])
 
     def stop(state, m):
@@ -299,8 +316,8 @@ def test_criterion_10_logreg_consensus():
         return gap <= 1e-10
 
     solvers2 = ag.build_block_solvers(problem, params, sched)
-    final, trace = iada_run(problem, params, sched, solvers2, stop_mode=stop,
-                            record_states=False)
+    final, trace = ag.run(problem, params, solvers2, stop_mode=stop,
+                          schedule=sched)
     ratio = consensus_ratio(final.x)
     gap = abs(consensus_objective(problem, final.x[-1]) - f_star) \
         / max(1.0, abs(f_star))

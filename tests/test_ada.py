@@ -9,6 +9,7 @@ import oracles
 from augdecomp.ada import StepMetrics, ada_step, check_stop, run
 from augdecomp.bench import gen_logreg_data
 from augdecomp.block_solvers import L1ProxBlockSolver, QuadBlockSolver
+from augdecomp.diagnostics import _fejer_check
 from augdecomp.inexact import InexactSchedule
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              Problem, SmoothPart, make_initial_state,
@@ -329,12 +330,14 @@ class TestRun:
         problem, _ = small_exchange
         params = ag.SolverParams(rho=2.0, c=2.0, max_iters=400)
         solvers = ag.build_block_solvers(problem, params)
-        final, trace = run(problem, params, solvers, stop_mode="max_iters",
-                           record_states=True)
+        initial = ag.make_initial_state(problem)
+        observer = ag.RateObserver(problem, params.rho, params.c,
+                                   small_exchange_saddle, initial)
+        final, trace = run(problem, params, solvers, initial=initial,
+                           stop_mode="max_iters", observe=observer)
         ok, first = ag.verify_monotone(trace)
         assert ok, f"first G-monotonicity violation at iteration {first}"
-        fejer_ok, viol = ag.verify_fejer(trace, small_exchange_saddle,
-                                         params.rho, params.c)
+        fejer_ok, viol = _fejer_check(observer.dists, 1e-8)
         assert fejer_ok, f"Fejer violation at index {viol}"
 
     def test_states_kept_only_on_request(self, small_exchange):

@@ -128,6 +128,19 @@ class TestLibsvm:
         with pytest.raises(ValueError, match="line 1"):
             load_libsvm(path)
 
+    @pytest.mark.parametrize("text, match", [
+        ("+1 1:1\nnan 1:1\n", r"line 2: label 'nan' is not finite"),
+        ("-inf 1:1\n", r"line 1: label '-inf' is not finite"),
+        ("+1 1:nan\n", r"line 1: value 'nan' at index 1 is not finite"),
+        ("+1 1:1\n-1 1:0.5 2:inf\n", r"line 2: value 'inf' at index 2 is not finite"),
+        ("+1 1:1\n+1 0:1 2:1\n", r"line 2: index 0 is below 1 \(indices are 1-based\)"),
+    ], ids=["nan-label", "inf-label", "nan-value", "inf-value", "index-zero"])
+    def test_non_finite_entries_and_index_zero_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_libsvm(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")

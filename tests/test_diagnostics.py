@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 
 import augdecomp as ag
 from augdecomp.ada import StepMetrics, Trace
-from augdecomp.diagnostics import (RateObserver, RateReport, delta_partial_sums,
+from augdecomp.diagnostics import (_TAIL_FLOOR, _TAIL_WINDOW, RateObserver,
+                                   RateReport, _tail_ratio, delta_partial_sums,
                                    kkt_residual, nu_a_nu_medians, rate_report,
-                                   verify_ergodic, verify_fejer,
-                                   verify_linear_tail, verify_monotone)
+                                   verify_monotone)
 from augdecomp.inexact import InexactSchedule, iada_run
 from augdecomp.model import IterateState, make_initial_state
 
@@ -70,24 +71,26 @@ class TestPartialSumsAndMedians:
 
 
 class TestErgodic:
-    def _run(self, problem, rho=2.0, c=2.0, iters=400):
+    def _run(self, problem, reference, rho=2.0, c=2.0, iters=400):
         params = ag.SolverParams(rho=rho, c=c, max_iters=iters)
         solvers = ag.build_block_solvers(problem, params)
-        return ag.run(problem, params, solvers, stop_mode="max_iters",
-                      record_states=True)
+        initial = make_initial_state(problem)
+        observer = RateObserver(problem, rho, c, reference, initial)
+        _, trace = ag.run(problem, params, solvers, initial=initial,
+                          stop_mode="max_iters", observe=observer)
+        return trace, observer
 
     def test_bound_holds_against_saddle(self, small_exchange,
                                         small_exchange_saddle):
         problem, _ = small_exchange
-        _, trace = self._run(problem)
-        violation = verify_ergodic(trace, small_exchange_saddle, problem, 2.0, 2.0)
-        assert violation <= 1e-8
+        _, observer = self._run(problem, small_exchange_saddle)
+        assert observer.ergodic_max_violation <= 1e-8
 
     def test_rhs_halves_when_n_doubles(self, small_exchange,
                                        small_exchange_saddle):
         problem, _ = small_exchange
-        _, trace = self._run(problem, iters=8)
         ref = small_exchange_saddle
+        trace, _ = self._run(problem, ref, iters=8)
         d0 = ag.state_g_dist_sq(ref, trace.initial_state, 2.0, 2.0)
         assert d0 / 2 == pytest.approx((d0 / 1) / 2)
         assert d0 / 4 == pytest.approx((d0 / 2) / 2)
@@ -96,19 +99,9 @@ class TestErgodic:
         # lhs at N=1 with x^1 = x_hat is 0 (feasible, optimal), rhs > 0
         problem, _ = small_exchange
         ref = small_exchange_saddle
-        trace = Trace(initial_state=make_initial_state(problem), states=[ref],
-                      metrics=[StepMetrics(1, 0.0, 0.0, 0.0, 0.0, 0.0, (0.0,))])
-        violation = verify_ergodic(trace, ref, problem, 2.0, 2.0)
-        assert violation <= 0.0
-
-    def test_requires_states(self, small_exchange):
-        problem, _ = small_exchange
-        params = ag.SolverParams(rho=1.0, c=1.0, max_iters=5)
-        solvers = ag.build_block_solvers(problem, params)
-        _, trace = ag.run(problem, params, solvers, stop_mode="max_iters",
-                          record_states=False)
-        with pytest.raises(ValueError):
-            verify_ergodic(trace, None, problem, 1.0, 1.0)
+        observer = RateObserver(problem, 2.0, 2.0, ref, make_initial_state(problem))
+        observer(ref)
+        assert observer.ergodic_max_violation <= 0.0
 
 
 class TestLinearTail:
@@ -124,13 +117,23 @@ class TestLinearTail:
             w = ref.w + 0.5 ** nu * direction
             states.append(IterateState(w=w, x=ref.x, eta=ref.eta,
                                        zeta_bar=ref.zeta_bar, y=ref.y))
-        theta = verify_linear_tail(states, ref, rho=2.0, c=1.0, window_frac=0.5)
+        observer = RateObserver(problem, 2.0, 1.0, ref, make_initial_state(problem))
+        for state in states:
+            observer(state)
+        theta = _tail_ratio(observer.dists[1:], 0.5, _TAIL_FLOOR)
         assert theta == pytest.approx(0.5)
 
-    def test_at_reference_reports_empty_window(self, small_exchange_saddle):
+    def test_at_reference_reports_empty_window(self, small_exchange,
+                                               small_exchange_saddle):
+        problem, _ = small_exchange
         ref = small_exchange_saddle
+        observer = RateObserver(problem, 1.0, 1.0, ref, make_initial_state(problem))
+        for _ in range(3):
+            observer(ref)
         with pytest.raises(ValueError, match="empty"):
-            verify_linear_tail([ref, ref, ref], ref, 1.0, 1.0)
+            _tail_ratio(observer.dists[1:], _TAIL_WINDOW, _TAIL_FLOOR)
+        trace = trace_with_deltas([0.0, 0.0, 0.0])
+        assert observer.report(trace).tail_ratio_theta is None
 
 
 class TestKkt:
@@ -245,3 +248,36 @@ class TestRateObserver:
             assert getattr(got, f.name) == getattr(want, f.name), f.name
         assert got.ergodic_max_violation is not None
         assert (got.fejer_ok is not None) == exact
+
+    def test_non_finite_run_fails_every_check(self, small_exchange,
+                                              small_exchange_saddle):
+        # block 0 returns NaN at step 10: the run stops there, and no check
+        # may read the NaN state as passing
+        problem, _ = small_exchange
+
+        class NaNAtTen:
+            def __init__(self, inner):
+                self.inner, self.calls = inner, 0
+
+            def solve(self, t, z, accept=None):
+                self.calls += 1
+                cert = self.inner.solve(t, z, accept=accept)
+                if self.calls < 10:
+                    return cert
+                return ag.BlockSolveCertificate(x=np.full_like(cert.x, np.nan),
+                                                subgrad_bound=0.0)
+
+        params = ag.SolverParams(rho=2.0, c=2.0, max_iters=50)
+        solvers = ag.build_block_solvers(problem, params)
+        solvers[0] = NaNAtTen(solvers[0])
+        initial = make_initial_state(problem)
+        observer = RateObserver(problem, params.rho, params.c, small_exchange_saddle,
+                                initial)
+        _, trace = ag.run(problem, params, solvers, initial=initial,
+                          stop_mode="max_iters", observe=observer)
+        assert trace.stop_reason == "non_finite" and len(trace) == 10
+        report = observer.report(trace)
+        assert report.monotone_ok is False and report.first_violation == 10
+        assert report.fejer_ok is False
+        assert math.isnan(report.ergodic_max_violation)
+        assert math.isnan(report.tail_ratio_theta)

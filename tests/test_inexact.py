@@ -258,13 +258,16 @@ class TestIadaRun:
         params = ag.SolverParams(rho=rho, c=c, max_iters=trace_iters,
                                  stop_eps=1e-14)
         sched = InexactSchedule.for_problem(problem, "criterion_B", 1.0, 2.0)
-        solvers = ag.build_block_solvers(problem, params, sched)
-        _, trace = iada_run(problem, params, sched, solvers, stop_mode="max_iters")
         long_params = replace(params, max_iters=12 * trace_iters, stop_eps=1e-13)
-        solvers2 = ag.build_block_solvers(problem, params, sched)
-        ref, _ = iada_run(problem, long_params, sched, solvers2,
-                          stop_mode="x_change", record_states=False)
-        return ag.verify_linear_tail(trace.states, ref, rho, c, window_frac=0.25)
+        ref_solvers = ag.build_block_solvers(problem, params, sched)
+        ref, _ = ag.run(problem, long_params, ref_solvers, stop_mode="x_change",
+                        schedule=sched)
+        initial = ag.make_initial_state(problem)
+        observer = ag.RateObserver(problem, rho, c, ref, initial, exact_engine=False)
+        solvers = ag.build_block_solvers(problem, params, sched)
+        _, trace = ag.run(problem, params, solvers, initial=initial,
+                          stop_mode="max_iters", schedule=sched, observe=observer)
+        return observer.report(trace).tail_ratio_theta
 
     def test_local_linear_tail_on_roomy_exchange(self, small_exchange):
         # criterion B with c = rho: empirical contraction toward the limit

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 import augdecomp as ag
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
-                             Problem, SmoothPart, g_norm_sq, project_onto_W)
+                             Problem, SmoothPart, project_onto_W,
+                             state_g_dist_sq)
 
 from oracles import project_onto_Wperp
 
@@ -74,46 +75,56 @@ class TestProjections:
             assert abs(total - parts) <= 1e-10 * max(1.0, total)
 
 
+def g_dist_sq(dw, dx, deta, dzeta_bar, rho, c):
+    """``state_g_dist_sq`` from the zero state to the state with these parts."""
+    zero = lambda a: np.zeros_like(a)
+    state = IterateState(w=dw, x=dx, eta=deta, zeta_bar=dzeta_bar, y=zero(deta))
+    origin = IterateState(w=zero(dw), x=[zero(d) for d in dx], eta=zero(deta),
+                          zeta_bar=zero(dzeta_bar), y=zero(deta))
+    return state_g_dist_sq(state, origin, rho, c)
+
+
 class TestGNorm:
     def test_zero(self):
         z = np.zeros((2, 1))
-        assert g_norm_sq(z, [np.zeros(1)] * 2, z, z, rho=2.0, c=1.0) == 0.0
+        assert g_dist_sq(z, [np.zeros(1)] * 2, z, np.zeros(1), rho=2.0, c=1.0) == 0.0
 
     def test_hand_value(self):
-        # rho=2, c=1, K=2, m=n_k=1: 8/9 + 1/9 + 1/9 = 10/9
+        # rho=2, c=1, K=2, m=n_k=1: 8/9 + 1/9 + 1/9 = 10/9, zeta_bar counted twice
         dw = np.zeros((2, 1))
         dx = [np.array([2.0 / 3]), np.array([2.0 / 3])]
         deta = np.array([[-1.0 / 3], [-1.0 / 3]])
-        dzeta = np.array([[-1.0 / 3], [-1.0 / 3]])
-        val = g_norm_sq(dw, dx, deta, dzeta, rho=2.0, c=1.0)
+        dzeta_bar = np.array([-1.0 / 3])
+        val = g_dist_sq(dw, dx, deta, dzeta_bar, rho=2.0, c=1.0)
         assert abs(val - 10.0 / 9.0) < 1e-15
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(4)
-        dw = rng.standard_normal((3, 2))
+        dw = project_onto_W(rng.standard_normal((3, 2)))
         dx = [rng.standard_normal(4) for _ in range(3)]
         deta = rng.standard_normal((3, 2))
-        dzeta = rng.standard_normal((3, 2))
-        base = g_norm_sq(dw, dx, deta, dzeta, 2.5, 0.7)
+        dzeta_bar = rng.standard_normal(2)
+        base = g_dist_sq(dw, dx, deta, dzeta_bar, 2.5, 0.7)
         for t in (0.5, 3.0):
-            scaled = g_norm_sq(t * dw, [t * d for d in dx], t * deta, t * dzeta, 2.5, 0.7)
+            scaled = g_dist_sq(t * dw, [t * d for d in dx], t * deta, t * dzeta_bar,
+                               2.5, 0.7)
             assert np.isclose(scaled, t * t * base)
 
     def test_positive_definite(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            dw = rng.standard_normal((2, 3))
+            dw = project_onto_W(rng.standard_normal((2, 3)))
             dx = [rng.standard_normal(2) for _ in range(2)]
             deta = rng.standard_normal((2, 3))
-            dzeta = rng.standard_normal((2, 3))
-            assert g_norm_sq(dw, dx, deta, dzeta, 1.3, 2.1) > 0
+            dzeta_bar = rng.standard_normal(3)
+            assert g_dist_sq(dw, dx, deta, dzeta_bar, 1.3, 2.1) > 0
 
     def test_rejects_bad_coefficients(self):
         z = np.zeros((2, 1))
         with pytest.raises(ValueError):
-            g_norm_sq(z, [np.zeros(1)] * 2, z, z, rho=0.0, c=1.0)
+            g_dist_sq(z, [np.zeros(1)] * 2, z, np.zeros(1), rho=0.0, c=1.0)
         with pytest.raises(ValueError):
-            g_norm_sq(z, [np.zeros(1)] * 2, z, z, rho=1.0, c=-2.0)
+            g_dist_sq(z, [np.zeros(1)] * 2, z, np.zeros(1), rho=1.0, c=-2.0)
 
 
 def _ls_block(n, A, b, E):
