@@ -327,13 +327,12 @@ class _HessianStack:
 
 @dataclass(eq=False, slots=True)
 class _CGLane:
-    """One block of a lockstep conjugate-gradient solve: its place in the
-    caller's list, solver, gradient, warm start and rule, the gradient at
-    the warm start and the last gradient norm, the rule's ``limit``, the
-    floor test's trigger and whether it is still to come, and whether the
-    residual has been replaced."""
+    """One block of a lockstep conjugate-gradient solve: its solver,
+    gradient, warm start and rule, the gradient at the warm start and the
+    last gradient norm, the rule's ``limit``, the floor test's trigger and
+    whether it is still to come, and whether the residual has been
+    replaced."""
 
-    index: int
     solver: "LbfgsBlockSolver"
     fun_grad: object
     z: np.ndarray
@@ -354,25 +353,20 @@ class _CGLane:
         # no bound above the limit passes, so the rule need not see it
         self.limit = getattr(self.done, "limit", math.inf)
 
-    def floor_refused(self, x) -> bool:
-        """Whether the rule refuses the rounding floor of the gradient at
-        ``x``, ``u (||H|| ||x|| + ||b||)`` with ``b = H z - g0``."""
-        sv = self.solver
-        floor = _UNIT_ROUNDOFF * (
-            sv._hess_norm * vnorm(x) + vnorm(sv._hess @ self.z - self.g0))
-        return not self.done(x, floor)
-
     def check(self, it, e, r, ee, rr):
         """The tests after step ``it`` on this block's rows ``e`` and ``r``,
-        with ``ee = e.e`` (read only while the floor test is armed) and
-        ``rr = r.r``; ``(result, rr)``, with the block's ``(x, grad_norm,
-        steps)`` when it stops, else None, and ``rr`` after a replaced
-        residual."""
+        with ``ee = e.e`` and ``rr = r.r``; ``(result, rr)``, with the
+        block's ``(x, grad_norm, steps)`` when it stops, else None, and
+        ``rr`` after a replaced residual."""
         if self.armed and rr <= self.trigger_sq * ee:
             # ||x - x*|| <= ||r|| / lam_min <= 0.1 ||e||: the step is known,
-            # so ask once whether the rule accepts the rounding floor
+            # so ask once whether the rule accepts the rounding floor of the
+            # gradient at x, u (||H|| ||x|| + ||b||) with b = H z - g0
             self.armed = False
-            if self.floor_refused(self.z + e):
+            x, sv = self.z + e, self.solver
+            floor = _UNIT_ROUNDOFF * (
+                sv._hess_norm * vnorm(x) + vnorm(sv._hess @ self.z - self.g0))
+            if not self.done(x, floor):
                 return (None, self.gnorm, it), rr
         r_norm = math.sqrt(rr)
         if r_norm <= self.limit:
@@ -388,159 +382,97 @@ class _CGLane:
                 self.replaced = True
                 r[:] = g
                 rr = float(g.dot(g))
+        if it == self.solver.cg_budget:
+            return (None, self.gnorm, it), rr
         return None, rr
 
-    def rows(self):
-        """The start of a solve alone: rows ``er`` (``e = 0``, ``r = g0``),
-        ``dh`` (``d = -g0``, ``H d`` unset) and ``r.r``."""
-        er = np.zeros((2, self.z.size))
-        er[1] = self.g0
-        dh = np.empty_like(er)
-        np.negative(er[1], out=dh[0])
-        return er, dh, float(self.g0.dot(self.g0))
 
-    def run(self, it, er, dh, rr):
-        """Steps ``it + 1`` onward of this block, alone, from its rows ``er``
-        (``e``, ``r``) and ``dh`` (``d``, ``H d``) and ``rr = r.r``: per step
-        a ``matmul``, three ``dot`` calls and four elementwise updates on
-        ``(n,)`` rows, the calls of the loop the lockstep kernel replaced.
-        Returns ``(x, grad_norm, steps)``."""
-        e, r = er
-        d, hd = dh
-        hess, budget = self.solver._hess, self.solver.cg_budget
-        for it in range(it + 1, budget + 1):
-            np.matmul(hess, d, out=hd)
-            dhd = float(d.dot(hd))
-            if not dhd > 0.0:  # d vanished or the product is no longer finite
-                return None, self.gnorm, it
-            er += rr / dhd * dh
-            rr_new = float(r.dot(r))
-            ee = float(e.dot(e)) if self.armed else 0.0
-            # most steps pass neither test of check, and skip the call
-            if (self.armed and rr_new <= self.trigger_sq * ee) \
-                    or math.sqrt(rr_new) <= self.limit:
-                result, rr_new = self.check(it, e, r, ee, rr_new)
-                if result is not None:
-                    return result
-            d *= rr_new / rr
-            d -= r
-            rr = rr_new
-        return None, self.gnorm, budget
-
-
-class _CGBatch:
-    """The blocks of a lockstep solve still iterating; row ``j`` of every
-    array is ``lanes[j]``'s.  ``er`` stacks ``e`` and the residual ``r``,
-    ``dh`` stacks ``d`` and ``H d`` (both ``(2, L, n)``) and ``rr = r.r``.
-    ``products`` holds ``(H, d, H d)`` views per run of blocks in adjacent
-    slots of the stack, one ``matmul`` each: a block that leaves splits a
-    run, and no Hessian is copied."""
-
-    def __init__(self, stack: _HessianStack, lanes):
-        self.stack = stack
-        er = np.zeros((2, len(lanes), lanes[0].z.size))
-        for j, lane in enumerate(lanes):
-            er[1, j] = lane.g0
-        dh = np.empty_like(er)
-        np.negative(er[1], out=dh[0])
-        self._select(lanes, er, dh, np.array([float(g.dot(g)) for g in er[1]]))
-
-    def _select(self, lanes, er, dh, rr):
-        self.lanes, self.er, self.dh, self.rr = lanes, er, dh, rr
-        self.e, self.r = er
-        self.d, self.hd = dh
-        if len(lanes) > 1:
-            d3, hd3 = self.d[:, :, None], self.hd[:, :, None]
-            slots = [lane.solver._slot for lane in lanes]
-            cuts = [0] + [j for j in range(1, len(slots))
-                          if slots[j] != slots[j - 1] + 1] + [len(slots)]
-            hessians = self.stack.hessians
-            self.products = [(hessians[slots[a]:slots[b - 1] + 1], d3[a:b], hd3[a:b])
-                             for a, b in zip(cuts, cuts[1:])]
-        self.last_round = min((lane.solver.cg_budget for lane in lanes), default=0)
-
-    def drop(self, stopped) -> np.ndarray:
-        """Drop the blocks at the positions in ``stopped``; returns the
-        positions kept."""
-        keep = np.array([j for j in range(len(self.lanes)) if j not in stopped], dtype=int)
-        self._select([self.lanes[j] for j in keep], self.er.take(keep, axis=1),
-                     self.dh.take(keep, axis=1), self.rr.take(keep))
-        return keep
-
-
-def _lockstep_cg(stack: _HessianStack, solvers, fun_grads, zs, dones) -> list:
+def _lockstep_cg(hessians: np.ndarray, solvers, fun_grads, zs, dones) -> list:
     """Warm-started CG on ``e_k = x_k - z_k`` for quadratic blocks whose
-    Hessians are in ``stack``, one round per step for all of them; per block
-    ``(x, grad_norm, steps)``, with ``x = None`` when the block must fall
-    back to the exact solve.
+    Hessians are ``hessians[k]``, one round per step for all of them; per
+    block ``(x, grad_norm, steps)``, with ``x = None`` when the block must
+    fall back to the exact solve.
 
-    A block's arrays, gradient evaluations and rule calls are those of
-    solving it alone: a batched ``matmul`` gives the bits of each
-    ``H_k @ d_k``, ``np.vecdot`` those of each ``ndarray.dot``, and the
-    elementwise updates are the per-block ones.  The per-block scalars
-    (step tests, the rule's limit, the floor trigger) are Python floats, so
-    a round makes about a dozen calls into numpy however many blocks it
-    moves.  A block leaves the batch when it stops: on a rule's pass, a
-    refused floor, a second refused gradient, non-positive curvature or its
-    step budget.  A block solved alone, and the last block left in a batch,
-    go on by ``_CGLane.run``, on their own rows: a round of one block costs
-    less there than in the batch, and a solve alone builds no batch.
+    Block ``k`` has row ``k`` of ``(e, r)`` and of ``(d, H d)`` from the
+    first round to the last, and one ``matmul`` over ``hessians`` forms
+    every product ``H_k d_k``.  A block stops on a rule's pass, a refused
+    floor, a second refused gradient, non-positive curvature or its step
+    budget; it then leaves the per-block tests and its rows are zeroed.
+    The 0/1 vector ``dead`` is added to the divisors ``d.Hd`` and ``r.r``,
+    so a stopped block's rows stay zero and a live block's divisors gain
+    ``+0.0``.  A live block's arrays, gradient evaluations and rule calls
+    are those of solving it alone: the batched ``matmul`` gives the bits of
+    each ``H_k @ d_k``, ``np.vecdot`` those of each ``ndarray.dot``, and the
+    elementwise updates are the per-block ones.  The per-block scalars are
+    Python floats, so a round makes about a dozen calls into numpy however
+    many blocks it moves.
     """
     results = [None] * len(solvers)
-    lanes = []
-    for i, (solver, fun_grad, z, done) in enumerate(zip(solvers, fun_grads, zs, dones)):
+    lanes = [None] * len(solvers)
+    er = np.zeros((2, len(solvers), hessians.shape[-1]))  # rows e and r
+    for k, (solver, fun_grad, z, done) in enumerate(zip(solvers, fun_grads, zs, dones)):
         z = np.asarray(z, dtype=float)
         _, g0 = fun_grad(z)
         gnorm = vnorm(g0)
         if done(z, gnorm):
-            results[i] = (z.copy(), gnorm, 0)
+            results[k] = (z.copy(), gnorm, 0)
         elif solver.cg_budget < 1:
-            results[i] = (None, gnorm, solver.cg_budget)
+            results[k] = (None, gnorm, solver.cg_budget)
         else:
-            lanes.append(_CGLane(i, solver, fun_grad, z, done, g0, gnorm))
-    if len(lanes) == 1:
-        results[lanes[0].index] = lanes[0].run(0, *lanes[0].rows())
-    if len(lanes) < 2:
+            lanes[k] = _CGLane(solver, fun_grad, z, done, g0, gnorm)
+            er[1, k] = g0
+    live = [k for k, lane in enumerate(lanes) if lane is not None]
+    if not live:
         return results
-    b = _CGBatch(stack, lanes)
+    dead = np.array([float(lane is None) for lane in lanes])
+    e, r = er
+    dh = np.empty_like(er)  # rows d and H d
+    d, hd = dh
+    np.negative(r, out=d)
+    d3, hd3 = d[:, :, None], hd[:, :, None]
+    rr = np.array([float(g.dot(g)) for g in r])
+
+    def stop(ks):
+        """Take the blocks ``ks`` out of the tests and zero their rows."""
+        live[:] = [k for k in live if k not in ks]
+        er[:, ks] = 0.0
+        dh[:, ks] = 0.0
+        rr[ks] = 0.0
+        dead[ks] = 1.0
+
     it = 0
-    while len(b.lanes) > 1:
+    while live:
         it += 1
-        for hess, d3, hd3 in b.products:
-            np.matmul(hess, d3, out=hd3)
-        dhd = np.vecdot(b.d, b.hd)
-        stopped = [j for j, v in enumerate(dhd.tolist()) if not v > 0.0]
+        np.matmul(hessians, d3, out=hd3)
+        dhd = np.vecdot(d, hd)
+        curvature = dhd.tolist()
+        stopped = [k for k in live if not curvature[k] > 0.0]
         if stopped:  # d vanished or the products are no longer finite
-            for j in stopped:
-                results[b.lanes[j].index] = (None, b.lanes[j].gnorm, it)
-            dhd = dhd.take(b.drop(stopped))
-            if not b.lanes:
-                return results
-            stopped = []
-        b.er += (b.rr / dhd)[:, None] * b.dh
-        dots = np.vecdot(b.er, b.er)  # rows e.e and r.r
+            for k in stopped:
+                results[k] = (None, lanes[k].gnorm, it)
+            stop(stopped)
+            dhd[stopped] = 0.0
+        dhd += dead
+        er += (rr / dhd)[:, None] * dh
+        dots = np.vecdot(er, er)  # rows e.e and r.r
         rr_new = dots[1]
-        for j, (ee, rr) in enumerate(zip(*dots.tolist())):
-            lane = b.lanes[j]
-            # most steps pass neither test of check, and skip the call
-            if (lane.armed and rr <= lane.trigger_sq * ee) or math.sqrt(rr) <= lane.limit:
-                result, rr_new[j] = lane.check(it, b.e[j], b.r[j], ee, rr)
-                if result is not None:
-                    results[lane.index] = result
-                    stopped.append(j)
-        b.d *= (rr_new / b.rr)[:, None]
-        b.d -= b.r
-        b.rr = rr_new
-        if it == b.last_round:  # the step budget of some block is spent
-            for j, lane in enumerate(b.lanes):
-                if lane.solver.cg_budget == it and j not in stopped:
-                    results[lane.index] = (None, lane.gnorm, it)
-                    stopped.append(j)
+        ees, rrs = dots.tolist()
+        stopped = []
+        for k in live:
+            lane = lanes[k]
+            ee, rr_k = ees[k], rrs[k]
+            # most steps pass no test of check, and skip the call
+            if (lane.armed and rr_k <= lane.trigger_sq * ee) \
+                    or math.sqrt(rr_k) <= lane.limit or it == lane.solver.cg_budget:
+                results[k], rr_new[k] = lane.check(it, e[k], r[k], ee, rr_k)
+                if results[k] is not None:
+                    stopped.append(k)
         if stopped:
-            b.drop(stopped)
-    if b.lanes:
-        lane = b.lanes[0]
-        results[lane.index] = lane.run(it, b.er[:, 0], b.dh[:, 0], float(b.rr[0]))
+            stop(stopped)
+            rr_new[stopped] = 0.0
+        d *= (rr_new / (rr + dead))[:, None]
+        d -= r
+        rr = rr_new
     return results
 
 
@@ -588,17 +520,14 @@ class LbfgsBlockSolver:
     first time it does not, the residual is replaced by it and the iteration
     continues.  The kernel, ``_lockstep_cg``, moves the blocks of a sweep
     that share a Hessian stack (see ``build_penalized_solvers`` and
-    ``solve_sweep``) together, one round per step.  A round forms the
-    products ``H_k d_k`` by one batched ``matmul`` per run of adjacent
-    blocks and makes about a dozen calls into numpy in all, however many
-    blocks it moves; each block gets the bits of solving it alone and
-    leaves the batch when it stops.  A lone ``solve``, and the last block
-    left in a batch, step on their own ``(n,)`` rows, about eight calls a
-    step.  ``stack`` is the Hessian stack a least-squares block joins;
-    without one it gets a stack of its own.  ``H`` is formed with the other
-    Hessians of its stack on the first solve.  The point ``x = z + e`` is
-    formed, and the rule asked, only once ``||r||`` is at most the rule's
-    ``limit`` (see ``solve``).
+    ``solve_sweep``) together, one round per step, with one batched
+    ``matmul`` for all the products ``H_k d_k`` and about a dozen calls
+    into numpy in all; each block gets the bits of solving it alone.  A
+    lone ``solve`` is a batch of one.  ``stack`` is the Hessian stack a
+    least-squares block joins; without one it gets a stack of its own.
+    ``H`` is formed with the other Hessians of its stack on the first
+    solve.  The point ``x = z + e`` is formed, and the rule asked, only
+    once ``||r||`` is at most the rule's ``limit`` (see ``solve``).
     Three events return the exact factorized minimizer with certificate 0
     and ``exact_fallback=True``:
 
@@ -737,8 +666,8 @@ class LbfgsBlockSolver:
     def _conjugate_gradients(self, fun_grad, z, done):
         """Warm-started CG on ``e = x - z``; ``(x, grad_norm, steps)``, with
         ``x = None`` when the solve must fall back to the exact one: the
-        lockstep kernel on this block alone."""
-        return _lockstep_cg(self._stack, [self], [fun_grad], [z], [done])[0]
+        lockstep kernel on a batch of one."""
+        return _lockstep_cg(self._hess[None], [self], [fun_grad], [z], [done])[0]
 
     def _newton(self, fun_grad, z, done):
         """Damped Newton from ``z`` with the kept factor; ``(x, grad_norm,
@@ -832,10 +761,12 @@ def solve_sweep(solvers, targets, zs, rules=None) -> list:
     ``zs[k]`` under the rule ``rules[k]`` (with ``rules=None`` every solver
     runs in its exact mode).  The quadratic ``LbfgsBlockSolver``s that share
     a Hessian stack (see ``build_penalized_solvers``) are solved together by
-    the lockstep kernel, when the first of them comes up; every other
-    solver, a wrapper of one included, by its own ``solve``, in block
-    order.  Each certificate has the bits of solving that block alone.  A
-    ``BlockSolveError`` is raised again with the index of its block.
+    the lockstep kernel, when the first of them comes up, over the stack
+    itself when they fill its slots in order and otherwise over a copy of
+    their slots; every other solver, a wrapper of one included, by its own
+    ``solve``, in block order.  Each certificate has the bits of solving
+    that block alone.  A ``BlockSolveError`` is raised again with the index
+    of its block.
     """
     units = {}  # a stack, or a block index, to the blocks solved together
     for k, sv in enumerate(solvers):
@@ -845,10 +776,14 @@ def solve_sweep(solvers, targets, zs, rules=None) -> list:
     for unit, ks in units.items():
         if isinstance(unit, _HessianStack):
             group = [solvers[k] for k in ks]
+            hessians = unit.hessians
+            slots = [sv._slot for sv in group]
+            if slots != list(range(len(hessians))):
+                hessians = hessians[slots]
             fun_grads = [sv._fun_grad(targets[k], zs[k]) for sv, k in zip(group, ks)]
             dones = [sv._rule(None if rules is None else rules[k])
                      for sv, k in zip(group, ks)]
-            results = _lockstep_cg(unit, group, fun_grads, [zs[k] for k in ks], dones)
+            results = _lockstep_cg(hessians, group, fun_grads, [zs[k] for k in ks], dones)
             for sv, k, result in zip(group, ks, results):
                 certs[k] = sv._cg_certificate(targets[k], zs[k], result)
             continue

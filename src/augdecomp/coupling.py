@@ -22,18 +22,18 @@ def e_gram_scale(E) -> float | None:
 
     A scalar Gram matrix is what makes the closed-form block solves
     available; this numerical test serves the general ``"matrix"`` kind,
-    whose structure is not known when it is built.
+    whose structure is not known when it is built.  A sparse ``E`` keeps a
+    sparse Gram.
     """
     G = E.T @ E
-    if sp.issparse(G):
-        G = G.toarray()
-    G = np.asarray(G)
-    d = np.diagonal(G)
+    d = G.diagonal()
     alpha = float(d.mean())
-    if not np.allclose(d, alpha, rtol=1e-12, atol=1e-12 * max(1.0, alpha)):
+    scale = 1e-12 * max(1.0, alpha)
+    if not np.allclose(d, alpha, rtol=1e-12, atol=scale):
         return None
-    off = G - alpha * np.eye(G.shape[0])
-    if np.abs(off).max() > 1e-12 * max(1.0, alpha):
+    # the largest entry of G - alpha I, off the diagonal and on it
+    off = G - (sp.diags(d) if sp.issparse(G) else np.diag(d))
+    if max(abs(off).max(), np.abs(d - alpha).max()) > scale:
         return None
     return alpha
 

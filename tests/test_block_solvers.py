@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -828,9 +829,10 @@ class TestLockstepSweep:
     @staticmethod
     def _logged(rule, log):
         """``rule`` that appends each ``(bound, verdict)`` to ``log``; it
-        keeps the rule's ``limit``."""
+        keeps the rule's ``limit``.  A NaN bound is logged as ``math.nan``,
+        so that two logs of it compare equal."""
         def logged(x, bound):
-            log.append((bound, bool(rule(x, bound))))
+            log.append((math.nan if math.isnan(bound) else bound, bool(rule(x, bound))))
             return log[-1][1]
 
         if hasattr(rule, "limit"):
@@ -936,6 +938,31 @@ class TestLockstepSweep:
         assert steps[2] == 5 and steps[3] == 0
         assert all(5 < steps[k] < LbfgsBlockSolver.cg_budget for k in (0, 1, 4))
 
+    def test_stopped_blocks_leave_the_others_alone(self):
+        # block 1's products go non-finite in the first round (a NaN target)
+        # and it falls back; block 3 has zero data and t = z = 0, so its
+        # gradient is exactly zero and it is accepted at its warm start.
+        # Both keep their zeroed rows in the batch while the other blocks
+        # iterate; those keep their bits, and nothing warns
+        problem, targets, zs = self._exchange_sweep(9)
+        zero = problem.blocks[3].objective.smooth
+        problem = replace(problem, blocks=problem.blocks[:3] + (replace(
+            problem.blocks[3], objective=FunctionDescriptor(smooth=SmoothPart(
+                "least_squares", zero.A, np.zeros_like(zero.b)))),) + problem.blocks[4:])
+        targets[1, 7] = np.nan
+        targets[3] = zs[3] = 0.0
+        rules = [lambda x, b: b <= 1e-9, lambda x, b: b <= 1e-9,
+                 lambda x, b: b <= 1e-6, lambda x, b: b == 0.0, lambda x, b: b <= 1e-8]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            certs, calls = self._check(problem, targets, zs, rules)
+        assert [c.exact_fallback for c in certs] == [False, True, False, False, False]
+        assert (certs[1].inner_iters, certs[3].inner_iters) == (1, 0)
+        assert calls[1] == calls[3] == 1 and certs[3].subgrad_bound == 0.0
+        assert np.isnan(certs[1].x).all() and not certs[3].x.any()
+        assert all(certs[k].inner_iters > 1 and np.isfinite(certs[k].x).all()
+                   for k in (0, 2, 4))
+
     def test_two_dimensions_and_a_closed_form_block(self):
         rng = np.random.default_rng(11)
         m = 6
@@ -957,6 +984,23 @@ class TestLockstepSweep:
         rules = [lambda x, b: b <= 1e-10, lambda x, b: b <= 1e-6, None,
                  lambda x, b: b <= 1e-8, None]
         self._check(problem, targets, zs, rules, penalty=1.5, prox_weight=0.5)
+
+    def test_some_slots_of_a_stack_out_of_order(self):
+        # four of the five blocks, out of slot order: the kernel runs over a
+        # copy of their Hessians, and each block keeps the bits of solving
+        # it alone
+        problem, targets, zs = self._exchange_sweep(5)
+        order = [3, 0, 4, 1]
+        rule = lambda x, b: b <= 1e-9
+        swept, solo = (build_penalized_solvers(problem, 5.0, 0.1, iterative_smooth=True)
+                       for _ in range(2))
+        certs = solve_sweep([swept[k] for k in order], targets[order], zs[order], [rule] * 4)
+        for k, got in zip(order, certs):
+            want = self._solo(solo[k], targets[k], zs[k], rule)
+            assert got.x.tobytes() == want.x.tobytes(), k
+            assert (got.subgrad_bound, got.inner_iters, got.exact_fallback, got.value) \
+                == (want.subgrad_bound, want.inner_iters, want.exact_fallback, want.value), k
+        assert len({c.inner_iters for c in certs}) > 1
 
     def test_hessians_are_views_of_one_stack(self):
         problem, targets, zs = self._exchange_sweep(3)

@@ -80,6 +80,42 @@ def test_general_matrix_keeps_its_products():
     assert np.array_equal(Es.toarray(), S.toarray())
 
 
+def test_sparse_gram_scale_is_not_densified(monkeypatch):
+    # E^T E = alpha I is read off the sparse Gram: a signed selection with
+    # 20000 columns would densify it to 3.2 GB
+    def spy(self, *args, **kwargs):
+        raise AssertionError(f"densified a {self.shape[0]}x{self.shape[1]} matrix")
+
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.dia_matrix, Coupling):
+        monkeypatch.setattr(cls, "toarray", spy)
+    n = 20000
+    rng = np.random.default_rng(6)
+    rows, signs = rng.permutation(n + 500)[:n], rng.choice([-2.0, 2.0], n)
+
+    def selection(rows, signs):
+        return Coupling(matrix=sp.csr_matrix((signs, (rows, np.arange(n))), shape=(n + 500, n)))
+
+    assert selection(rows, signs).gram_scale == 4.0
+    scaled = signs.copy()
+    scaled[7] *= 1.5  # one diagonal entry of the Gram differs
+    assert selection(rows, scaled).gram_scale is None
+    shared = rows.copy()
+    shared[1] = shared[0]  # an off-diagonal entry of the Gram
+    assert selection(shared, signs).gram_scale is None
+
+
+@pytest.mark.parametrize("eps, scalar", [(0.0, True), (1e-13, True), (1e-11, False)])
+def test_sparse_gram_scale_matches_dense(eps, scalar):
+    # the same tolerances on a sparse Gram as on a dense one, on and off the
+    # diagonal: E = -2 I + eps e_0 e_1^T has G_01 = -2 eps and G_11 = 4 + eps^2
+    M = -2.0 * np.eye(5)
+    M[0, 1] = eps
+    alpha = e_gram_scale(M)
+    assert (alpha is not None) == scalar
+    assert e_gram_scale(sp.csr_matrix(M)) == alpha
+    assert e_gram_scale(sp.csc_array(M)) == alpha
+
+
 def test_generators_emit_structured_kinds():
     lasso, _ = ag.gen_lasso(10, 15, seed=2)
     assert [(b.E.kind, b.E.sign) for b in lasso.blocks] == [("identity", 1),
