@@ -209,7 +209,7 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
 
 def check_stop(metrics: StepMetrics, eps: float, mode: str) -> bool:
     """Relative x-change or relative feasibility test; ``max_iters`` never stops."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if mode == "x_change":
         return metrics.x_rel_change <= eps

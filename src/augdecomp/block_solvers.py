@@ -7,15 +7,16 @@ independent subproblems of the shape
 
 for a penalty ``p``, a target ``t``, and a proximal center ``z`` (``s = 0``
 drops the proximal term).  This module provides closed-form solvers for
-least-squares and l1 blocks and a certified iterative solver for smooth
-blocks (conjugate gradients for quadratic losses, damped Newton steps with
-a kept Hessian factor for logistic ones).  Iterative solvers report a
-certified upper bound on ``dist(0, d phi(x))`` at the returned point,
-computed from the gradient evaluated at that point; closed forms certify
-zero.  When a quadratic block's threshold is at about what finite precision
-can certify, the exact factorized solve is returned instead and the
-certificate says so (``exact_fallback``).  ``solve_sweep`` solves the K subproblems of one sweep
-together, the conjugate-gradient blocks of one dimension in lockstep.
+least-squares and l1 blocks and two certified iterative solvers: conjugate
+gradients for least-squares blocks and damped Newton steps with a kept
+Hessian factor for logistic ones.  Iterative solvers report a certified
+upper bound on ``dist(0, d phi(x))`` at the returned point, computed from
+the gradient evaluated at that point; closed forms certify zero.  When a
+least-squares block's threshold is at about what finite precision can
+certify, the exact factorized solve is returned instead and the
+certificate says so (``exact_fallback``).  ``solve_sweep`` solves the K
+subproblems of one sweep together, the conjugate-gradient blocks of one
+dimension in lockstep.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .coupling import spectral_norm
 from .model import BlockSpec, vnorm
 
-# Conjugate-gradient floor stop (``LbfgsBlockSolver``): the floor is tested
+# Conjugate-gradient floor stop (``CgBlockSolver``): the floor is tested
 # once ||r|| <= _FLOOR_TRIGGER * lam_min * ||x - z||, and the attainable
 # gradient accuracy is estimated as _UNIT_ROUNDOFF * (||H|| ||x|| + ||b||).
 _FLOOR_TRIGGER = 0.1
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
-# Damped Newton (``LbfgsBlockSolver``, logistic blocks): step budget, Armijo
+# Damped Newton (``NewtonBlockSolver``): step budget, Armijo
 # constant, step halvings before the line search gives up, and the relative
 # rounding level of f below which a step that lowers the gradient norm is taken.
 _NEWTON_STEPS = 500
@@ -93,7 +94,7 @@ def soft_threshold(a, kappa: float):
 
     Componentwise on arrays; the proximal operator of ``kappa * |.|``.
     """
-    if kappa < 0:
+    if not kappa >= 0:
         raise ValueError("kappa must be nonnegative")
     return np.sign(a) * np.maximum(np.abs(a) - kappa, 0.0)
 
@@ -105,7 +106,7 @@ def subgrad_dist_l1(x: np.ndarray, smooth_grad_at_x: np.ndarray, lambda1: float)
     ``x_i != 0`` and the projection of ``-g_i`` onto ``[-lambda1, lambda1]``
     where ``x_i = 0``; returns the Euclidean norm of the residual vector.
     """
-    if lambda1 < 0:
+    if not lambda1 >= 0:
         raise ValueError("lambda1 must be nonnegative")
     g = np.asarray(smooth_grad_at_x, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -300,8 +301,8 @@ class _HessianStack:
     """The Hessians ``H_k = A_k^T A_k + C_k`` of quadratic blocks of one
     dimension as one ``(L, n, n)`` array, formed on first use.
 
-    Each quadratic ``LbfgsBlockSolver`` adds its block's ``(A_k, C_k)`` when
-    it is built, to the stack it is given or to one of its own.  The stack
+    Each ``CgBlockSolver`` adds its block's ``(A_k, C_k)`` when it is
+    built, to the stack it is given or to one of its own.  The stack
     keeps those parts, not the solvers: the solvers own the stack, and it
     goes when they do.
     """
@@ -333,7 +334,7 @@ class _CGLane:
     whether it is still to come, and whether the residual has been
     replaced."""
 
-    solver: "LbfgsBlockSolver"
+    solver: "CgBlockSolver"
     fun_grad: object
     z: np.ndarray
     done: object
@@ -497,22 +498,85 @@ def _line_search(fun_grad, x, f, g, gnorm, direction, f_noise):
     return None
 
 
-class LbfgsBlockSolver:
-    """Certified iterative solver for smooth blocks.
+class _SmoothBlockSolver:
+    """What the certified iterative solvers of smooth blocks share.
 
-    Minimizes ``f(x) + (p/2)*||E x - t||^2 + (s/2)*||x - z||^2`` from the
-    warm start ``z``: by conjugate gradients when ``f`` is a least-squares
-    loss, by damped Newton steps when it is logistic.  (The name
-    is historical: both paths replaced an L-BFGS method.)  The certificate
-    is the norm of the gradient evaluated at the returned point, which
-    equals the subgradient distance for smooth objectives.  The solve stops
-    on the caller's ``accept(x, bound)`` rule or, without one, once the
-    gradient norm is at most ``exact_tol``.
+    Each minimizes ``f(x) + (p/2)*||E x - t||^2 + (s/2)*||x - z||^2`` from
+    the warm start ``z`` until the caller's ``accept(x, bound)`` rule holds
+    or, without one, until the gradient norm is at most ``exact_tol``.  The
+    certificate is the norm of the gradient evaluated at the returned point,
+    which for a smooth objective is the subgradient distance.  The Hessian
+    is ``H = A^T diag(h) A + C`` with the loss curvature ``h`` (all ones for
+    least squares) and ``C = p E^T E + s I``, which is ``(p alpha + s) I``
+    for a coupling with ``E^T E = alpha I`` and otherwise formed once.  The
+    loss's evaluation at the last point is kept, so a solve that starts
+    where the previous one stopped does not evaluate the loss there again,
+    and a certificate carries the loss when its point is that last one.
+    """
 
-    Both paths use the Hessian ``H = A^T diag(h) A + C`` with the loss
-    curvature ``h`` (all ones for a quadratic loss) and the coupling and
-    proximal part ``C = p E^T E + s I``, which is ``(p alpha + s) I`` for a
-    coupling with ``E^T E = alpha I`` and otherwise formed once per solver.
+    exact = False
+    _curvature = False  # whether the loss's curvature h comes third
+
+    def __init__(self, block: BlockSpec, penalty: float, prox_weight: float,
+                 exact_tol: float, kind: str):
+        fd = block.objective
+        if fd.smooth is None or fd.smooth.kind != kind:
+            raise ValueError(f"{type(self).__name__} requires a {kind} block")
+        self.block = block
+        self.penalty = float(penalty)
+        self.prox_weight = float(prox_weight)
+        self.exact_tol = float(exact_tol)
+        self._coupling = _coupling_hessian(block.E, self.penalty, self.prox_weight)
+        self._memo = None  # (bytes of x, the loss's _smooth tuple at x)
+
+    @property
+    def _shift(self) -> float | None:
+        """``c`` when ``C = c I`` (a coupling with a scalar Gram), else None."""
+        return self._coupling if isinstance(self._coupling, float) else None
+
+    def _fun_grad(self, t, z):
+        """``x -> (phi(x), grad phi(x))``, with the loss curvature ``h`` at
+        ``x`` third on a solver that asks for it."""
+        E = self.block.E
+        p, s = self.penalty, self.prox_weight
+
+        def fun_grad(x):
+            r = E.apply(x) - t
+            val, grad, *h = self._smooth(x)
+            val += 0.5 * p * float(r.dot(r))
+            grad = grad + p * E.apply_T(r)
+            if s > 0:
+                dz = x - z
+                val += 0.5 * s * float(dz.dot(dz))
+                grad = grad + s * dz
+            return (val, grad, *h)
+
+        return fun_grad
+
+    def _smooth(self, x):
+        """The loss's ``(value, gradient[, h])`` at ``x``.  The last
+        evaluation is kept: a solve starts at the point the previous one
+        returned, where the loss has just been evaluated.  The memo serves
+        a point with the same bytes only."""
+        key = x.tobytes()
+        if self._memo is not None and self._memo[0] == key:
+            return self._memo[1]
+        out = self.block.objective.smooth.value_and_gradient(x, curvature=self._curvature)
+        self._memo = (key, out)
+        return out
+
+    def _loss_at(self, x) -> float | None:
+        """The loss's value at ``x`` when ``x`` is the last point evaluated."""
+        key, out = self._memo
+        return out[0] if key == x.tobytes() else None
+
+    def _rule(self, accept):
+        """``accept``, or the ``exact_tol`` test without one."""
+        return (lambda xx, gn: gn <= self.exact_tol) if accept is None else accept
+
+
+class CgBlockSolver(_SmoothBlockSolver):
+    """Certified conjugate-gradient solver for least-squares blocks.
 
     Conjugate gradients iterate on the correction ``e = x - z`` and track the
     gradient by a recursive residual.  When that residual passes, the
@@ -523,13 +587,17 @@ class LbfgsBlockSolver:
     ``solve_sweep``) together, one round per step, with one batched
     ``matmul`` for all the products ``H_k d_k`` and about a dozen calls
     into numpy in all; each block gets the bits of solving it alone.  A
-    lone ``solve`` is a batch of one.  ``stack`` is the Hessian stack a
-    least-squares block joins; without one it gets a stack of its own.
-    ``H`` is formed with the other Hessians of its stack on the first
-    solve.  The point ``x = z + e`` is formed, and the rule asked, only
-    once ``||r||`` is at most the rule's ``limit`` (see ``solve``).
-    Three events return the exact factorized minimizer with certificate 0
-    and ``exact_fallback=True``:
+    lone ``solve`` is a batch of one.  ``stack`` is the Hessian stack the
+    block joins; without one it gets a stack of its own.  ``H`` is formed
+    with the other Hessians of its stack on the first solve.
+
+    A rule may carry a float attribute ``limit``, a promise that it refuses
+    every ``bound > limit`` whatever ``x`` is (``InexactSchedule.accept_rules``
+    sets it to the criterion-A threshold); the point ``x = z + e`` is then
+    formed, and the rule asked, only once ``||r||`` is at most ``limit``.  A
+    rule without ``limit`` is asked at every step.  Three events return the
+    exact factorized minimizer with certificate 0 and
+    ``exact_fallback=True``:
 
     * the floor stop: once the residual is small enough to fix ``||e||`` to
       within 10% (``||r|| <= 0.1 lam_min ||e||``), the rule is asked once
@@ -543,6 +611,57 @@ class LbfgsBlockSolver:
     proof: a refused floor means the threshold is at or below what the
     recomputed gradient can be expected to show, and the exact solve is
     cheaper than finding out.
+    """
+
+    cg_budget = 300  # conjugate-gradient steps before the exact fallback
+
+    def __init__(self, block: BlockSpec, penalty: float, prox_weight: float,
+                 exact_tol: float = 1e-12, stack: _HessianStack | None = None):
+        super().__init__(block, penalty, prox_weight, exact_tol, "least_squares")
+        self._fallback = QuadBlockSolver(block, penalty, prox_weight)
+        # the block's Hessian is slot _slot of _stack
+        self._stack = _HessianStack() if stack is None else stack
+        self._slot = self._stack.add(block.objective.smooth.A, self._coupling)
+
+    @cached_property
+    def _hess(self) -> np.ndarray:
+        """``H``, a view into the block's stack; formed on the first
+        solve, not at construction."""
+        return self._stack.hessians[self._slot]
+
+    @cached_property
+    def _hess_norm(self) -> float:
+        """``||H||_2``.  The floor needs it to a few percent only; power
+        iteration to 1e-4 gives that in about a millisecond, where a dense
+        SVD grows the resident set by about 1 MB."""
+        return spectral_norm(self._hess, rel_tol=1e-4)
+
+    def _conjugate_gradients(self, fun_grad, z, done):
+        """Warm-started CG on ``e = x - z``; ``(x, grad_norm, steps)``, with
+        ``x = None`` when the solve must fall back to the exact one: the
+        lockstep kernel on a batch of one."""
+        return _lockstep_cg(self._hess[None], [self], [fun_grad], [z], [done])[0]
+
+    def _cg_certificate(self, t, z, result) -> BlockSolveCertificate:
+        """The certificate of a conjugate-gradient ``(x, grad_norm, steps)``;
+        ``x = None`` gives the exact factorized solve."""
+        x, gnorm, iters = result
+        if x is None:
+            # the fallback's Woodbury loss equals f(x) only up to
+            # rounding, so it is not carried (see BlockSolveCertificate)
+            cert = self._fallback.solve(t, z)
+            return BlockSolveCertificate(x=cert.x, subgrad_bound=0.0,
+                                         inner_iters=iters, exact_fallback=True)
+        return BlockSolveCertificate(x=x, subgrad_bound=gnorm, inner_iters=iters,
+                                     value=self._loss_at(x))
+
+    def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
+        return self._cg_certificate(t, z, self._conjugate_gradients(
+            self._fun_grad(t, z), z, self._rule(accept)))
+
+
+class NewtonBlockSolver(_SmoothBlockSolver):
+    """Certified damped Newton solver for logistic blocks.
 
     Newton steps use the chord (Shamanskii) method: the solver keeps the
     solve function of its last factorization, across steps and across
@@ -559,115 +678,29 @@ class LbfgsBlockSolver:
     columns, and the rows-by-rows Woodbury matrix ``sigma I + B B^T``,
     ``B = diag(sqrt h) A``, on a wider one with ``C = sigma I``; a sparse
     ``A`` is multiplied sparse and only the factored matrix is dense.  The
-    certificate counts the factorizations of the solve.  The loss's value,
-    gradient and curvature at the last point evaluated are kept, so a solve
-    that starts where the previous one stopped does not evaluate the loss
-    there again; the coupling and proximal terms are recomputed for the new
-    ``t`` and ``z``.  (Conjugate gradients keep the loss's value and
-    gradient the same way, and a certificate carries the loss when the
-    returned point is the last one evaluated.)  The step
-    length is found by Armijo backtracking from 1; once objective
-    differences are at the rounding level of ``f``, a step that lowers the
-    gradient norm is accepted too, so the iteration keeps progressing on
-    gradient information alone.  The subproblem is strongly convex and every
-    kept factor is positive definite, so this converges from any warm start;
-    the certificate is the gradient norm at the returned point whichever
-    factor made the steps.  A logistic block that misses a caller's
-    rule within 500 steps (a step with a kept factor counts as one), or
-    stalls at rounding level (10 steps
-    that neither lower ``f`` beyond rounding nor set a new smallest gradient
-    norm), raises ``BlockSolveError``; without a rule the iterate with the
-    smallest gradient norm is returned.
+    certificate counts the factorizations of the solve.  The step length
+    is found by Armijo backtracking from 1; once objective differences are
+    at the rounding level of ``f``, a step that lowers the gradient norm is
+    accepted too, so the iteration keeps progressing on gradient
+    information alone.  The subproblem is strongly convex and every kept
+    factor is positive definite, so this converges from any warm start; the
+    certificate is the gradient norm at the returned point whichever factor
+    made the steps.  A solve that misses a caller's rule within 500 steps
+    (a step with a kept factor counts as one), or stalls at rounding level
+    (10 steps that neither lower ``f`` beyond rounding nor set a new
+    smallest gradient norm), raises ``BlockSolveError``; without a rule the
+    iterate with the smallest gradient norm is returned.  The rule is asked
+    at every step.
     """
 
-    exact = False
-    cg_budget = 300  # conjugate-gradient steps before the exact fallback
+    _curvature = True
 
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float,
-                 exact_tol: float = 1e-12, stack: _HessianStack | None = None):
-        fd = block.objective
-        if fd.smooth is None:
-            raise ValueError("LbfgsBlockSolver requires a smooth block")
-        quadratic = fd.smooth.kind == "least_squares"
-        if stack is not None and not quadratic:
-            raise ValueError("only a least-squares block joins a Hessian stack")
-        self.block = block
-        self.penalty = float(penalty)
-        self.prox_weight = float(prox_weight)
-        self.exact_tol = float(exact_tol)
-        self._coupling = _coupling_hessian(block.E, self.penalty, self.prox_weight)
-        self._fallback = None
-        # a logistic block's kept Newton factor: r -> H^{-1} r for the H of
-        # the last factorization, None until the next step factors
+                 exact_tol: float = 1e-12):
+        super().__init__(block, penalty, prox_weight, exact_tol, "logistic")
+        # the kept factor: r -> H^{-1} r for the H of the last
+        # factorization, None until the next step factors
         self._factor = None
-        # ((curvature, bytes of x), loss's (value, gradient[, curvature]) at x)
-        self._memo = None
-        # a quadratic block's Hessian is slot _slot of _stack
-        self._stack, self._slot = None, 0
-        if quadratic:
-            self._fallback = QuadBlockSolver(block, penalty, prox_weight)
-            self._stack = _HessianStack() if stack is None else stack
-            self._slot = self._stack.add(fd.smooth.A, self._coupling)
-
-    @property
-    def _shift(self) -> float | None:
-        """``c`` when ``C = c I`` (a coupling with a scalar Gram), else None."""
-        return self._coupling if isinstance(self._coupling, float) else None
-
-    def _fun_grad(self, t, z, curvature=False):
-        """``x -> (phi(x), grad phi(x))``; with ``curvature`` the loss
-        curvature ``h`` at ``x`` comes third."""
-        E = self.block.E
-        p, s = self.penalty, self.prox_weight
-
-        def fun_grad(x):
-            r = E.apply(x) - t
-            val, grad, *h = self._smooth(x, curvature)
-            val += 0.5 * p * float(r.dot(r))
-            grad = grad + p * E.apply_T(r)
-            if s > 0:
-                dz = x - z
-                val += 0.5 * s * float(dz.dot(dz))
-                grad = grad + s * dz
-            return (val, grad, *h)
-
-        return fun_grad
-
-    def _smooth(self, x, curvature=False):
-        """The loss's ``(value, gradient)`` at ``x``, with ``h`` third under
-        ``curvature``.  The last evaluation is kept: a solve starts at the
-        point the previous one returned, where the loss has just been
-        evaluated.  The memo serves a point with the same bytes only."""
-        key = (curvature, x.tobytes())
-        if self._memo is not None and self._memo[0] == key:
-            return self._memo[1]
-        out = self.block.objective.smooth.value_and_gradient(x, curvature=curvature)
-        self._memo = (key, out)
-        return out
-
-    def _loss_at(self, x) -> float | None:
-        """The loss's value at ``x`` when ``x`` is the last point evaluated."""
-        key, out = self._memo
-        return out[0] if key[1] == x.tobytes() else None
-
-    @cached_property
-    def _hess(self) -> np.ndarray:
-        """``H`` of a quadratic block, a view into its stack; formed on the
-        first conjugate-gradient solve, not at construction."""
-        return self._stack.hessians[self._slot]
-
-    @cached_property
-    def _hess_norm(self) -> float:
-        """``||H||_2``.  The floor needs it to a few percent only; power
-        iteration to 1e-4 gives that in about a millisecond, where a dense
-        SVD grows the resident set by about 1 MB."""
-        return spectral_norm(self._hess, rel_tol=1e-4)
-
-    def _conjugate_gradients(self, fun_grad, z, done):
-        """Warm-started CG on ``e = x - z``; ``(x, grad_norm, steps)``, with
-        ``x = None`` when the solve must fall back to the exact one: the
-        lockstep kernel on a batch of one."""
-        return _lockstep_cg(self._hess[None], [self], [fun_grad], [z], [done])[0]
 
     def _newton(self, fun_grad, z, done):
         """Damped Newton from ``z`` with the kept factor; ``(x, grad_norm,
@@ -711,41 +744,8 @@ class LbfgsBlockSolver:
                 best = (x, gnorm)
         return x, gnorm, steps, factored
 
-    def _rule(self, accept):
-        """``accept``, or the ``exact_tol`` test without one."""
-        return (lambda xx, gn: gn <= self.exact_tol) if accept is None else accept
-
-    def _cg_certificate(self, t, z, result) -> BlockSolveCertificate:
-        """The certificate of a conjugate-gradient ``(x, grad_norm, steps)``;
-        ``x = None`` gives the exact factorized solve."""
-        x, gnorm, iters = result
-        if x is None:
-            # the fallback's Woodbury loss equals f(x) only up to
-            # rounding, so it is not carried (see BlockSolveCertificate)
-            cert = self._fallback.solve(t, z)
-            return BlockSolveCertificate(x=cert.x, subgrad_bound=0.0,
-                                         inner_iters=iters, exact_fallback=True)
-        return BlockSolveCertificate(x=x, subgrad_bound=gnorm, inner_iters=iters,
-                                     value=self._loss_at(x))
-
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
-        """Solve from the warm start ``z`` until ``accept(x, bound)`` holds.
-
-        ``accept`` may carry a float attribute ``limit``, a promise that it
-        refuses every ``bound > limit`` whatever ``x`` is; conjugate
-        gradients then form ``x`` and call ``accept`` only once the residual
-        norm is at most ``limit``.  ``InexactSchedule.accept_rules`` sets it
-        to the criterion-A threshold.  A rule without ``limit`` is asked at
-        every step.  Without ``accept`` the solve runs to ``exact_tol``.
-        ``solve_sweep`` solves several quadratic blocks at once, with the
-        bits of this method.
-        """
-        done = self._rule(accept)
-        if self._stack is not None:
-            return self._cg_certificate(
-                t, z, self._conjugate_gradients(self._fun_grad(t, z), z, done))
-        x, gnorm, iters, factored = self._newton(
-            self._fun_grad(t, z, curvature=True), z, done)
+        x, gnorm, iters, factored = self._newton(self._fun_grad(t, z), z, self._rule(accept))
         if accept is not None and not accept(x, gnorm):
             raise BlockSolveError(
                 f"Newton solve stopped after {iters} of {_NEWTON_STEPS} steps at "
@@ -759,8 +759,8 @@ def solve_sweep(solvers, targets, zs, rules=None) -> list:
 
     Block ``k`` is solved for the target ``targets[k]`` from the warm start
     ``zs[k]`` under the rule ``rules[k]`` (with ``rules=None`` every solver
-    runs in its exact mode).  The quadratic ``LbfgsBlockSolver``s that share
-    a Hessian stack (see ``build_penalized_solvers``) are solved together by
+    runs in its exact mode).  The ``CgBlockSolver``s that share a Hessian
+    stack (see ``build_penalized_solvers``) are solved together by
     the lockstep kernel, when the first of them comes up, over the stack
     itself when they fill its slots in order and otherwise over a copy of
     their slots; every other solver, a wrapper of one included, by its own
@@ -770,8 +770,7 @@ def solve_sweep(solvers, targets, zs, rules=None) -> list:
     """
     units = {}  # a stack, or a block index, to the blocks solved together
     for k, sv in enumerate(solvers):
-        stack = sv._stack if isinstance(sv, LbfgsBlockSolver) else None
-        units.setdefault(k if stack is None else stack, []).append(k)
+        units.setdefault(sv._stack if isinstance(sv, CgBlockSolver) else k, []).append(k)
     certs = [None] * len(solvers)
     for unit, ks in units.items():
         if isinstance(unit, _HessianStack):
@@ -799,12 +798,12 @@ def build_penalized_solvers(problem, penalty: float, prox_weights,
                             iterative_smooth: bool = False):
     """Construct one solver per block for a given penalty/proximal pairing.
 
-    ``prox_weights`` is a scalar or one weight per block.  With
-    ``iterative_smooth`` the quadratic blocks also go through the iterative
-    ``LbfgsBlockSolver`` (conjugate gradients) so that their solves carry
-    nontrivial certificates, and those of one dimension share one Hessian
-    stack, which ``solve_sweep`` solves in lockstep; logistic blocks always
-    use it (damped Newton).
+    ``prox_weights`` is a scalar or one weight per block.  An l1 block gets
+    ``L1ProxBlockSolver``, a logistic one ``NewtonBlockSolver`` and a
+    least-squares one ``QuadBlockSolver`` or, with ``iterative_smooth``,
+    ``CgBlockSolver``, whose solves carry nontrivial certificates; those of
+    one dimension share a Hessian stack, which ``solve_sweep`` solves in
+    lockstep.  No other code picks an algorithm by a loss's kind.
     """
     K = problem.num_blocks
     weights = np.broadcast_to(np.asarray(prox_weights, dtype=float), (K,))
@@ -815,10 +814,10 @@ def build_penalized_solvers(problem, penalty: float, prox_weights,
         if fd.smooth is None:
             solvers.append(L1ProxBlockSolver(blk, penalty, s))
         elif fd.smooth.kind == "logistic":
-            solvers.append(LbfgsBlockSolver(blk, penalty, s))
+            solvers.append(NewtonBlockSolver(blk, penalty, s))
         elif iterative_smooth:
             stack = stacks.setdefault(blk.n, _HessianStack())
-            solvers.append(LbfgsBlockSolver(blk, penalty, s, stack=stack))
+            solvers.append(CgBlockSolver(blk, penalty, s, stack=stack))
         else:
             solvers.append(QuadBlockSolver(blk, penalty, s))
     return solvers
@@ -831,8 +830,8 @@ def build_block_solvers(problem, params, schedule=None):
     blocks are solved iteratively so the acceptance criteria are genuinely
     exercised: quadratic blocks by warm-started conjugate gradients with an
     exact factorized fallback (at most 300 steps), those of one dimension
-    in lockstep when ``ada.ada_step`` passes a sweep to ``solve_sweep``.  Logistic blocks are
-    always solved by damped Newton steps (at most 500), to ``1e-12`` in the
+    in lockstep when ``ada.ada_step`` passes a sweep to ``solve_sweep``.
+    Logistic blocks are always solved by damped Newton steps (at most 500), to ``1e-12`` in the
     gradient norm when no schedule sets a threshold.  With no schedule every
     block that admits a closed form uses it.
     """

@@ -80,7 +80,7 @@ class InexactSchedule:
 
         Each rule's ``limit`` attribute is the criterion-A threshold: no
         bound above it passes either criterion, so a block solver may skip
-        the call (see ``LbfgsBlockSolver.solve``).
+        the call (see ``CgBlockSolver``).
         """
         base = criterion_a_threshold(nu, self, params.rho, params.c, num_blocks)
         if self.kind == "criterion_A":
@@ -107,7 +107,7 @@ class InexactSchedule:
 def criterion_a_threshold(nu: int, schedule: InexactSchedule, rho: float,
                           c: float, num_blocks: int) -> float:
     """Absolute bound ``eps_nu / (c K (rho ||E|| + ||E|| + 1))`` for step ``nu >= 1``."""
-    if rho <= 0 or c <= 0 or num_blocks < 1:
+    if not (rho > 0 and c > 0 and num_blocks >= 1):
         raise ValueError("rho, c must be positive and num_blocks >= 1")
     denom = c * num_blocks * (rho * schedule.e_norm + schedule.e_norm + 1.0)
     return schedule.eps_at(nu) / denom
@@ -116,7 +116,7 @@ def criterion_a_threshold(nu: int, schedule: InexactSchedule, rho: float,
 def criterion_b_threshold(nu: int, schedule: InexactSchedule, rho: float,
                           c: float, num_blocks: int, x_step_norm: float) -> float:
     """Criterion-A bound scaled by ``min(1, ||x_k_new - x_k_prev||)``."""
-    if x_step_norm < 0:
+    if not x_step_norm >= 0:
         raise ValueError("x_step_norm must be nonnegative")
     return criterion_a_threshold(nu, schedule, rho, c, num_blocks) \
         * min(1.0, x_step_norm)

@@ -3,12 +3,13 @@
 A problem couples ``K`` variable blocks through a single linear constraint
 
     minimize    f_1(x_1) + ... + f_K(x_K)
-    subject to  E_1 x_1 + ... + E_K x_K = q,    x_k in X_k,
+    subject to  E_1 x_1 + ... + E_K x_K = q,
 
-where each ``f_k`` is a smooth loss composed with a matrix or an l1 term.  The decomposition algorithms work on a lifted copy of the
-constraint that lives in the zero-sum subspace ``W`` of stacked m-vectors and
-its all-equal orthogonal complement; this module owns those projections and
-the weighted norm used by every convergence statement.
+where each ``f_k`` is a smooth loss composed with a matrix or an l1 term and
+the blocks ``x_k`` are unconstrained.  The decomposition algorithms work on a
+lifted copy of the constraint that lives in the zero-sum subspace ``W`` of
+stacked m-vectors and its all-equal orthogonal complement; this module owns
+those projections and the weighted norm used by every convergence statement.
 """
 
 from __future__ import annotations
@@ -300,7 +301,7 @@ def state_g_dist_sq(a: IterateState, b: IterateState, rho: float, c: float) -> f
     This is the metric in which the decomposition iteration is a proximal
     step; all monotonicity and rate statements are phrased in it.
     """
-    if rho <= 0 or c <= 0:
+    if not (rho > 0 and c > 0):
         raise ValueError("rho and c must be positive")
     K = a.num_blocks
     dw = a.w - b.w

@@ -3,7 +3,7 @@
 ``lbfgs_minimize`` is the limited-memory BFGS method with a strong-Wolfe
 line search that solved the logistic blocks before they moved to damped
 Newton steps.  It is kept here as an independent oracle: ``TestLbfgs`` pins
-its behaviour, and the Newton solves of ``LbfgsBlockSolver`` are checked
+its behaviour, and the solves of ``NewtonBlockSolver`` are checked
 against it.
 
 ``GeneralQuadBlockSolver`` is the dense-factorization solver that served
@@ -13,7 +13,7 @@ took them over.  It forms ``A^T A + p E^T E + s I`` from dense copies of
 quadratic solves.
 
 ``conjugate_gradients`` is the conjugate-gradient loop of
-``LbfgsBlockSolver`` before its lean kernel, kept line for line: the
+``CgBlockSolver`` before its lean kernel, kept line for line: the
 lockstep kernel, for one block or a sweep's worth, must return the same
 bits.
 
@@ -257,7 +257,7 @@ def conjugate_gradients(self, fun_grad, z, done):
     """Warm-started CG on ``e = x - z``; ``(x, grad_norm, steps)``, with
     ``x = None`` when the solve must fall back to the exact one.
 
-    ``LbfgsBlockSolver._conjugate_gradients`` as it was before its kernel
+    ``CgBlockSolver._conjugate_gradients`` as it was before its kernel
     kept ``(e, r)`` and ``(d, H d)`` in stacked arrays, reduced by
     ``ndarray.dot`` and skipped the rule above its ``limit``; ``self`` is
     the solver.  The body is unchanged, so the two must agree bit for bit.

@@ -18,7 +18,7 @@ import augdecomp as ag
 from augdecomp.baselines import Admm2Lasso, BaselineParams, prox_jadmm_run, vsadmm_run
 from augdecomp.bench import (build_logreg_consensus, consensus_objective,
                              consensus_ratio, gen_logreg_data, partition_rows)
-from augdecomp.block_solvers import LbfgsBlockSolver, soft_threshold
+from augdecomp.block_solvers import CgBlockSolver, soft_threshold
 from augdecomp.diagnostics import _fejer_check, nu_a_nu_medians
 from augdecomp.inexact import InexactSchedule, criterion_a_threshold
 from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart, saddle_state
@@ -265,7 +265,7 @@ def test_criterion_9_strong_convexity_bound():
         c = float(rng.uniform(0.5, 4.0))
         rho = float(rng.uniform(0.5, 4.0))
         tol = 10 ** rng.uniform(-6, -2)
-        inexact = LbfgsBlockSolver(blk, penalty=rho / 2, prox_weight=1 / c,
+        inexact = CgBlockSolver(blk, penalty=rho / 2, prox_weight=1 / c,
                                    exact_tol=tol)
         exact = GeneralQuadBlockSolver(blk, penalty=rho / 2, prox_weight=1 / c)
         t = rng.standard_normal(4)

@@ -11,8 +11,8 @@ import augdecomp as ag
 from augdecomp import block_solvers
 from augdecomp.bench import gen_logreg_data
 from augdecomp.block_solvers import (BlockSolveCertificate, BlockSolveError,
-                                     L1ProxBlockSolver, LbfgsBlockSolver,
-                                     QuadBlockSolver,
+                                     CgBlockSolver, L1ProxBlockSolver,
+                                     NewtonBlockSolver, QuadBlockSolver,
                                      _cholesky_solver, _coupling_hessian,
                                      _formed_hessian, _hessian_solver,
                                      build_penalized_solvers, soft_threshold,
@@ -432,7 +432,7 @@ class TestLogisticNewton:
 
         blk = BlockSpec(n=1, E=np.eye(1), objective=FunctionDescriptor(
             smooth=SmoothPart("logistic", np.array([[a_val]]), np.array([b_val]))))
-        solver = LbfgsBlockSolver(blk, penalty=rho / 2, prox_weight=1 / c,
+        solver = NewtonBlockSolver(blk, penalty=rho / 2, prox_weight=1 / c,
                                   exact_tol=1e-12)
         cert = solver.solve(np.array([w - 2 / rho * y]), np.array([xp]))
         assert cert.subgrad_bound <= 1e-12 and cert.inner_iters > 0
@@ -441,14 +441,14 @@ class TestLogisticNewton:
     def test_general_coupling_agrees_with_lbfgs_oracle(self):
         rng = np.random.default_rng(20)
         blk = _logistic_block(rng.standard_normal((4, 6)))
-        solver = LbfgsBlockSolver(blk, penalty=1.5, prox_weight=0.2)
+        solver = NewtonBlockSolver(blk, penalty=1.5, prox_weight=0.2)
         assert solver._shift is None  # E^T E is not a multiple of I
         t, z = rng.standard_normal(4), 3.0 * rng.standard_normal(6)
         cert = solver.solve(t, z, accept=lambda x, bound: bound <= 1e-10)
         fun_grad = solver._fun_grad(t, z)
         assert cert.subgrad_bound == float(np.linalg.norm(fun_grad(cert.x)[1])) <= 1e-10
         assert 0 < cert.inner_iters <= 20
-        x_ref, gn_ref, _ = lbfgs_minimize(fun_grad, z, grad_tol=1e-10)
+        x_ref, gn_ref, _ = lbfgs_minimize(lambda x: fun_grad(x)[:2], z, grad_tol=1e-10)
         assert gn_ref <= 1e-10
         # phi is 0.2-strongly convex: ||x - x_ref|| <= (||g|| + ||g_ref||) / 0.2
         assert np.linalg.norm(cert.x - x_ref) <= (cert.subgrad_bound + gn_ref) / 0.2
@@ -456,9 +456,9 @@ class TestLogisticNewton:
     def test_hessian_matches_finite_differences_of_the_gradient(self):
         rng = np.random.default_rng(22)
         for E in (np.eye(6), rng.standard_normal((4, 6))):
-            solver = LbfgsBlockSolver(_logistic_block(E), penalty=1.5, prox_weight=0.2)
+            solver = NewtonBlockSolver(_logistic_block(E), penalty=1.5, prox_weight=0.2)
             t, z = rng.standard_normal(E.shape[0]), rng.standard_normal(6)
-            fun_grad = solver._fun_grad(t, z, curvature=True)
+            fun_grad = solver._fun_grad(t, z)
             x = rng.standard_normal(6)
             H = _formed_hessian(solver.block.objective.smooth.A, solver._coupling,
                                 fun_grad(x)[2])
@@ -475,7 +475,7 @@ class TestLogisticNewton:
         # value, rather than the loss at another point
         carried = missing = 0
         for seed in range(10):
-            solver = LbfgsBlockSolver(_logistic_block(np.eye(6)), penalty=1.0,
+            solver = NewtonBlockSolver(_logistic_block(np.eye(6)), penalty=1.0,
                                       prox_weight=0.1, exact_tol=0.0)
             rng = np.random.default_rng(seed)
             cert = solver.solve(rng.standard_normal(6), rng.standard_normal(6))
@@ -489,7 +489,7 @@ class TestLogisticNewton:
     def test_unattainable_threshold_raises_once_stalled(self):
         # at the rounding floor full steps pass Armijo with f unchanged; the
         # stall stop ends the solve long before the 500-step budget
-        solver = LbfgsBlockSolver(_logistic_block(np.eye(6)), penalty=1.0, prox_weight=0.1)
+        solver = NewtonBlockSolver(_logistic_block(np.eye(6)), penalty=1.0, prox_weight=0.1)
         rng = np.random.default_rng(23)
         with pytest.raises(BlockSolveError, match=r"after \d{1,2} of 500 steps"):
             solver.solve(rng.standard_normal(6), rng.standard_normal(6),
@@ -522,11 +522,11 @@ class TestNewtonFactorRule:
 
         monkeypatch.setattr(block_solvers, "_cholesky_solver", spy)
         block, rng = self._consensus_block(24, 90, seed=31, sparse=sparse)
-        solver = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1)
+        solver = NewtonBlockSolver(block, penalty=0.8, prox_weight=0.1)
         A, C = block.objective.smooth.A, solver._coupling
         assert isinstance(C, float)
         t, z = rng.standard_normal(3 * 90), rng.standard_normal(90)
-        _, g, h = solver._fun_grad(t, z, curvature=True)(rng.standard_normal(90))
+        _, g, h = solver._fun_grad(t, z)(rng.standard_normal(90))
         assert np.count_nonzero(h == 0.0) >= 3  # curvature underflowed to 0
         direction = _hessian_solver(A, C, h)(g)
         assert factored == [(24, 24)]
@@ -542,10 +542,10 @@ class TestNewtonFactorRule:
 
         monkeypatch.setattr(block_solvers, "_cholesky_solver", spy)
         block, rng = self._consensus_block(60, 8, seed=32)
-        solver = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1)
+        solver = NewtonBlockSolver(block, penalty=0.8, prox_weight=0.1)
         A, C = block.objective.smooth.A, solver._coupling
         t, z = rng.standard_normal(3 * 8), rng.standard_normal(8)
-        _, g, h = solver._fun_grad(t, z, curvature=True)(rng.standard_normal(8))
+        _, g, h = solver._fun_grad(t, z)(rng.standard_normal(8))
         direction = _hessian_solver(A, C, h)(g)
         assert factored == [(8, 8)]
         H = _formed_hessian(A, C, h)
@@ -561,13 +561,13 @@ class TestNewtonFactorRule:
         # the certificates agree bit for bit
         block, rng = self._consensus_block(*shape, seed=33)
         n = shape[1]
-        reused = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1)
+        reused = NewtonBlockSolver(block, penalty=0.8, prox_weight=0.1)
         z = np.zeros(n)
         kept = 0
         for k in range(6):
             t = rng.standard_normal(3 * n)
             rule = lambda x, bound, k=k: bound <= 10.0 ** -(k + 2)
-            fresh = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1)
+            fresh = NewtonBlockSolver(block, penalty=0.8, prox_weight=0.1)
             fresh._factor = reused._factor
             kept += reused._factor is not None
             got = reused.solve(t, z, accept=rule)
@@ -588,7 +588,7 @@ class TestNewtonFactorRule:
 
         monkeypatch.setattr(SmoothPart, "value_and_gradient", spy)
         block, rng = self._consensus_block(40, 6, seed=34)
-        solver = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1)
+        solver = NewtonBlockSolver(block, penalty=0.8, prox_weight=0.1)
         x = solver.solve(rng.standard_normal(18), rng.standard_normal(6)).x
         assert np.array_equal(evaluated[-1], x)  # the memo holds the returned point
         evaluated.clear()
@@ -662,11 +662,11 @@ class TestKeptNewtonFactor:
         n = shape[1]
         t, z = rng.standard_normal(3 * n), rng.standard_normal(n)
         rule = lambda x, bound: bound <= 1e-8
-        stale = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1)
+        stale = NewtonBlockSolver(block, penalty=0.8, prox_weight=0.1)
         stale._factor = lambda r: -r  # a kept factor whose direction is uphill
         got = stale.solve(t, z, accept=rule)
         assert searches[0] is None  # the kept factor's search failed ...
-        want = LbfgsBlockSolver(block, penalty=0.8, prox_weight=0.1).solve(
+        want = NewtonBlockSolver(block, penalty=0.8, prox_weight=0.1).solve(
             t, z, accept=rule)
         # ... and the solve went on as a fresh one from the same point
         assert np.array_equal(got.x, want.x)
@@ -702,7 +702,7 @@ class TestLeanCGKernel:
         rng = np.random.default_rng(seed)
         t, z = rng.standard_normal(100), rng.standard_normal(100)
         # one solver per kernel, so neither sees the other's memo
-        make = lambda: LbfgsBlockSolver(problem.blocks[block], penalty=5.0,
+        make = lambda: CgBlockSolver(problem.blocks[block], penalty=5.0,
                                         prox_weight=prox_weight)
         return problem, make(), make(), t, z
 
@@ -794,17 +794,17 @@ class TestLeanCGKernel:
 
 
 def logistic_phi_gradient_fd_check(block, t, z, penalty, prox_weight, rng):
-    solver = LbfgsBlockSolver(block, penalty, prox_weight)
+    solver = NewtonBlockSolver(block, penalty, prox_weight)
     fun_grad = solver._fun_grad(t, z)
     x = rng.standard_normal(block.n) * 0.5
-    _, g = fun_grad(x)
+    _, g, _ = fun_grad(x)
     fd = np.empty_like(g)
     for i in range(block.n):
         h = 1e-6 * (1.0 + abs(x[i]))
         e = np.zeros(block.n)
         e[i] = h
-        fp, _ = fun_grad(x + e)
-        fm, _ = fun_grad(x - e)
+        fp = fun_grad(x + e)[0]
+        fm = fun_grad(x - e)[0]
         fd[i] = (fp - fm) / (2 * h)
     denom = np.maximum(np.abs(fd), 1.0)
     assert np.max(np.abs(g - fd) / denom) <= 1e-6
@@ -864,7 +864,7 @@ class TestLockstepSweep:
             return fun_grad_factory
 
         for k, sv in enumerate(swept):
-            if isinstance(sv, LbfgsBlockSolver):
+            if isinstance(sv, CgBlockSolver):
                 sv._fun_grad = counted(k, sv._fun_grad)
         logs = {side: [[] for _ in range(K)] for side in ("swept", "alone", "solo")}
         wrap = lambda side: [None if rules[k] is None else
@@ -873,7 +873,7 @@ class TestLockstepSweep:
         alone_rules, solo_rules = wrap("alone"), wrap("solo")
         for k in range(K):
             alone_cert = alone[k].solve(targets[k], zs[k], accept=alone_rules[k])
-            if isinstance(solo[k], LbfgsBlockSolver):
+            if isinstance(solo[k], CgBlockSolver):
                 want = self._solo(solo[k], targets[k], zs[k], solo_rules[k])
             else:
                 want = solo[k].solve(targets[k], zs[k], accept=solo_rules[k])
@@ -936,7 +936,7 @@ class TestLockstepSweep:
         assert [c.exact_fallback for c in certs] == [True, False, True, False, True]
         assert calls == [1, 3, 1, 1, 3]
         assert steps[2] == 5 and steps[3] == 0
-        assert all(5 < steps[k] < LbfgsBlockSolver.cg_budget for k in (0, 1, 4))
+        assert all(5 < steps[k] < CgBlockSolver.cg_budget for k in (0, 1, 4))
 
     def test_stopped_blocks_leave_the_others_alone(self):
         # block 1's products go non-finite in the first round (a NaN target)
@@ -976,7 +976,7 @@ class TestLockstepSweep:
                        objective=FunctionDescriptor(l1_scale=0.3))
         problem = ag.Problem(blocks=(quad(7), quad(5), l1, quad(7), quad(5)), q=np.zeros(m))
         solvers = build_penalized_solvers(problem, 1.5, 0.5, iterative_smooth=True)
-        stacks = [sv._stack for sv in solvers if isinstance(sv, LbfgsBlockSolver)]
+        stacks = [sv._stack for sv in solvers if isinstance(sv, CgBlockSolver)]
         assert isinstance(solvers[2], L1ProxBlockSolver)
         assert stacks[0] is stacks[2] and stacks[1] is stacks[3] and stacks[0] is not stacks[1]
         targets = rng.standard_normal((5, m))
@@ -1013,20 +1013,18 @@ class TestLockstepSweep:
 
     def test_solvers_join_their_stack_when_built(self):
         # each quadratic solver adds its block to the stack it is given, in
-        # block order; one built alone gets a stack of its own, a logistic
-        # block joins none, and a formed stack takes no more blocks
+        # block order; one built alone gets a stack of its own, and a formed
+        # stack takes no more blocks
         problem, targets, zs = self._exchange_sweep(3)
         solvers = build_penalized_solvers(problem, 5.0, 0.1, iterative_smooth=True)
         shared = solvers[0]._stack
         assert [sv._slot for sv in solvers] == list(range(5))
         assert all(sv._stack is shared for sv in solvers)
-        alone = LbfgsBlockSolver(problem.blocks[0], 5.0, 0.1)
+        alone = CgBlockSolver(problem.blocks[0], 5.0, 0.1)
         assert alone._stack is not shared and alone._slot == 0
-        with pytest.raises(ValueError, match="least-squares"):
-            LbfgsBlockSolver(_logistic_block(np.eye(6)), 1.0, 0.1, stack=shared)
         solve_sweep(solvers, targets, zs)
         with pytest.raises(ValueError, match="already formed"):
-            LbfgsBlockSolver(problem.blocks[0], 5.0, 0.1, stack=shared)
+            CgBlockSolver(problem.blocks[0], 5.0, 0.1, stack=shared)
         assert shared.hessians.shape == (5, 100, 100)
 
     def test_whole_run_matches_a_per_block_sweep(self):
@@ -1055,6 +1053,62 @@ class TestLockstepSweep:
             assert a.tobytes() == b.tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(final.x, final_solo.x))
         assert sum(m.fallbacks for m in trace.metrics) > 0
+
+
+class TestDispatcher:
+    """``build_penalized_solvers`` picks the solver class from the kind of a
+    block's loss; each iterative class takes only its own kind, and
+    ``solve_sweep`` batches only conjugate-gradient blocks."""
+
+    @staticmethod
+    def _problem():
+        rng = np.random.default_rng(12)
+        m = 6
+
+        def smooth(kind, n):
+            A = rng.standard_normal((9, n))
+            b = np.where(rng.standard_normal(9) >= 0.0, 1.0, -1.0) \
+                if kind == "logistic" else rng.standard_normal(9)
+            return BlockSpec(n=n, E=rng.standard_normal((m, n)), objective=FunctionDescriptor(
+                smooth=SmoothPart(kind, A, b)))
+
+        l1 = BlockSpec(n=m, E=ag.Coupling.identity(m, sign=-1),
+                       objective=FunctionDescriptor(l1_scale=0.3))
+        return ag.Problem(blocks=(l1, smooth("logistic", 5), smooth("least_squares", 7),
+                                  smooth("least_squares", 7)), q=np.zeros(m))
+
+    @pytest.mark.parametrize("iterative, classes", [
+        (False, [L1ProxBlockSolver, NewtonBlockSolver, QuadBlockSolver, QuadBlockSolver]),
+        (True, [L1ProxBlockSolver, NewtonBlockSolver, CgBlockSolver, CgBlockSolver])])
+    def test_one_class_per_loss_kind(self, iterative, classes):
+        solvers = build_penalized_solvers(self._problem(), 1.5, 0.5, iterative_smooth=iterative)
+        assert [type(sv) for sv in solvers] == classes
+
+    def test_iterative_classes_refuse_other_kinds(self):
+        l1, logistic, quad, _ = self._problem().blocks
+        for block in (logistic, l1):
+            with pytest.raises(ValueError, match="least_squares"):
+                CgBlockSolver(block, 1.5, 0.5)
+        for block in (quad, l1):
+            with pytest.raises(ValueError, match="logistic"):
+                NewtonBlockSolver(block, 1.5, 0.5)
+
+    def test_sweep_batches_only_cg_blocks(self, monkeypatch):
+        batched = []
+        kernel = block_solvers._lockstep_cg
+
+        def spy(hessians, solvers, *args):
+            batched.append(list(solvers))
+            return kernel(hessians, solvers, *args)
+
+        monkeypatch.setattr(block_solvers, "_lockstep_cg", spy)
+        problem = self._problem()
+        solvers = build_penalized_solvers(problem, 1.5, 0.5, iterative_smooth=True)
+        rng = np.random.default_rng(13)
+        certs = solve_sweep(solvers, rng.standard_normal((4, 6)),
+                            [rng.standard_normal(blk.n) for blk in problem.blocks])
+        assert batched == [solvers[2:]]
+        assert [c.x.shape for c in certs] == [(blk.n,) for blk in problem.blocks]
 
 
 class TestBlockSolverObjects:
@@ -1097,7 +1151,7 @@ class TestBlockSolverObjects:
                 n=E.shape[0], E=-np.eye(E.shape[0]),
                 objective=FunctionDescriptor(l1_scale=0.5))), q=np.zeros(E.shape[0]))
             solver = ag.build_penalized_solvers(problem, 1.2, 0.3)[0]
-            fallback = LbfgsBlockSolver(block, 1.2, 0.3)._fallback
+            fallback = CgBlockSolver(block, 1.2, 0.3)._fallback
             assert isinstance(solver, QuadBlockSolver)
             assert isinstance(fallback, QuadBlockSolver)
             t, z = rng.standard_normal(E.shape[0]), rng.standard_normal(5)

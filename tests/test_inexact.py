@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import augdecomp as ag
 from augdecomp.ada import _block_targets
 from augdecomp.bench import build_logreg_consensus, gen_logreg_data, partition_rows
-from augdecomp.block_solvers import LbfgsBlockSolver
+from augdecomp.block_solvers import CgBlockSolver
 from augdecomp.coupling import spectral_norm, stacked_norm
 from augdecomp.inexact import (SCHEDULE_KINDS, InexactSchedule,
                                criterion_a_threshold, criterion_b_threshold,
@@ -78,6 +78,34 @@ class TestThresholds:
     def test_rejects_nonpositive_and_nan(self, field, value):
         with pytest.raises(ValueError):
             _schedule(**{field: value})
+
+
+_NAN = float("nan")
+
+
+_STATE = make_initial_state(ag.gen_lasso(4, 6, seed=0)[0])
+
+
+def _state_g_dist_sq(rho, c):
+    return ag.state_g_dist_sq(_STATE, _STATE, rho, c)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: criterion_b_threshold(4, _schedule(), 1.0, 1.0, 2, x_step_norm=_NAN),
+    lambda: criterion_a_threshold(4, _schedule(), _NAN, 1.0, 2),
+    lambda: criterion_a_threshold(4, _schedule(), 1.0, _NAN, 2),
+    lambda: _state_g_dist_sq(_NAN, 1.0),
+    lambda: _state_g_dist_sq(1.0, _NAN),
+    lambda: ag.soft_threshold(np.ones(3), _NAN),
+    lambda: ag.subgrad_dist_l1(np.ones(3), np.ones(3), _NAN),
+    lambda: ag.check_stop(None, _NAN, "x_change"),
+], ids=["b_step_norm", "a_rho", "a_c", "g_dist_rho", "g_dist_c", "soft_threshold_kappa",
+        "subgrad_dist_l1_lambda1", "check_stop_eps"])
+def test_nan_argument_is_refused(call):
+    # a NaN argument is refused, not read as the loosest threshold (min(1, nan)
+    # is 1) or carried into a NaN result
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestSpectralNorm:
@@ -162,7 +190,7 @@ class TestInexactBlockSolve:
             t = rng.standard_normal(3)
             z = rng.standard_normal(n_k)
             tol = 10 ** rng.uniform(-6, -2)
-            inexact = LbfgsBlockSolver(blk, penalty=rho / 2, prox_weight=1 / c,
+            inexact = CgBlockSolver(blk, penalty=rho / 2, prox_weight=1 / c,
                                        exact_tol=tol)
             exact = GeneralQuadBlockSolver(blk, penalty=rho / 2, prox_weight=1 / c)
             cert = inexact.solve(t, z)
@@ -493,7 +521,7 @@ class TestQuadraticBlocksByCG:
     def test_certificate_is_recomputed_gradient(self, general):
         E = np.random.default_rng(1).standard_normal((5, 7)) if general else None
         blk, t, z = self._block(2, E)
-        solver = LbfgsBlockSolver(blk, penalty=1.5, prox_weight=0.5)
+        solver = CgBlockSolver(blk, penalty=1.5, prox_weight=0.5)
         thr = 1e-6
         cert = solver.solve(t, z, accept=lambda x, bound: bound <= thr)
         assert not cert.exact_fallback and 0 < cert.inner_iters <= 7 + 5
@@ -502,11 +530,11 @@ class TestQuadraticBlocksByCG:
 
     def test_unattainable_threshold_falls_back_to_exact_solve(self):
         blk, t, z = self._block(3)
-        solver = LbfgsBlockSolver(blk, penalty=1.5, prox_weight=0.5)
+        solver = CgBlockSolver(blk, penalty=1.5, prox_weight=0.5)
         cert = solver.solve(t, z, accept=lambda x, bound: bound <= 0.0)
         exact = GeneralQuadBlockSolver(blk, penalty=1.5, prox_weight=0.5).solve(t, z)
         assert cert.exact_fallback and cert.subgrad_bound == 0.0
-        assert 0 < cert.inner_iters <= LbfgsBlockSolver.cg_budget
+        assert 0 < cert.inner_iters <= CgBlockSolver.cg_budget
         assert np.allclose(cert.x, exact.x, rtol=0, atol=1e-12)
 
     def test_closed_form_runs_report_no_fallbacks(self, small_exchange):
@@ -524,7 +552,7 @@ class TestCGFloorStop:
     @staticmethod
     def _exchange_block(seed=0):
         problem, _ = ag.gen_exchange(5, 100, 80, seed=1)
-        solver = LbfgsBlockSolver(problem.blocks[0], penalty=5.0, prox_weight=0.1)
+        solver = CgBlockSolver(problem.blocks[0], penalty=5.0, prox_weight=0.1)
         rng = np.random.default_rng(seed)
         return solver, rng.standard_normal(100), rng.standard_normal(100)
 
@@ -595,7 +623,7 @@ class TestFormedHessian:
         blk = BlockSpec(n=7, E=rng.standard_normal((5, 7)), objective=FunctionDescriptor(
             smooth=SmoothPart("least_squares", rng.standard_normal((12, 7)),
                               rng.standard_normal(12))))
-        solver = LbfgsBlockSolver(blk, penalty=1.5, prox_weight=0.5)
+        solver = CgBlockSolver(blk, penalty=1.5, prox_weight=0.5)
         assert "_hess" not in vars(solver)
         A, E = blk.objective.smooth.A, blk.E
         for _ in range(3):
