@@ -441,6 +441,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         observer = diagnostics.RateObserver(problem, params.rho, params.c, reference,
                                             initial, exact_engine=schedule is None)
         solvers = build_block_solvers(problem, params, schedule)
+        kinds = [sv.kind for sv in solvers]
         final, trace = ada.run(problem, params, solvers, initial=initial,
                                stop_mode=stop_mode, schedule=schedule, observe=observer)
         final_x = final.x
@@ -467,6 +468,7 @@ def run_experiment(config: ExperimentConfig) -> int:
             final_x = (state[0], state[1])
             multiplier = solver.multiplier(state)
         report = diagnostics.RateReport()
+        kinds = None  # the baselines build their solvers inside their runs
 
     trace.to_csv(out / "trace.csv", include_certs=include_certs)
     report.to_json(out / "rate_report.json")
@@ -477,6 +479,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         "iterations": len(trace),
         "converged": bool(trace.converged),
         "stop_reason": trace.stop_reason,
+        "block_solvers": kinds,
         "exact_fallbacks": sum(m.fallbacks for m in trace.metrics),
         "hessian_factorizations": sum(m.factorizations for m in trace.metrics),
         "objective": objective(final_x, problem),

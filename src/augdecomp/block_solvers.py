@@ -8,15 +8,15 @@ independent subproblems of the shape
 for a penalty ``p``, a target ``t``, and a proximal center ``z`` (``s = 0``
 drops the proximal term).  This module provides closed-form solvers for
 least-squares and l1 blocks and two certified iterative solvers: conjugate
-gradients for least-squares blocks and damped Newton steps with a kept
-Hessian factor for logistic ones.  Iterative solvers report a certified
-upper bound on ``dist(0, d phi(x))`` at the returned point, computed from
-the gradient evaluated at that point; closed forms certify zero.  When a
-least-squares block's threshold is at about what finite precision can
-certify, the exact factorized solve is returned instead and the
-certificate says so (``exact_fallback``).  ``solve_sweep`` solves the K
-subproblems of one sweep together, the conjugate-gradient blocks of one
-dimension in lockstep.
+gradients for least-squares blocks, built on request only, and damped
+Newton steps with a kept Hessian factor for logistic ones.  Iterative
+solvers report a certified upper bound on ``dist(0, d phi(x))`` at the
+returned point, computed from the gradient evaluated at that point; closed
+forms certify zero.  When a least-squares block's threshold is at about
+what finite precision can certify, the exact factorized solve is returned
+instead and the certificate says so (``exact_fallback``).  ``solve_sweep``
+solves the K subproblems of one sweep together, the conjugate-gradient
+blocks of one dimension in lockstep.
 """
 
 from __future__ import annotations
@@ -230,6 +230,7 @@ class QuadBlockSolver:
     """
 
     exact = True
+    kind = "quad"
 
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float):
         fd = block.objective
@@ -273,6 +274,7 @@ class L1ProxBlockSolver:
     """
 
     exact = True
+    kind = "l1"
 
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float):
         fd = block.objective
@@ -518,10 +520,10 @@ class _SmoothBlockSolver:
     _curvature = False  # whether the loss's curvature h comes third
 
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float,
-                 exact_tol: float, kind: str):
+                 exact_tol: float, loss_kind: str):
         fd = block.objective
-        if fd.smooth is None or fd.smooth.kind != kind:
-            raise ValueError(f"{type(self).__name__} requires a {kind} block")
+        if fd.smooth is None or fd.smooth.kind != loss_kind:
+            raise ValueError(f"{type(self).__name__} requires a {loss_kind} block")
         self.block = block
         self.penalty = float(penalty)
         self.prox_weight = float(prox_weight)
@@ -576,7 +578,8 @@ class _SmoothBlockSolver:
 
 
 class CgBlockSolver(_SmoothBlockSolver):
-    """Certified conjugate-gradient solver for least-squares blocks.
+    """Certified conjugate-gradient solver for least-squares blocks; the
+    dispatcher builds it only under ``iterative_smooth=True``.
 
     Conjugate gradients iterate on the correction ``e = x - z`` and track the
     gradient by a recursive residual.  When that residual passes, the
@@ -613,6 +616,7 @@ class CgBlockSolver(_SmoothBlockSolver):
     cheaper than finding out.
     """
 
+    kind = "cg"
     cg_budget = 300  # conjugate-gradient steps before the exact fallback
 
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float,
@@ -693,6 +697,7 @@ class NewtonBlockSolver(_SmoothBlockSolver):
     at every step.
     """
 
+    kind = "newton"
     _curvature = True
 
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float,
@@ -800,10 +805,12 @@ def build_penalized_solvers(problem, penalty: float, prox_weights,
 
     ``prox_weights`` is a scalar or one weight per block.  An l1 block gets
     ``L1ProxBlockSolver``, a logistic one ``NewtonBlockSolver`` and a
-    least-squares one ``QuadBlockSolver`` or, with ``iterative_smooth``,
-    ``CgBlockSolver``, whose solves carry nontrivial certificates; those of
-    one dimension share a Hessian stack, which ``solve_sweep`` solves in
-    lockstep.  No other code picks an algorithm by a loss's kind.
+    least-squares one ``QuadBlockSolver``.  ``iterative_smooth`` asks for
+    ``CgBlockSolver`` on the least-squares blocks instead, whose solves
+    carry nonzero certificates; those of one dimension share a Hessian
+    stack, which ``solve_sweep`` solves in lockstep.  No other code picks an
+    algorithm by a loss's kind.  Each solver's ``kind`` names its class:
+    ``"l1"``, ``"newton"``, ``"quad"`` or ``"cg"``.
     """
     K = problem.num_blocks
     weights = np.broadcast_to(np.asarray(prox_weights, dtype=float), (K,))
@@ -826,15 +833,16 @@ def build_penalized_solvers(problem, penalty: float, prox_weights,
 def build_block_solvers(problem, params, schedule=None):
     """Solvers for the decomposition engines: penalty ``rho/2``, prox ``1/c``.
 
-    Under an inexact schedule (pass the same one to ``ada.run``) the smooth
-    blocks are solved iteratively so the acceptance criteria are genuinely
-    exercised: quadratic blocks by warm-started conjugate gradients with an
-    exact factorized fallback (at most 300 steps), those of one dimension
-    in lockstep when ``ada.ada_step`` passes a sweep to ``solve_sweep``.
-    Logistic blocks are always solved by damped Newton steps (at most 500), to ``1e-12`` in the
-    gradient norm when no schedule sets a threshold.  With no schedule every
-    block that admits a closed form uses it.
+    The build is the same with or without an inexact ``schedule``: l1 and
+    least-squares blocks get their closed forms, which certify 0 and so pass
+    every acceptance rule, and logistic blocks damped Newton steps (at most
+    500), to ``1e-12`` in the gradient norm when no schedule sets a
+    threshold.  A least-squares block holds its factorization from the
+    build, and one solve with it costs about one conjugate-gradient step, so
+    an iterative solve is never the cheaper choice; on problems without
+    logistic blocks an inexact run therefore has the iterates of the exact
+    one.  ``build_penalized_solvers(..., iterative_smooth=True)`` builds
+    conjugate-gradient solvers for those blocks on request.
     """
     return build_penalized_solvers(
-        problem, penalty=params.rho / 2.0, prox_weights=1.0 / params.c,
-        iterative_smooth=schedule is not None)
+        problem, penalty=params.rho / 2.0, prox_weights=1.0 / params.c)

@@ -48,7 +48,7 @@ def spectral_norm(E, rel_tol: float = 1e-10, max_iters: int = 1000) -> float:
     n = E.shape[1]
     v = np.linspace(1.0, 2.0, n)
     v /= np.linalg.norm(v)
-    sigma = 0.0
+    sigma_prev = sigma = 0.0
     restarts = 0
     for _ in range(max_iters):
         u = E.T @ (E @ v)
@@ -65,10 +65,10 @@ def spectral_norm(E, rel_tol: float = 1e-10, max_iters: int = 1000) -> float:
         v = u / norm_u
         if abs(sigma_new - sigma) <= rel_tol * max(sigma_new, 1e-300):
             return sigma_new
-        sigma = sigma_new
+        sigma_prev, sigma = sigma, sigma_new
     warnings.warn(f"power iteration did not settle: last estimates "
-                  f"({sigma:.17g}, {sigma_new:.17g})", RuntimeWarning)
-    return sigma_new
+                  f"({sigma_prev:.17g}, {sigma:.17g})", RuntimeWarning)
+    return sigma
 
 
 class Coupling:

@@ -47,6 +47,14 @@ def lasso_polish(problem, params, run_iters=3000, kkt_tol=1e-10):
     raise RuntimeError("active-set polish failed to certify the lasso optimum")
 
 
+def iterative_solvers(problem, params):
+    """``build_block_solvers``' solvers, with conjugate gradients on the
+    least-squares blocks: the default build solves those by their factor
+    under any schedule, so tests of nonzero certificates build these."""
+    return ag.build_penalized_solvers(problem, params.rho / 2, 1 / params.c,
+                                      iterative_smooth=True)
+
+
 @pytest.fixture(scope="session")
 def small_lasso():
     """Lasso instance small enough that every solver reaches its tail fast."""

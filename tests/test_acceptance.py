@@ -23,7 +23,7 @@ from augdecomp.diagnostics import _fejer_check, nu_a_nu_medians
 from augdecomp.inexact import InexactSchedule, criterion_a_threshold
 from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart, saddle_state
 
-from conftest import lasso_polish
+from conftest import iterative_solvers, lasso_polish
 from oracles import GeneralQuadBlockSolver, identity_quad_solver, project_onto_Wperp
 
 
@@ -214,7 +214,7 @@ def test_criterion_7_inexactness_certificates(lasso_problem):
     params = ag.SolverParams(rho=5.0, c=5.0, max_iters=budget, stop_eps=1e-14)
     sched = InexactSchedule.for_problem(lasso_problem, "criterion_A",
                                         eps0=1.0, gamma=1.5)
-    solvers = ag.build_block_solvers(lasso_problem, params, sched)
+    solvers = iterative_solvers(lasso_problem, params)
     _, trace = ag.run(lasso_problem, params, solvers, stop_mode="max_iters",
                       schedule=sched)
     violations = 0
@@ -238,7 +238,7 @@ def test_criterion_8_local_linear_tail(exchange_problem, exchange_reference):
     params = ag.SolverParams(rho=10.0, c=10.0, max_iters=1200, stop_eps=1e-14)
     sched = InexactSchedule.for_problem(exchange_problem, "criterion_B",
                                         eps0=1.0, gamma=2.0)
-    solvers = ag.build_block_solvers(exchange_problem, params, sched)
+    solvers = iterative_solvers(exchange_problem, params)
     initial = ag.make_initial_state(exchange_problem)
     observer = ag.RateObserver(exchange_problem, params.rho, params.c,
                                exchange_reference, initial, exact_engine=False)

@@ -15,6 +15,7 @@ from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              Problem, SmoothPart, make_initial_state,
                              saddle_state)
 
+from conftest import iterative_solvers
 from oracles import ergodic_average, phi_value
 
 
@@ -211,10 +212,9 @@ class TestSweepMatchesOracle:
             return self._solve(self.inner, t, z, accept=accept)
 
     @classmethod
-    def _compare(cls, problem, params, schedule, iters):
+    def _compare(cls, problem, params, schedule, iters, build=ag.build_block_solvers):
         new_solvers, old_solvers = [], []
-        for new, old in zip(ag.build_block_solvers(problem, params, schedule),
-                            ag.build_block_solvers(problem, params, schedule)):
+        for new, old in zip(build(problem, params), build(problem, params)):
             if isinstance(new, QuadBlockSolver):
                 new, old = cls._Stripped(new), cls._Parent(old, oracles.quad_block_solve)
             elif isinstance(new, L1ProxBlockSolver):
@@ -248,7 +248,8 @@ class TestSweepMatchesOracle:
         problem, _ = ag.gen_exchange(5, 100, 80, seed=1000)
         sched = InexactSchedule.for_problem(problem, "criterion_B", eps0=1e-5, gamma=2.0)
         # the exact fallback runs QuadBlockSolver.solve on both sides
-        assert self._compare(problem, ag.SolverParams(rho=10.0, c=10.0), sched, 32) > 0
+        assert self._compare(problem, ag.SolverParams(rho=10.0, c=10.0), sched, 32,
+                             iterative_solvers) > 0
 
     def test_criterion_a_logreg(self):
         A, labels = gen_logreg_data(400, 10, seed=7)

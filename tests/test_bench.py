@@ -7,11 +7,14 @@ import pytest
 import scipy.sparse as sp
 
 import augdecomp as ag
+from augdecomp import bench
 from augdecomp.bench import (ExperimentConfig, RandomStream, _build_parser,
                              build_logreg_consensus, consensus_objective,
                              consensus_ratio, gen_exchange, gen_lasso,
                              gen_logreg_data, load_libsvm, main,
                              partition_rows, run_experiment, write_libsvm)
+
+from conftest import iterative_solvers
 
 
 class TestRandomStream:
@@ -370,11 +373,14 @@ def test_summary_reports_stop_reason(tmp_path):
         assert summary["stop_reason"] == reason
 
 
-def test_summary_counts_exact_fallbacks(tmp_path):
+def test_summary_counts_exact_fallbacks(tmp_path, monkeypatch):
     # criterion B with a tiny eps0 drives thresholds to rounding level, where
     # quadratic blocks fall back to the exact solve; closed forms never do
     counts = {}
     for solver in ("ada", "iada"):
+        if solver == "iada":
+            monkeypatch.setattr(bench, "build_block_solvers",
+                                lambda problem, params, sched: iterative_solvers(problem, params))
         out = tmp_path / solver
         config = ExperimentConfig(experiment="exchange", solver=solver, seed=1000,
                                   blocks=5, n=100, p=80, rho=10.0, c=10.0,
@@ -419,6 +425,21 @@ def test_summary_counts_hessian_factorizations(tmp_path):
             (out / "summary.json").read_text())["hessian_factorizations"]
     assert counts["logreg", "iada"] > 0 and counts["logreg", "ada"] > 0
     assert counts["lasso", "iada"] == 0
+
+
+def test_summary_names_each_block_solver(tmp_path):
+    # an iada run says which blocks were solved exactly: least-squares
+    # blocks by their factor, logistic ones by Newton steps
+    kinds = {}
+    for experiment, solver in (("exchange", "iada"), ("logreg", "iada"), ("lasso", "vsadmm")):
+        out = tmp_path / f"{experiment}-{solver}"
+        assert main(["solve", "--experiment", experiment, "--solver", solver,
+                     "--max-iters", "3", "--stop-mode", "max_iters",
+                     "--out", str(out)]) == 2
+        kinds[experiment] = json.loads((out / "summary.json").read_text())["block_solvers"]
+    assert kinds["exchange"] == ["quad"] * 5
+    assert kinds["logreg"] == ["newton"] * 4 + ["l1"]
+    assert kinds["lasso"] is None
 
 
 def test_config_rejects_stop_modes_it_cannot_run(tmp_path):

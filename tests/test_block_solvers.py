@@ -21,6 +21,7 @@ from augdecomp.coupling import e_gram_scale
 from augdecomp.inexact import InexactSchedule
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              SmoothPart, make_initial_state)
+from conftest import iterative_solvers
 from oracles import (GeneralQuadBlockSolver, conjugate_gradients,
                      identity_quad_solver, l1_prox_block, lbfgs_minimize,
                      quad_solve)
@@ -1043,9 +1044,8 @@ class TestLockstepSweep:
                 return solo(self.inner, t, z, accept)
 
         runs = [ag.run(problem, params, solvers, stop_mode="max_iters", schedule=sched)
-                for solvers in (ag.build_block_solvers(problem, params, sched),
-                                [PerBlock(s) for s in
-                                 ag.build_block_solvers(problem, params, sched)])]
+                for solvers in (iterative_solvers(problem, params),
+                                [PerBlock(s) for s in iterative_solvers(problem, params)])]
         (final, trace), (final_solo, trace_solo) = runs
         assert [repr(m) for m in trace.metrics] == [repr(m) for m in trace_solo.metrics]
         for a, b in ((final.w, final_solo.w), (final.y, final_solo.y),

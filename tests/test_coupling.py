@@ -9,6 +9,9 @@ from augdecomp.block_solvers import L1ProxBlockSolver, QuadBlockSolver
 from augdecomp.coupling import Coupling, e_gram_scale, spectral_norm, stacked_norm
 from augdecomp.model import BlockSpec, FunctionDescriptor
 
+from conftest import iterative_solvers
+
+
 STRUCTURED = [
     Coupling.identity(6),
     Coupling.identity(6, sign=-1),
@@ -152,6 +155,7 @@ def test_structured_problems_skip_numerical_detection(monkeypatch):
         ag.build_block_solvers(problem, params)
         schedule = ag.InexactSchedule.for_problem(problem)
         ag.build_block_solvers(problem, params, schedule)
+        iterative_solvers(problem, params)
         ag.default_prox_weights(problem, ag.BaselineParams())
 
 

@@ -14,7 +14,7 @@ from augdecomp.diagnostics import (_TAIL_FLOOR, _TAIL_WINDOW, RateObserver,
 from augdecomp.inexact import InexactSchedule, iada_run
 from augdecomp.model import IterateState, make_initial_state
 
-from conftest import lasso_polish
+from conftest import iterative_solvers, lasso_polish
 
 
 def trace_with_deltas(deltas):
@@ -229,7 +229,8 @@ class TestRateObserver:
             else InexactSchedule.for_problem(problem, "criterion_B", 1.0, 2.0)
 
         def solve(**kwargs):
-            solvers = ag.build_block_solvers(problem, params, sched)
+            solvers = ag.build_block_solvers(problem, params) if exact \
+                else iterative_solvers(problem, params)
             if exact:
                 return ag.run(problem, params, solvers, stop_mode="max_iters", **kwargs)
             return iada_run(problem, params, sched, solvers, stop_mode="max_iters",

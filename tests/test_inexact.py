@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,6 +15,7 @@ from augdecomp.inexact import (SCHEDULE_KINDS, InexactSchedule,
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              Problem, SmoothPart, make_initial_state)
 
+from conftest import iterative_solvers
 from oracles import GeneralQuadBlockSolver
 
 
@@ -126,6 +129,23 @@ class TestSpectralNorm:
             sv = np.linalg.svd(E, compute_uv=False)[0]
             assert abs(spectral_norm(E) - sv) <= 1e-8 * sv
 
+    def test_unsettled_warning_shows_the_last_two_estimates(self):
+        # top singular values 1 and 0.999: five sweeps are far from settled
+        E = np.diag([0.5, 0.999, 1.0])
+        v = np.linspace(1.0, 2.0, 3)
+        v /= np.linalg.norm(v)
+        estimates = []
+        for _ in range(5):
+            u = E.T @ (E @ v)
+            estimates.append(float(np.sqrt(v @ u)))
+            v = u / np.linalg.norm(u)
+        with pytest.warns(RuntimeWarning, match="did not settle") as caught:
+            sigma = spectral_norm(E, max_iters=5)
+        pair = re.search(r"\((.*), (.*)\)", str(caught[0].message)).groups()
+        shown = [float(x) for x in pair]
+        assert shown == estimates[-2:] and shown[0] != shown[1]
+        assert sigma == estimates[-1]
+
     def test_stacked_coupling_for_lasso(self):
         problem, _ = ag.gen_lasso(20, 30, seed=2)
         assert stacked_norm([b.E for b in problem.blocks]) == pytest.approx(np.sqrt(2.0))
@@ -159,7 +179,7 @@ class TestInexactBlockSolve:
 
     def test_smooth_bound_is_gradient_norm(self):
         problem, params, sched, state = self._setup()
-        solvers = ag.build_block_solvers(problem, params, sched)
+        solvers = iterative_solvers(problem, params)
         thr = criterion_a_threshold(1, sched, params.rho, params.c, 3)
         t = _block_targets(state, problem, params.rho)[0]
         cert = solvers[0].solve(t, state.x[0],
@@ -218,10 +238,10 @@ class TestIadaRun:
         problem, _ = small_exchange
         params = ag.SolverParams(rho=2.0, c=2.0, max_iters=60)
         sched = InexactSchedule.for_problem(problem, kind, 1.0, 2.0)
-        _, trace_a = ag.run(problem, params, ag.build_block_solvers(problem, params, sched),
+        _, trace_a = ag.run(problem, params, iterative_solvers(problem, params),
                             stop_mode="max_iters", schedule=sched)
         _, trace_b = iada_run(problem, params, sched,
-                              ag.build_block_solvers(problem, params, sched),
+                              iterative_solvers(problem, params),
                               stop_mode="max_iters", record_states=False)
         assert len(trace_a) == len(trace_b) == 60
         for ma, mb in zip(trace_a.metrics, trace_b.metrics):
@@ -232,7 +252,7 @@ class TestIadaRun:
         K = problem.num_blocks
         params = ag.SolverParams(rho=2.0, c=2.0, max_iters=150)
         sched = InexactSchedule.for_problem(problem, "criterion_A", 1.0, 1.5)
-        solvers = ag.build_block_solvers(problem, params, sched)
+        solvers = iterative_solvers(problem, params)
         final, trace = iada_run(problem, params, sched, solvers,
                                 stop_mode="max_iters")
         denom_factor = params.c * (params.rho * sched.e_norm + sched.e_norm + 1.0)
@@ -250,7 +270,7 @@ class TestIadaRun:
         K = problem.num_blocks
         params = ag.SolverParams(rho=2.0, c=2.0, max_iters=120)
         sched = InexactSchedule.for_problem(problem, "criterion_B", 1.0, 2.0)
-        solvers = ag.build_block_solvers(problem, params, sched)
+        solvers = iterative_solvers(problem, params)
         final, trace = iada_run(problem, params, sched, solvers,
                                 stop_mode="max_iters")
         prev_x = trace.initial_state.x
@@ -265,7 +285,7 @@ class TestIadaRun:
         problem, _ = small_exchange
         params = ag.SolverParams(rho=2.0, c=2.0, max_iters=300)
         sched = InexactSchedule.for_problem(problem, "criterion_A", 1.0, 1.5)
-        solvers_i = ag.build_block_solvers(problem, params, sched)
+        solvers_i = iterative_solvers(problem, params)
         _, trace_i = iada_run(problem, params, sched, solvers_i,
                               stop_mode="max_iters", record_states=False)
         solvers_e = ag.build_block_solvers(problem, params)
@@ -287,12 +307,12 @@ class TestIadaRun:
                                  stop_eps=1e-14)
         sched = InexactSchedule.for_problem(problem, "criterion_B", 1.0, 2.0)
         long_params = replace(params, max_iters=12 * trace_iters, stop_eps=1e-13)
-        ref_solvers = ag.build_block_solvers(problem, params, sched)
+        ref_solvers = iterative_solvers(problem, params)
         ref, _ = ag.run(problem, long_params, ref_solvers, stop_mode="x_change",
                         schedule=sched)
         initial = ag.make_initial_state(problem)
         observer = ag.RateObserver(problem, rho, c, ref, initial, exact_engine=False)
-        solvers = ag.build_block_solvers(problem, params, sched)
+        solvers = iterative_solvers(problem, params)
         _, trace = ag.run(problem, params, solvers, initial=initial,
                           stop_mode="max_iters", schedule=sched, observe=observer)
         return observer.report(trace).tail_ratio_theta
@@ -405,7 +425,7 @@ class TestHonestCertificates:
                 return cert
 
         solvers = [Recheck(s, blk) for s, blk in
-                   zip(ag.build_block_solvers(problem, params, sched), problem.blocks)]
+                   zip(iterative_solvers(problem, params), problem.blocks)]
         _, trace = iada_run(problem, params, sched, solvers, stop_mode="max_iters")
         assert len(trace) == 45
         assert len(checked) + len(fallbacks) == 45 * 5
@@ -435,7 +455,7 @@ class TestObjectiveFromCertificates:
                 return cert
 
         solvers = [Spy(s, blk) for s, blk in
-                   zip(ag.build_block_solvers(problem, params, sched), problem.blocks)]
+                   zip(iterative_solvers(problem, params), problem.blocks)]
         _, trace = iada_run(problem, params, sched, solvers, stop_mode="max_iters")
         for m, state in zip(trace.metrics, trace.states):
             assert m.objective == ag.objective(state.x, problem)
@@ -507,6 +527,28 @@ class TestLogisticNewton:
                 assert np.linalg.norm(xs - xd) <= 1e-12 * max(1.0, np.linalg.norm(xd))
 
 
+class TestClosedFormsUnderSchedule:
+    """The default build solves least-squares and l1 blocks by their closed
+    forms under any schedule; those certify 0, which passes every rule, so
+    the run is exact ADA's bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["criterion_A", "criterion_B"])
+    @pytest.mark.parametrize("case", ["exchange", "lasso"])
+    def test_inexact_run_is_the_exact_run(self, small_exchange, small_lasso, case, kind):
+        problem = small_exchange[0] if case == "exchange" else small_lasso
+        params = ag.SolverParams(rho=2.0, c=2.0, max_iters=60)
+        sched = InexactSchedule.for_problem(problem, kind, 1.0, 2.0)
+        final_i, trace_i = ag.run(problem, params, ag.build_block_solvers(problem, params, sched),
+                                  stop_mode="max_iters", schedule=sched)
+        final_e, trace_e = ag.run(problem, params, ag.build_block_solvers(problem, params),
+                                  stop_mode="max_iters")
+        assert len(trace_i) == len(trace_e) == 60
+        assert all(np.array_equal(a, b) for a, b in zip(final_i.x, final_e.x))
+        assert np.array_equal(final_i.zeta_bar, final_e.zeta_bar)
+        assert np.array_equal(trace_i.objectives(), trace_e.objectives())
+        assert all(cb == 0.0 for m in trace_i.metrics for cb in m.per_block_cert)
+
+
 class TestQuadraticBlocksByCG:
     def _block(self, seed, E=None):
         rng = np.random.default_rng(seed)
@@ -575,7 +617,7 @@ class TestCGFloorStop:
                     assert cert.subgrad_bound == 0.0 and cert.inner_iters > 0
                 return cert
 
-        solvers = [Check(s) for s in ag.build_block_solvers(problem, params, sched)]
+        solvers = [Check(s) for s in iterative_solvers(problem, params)]
         iada_run(problem, params, sched, solvers, stop_mode="max_iters")
         assert len(fallbacks) > 0
 
@@ -606,8 +648,7 @@ class TestFormedHessian:
     def test_lazy_hessian_matches_the_two_products(self):
         problem, _ = ag.gen_exchange(5, 100, 80, seed=1)
         params = ag.SolverParams(rho=10.0, c=10.0)
-        sched = InexactSchedule.for_problem(problem, "criterion_B")
-        solvers = ag.build_block_solvers(problem, params, sched)
+        solvers = iterative_solvers(problem, params)
         assert all("_hess" not in vars(s) for s in solvers)
         rng = np.random.default_rng(0)
         for s in solvers:
