@@ -73,14 +73,14 @@ def default_prox_weights(problem: Problem, params: BaselineParams) -> tuple:
     return tuple(factor * blk.E.norm ** 2 + 0.1 for blk in problem.blocks)
 
 
-def _baseline_metrics(nu, problem, x_prev, x_new, resid=None) -> StepMetrics:
+def _baseline_metrics(nu, problem, x_prev, x_new, resid, values) -> StepMetrics:
     """Shared metrics; no G-norm delta and zero certificates (exact solves).
 
-    ``resid`` is the constraint residual at ``x_new`` when the step formed it.
+    ``resid`` is the constraint residual at ``x_new``, which the sweep
+    formed, and ``values`` the block objectives its solvers evaluated (None
+    for the others; see ``objective``).
     """
-    if resid is None:
-        resid = constraint_residual(x_new, problem)
-    return step_metrics(nu, problem, x_prev, x_new, resid,
+    return step_metrics(nu, problem, x_prev, x_new, resid, values=values,
                         delta_g_norm_sq=float("nan"),
                         per_block_cert=(0.0,) * len(x_new))
 
@@ -96,10 +96,16 @@ def vsadmm_step(state, problem: Problem, params: BaselineParams, solvers):
     (full column rank of ``E_k`` assumed); the ``w``-update projects
     ``v_k = E_k x_k - q_k + y_k/beta`` onto the zero-sum subspace.
     """
+    return _vsadmm_sweep(state, problem, params, solvers)[0]
+
+
+def _vsadmm_sweep(state, problem, params, solvers):
+    """``vsadmm_step``'s new state, the block objectives its solvers
+    evaluated and the residual ``E x - q`` at the new point."""
     w, x, y = state
     K, m = problem.num_blocks, problem.m
     beta = params.beta
-    new_x = []
+    new_x, values = [], []
     ex = np.empty((K, m))
     v = np.empty((K, m))
     for k in range(K):
@@ -107,6 +113,7 @@ def vsadmm_step(state, problem: Problem, params: BaselineParams, solvers):
         t = qk + w[k] - y[k] / beta
         cert = solvers[k].solve(t, x[k], accept=None)
         new_x.append(cert.x)
+        values.append(cert.value)
         ex[k] = problem.blocks[k].E.apply(cert.x)
         v[k] = ex[k] - qk + y[k] / beta
     w_new = project_onto_W(v)
@@ -114,7 +121,10 @@ def vsadmm_step(state, problem: Problem, params: BaselineParams, solvers):
     for k in range(K):
         qk = problem.q if k == K - 1 else 0.0
         y_new[k] = y[k] + beta * (ex[k] - qk - w_new[k])
-    return w_new, tuple(new_x), y_new
+    resid = -problem.q.copy()  # summed in constraint_residual's order
+    for k in range(K):
+        resid += ex[k]
+    return (w_new, tuple(new_x), y_new), values, resid
 
 
 def vsadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
@@ -126,8 +136,8 @@ def vsadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
              np.zeros((K, m)))
 
     def step(state, nu):
-        new = vsadmm_step(state, problem, params, solvers)
-        return new, _baseline_metrics(nu, problem, state[1], new[1])
+        new, values, resid = _vsadmm_sweep(state, problem, params, solvers)
+        return new, _baseline_metrics(nu, problem, state[1], new[1], resid, values)
 
     return drive(step, state, max_iters, stop_mode, stop_eps)
 
@@ -144,25 +154,27 @@ def prox_jadmm_step(state, problem: Problem, params: BaselineParams, solvers):
     + (tau_k/2)||x_k - x_k_prev||^2`` against the previous sweep, then the
     multiplier takes the damped step ``lam -= gamma*beta*(E x - q)``.
     """
-    new_x, lam_new, _ = _prox_jadmm_sweep(state, problem, params, solvers)
+    new_x, lam_new, _, _ = _prox_jadmm_sweep(state, problem, params, solvers)
     return new_x, lam_new
 
 
 def _prox_jadmm_sweep(state, problem, params, solvers):
-    """``prox_jadmm_step`` plus the residual ``E x - q`` at the new point."""
+    """``prox_jadmm_step`` plus the block objectives its solvers evaluated
+    and the residual ``E x - q`` at the new point."""
     x, lam = state
     K = problem.num_blocks
     beta = params.beta
     Ex = [problem.blocks[k].E.apply(x[k]) for k in range(K)]
     total = np.sum(Ex, axis=0)
-    new_x = []
+    new_x, values = [], []
     for k in range(K):
         r_k = (total - Ex[k]) - problem.q - lam / beta
         cert = solvers[k].solve(-r_k, x[k], accept=None)
         new_x.append(cert.x)
+        values.append(cert.value)
     resid = constraint_residual(new_x, problem)
     lam_new = lam - params.gamma_damp * beta * resid
-    return tuple(new_x), lam_new, resid
+    return tuple(new_x), lam_new, values, resid
 
 
 def prox_jadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
@@ -176,8 +188,9 @@ def prox_jadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
     state = (tuple(np.zeros(n) for n in problem.block_dims()), np.zeros(problem.m))
 
     def step(state, nu):
-        new_x, lam_new, resid = _prox_jadmm_sweep(state, problem, params, solvers)
-        return (new_x, lam_new), _baseline_metrics(nu, problem, state[0], new_x, resid)
+        new_x, lam_new, values, resid = _prox_jadmm_sweep(state, problem, params, solvers)
+        return (new_x, lam_new), _baseline_metrics(nu, problem, state[0], new_x, resid,
+                                                   values)
 
     return drive(step, state, max_iters, stop_mode, stop_eps)
 
@@ -222,13 +235,24 @@ class Admm2Lasso:
         self._quad = QuadBlockSolver(problem.blocks[0], params.beta, 0.0)
 
     def step(self, state):
+        """One sweep; returns the new ``(x, z, u)``."""
+        return self._sweep(state)[0]
+
+    def _sweep(self, state):
+        """``step``'s new state, the block objectives ``(f(x), None)`` and
+        the residual ``x - z - q`` at the new point, in
+        ``constraint_residual``'s order for ``E = (I, -I)``."""
         x, z, u = state
         beta, alpha = self.params.beta, self.params.admm_step
-        x_new = self._quad.solve(z - u, x).x
+        cert = self._quad.solve(z - u, x)
+        x_new = cert.x
         x_relaxed = alpha * x_new + (1.0 - alpha) * z
         z_new = soft_threshold(x_relaxed + u, self.lam / beta)
         u_new = u + x_relaxed - z_new
-        return x_new, z_new, u_new
+        resid = -self.problem.q.copy()
+        resid += x_new
+        resid -= z_new
+        return (x_new, z_new, u_new), (cert.value, None), resid
 
     def run(self, max_iters: int, stop_eps: float = 1e-8,
             stop_mode: str = "x_change"):
@@ -236,8 +260,10 @@ class Admm2Lasso:
         d = self.problem.blocks[0].n
 
         def step(state, nu):
-            new = self.step(state)  # looked up per call, so it can be replaced
-            return new, _baseline_metrics(nu, self.problem, state[:2], new[:2])
+            # looked up per call, so it can be replaced
+            new, values, resid = self._sweep(state)
+            return new, _baseline_metrics(nu, self.problem, state[:2], new[:2], resid,
+                                          values)
 
         return drive(step, (np.zeros(d), np.zeros(d), np.zeros(d)), max_iters,
                      stop_mode, stop_eps)

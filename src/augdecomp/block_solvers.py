@@ -490,7 +490,7 @@ def _line_search(fun_grad, x, f, g, gnorm, direction, f_noise):
     slope = float(g.dot(direction))
     step = 1.0
     for _ in range(_BACKTRACKS):
-        x_new = x + step * direction
+        x_new = x + direction if step == 1.0 else x + step * direction
         f_new, g_new, h_new = fun_grad(x_new)
         gnorm_new = vnorm(g_new)
         armijo = f_new <= f + _ARMIJO * step * slope
@@ -538,20 +538,47 @@ class _SmoothBlockSolver:
 
     def _fun_grad(self, t, z):
         """``x -> (phi(x), grad phi(x))``, with the loss curvature ``h`` at
-        ``x`` third on a solver that asks for it."""
+        ``x`` third on a solver that asks for it.
+
+        A structured coupling (``Coupling.identity`` or ``Coupling.copies``)
+        has the exact Gram ``E^T E = alpha I``, so its term is ``(p/2)
+        (alpha ||x - c||^2 + ||t - E c||^2)`` with ``c = E^T t / alpha``,
+        and its gradient ``p alpha (x - c)``: ``c`` and ``||t - E c||^2``
+        are formed once per solve, and an evaluation touches n-vectors only.
+        For ``alpha = 1`` that gradient has the bits of ``p E^T (E x - t)``,
+        and the value equals ``(p/2) ||E x - t||^2`` up to rounding.  A
+        ``"matrix"`` coupling forms ``E x - t`` at every evaluation.
+        """
         E = self.block.E
         p, s = self.penalty, self.prox_weight
+        if E.kind == "matrix":
+            def coupling(x):
+                r = E.apply(x) - t
+                return 0.5 * p * float(r.dot(r)), p * E.apply_T(r)
+        else:
+            alpha = E.gram_scale
+            c = E.apply_T(t)
+            c /= alpha
+            off = E.apply(c)
+            off -= t
+            off_sq = float(off.dot(off))
+            p_alpha = p * alpha
+
+            def coupling(x):
+                d = x - c
+                return 0.5 * p * (alpha * float(d.dot(d)) + off_sq), p_alpha * d
 
         def fun_grad(x):
-            r = E.apply(x) - t
             val, grad, *h = self._smooth(x)
-            val += 0.5 * p * float(r.dot(r))
-            grad = grad + p * E.apply_T(r)
+            coupling_val, out = coupling(x)
+            val += coupling_val
+            out += grad  # a new array: the kept evaluation's grad is not written
             if s > 0:
                 dz = x - z
                 val += 0.5 * s * float(dz.dot(dz))
-                grad = grad + s * dz
-            return (val, grad, *h)
+                dz *= s
+                out += dz
+            return (val, out, *h)
 
         return fun_grad
 

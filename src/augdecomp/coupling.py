@@ -130,16 +130,19 @@ class Coupling:
         return "identity" if self.blocks == 1 else "copies"
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """``E @ x`` as a new array."""
+        """``E @ x`` as a new array.  A ``"copies"`` coupling writes
+        ``sign * x`` into each of its row blocks by a slice of a zero
+        m-vector."""
         if self._matrix is not None:
             return self._matrix @ x
         x = np.asarray(x, dtype=float)
         v = x.copy() if self.sign > 0 else -x
         if self.blocks == 1:
             return v
-        out = np.zeros((self.blocks, self.n))
-        out[list(self.rows)] = v
-        return out.reshape(-1)
+        out = np.zeros(self.shape[0])
+        for i in self.rows:
+            out[i * self.n:(i + 1) * self.n] = v
+        return out
 
     def apply_T(self, r: np.ndarray) -> np.ndarray:
         """``E.T @ r`` as a new array."""

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .coupling import Coupling
 
@@ -63,48 +62,74 @@ class SmoothPart:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         if self.b.shape[0] != self.A.shape[0]:
             raise ValueError("b length does not match the rows of A")
-        if self.kind == "logistic" and not np.all(np.isin(self.b, (-1.0, 1.0))):
-            raise ValueError("logistic labels must be +1/-1")
+        if self.kind == "logistic":
+            if not np.all(np.isin(self.b, (-1.0, 1.0))):
+                raise ValueError("logistic labels must be +1/-1")
+            object.__setattr__(self, "_neg_b", -self.b)
 
     def _value_at(self, u: np.ndarray) -> float:
+        """``g(u)``; ``u`` is left as it is."""
+        return self._at(u if self.kind == "least_squares" else u.copy(), gradient=False)[0]
+
+    def _at(self, u: np.ndarray, value: bool = True, gradient: bool = True,
+            curvature: bool = False) -> tuple:
+        """``(g(u), A^T g'(u), g''(u))`` at ``u = A x``, each entry None
+        unless asked for.
+
+        A logistic loss overwrites ``u`` with its margins ``m = -b u``,
+        folding the labels in by one multiply with the stored ``-b``, and
+        forms ``e = exp(-|m|)`` once, which lies in ``[0, 1]`` and never
+        overflows.  The value ``max(m, 0) + log1p(e)``, the sigmoid
+        ``where(m >= 0, 1, e) / (1 + e)`` and the curvature ``e / (1 + e)^2``
+        are then arithmetic on ``e``, accurate to a few units of roundoff
+        wherever they are normal floats, and 0 where the true value
+        underflows.
+        """
         if self.kind == "least_squares":
             r = u - self.b
-            return 0.5 * float(r.dot(r))
-        return _logistic_value(-self.b * u)
-
-    def _gradient_at(self, u: np.ndarray) -> np.ndarray:
-        if self.kind == "least_squares":
-            return self.A.T @ (u - self.b)
-        return self.A.T @ (-self.b * expit(-self.b * u))
+            return (0.5 * float(r.dot(r)) if value else None,
+                    self.A.T @ r if gradient else None,
+                    np.ones_like(u) if curvature else None)
+        m = u
+        m *= self._neg_b
+        e = np.abs(m)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        val = grad = h = None
+        if value:
+            terms = np.maximum(m, 0.0)
+            terms += np.log1p(e)
+            val = float(terms.sum())
+        if gradient or curvature:
+            e1 = e + 1.0
+        if gradient:
+            w = np.where(m >= 0.0, 1.0, e)
+            w /= e1
+            w *= self._neg_b
+            grad = self.A.T @ w
+        if curvature:
+            h = e / e1
+            h /= e1
+        return val, grad, h
 
     def value(self, x: np.ndarray) -> float:
-        return self._value_at(self.A @ x)
+        return self._at(self.A @ x, gradient=False)[0]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._gradient_at(self.A @ x)
+        return self._at(self.A @ x, value=False)[1]
 
     def value_and_gradient(self, x: np.ndarray, curvature: bool = False):
-        """``(value(x), gradient(x))`` from a single product ``A @ x``.
+        """``(value(x), gradient(x))`` from a single product ``A @ x``, with
+        the bits of the separate calls: all three share ``_at``.
 
         With ``curvature`` a third entry holds the weights ``h = g''(A x)``,
         so that the Hessian of the loss is ``A^T diag(h) A``.  A logistic
-        loss forms its margins ``-b u`` once, for the value and the sigmoid,
-        and the sigmoid once, for the gradient and ``h``.
+        loss takes one ``exp`` of its margins for the value, the sigmoid
+        and ``h`` together, and no other transcendental call but the
+        value's ``log1p``.
         """
-        u = self.A @ x
-        if self.kind != "logistic":
-            out = (self._value_at(u), self._gradient_at(u))
-            return out + (np.ones_like(u),) if curvature else out
-        margin = -self.b * u
-        sig = expit(margin)
-        out = (_logistic_value(margin), self.A.T @ (-self.b * sig))
-        return out + (sig * (1.0 - sig),) if curvature else out
-
-
-def _logistic_value(margin: np.ndarray) -> float:
-    """``sum_j log(1 + exp(margin_j))``, evaluated stably for large
-    ``|margin|``."""
-    return float(np.logaddexp(0.0, margin).sum())
+        out = self._at(self.A @ x, curvature=curvature)
+        return out if curvature else out[:2]
 
 
 @dataclass(frozen=True)

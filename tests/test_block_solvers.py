@@ -1208,3 +1208,40 @@ class TestBlockSolverObjects:
         solvers = ag.build_block_solvers(small_lasso, params)
         assert isinstance(solvers[0], QuadBlockSolver)
         assert isinstance(solvers[1], L1ProxBlockSolver)
+
+
+class TestScalarGramCoupling:
+    """``_fun_grad``'s coupling term under a structured coupling, ``(p/2)
+    (alpha ||x - c||^2 + ||t - E c||^2)`` with ``c = E^T t / alpha``,
+    against the same block on ``Coupling(matrix=E.toarray())``, which forms
+    ``E x - t`` at every evaluation."""
+
+    @pytest.mark.parametrize("E", [
+        ag.Coupling.identity(12),
+        ag.Coupling.identity(12, sign=-1),
+        ag.Coupling.copies(12, 4, rows=(2,)),
+        ag.Coupling.copies(12, 4, rows=(1,), sign=-1),
+        ag.Coupling.copies(12, 4, rows=(0, 2, 3)),
+        ag.Coupling.copies(12, 4, rows=(0, 1, 3), sign=-1),
+    ], ids=repr)
+    def test_matches_the_matrix_coupling(self, E):
+        rng = np.random.default_rng(47)
+        A, labels = gen_logreg_data(30, 12, seed=47)
+        smooth = SmoothPart("logistic", A, labels)
+        structured = NewtonBlockSolver(BlockSpec(12, E, FunctionDescriptor(smooth)),
+                                       penalty=0.7, prox_weight=0.2)
+        general = NewtonBlockSolver(
+            BlockSpec(12, ag.Coupling(matrix=E.toarray()), FunctionDescriptor(smooth)),
+            penalty=0.7, prox_weight=0.2)
+        alpha = E.gram_scale
+        assert alpha == len(E.rows)
+        t, z = rng.standard_normal(E.shape[0]), rng.standard_normal(12)
+        fast, slow = structured._fun_grad(t, z), general._fun_grad(t, z)
+        for _ in range(5):
+            x = rng.standard_normal(12) * 3.0
+            (f1, g1, h1), (f2, g2, h2) = fast(x), slow(x)
+            assert f1 == pytest.approx(f2, rel=1e-13, abs=0)
+            assert np.linalg.norm(g1 - g2) <= 1e-13 * np.linalg.norm(g2)
+            assert np.array_equal(h1, h2)
+            if alpha == 1.0:
+                assert np.array_equal(g1, g2)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -245,3 +247,45 @@ class TestValueAndGradient:
             value, grad = part.value_and_gradient(x)
             assert value == part.value(x)
             assert np.array_equal(grad, part.gradient(x))
+
+
+class TestLogisticAccuracy:
+    """The logistic loss's value ``log(1 + exp(m))``, sigmoid and curvature
+    ``sigma (1 - sigma)`` at the margin ``m = -b u``, against mpmath.  The
+    product form ``sigma (1 - sigma)`` loses all digits of the curvature by
+    ``m = 40``, where ``1 - sigma`` rounds to 0."""
+
+    MARGINS = np.concatenate([np.linspace(-40.0, 40.0, 321),
+                              [-1001.0, -1000.0, -999.5, 999.5, 1000.0, 1001.0]])
+
+    @staticmethod
+    def _reference(m):
+        import mpmath
+        with mpmath.workdps(60):
+            m = mpmath.mpf(float(m))
+            e = mpmath.exp(-abs(m))
+            sig = (1 if m >= 0 else e) / (1 + e)
+            return (float(mpmath.log1p(mpmath.exp(m))), float(sig),
+                    float(e / (1 + e) ** 2))
+
+    @staticmethod
+    def _close(got, want):
+        if want == 0.0:  # the true value underflows
+            return got == 0.0
+        return abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    def test_value_gradient_and_curvature(self, label):
+        n = self.MARGINS.size
+        part = SmoothPart("logistic", np.eye(n), np.full(n, label))
+        x = -label * self.MARGINS  # u = x, so m = -b u is the margin
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, grad, h = part.value_and_gradient(x, curvature=True)
+            values = [SmoothPart("logistic", np.ones((1, 1)), [label]).value(x[i:i + 1])
+                      for i in range(n)]
+        for m, value, g, hm in zip(self.MARGINS, values, grad, h):
+            want_value, want_sig, want_h = self._reference(m)
+            assert self._close(value, want_value), (m, value, want_value)
+            assert self._close(-label * g, want_sig), (m, g, want_sig)
+            assert self._close(hm, want_h), (m, hm, want_h)
