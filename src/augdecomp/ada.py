@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .block_solvers import BlockSolveError, solve_sweep
+from .block_solvers import BlockSolveError
 from .model import (IterateState, Problem, SolverParams, make_initial_state,
                     objective, state_g_dist_sq, vnorm)
 
@@ -84,9 +84,6 @@ class Trace:
 
     def delta_g_sq(self) -> np.ndarray:
         return np.array([m.delta_g_norm_sq for m in self.metrics])
-
-    def objectives(self) -> np.ndarray:
-        return np.array([m.objective for m in self.metrics])
 
     def to_csv(self, path, include_certs: bool = False):
         """Write the metrics table; 17 significant digits, '.' decimal point.
@@ -152,16 +149,21 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
     ``accept_rules`` optionally supplies a per-block inexactness test
     ``accept(x, bound) -> bool`` forwarded to iterative solvers; with None
     every solver runs in its exact mode.  The K subproblems are independent
-    given ``state``: ``block_solvers.solve_sweep`` solves them, the
-    quadratic blocks of a shared Hessian stack in lockstep, with the bits of
-    solving one block after another.  A solver failure aborts the step with
-    a ``BlockSolveError`` naming the failing block.
+    given ``state`` and are solved one after another, in block order.  A
+    solver failure aborts the step with a ``BlockSolveError`` naming the
+    failing block.
     """
     K, m = problem.num_blocks, problem.m
     rho, c = params.rho, params.c
     targets = _block_targets(state, problem, rho)
 
-    sweep = solve_sweep(solvers, targets, state.x, accept_rules)
+    sweep = []
+    for k, solver in enumerate(solvers):
+        try:
+            sweep.append(solver.solve(targets[k], state.x[k],
+                                      accept=None if accept_rules is None else accept_rules[k]))
+        except BlockSolveError as err:
+            raise BlockSolveError(f"block {k}: {err}") from err
     new_x = [np.asarray(cert.x, dtype=float) for cert in sweep]
     certs = [cert.subgrad_bound for cert in sweep]
     values = [cert.value for cert in sweep]  # f_k(x_k) where the solver evaluated it

@@ -14,15 +14,15 @@ solvers report a certified upper bound on ``dist(0, d phi(x))`` at the
 returned point, computed from the gradient evaluated at that point; closed
 forms certify zero.  When a least-squares block's threshold is at about
 what finite precision can certify, the exact factorized solve is returned
-instead and the certificate says so (``exact_fallback``).  ``solve_sweep``
-solves the K subproblems of one sweep together, the conjugate-gradient
-blocks of one dimension in lockstep.
+instead and the certificate says so (``exact_fallback``).  The engines
+solve the K subproblems of a sweep one after another, each by its own
+solver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -299,186 +299,6 @@ class L1ProxBlockSolver:
         return BlockSolveCertificate(x=x, subgrad_bound=0.0)
 
 
-class _HessianStack:
-    """The Hessians ``H_k = A_k^T A_k + C_k`` of quadratic blocks of one
-    dimension as one ``(L, n, n)`` array, formed on first use.
-
-    Each ``CgBlockSolver`` adds its block's ``(A_k, C_k)`` when it is
-    built, to the stack it is given or to one of its own.  The stack
-    keeps those parts, not the solvers: the solvers own the stack, and it
-    goes when they do.
-    """
-
-    def __init__(self):
-        self._parts = []
-
-    def add(self, A, C) -> int:
-        """Add the block ``(A, C)``; returns its slot."""
-        if "hessians" in self.__dict__:
-            raise ValueError("the Hessian stack is already formed")
-        self._parts.append((A, C))
-        return len(self._parts) - 1
-
-    @cached_property
-    def hessians(self) -> np.ndarray:
-        n = self._parts[0][0].shape[1]
-        out = np.empty((len(self._parts), n, n))
-        for k, (A, C) in enumerate(self._parts):
-            out[k] = _formed_hessian(A, C)
-        return out
-
-
-@dataclass(eq=False, slots=True)
-class _CGLane:
-    """One block of a lockstep conjugate-gradient solve: its solver,
-    gradient, warm start and rule, the gradient at the warm start and the
-    last gradient norm, the rule's ``limit``, the floor test's trigger and
-    whether it is still to come, and whether the residual has been
-    replaced."""
-
-    solver: "CgBlockSolver"
-    fun_grad: object
-    z: np.ndarray
-    done: object
-    g0: np.ndarray
-    gnorm: float
-    limit: float = field(init=False)
-    trigger_sq: float = field(init=False)
-    armed: bool = field(init=False)
-    replaced: bool = False
-
-    def __post_init__(self):
-        sv = self.solver
-        # H >= lam_min I; the floor stop needs it positive
-        lam_min = sv.prox_weight if sv._shift is None else sv._shift
-        self.armed = lam_min > 0.0
-        self.trigger_sq = (_FLOOR_TRIGGER * lam_min) ** 2
-        # no bound above the limit passes, so the rule need not see it
-        self.limit = getattr(self.done, "limit", math.inf)
-
-    def check(self, it, e, r, ee, rr):
-        """The tests after step ``it`` on this block's rows ``e`` and ``r``,
-        with ``ee = e.e`` and ``rr = r.r``; ``(result, rr)``, with the
-        block's ``(x, grad_norm, steps)`` when it stops, else None, and
-        ``rr`` after a replaced residual."""
-        if self.armed and rr <= self.trigger_sq * ee:
-            # ||x - x*|| <= ||r|| / lam_min <= 0.1 ||e||: the step is known,
-            # so ask once whether the rule accepts the rounding floor of the
-            # gradient at x, u (||H|| ||x|| + ||b||) with b = H z - g0
-            self.armed = False
-            x, sv = self.z + e, self.solver
-            floor = _UNIT_ROUNDOFF * (
-                sv._hess_norm * vnorm(x) + vnorm(sv._hess @ self.z - self.g0))
-            if not self.done(x, floor):
-                return (None, self.gnorm, it), rr
-        r_norm = math.sqrt(rr)
-        if r_norm <= self.limit:
-            x = self.z + e
-            if self.done(x, r_norm):
-                _, g = self.fun_grad(x)
-                self.gnorm = vnorm(g)
-                if self.done(x, self.gnorm):
-                    return (x, self.gnorm, it), rr
-                if self.replaced:
-                    return (None, self.gnorm, it), rr
-                # the recursive residual drifted from the gradient: replace it
-                self.replaced = True
-                r[:] = g
-                rr = float(g.dot(g))
-        if it == self.solver.cg_budget:
-            return (None, self.gnorm, it), rr
-        return None, rr
-
-
-def _lockstep_cg(hessians: np.ndarray, solvers, fun_grads, zs, dones) -> list:
-    """Warm-started CG on ``e_k = x_k - z_k`` for quadratic blocks whose
-    Hessians are ``hessians[k]``, one round per step for all of them; per
-    block ``(x, grad_norm, steps)``, with ``x = None`` when the block must
-    fall back to the exact solve.
-
-    Block ``k`` has row ``k`` of ``(e, r)`` and of ``(d, H d)`` from the
-    first round to the last, and one ``matmul`` over ``hessians`` forms
-    every product ``H_k d_k``.  A block stops on a rule's pass, a refused
-    floor, a second refused gradient, non-positive curvature or its step
-    budget; it then leaves the per-block tests and its rows are zeroed.
-    The 0/1 vector ``dead`` is added to the divisors ``d.Hd`` and ``r.r``,
-    so a stopped block's rows stay zero and a live block's divisors gain
-    ``+0.0``.  A live block's arrays, gradient evaluations and rule calls
-    are those of solving it alone: the batched ``matmul`` gives the bits of
-    each ``H_k @ d_k``, ``np.vecdot`` those of each ``ndarray.dot``, and the
-    elementwise updates are the per-block ones.  The per-block scalars are
-    Python floats, so a round makes about a dozen calls into numpy however
-    many blocks it moves.
-    """
-    results = [None] * len(solvers)
-    lanes = [None] * len(solvers)
-    er = np.zeros((2, len(solvers), hessians.shape[-1]))  # rows e and r
-    for k, (solver, fun_grad, z, done) in enumerate(zip(solvers, fun_grads, zs, dones)):
-        z = np.asarray(z, dtype=float)
-        _, g0 = fun_grad(z)
-        gnorm = vnorm(g0)
-        if done(z, gnorm):
-            results[k] = (z.copy(), gnorm, 0)
-        elif solver.cg_budget < 1:
-            results[k] = (None, gnorm, solver.cg_budget)
-        else:
-            lanes[k] = _CGLane(solver, fun_grad, z, done, g0, gnorm)
-            er[1, k] = g0
-    live = [k for k, lane in enumerate(lanes) if lane is not None]
-    if not live:
-        return results
-    dead = np.array([float(lane is None) for lane in lanes])
-    e, r = er
-    dh = np.empty_like(er)  # rows d and H d
-    d, hd = dh
-    np.negative(r, out=d)
-    d3, hd3 = d[:, :, None], hd[:, :, None]
-    rr = np.array([float(g.dot(g)) for g in r])
-
-    def stop(ks):
-        """Take the blocks ``ks`` out of the tests and zero their rows."""
-        live[:] = [k for k in live if k not in ks]
-        er[:, ks] = 0.0
-        dh[:, ks] = 0.0
-        rr[ks] = 0.0
-        dead[ks] = 1.0
-
-    it = 0
-    while live:
-        it += 1
-        np.matmul(hessians, d3, out=hd3)
-        dhd = np.vecdot(d, hd)
-        curvature = dhd.tolist()
-        stopped = [k for k in live if not curvature[k] > 0.0]
-        if stopped:  # d vanished or the products are no longer finite
-            for k in stopped:
-                results[k] = (None, lanes[k].gnorm, it)
-            stop(stopped)
-            dhd[stopped] = 0.0
-        dhd += dead
-        er += (rr / dhd)[:, None] * dh
-        dots = np.vecdot(er, er)  # rows e.e and r.r
-        rr_new = dots[1]
-        ees, rrs = dots.tolist()
-        stopped = []
-        for k in live:
-            lane = lanes[k]
-            ee, rr_k = ees[k], rrs[k]
-            # most steps pass no test of check, and skip the call
-            if (lane.armed and rr_k <= lane.trigger_sq * ee) \
-                    or math.sqrt(rr_k) <= lane.limit or it == lane.solver.cg_budget:
-                results[k], rr_new[k] = lane.check(it, e[k], r[k], ee, rr_k)
-                if results[k] is not None:
-                    stopped.append(k)
-        if stopped:
-            stop(stopped)
-            rr_new[stopped] = 0.0
-        d *= (rr_new / (rr + dead))[:, None]
-        d -= r
-        rr = rr_new
-    return results
-
-
 def _line_search(fun_grad, x, f, g, gnorm, direction, f_noise):
     """Armijo backtracking from step 1 along the descent ``direction``.
 
@@ -612,14 +432,8 @@ class CgBlockSolver(_SmoothBlockSolver):
     gradient by a recursive residual.  When that residual passes, the
     gradient is recomputed at the point and its norm must pass too; the
     first time it does not, the residual is replaced by it and the iteration
-    continues.  The kernel, ``_lockstep_cg``, moves the blocks of a sweep
-    that share a Hessian stack (see ``build_penalized_solvers`` and
-    ``solve_sweep``) together, one round per step, with one batched
-    ``matmul`` for all the products ``H_k d_k`` and about a dozen calls
-    into numpy in all; each block gets the bits of solving it alone.  A
-    lone ``solve`` is a batch of one.  ``stack`` is the Hessian stack the
-    block joins; without one it gets a stack of its own.  ``H`` is formed
-    with the other Hessians of its stack on the first solve.
+    continues.  Each solve runs its own loop, one product ``H d`` per step,
+    with ``H`` formed on the first solve.
 
     A rule may carry a float attribute ``limit``, a promise that it refuses
     every ``bound > limit`` whatever ``x`` is (``InexactSchedule.accept_rules``
@@ -647,18 +461,14 @@ class CgBlockSolver(_SmoothBlockSolver):
     cg_budget = 300  # conjugate-gradient steps before the exact fallback
 
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float,
-                 exact_tol: float = 1e-12, stack: _HessianStack | None = None):
+                 exact_tol: float = 1e-12):
         super().__init__(block, penalty, prox_weight, exact_tol, "least_squares")
         self._fallback = QuadBlockSolver(block, penalty, prox_weight)
-        # the block's Hessian is slot _slot of _stack
-        self._stack = _HessianStack() if stack is None else stack
-        self._slot = self._stack.add(block.objective.smooth.A, self._coupling)
 
     @cached_property
     def _hess(self) -> np.ndarray:
-        """``H``, a view into the block's stack; formed on the first
-        solve, not at construction."""
-        return self._stack.hessians[self._slot]
+        """``H``, formed on the first solve, not at construction."""
+        return _formed_hessian(self.block.objective.smooth.A, self._coupling)
 
     @cached_property
     def _hess_norm(self) -> float:
@@ -669,14 +479,64 @@ class CgBlockSolver(_SmoothBlockSolver):
 
     def _conjugate_gradients(self, fun_grad, z, done):
         """Warm-started CG on ``e = x - z``; ``(x, grad_norm, steps)``, with
-        ``x = None`` when the solve must fall back to the exact one: the
-        lockstep kernel on a batch of one."""
-        return _lockstep_cg(self._hess[None], [self], [fun_grad], [z], [done])[0]
+        ``x = None`` when the solve must fall back to the exact one."""
+        z = np.asarray(z, dtype=float)
+        _, g0 = fun_grad(z)
+        gnorm = vnorm(g0)
+        if done(z, gnorm):
+            return z.copy(), gnorm, 0
+        H = self._hess
+        # H >= lam_min I; the floor stop needs it positive
+        lam_min = self.prox_weight if self._shift is None else self._shift
+        floor_armed = lam_min > 0.0
+        trigger_sq = (_FLOOR_TRIGGER * lam_min) ** 2
+        # no bound above the limit passes, so the rule need not see it
+        limit = getattr(done, "limit", math.inf)
+        replaced = False
+        e = np.zeros_like(z)
+        r = g0.copy()
+        d = -r
+        rr = float(r.dot(r))
+        for it in range(1, self.cg_budget + 1):
+            hd = H @ d
+            dhd = float(d.dot(hd))
+            if not dhd > 0.0:  # d vanished or the products are no longer finite
+                return None, gnorm, it
+            step = rr / dhd
+            e += step * d
+            r += step * hd
+            rr_new = float(r.dot(r))
+            if floor_armed and rr_new <= trigger_sq * float(e.dot(e)):
+                # ||x - x*|| <= ||r|| / lam_min <= 0.1 ||e||: the step is known,
+                # so ask once whether the rule accepts the rounding floor of the
+                # gradient at x, u (||H|| ||x|| + ||b||) with b = H z - g0
+                floor_armed = False
+                x = z + e
+                floor = _UNIT_ROUNDOFF * (self._hess_norm * vnorm(x) + vnorm(H @ z - g0))
+                if not done(x, floor):
+                    return None, gnorm, it
+            r_norm = math.sqrt(rr_new)
+            if r_norm <= limit:
+                x = z + e
+                if done(x, r_norm):
+                    _, g = fun_grad(x)
+                    gnorm = vnorm(g)
+                    if done(x, gnorm):
+                        return x, gnorm, it
+                    if replaced:
+                        return None, gnorm, it
+                    # the recursive residual drifted from the gradient: replace it
+                    replaced = True
+                    r = g
+                    rr_new = float(g.dot(g))
+            d *= rr_new / rr
+            d -= r
+            rr = rr_new
+        return None, gnorm, self.cg_budget
 
-    def _cg_certificate(self, t, z, result) -> BlockSolveCertificate:
-        """The certificate of a conjugate-gradient ``(x, grad_norm, steps)``;
-        ``x = None`` gives the exact factorized solve."""
-        x, gnorm, iters = result
+    def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
+        x, gnorm, iters = self._conjugate_gradients(self._fun_grad(t, z), z,
+                                                    self._rule(accept))
         if x is None:
             # the fallback's Woodbury loss equals f(x) only up to
             # rounding, so it is not carried (see BlockSolveCertificate)
@@ -685,10 +545,6 @@ class CgBlockSolver(_SmoothBlockSolver):
                                          inner_iters=iters, exact_fallback=True)
         return BlockSolveCertificate(x=x, subgrad_bound=gnorm, inner_iters=iters,
                                      value=self._loss_at(x))
-
-    def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
-        return self._cg_certificate(t, z, self._conjugate_gradients(
-            self._fun_grad(t, z), z, self._rule(accept)))
 
 
 class NewtonBlockSolver(_SmoothBlockSolver):
@@ -786,46 +642,6 @@ class NewtonBlockSolver(_SmoothBlockSolver):
                                      value=self._loss_at(x), factorizations=factored)
 
 
-def solve_sweep(solvers, targets, zs, rules=None) -> list:
-    """Solve the K block subproblems of one sweep; one certificate per block.
-
-    Block ``k`` is solved for the target ``targets[k]`` from the warm start
-    ``zs[k]`` under the rule ``rules[k]`` (with ``rules=None`` every solver
-    runs in its exact mode).  The ``CgBlockSolver``s that share a Hessian
-    stack (see ``build_penalized_solvers``) are solved together by
-    the lockstep kernel, when the first of them comes up, over the stack
-    itself when they fill its slots in order and otherwise over a copy of
-    their slots; every other solver, a wrapper of one included, by its own
-    ``solve``, in block order.  Each certificate has the bits of solving
-    that block alone.  A ``BlockSolveError`` is raised again with the index
-    of its block.
-    """
-    units = {}  # a stack, or a block index, to the blocks solved together
-    for k, sv in enumerate(solvers):
-        units.setdefault(sv._stack if isinstance(sv, CgBlockSolver) else k, []).append(k)
-    certs = [None] * len(solvers)
-    for unit, ks in units.items():
-        if isinstance(unit, _HessianStack):
-            group = [solvers[k] for k in ks]
-            hessians = unit.hessians
-            slots = [sv._slot for sv in group]
-            if slots != list(range(len(hessians))):
-                hessians = hessians[slots]
-            fun_grads = [sv._fun_grad(targets[k], zs[k]) for sv, k in zip(group, ks)]
-            dones = [sv._rule(None if rules is None else rules[k])
-                     for sv, k in zip(group, ks)]
-            results = _lockstep_cg(hessians, group, fun_grads, [zs[k] for k in ks], dones)
-            for sv, k, result in zip(group, ks, results):
-                certs[k] = sv._cg_certificate(targets[k], zs[k], result)
-            continue
-        try:
-            certs[unit] = solvers[unit].solve(
-                targets[unit], zs[unit], accept=None if rules is None else rules[unit])
-        except BlockSolveError as err:
-            raise BlockSolveError(f"block {unit}: {err}") from err
-    return certs
-
-
 def build_penalized_solvers(problem, penalty: float, prox_weights,
                             iterative_smooth: bool = False):
     """Construct one solver per block for a given penalty/proximal pairing.
@@ -834,14 +650,12 @@ def build_penalized_solvers(problem, penalty: float, prox_weights,
     ``L1ProxBlockSolver``, a logistic one ``NewtonBlockSolver`` and a
     least-squares one ``QuadBlockSolver``.  ``iterative_smooth`` asks for
     ``CgBlockSolver`` on the least-squares blocks instead, whose solves
-    carry nonzero certificates; those of one dimension share a Hessian
-    stack, which ``solve_sweep`` solves in lockstep.  No other code picks an
-    algorithm by a loss's kind.  Each solver's ``kind`` names its class:
+    carry nonzero certificates.  No other code picks an algorithm by a
+    loss's kind.  Each solver's ``kind`` names its class:
     ``"l1"``, ``"newton"``, ``"quad"`` or ``"cg"``.
     """
     K = problem.num_blocks
     weights = np.broadcast_to(np.asarray(prox_weights, dtype=float), (K,))
-    stacks = {}  # block dimension to the Hessian stack of its quadratic blocks
     solvers = []
     for blk, s in zip(problem.blocks, weights):
         fd = blk.objective
@@ -850,8 +664,7 @@ def build_penalized_solvers(problem, penalty: float, prox_weights,
         elif fd.smooth.kind == "logistic":
             solvers.append(NewtonBlockSolver(blk, penalty, s))
         elif iterative_smooth:
-            stack = stacks.setdefault(blk.n, _HessianStack())
-            solvers.append(CgBlockSolver(blk, penalty, s, stack=stack))
+            solvers.append(CgBlockSolver(blk, penalty, s))
         else:
             solvers.append(QuadBlockSolver(blk, penalty, s))
     return solvers

@@ -13,9 +13,8 @@ took them over.  It forms ``A^T A + p E^T E + s I`` from dense copies of
 quadratic solves.
 
 ``conjugate_gradients`` is the conjugate-gradient loop of
-``CgBlockSolver`` before its lean kernel, kept line for line: the
-lockstep kernel, for one block or a sweep's worth, must return the same
-bits.
+``CgBlockSolver`` before it skipped the rule above its ``limit``, kept line
+for line: ``CgBlockSolver`` must return the same bits.
 
 ``ada_step`` (with its ``_block_targets``), ``quad_block_solve`` and
 ``l1_block_solve`` are the engine's sweep, ``QuadBlockSolver.solve`` and
@@ -257,10 +256,10 @@ def conjugate_gradients(self, fun_grad, z, done):
     """Warm-started CG on ``e = x - z``; ``(x, grad_norm, steps)``, with
     ``x = None`` when the solve must fall back to the exact one.
 
-    ``CgBlockSolver._conjugate_gradients`` as it was before its kernel
-    kept ``(e, r)`` and ``(d, H d)`` in stacked arrays, reduced by
-    ``ndarray.dot`` and skipped the rule above its ``limit``; ``self`` is
-    the solver.  The body is unchanged, so the two must agree bit for bit.
+    ``CgBlockSolver._conjugate_gradients`` as it was before it formed
+    ``x`` and asked the rule only once ``||r||`` is at most the rule's
+    ``limit``; ``self`` is the solver.  The arithmetic is the same, so the
+    two must agree bit for bit.
     """
     z = np.asarray(z, dtype=float)
     _, g0 = fun_grad(z)

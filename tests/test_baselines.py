@@ -219,7 +219,7 @@ class TestAdmm2:
         # the trace must eventually drop below the iteration-1 objective
         solver = Admm2Lasso(small_lasso, BaselineParams(beta=50.0))
         state, trace = solver.run(max_iters=1000, stop_mode="max_iters")
-        objs = trace.objectives()
+        objs = np.array([m.objective for m in trace.metrics])
         assert objs[-1] < objs[0]
 
     def test_rejects_non_lasso_form(self, small_exchange):

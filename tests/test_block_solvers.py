@@ -16,13 +16,13 @@ from augdecomp.block_solvers import (BlockSolveCertificate, BlockSolveError,
                                      _cholesky_solver, _coupling_hessian,
                                      _formed_hessian, _hessian_solver,
                                      build_penalized_solvers, soft_threshold,
-                                     solve_sweep, subgrad_dist_l1)
+                                     subgrad_dist_l1)
 from augdecomp.coupling import e_gram_scale
 from augdecomp.inexact import InexactSchedule
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              SmoothPart, make_initial_state)
 from conftest import iterative_solvers
-from oracles import (GeneralQuadBlockSolver, conjugate_gradients,
+from oracles import (GeneralQuadBlockSolver, _block_targets, conjugate_gradients,
                      identity_quad_solver, l1_prox_block, lbfgs_minimize,
                      quad_solve)
 
@@ -692,9 +692,9 @@ class TestKeptNewtonFactor:
         assert sum(m.factorizations for m in trace.metrics) == len(made) > 0
 
 
-class TestLeanCGKernel:
-    """The conjugate-gradient kernel returns the bits of the loop it replaced
-    (``oracles.conjugate_gradients``): the same ``x``, gradient norm, step
+class TestCGLoop:
+    """The conjugate-gradient loop returns the bits of
+    ``oracles.conjugate_gradients``: the same ``x``, gradient norm, step
     count and fallback, under every kind of rule."""
 
     @staticmethod
@@ -702,14 +702,14 @@ class TestLeanCGKernel:
         problem, _ = ag.gen_exchange(5, 100, 80, seed=1)
         rng = np.random.default_rng(seed)
         t, z = rng.standard_normal(100), rng.standard_normal(100)
-        # one solver per kernel, so neither sees the other's memo
+        # one solver per loop, so neither sees the other's memo
         make = lambda: CgBlockSolver(problem.blocks[block], penalty=5.0,
                                         prox_weight=prox_weight)
         return problem, make(), make(), t, z
 
     @staticmethod
-    def _compare(lean, old, t, z, done):
-        calls = {"lean": 0, "old": 0}
+    def _compare(loop, oracle, t, z, done):
+        calls = {"loop": 0, "oracle": 0}
 
         def counted(solver, key):
             fun_grad = solver._fun_grad(t, z)
@@ -719,23 +719,23 @@ class TestLeanCGKernel:
                 return fun_grad(x)
             return f
 
-        got = lean._conjugate_gradients(counted(lean, "lean"), z, done)
-        want = conjugate_gradients(old, counted(old, "old"), z, done)
+        got = loop._conjugate_gradients(counted(loop, "loop"), z, done)
+        want = conjugate_gradients(oracle, counted(oracle, "oracle"), z, done)
         assert (got[0] is None) == (want[0] is None)
         if want[0] is not None:
             assert got[0].tobytes() == want[0].tobytes()
         assert got[1:] == want[1:]
-        assert calls["lean"] == calls["old"]
-        return want, calls["old"]
+        assert calls["loop"] == calls["oracle"]
+        return want, calls["oracle"]
 
     def test_no_rule(self):
-        _, lean, old, t, z = self._case()
-        self._compare(lean, old, t, z, lambda x, gn: gn <= lean.exact_tol)
+        _, loop, oracle, t, z = self._case()
+        self._compare(loop, oracle, t, z, lambda x, gn: gn <= loop.exact_tol)
 
     @pytest.mark.parametrize("nu", [1, 4, 30])
     @pytest.mark.parametrize("kind", ["criterion_A", "criterion_B"])
     def test_schedule_rules(self, kind, nu):
-        problem, lean, old, t, z = self._case(block=2, seed=nu)
+        problem, loop, oracle, t, z = self._case(block=2, seed=nu)
         sched = InexactSchedule.for_problem(problem, kind, eps0=1e-5, gamma=2.0)
         state = make_initial_state(problem)
         rng = np.random.default_rng(nu)
@@ -747,26 +747,26 @@ class TestLeanCGKernel:
         params = ag.SolverParams(rho=10.0, c=10.0)
         rule = sched.accept_rules(nu, state, params, 5)[2]
         assert rule.limit > 0
-        (_, _, steps), _ = self._compare(lean, old, t, z, rule)
+        (_, _, steps), _ = self._compare(loop, oracle, t, z, rule)
         assert steps > 0
 
     def test_plain_lambda_without_limit(self):
-        _, lean, old, t, z = self._case(seed=3)
+        _, loop, oracle, t, z = self._case(seed=3)
         rule = lambda x, bound: bound <= 1e-9
         assert not hasattr(rule, "limit")
-        (x, _, _), _ = self._compare(lean, old, t, z, rule)
+        (x, _, _), _ = self._compare(loop, oracle, t, z, rule)
         assert x is not None
 
     def test_small_budget(self):
-        _, lean, old, t, z = self._case(seed=4)
-        lean.cg_budget = old.cg_budget = 5
-        (x, _, steps), _ = self._compare(lean, old, t, z, lambda x, b: b <= 1e-9)
+        _, loop, oracle, t, z = self._case(seed=4)
+        loop.cg_budget = oracle.cg_budget = 5
+        (x, _, steps), _ = self._compare(loop, oracle, t, z, lambda x, b: b <= 1e-9)
         assert x is None and steps == 5
 
     def test_floor_stop_fallback(self):
-        _, lean, old, t, z = self._case(seed=5)
-        (x, _, steps), calls = self._compare(lean, old, t, z, lambda x, b: b <= 1e-30)
-        assert x is None and 0 < steps < lean.cg_budget and calls == 1
+        _, loop, oracle, t, z = self._case(seed=5)
+        (x, _, steps), calls = self._compare(loop, oracle, t, z, lambda x, b: b <= 1e-30)
+        assert x is None and 0 < steps < loop.cg_budget and calls == 1
 
     @pytest.mark.parametrize("block, seed, accepted",
                              [(1, 1, True), (2, 2, None), (4, 24, False)])
@@ -776,14 +776,14 @@ class TestLeanCGKernel:
         # (2, 2) ends either way by the last bits of its gradient, which
         # depend on the BLAS thread count; (1, 1) and (4, 24) end the same
         # way with one BLAS thread or several
-        _, lean, old, t, z = self._case(block=block, seed=seed)
+        _, loop, oracle, t, z = self._case(block=block, seed=seed)
         asked = []
 
         def rule(x, bound):
             asked.append((bound, bound <= 1e-12))
             return asked[-1][1]
 
-        (x, gnorm, steps), calls = self._compare(lean, old, t, z, rule)
+        (x, gnorm, steps), calls = self._compare(loop, oracle, t, z, rule)
         assert calls == 3
         if accepted is not None:
             assert (x is not None) == accepted
@@ -791,7 +791,7 @@ class TestLeanCGKernel:
             # refused again: the last question was the second recomputed
             # gradient norm, well before the step budget
             assert asked[-1] == (gnorm, False) and gnorm > 1e-12
-            assert steps < old.cg_budget
+            assert steps < oracle.cg_budget
 
 
 def logistic_phi_gradient_fd_check(block, t, z, penalty, prox_weight, rng):
@@ -811,11 +811,11 @@ def logistic_phi_gradient_fd_check(block, t, z, penalty, prox_weight, rng):
     assert np.max(np.abs(g - fd) / denom) <= 1e-6
 
 
-class TestLockstepSweep:
-    """``solve_sweep`` gives every block the certificate of solving it alone
-    by the loop the lockstep kernel replaced (``oracles.conjugate_gradients``
-    plus the exact fallback), bit for bit, and asks each block's rule what
-    a one-block ``solve`` asks, in the same order."""
+class TestPerBlockSweep:
+    """Every block's ``solve`` gives the certificate of solving it by
+    ``oracles.conjugate_gradients`` plus the exact fallback, bit for bit,
+    and asks its rule what that loop asks, but for the bounds above the
+    rule's ``limit``."""
 
     @staticmethod
     def _solo(solver, t, z, rule):
@@ -842,15 +842,16 @@ class TestLockstepSweep:
 
     def _check(self, problem, targets, zs, rules, penalty=5.0, prox_weight=0.1,
                budgets=None):
-        """One sweep against solo solves; returns the sweep's certificates
-        and each block's number of gradient evaluations."""
+        """One sweep of ``solve`` calls against solo solves; returns the
+        sweep's certificates and each block's number of gradient
+        evaluations."""
         K = problem.num_blocks
-        # separate solvers, so no side sees another's memo
-        swept, alone, solo = (build_penalized_solvers(problem, penalty, prox_weight,
-                                                      iterative_smooth=True)
-                              for _ in range(3))
+        # separate solvers, so neither side sees the other's memo
+        swept, solo = (build_penalized_solvers(problem, penalty, prox_weight,
+                                               iterative_smooth=True)
+                       for _ in range(2))
         for k, budget in (budgets or {}).items():
-            for side in (swept, alone, solo):
+            for side in (swept, solo):
                 side[k].cg_budget = budget
         calls = [0] * K
 
@@ -867,26 +868,23 @@ class TestLockstepSweep:
         for k, sv in enumerate(swept):
             if isinstance(sv, CgBlockSolver):
                 sv._fun_grad = counted(k, sv._fun_grad)
-        logs = {side: [[] for _ in range(K)] for side in ("swept", "alone", "solo")}
+        logs = {side: [[] for _ in range(K)] for side in ("swept", "solo")}
         wrap = lambda side: [None if rules[k] is None else
                              self._logged(rules[k], logs[side][k]) for k in range(K)]
-        certs = solve_sweep(swept, targets, zs, wrap("swept"))
-        alone_rules, solo_rules = wrap("alone"), wrap("solo")
+        swept_rules, solo_rules = wrap("swept"), wrap("solo")
+        certs = [sv.solve(targets[k], zs[k], accept=swept_rules[k])
+                 for k, sv in enumerate(swept)]
         for k in range(K):
-            alone_cert = alone[k].solve(targets[k], zs[k], accept=alone_rules[k])
             if isinstance(solo[k], CgBlockSolver):
                 want = self._solo(solo[k], targets[k], zs[k], solo_rules[k])
             else:
                 want = solo[k].solve(targets[k], zs[k], accept=solo_rules[k])
-            for got in (certs[k], alone_cert):
-                assert got.x.tobytes() == want.x.tobytes(), k
-                assert (got.subgrad_bound, got.inner_iters, got.exact_fallback, got.value) \
-                    == (want.subgrad_bound, want.inner_iters, want.exact_fallback,
-                        want.value), k
-        # the lockstep sweep asks what the one-block solve asks; after the
-        # warm start, the loop it replaced also asked every bound above a
-        # rule's limit, all refused
-        assert logs["swept"] == logs["alone"]
+            assert certs[k].x.tobytes() == want.x.tobytes(), k
+            assert (certs[k].subgrad_bound, certs[k].inner_iters, certs[k].exact_fallback,
+                    certs[k].value) \
+                == (want.subgrad_bound, want.inner_iters, want.exact_fallback, want.value), k
+        # after the warm start, the solo loop also asks every bound above a
+        # rule's limit, all refused; solve asks the others, in the same order
         for k, rule in enumerate(rules):
             if rule is None:
                 continue
@@ -913,7 +911,7 @@ class TestLockstepSweep:
         state = replace(make_initial_state(problem), x=x_prev)
         rules = sched.accept_rules(nu, state, ag.SolverParams(rho=10.0, c=10.0), 5)
         certs, _ = self._check(problem, targets, zs, rules)
-        # the blocks finish in different rounds
+        # the blocks take different step counts
         assert len({c.inner_iters for c in certs}) > 1 and min(c.inner_iters for c in certs) > 0
 
     def test_no_rules(self):
@@ -922,10 +920,10 @@ class TestLockstepSweep:
         assert len({c.inner_iters for c in certs}) > 1
 
     def test_every_event_in_one_sweep(self):
-        # per block the (block, seed) of TestLeanCGKernel: block 0 refuses the
+        # per block the (block, seed) of TestCGLoop: block 0 refuses the
         # floor, block 1 passes after a replaced residual, block 2 spends a
         # budget of 5 steps, block 3 is accepted at its warm start and block 4
-        # refuses its replaced residual again; the others keep going meanwhile
+        # refuses its replaced residual again
         problem, _ = ag.gen_exchange(5, 100, 80, seed=1)
         seeds = [5, 1, 4, 0, 24]
         draws = [np.random.default_rng(s).standard_normal((2, 100)) for s in seeds]
@@ -940,11 +938,10 @@ class TestLockstepSweep:
         assert all(5 < steps[k] < CgBlockSolver.cg_budget for k in (0, 1, 4))
 
     def test_stopped_blocks_leave_the_others_alone(self):
-        # block 1's products go non-finite in the first round (a NaN target)
+        # block 1's products go non-finite in the first step (a NaN target)
         # and it falls back; block 3 has zero data and t = z = 0, so its
         # gradient is exactly zero and it is accepted at its warm start.
-        # Both keep their zeroed rows in the batch while the other blocks
-        # iterate; those keep their bits, and nothing warns
+        # The other blocks keep their bits, and nothing warns
         problem, targets, zs = self._exchange_sweep(9)
         zero = problem.blocks[3].objective.smooth
         problem = replace(problem, blocks=problem.blocks[:3] + (replace(
@@ -977,25 +974,22 @@ class TestLockstepSweep:
                        objective=FunctionDescriptor(l1_scale=0.3))
         problem = ag.Problem(blocks=(quad(7), quad(5), l1, quad(7), quad(5)), q=np.zeros(m))
         solvers = build_penalized_solvers(problem, 1.5, 0.5, iterative_smooth=True)
-        stacks = [sv._stack for sv in solvers if isinstance(sv, CgBlockSolver)]
         assert isinstance(solvers[2], L1ProxBlockSolver)
-        assert stacks[0] is stacks[2] and stacks[1] is stacks[3] and stacks[0] is not stacks[1]
         targets = rng.standard_normal((5, m))
         zs = [rng.standard_normal(blk.n) for blk in problem.blocks]
         rules = [lambda x, b: b <= 1e-10, lambda x, b: b <= 1e-6, None,
                  lambda x, b: b <= 1e-8, None]
         self._check(problem, targets, zs, rules, penalty=1.5, prox_weight=0.5)
 
-    def test_some_slots_of_a_stack_out_of_order(self):
-        # four of the five blocks, out of slot order: the kernel runs over a
-        # copy of their Hessians, and each block keeps the bits of solving
-        # it alone
+    def test_blocks_solved_out_of_order(self):
+        # four of the five blocks, out of block order: each keeps the bits of
+        # solving it alone
         problem, targets, zs = self._exchange_sweep(5)
         order = [3, 0, 4, 1]
         rule = lambda x, b: b <= 1e-9
         swept, solo = (build_penalized_solvers(problem, 5.0, 0.1, iterative_smooth=True)
                        for _ in range(2))
-        certs = solve_sweep([swept[k] for k in order], targets[order], zs[order], [rule] * 4)
+        certs = [swept[k].solve(targets[k], zs[k], accept=rule) for k in order]
         for k, got in zip(order, certs):
             want = self._solo(solo[k], targets[k], zs[k], rule)
             assert got.x.tobytes() == want.x.tobytes(), k
@@ -1003,34 +997,36 @@ class TestLockstepSweep:
                 == (want.subgrad_bound, want.inner_iters, want.exact_fallback, want.value), k
         assert len({c.inner_iters for c in certs}) > 1
 
-    def test_hessians_are_views_of_one_stack(self):
+    def test_each_solver_forms_its_own_hessian_on_first_solve(self):
         problem, targets, zs = self._exchange_sweep(3)
         solvers = build_penalized_solvers(problem, 5.0, 0.1, iterative_smooth=True)
-        solve_sweep(solvers, targets, zs)
-        stack = solvers[0]._stack.hessians
-        assert stack.shape == (5, 100, 100)
+        assert all("_hess" not in vars(sv) for sv in solvers)
         for k, sv in enumerate(solvers):
-            assert sv._hess.base is stack and np.shares_memory(sv._hess, stack[k])
+            sv.solve(targets[k], zs[k], accept=lambda x, b: b <= 1e-9)
+        for k, sv in enumerate(solvers):
+            H = vars(sv)["_hess"]
+            want = _formed_hessian(problem.blocks[k].objective.smooth.A, sv._coupling)
+            assert H.shape == (100, 100) and H.tobytes() == want.tobytes()
+            assert not any(np.shares_memory(H, other._hess) for other in solvers[k + 1:])
 
-    def test_solvers_join_their_stack_when_built(self):
-        # each quadratic solver adds its block to the stack it is given, in
-        # block order; one built alone gets a stack of its own, and a formed
-        # stack takes no more blocks
-        problem, targets, zs = self._exchange_sweep(3)
-        solvers = build_penalized_solvers(problem, 5.0, 0.1, iterative_smooth=True)
-        shared = solvers[0]._stack
-        assert [sv._slot for sv in solvers] == list(range(5))
-        assert all(sv._stack is shared for sv in solvers)
-        alone = CgBlockSolver(problem.blocks[0], 5.0, 0.1)
-        assert alone._stack is not shared and alone._slot == 0
-        solve_sweep(solvers, targets, zs)
-        with pytest.raises(ValueError, match="already formed"):
-            CgBlockSolver(problem.blocks[0], 5.0, 0.1, stack=shared)
-        assert shared.hessians.shape == (5, 100, 100)
+    def test_repeated_solves_match_a_solver_built_alone(self):
+        # a solver from the dispatcher, solving twice with its H kept, and a
+        # fresh solver built alone for each solve return the same bits
+        problem, targets, zs = self._exchange_sweep(6)
+        rule = lambda x, b: b <= 1e-9
+        kept = build_penalized_solvers(problem, 5.0, 0.1, iterative_smooth=True)[2]
+        rng = np.random.default_rng(60)
+        for t, z in ((targets[2], zs[2]), (rng.standard_normal(100), rng.standard_normal(100))):
+            got = kept.solve(t, z, accept=rule)
+            want = CgBlockSolver(problem.blocks[2], 5.0, 0.1).solve(t, z, accept=rule)
+            assert got.x.tobytes() == want.x.tobytes()
+            assert (got.subgrad_bound, got.inner_iters, got.exact_fallback, got.value) \
+                == (want.subgrad_bound, want.inner_iters, want.exact_fallback, want.value)
+            assert got.inner_iters > 0
 
     def test_whole_run_matches_a_per_block_sweep(self):
-        # ada.run with the lockstep sweep against the same run whose blocks
-        # are solved one at a time by the loop the kernel replaced
+        # ada.run with conjugate-gradient solvers against the same run whose
+        # blocks are solved by the oracle loop
         problem, _ = ag.gen_exchange(5, 100, 80, seed=1000)
         params = ag.SolverParams(rho=10.0, c=10.0, max_iters=45)
         sched = InexactSchedule.for_problem(problem, "criterion_B", eps0=1e-5, gamma=2.0)
@@ -1057,8 +1053,7 @@ class TestLockstepSweep:
 
 class TestDispatcher:
     """``build_penalized_solvers`` picks the solver class from the kind of a
-    block's loss; each iterative class takes only its own kind, and
-    ``solve_sweep`` batches only conjugate-gradient blocks."""
+    block's loss; each iterative class takes only its own kind."""
 
     @staticmethod
     def _problem():
@@ -1093,22 +1088,36 @@ class TestDispatcher:
             with pytest.raises(ValueError, match="logistic"):
                 NewtonBlockSolver(block, 1.5, 0.5)
 
-    def test_sweep_batches_only_cg_blocks(self, monkeypatch):
-        batched = []
-        kernel = block_solvers._lockstep_cg
-
-        def spy(hessians, solvers, *args):
-            batched.append(list(solvers))
-            return kernel(hessians, solvers, *args)
-
-        monkeypatch.setattr(block_solvers, "_lockstep_cg", spy)
+    def test_ada_step_solves_each_block_once_in_order(self):
+        # every kind of solver is asked once, in block order, with its own
+        # target, warm start and rule
         problem = self._problem()
         solvers = build_penalized_solvers(problem, 1.5, 0.5, iterative_smooth=True)
+        params = ag.SolverParams(rho=1.5, c=1.0)
         rng = np.random.default_rng(13)
-        certs = solve_sweep(solvers, rng.standard_normal((4, 6)),
-                            [rng.standard_normal(blk.n) for blk in problem.blocks])
-        assert batched == [solvers[2:]]
-        assert [c.x.shape for c in certs] == [(blk.n,) for blk in problem.blocks]
+        w = rng.standard_normal((4, 6))
+        state = replace(make_initial_state(problem), w=w - w.mean(axis=0),
+                        y=rng.standard_normal((4, 6)),
+                        x=tuple(rng.standard_normal(blk.n) for blk in problem.blocks))
+        rules = [None, lambda x, b: b <= 1e-8, lambda x, b: b <= 1e-9, None]
+        asked = []
+
+        def spy(k, solve):
+            def f(t, z, accept=None):
+                asked.append((k, t.copy(), z, accept))
+                return solve(t, z, accept=accept)
+            return f
+
+        for k, sv in enumerate(solvers):
+            sv.solve = spy(k, sv.solve)
+        new_state, metrics = ag.ada_step(state, problem, params, solvers, rules)
+        assert [a[0] for a in asked] == [0, 1, 2, 3]
+        targets = _block_targets(state, problem, params.rho)
+        for k, t, z, accept in asked:
+            assert t.tobytes() == targets[k].tobytes() and z is state.x[k]
+            assert accept is rules[k]
+        assert [x.shape for x in new_state.x] == [(blk.n,) for blk in problem.blocks]
+        assert len(metrics.per_block_cert) == 4
 
 
 class TestBlockSolverObjects:

@@ -364,7 +364,7 @@ class TestCriterionBRule:
 
 class TestRuleLimit:
     def test_every_rule_refuses_every_bound_above_its_limit(self):
-        # the CG kernel skips the rule while ||r|| > limit: that is sound only
+        # the CG loop skips the rule while ||r|| > limit: that is sound only
         # if no rule ever accepts such a bound, whatever x is
         rng = np.random.default_rng(41)
         refused = 0
@@ -545,7 +545,8 @@ class TestClosedFormsUnderSchedule:
         assert len(trace_i) == len(trace_e) == 60
         assert all(np.array_equal(a, b) for a, b in zip(final_i.x, final_e.x))
         assert np.array_equal(final_i.zeta_bar, final_e.zeta_bar)
-        assert np.array_equal(trace_i.objectives(), trace_e.objectives())
+        assert np.array_equal(np.array([m.objective for m in trace_i.metrics]),
+                              np.array([m.objective for m in trace_e.metrics]))
         assert all(cb == 0.0 for m in trace_i.metrics for cb in m.per_block_cert)
 
 
