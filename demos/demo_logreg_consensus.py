@@ -13,7 +13,7 @@ import numpy as np
 import augdecomp as ag
 from augdecomp.bench import (build_logreg_consensus, consensus_objective,
                              consensus_ratio, gen_logreg_data, partition_rows)
-from augdecomp.inexact import InexactSchedule, iada_run
+from augdecomp.inexact import InexactSchedule
 
 A, labels = gen_logreg_data(n=600, d=20, seed=5)
 row_blocks = partition_rows(A, labels, N=3)
@@ -28,8 +28,7 @@ solvers = ag.build_block_solvers(problem, params, sched)
 # reference objective value from a tighter run of the same configuration
 from dataclasses import replace
 ref_params = replace(params, stop_eps=1e-12)
-ref, _ = iada_run(problem, ref_params, sched, solvers, stop_mode="x_change",
-                  record_states=False)
+ref, _ = ag.run(problem, ref_params, solvers, stop_mode="x_change", schedule=sched)
 f_star = consensus_objective(problem, ref.x[-1])
 print(f"reference objective F* = {f_star:.10f}")
 
@@ -43,8 +42,7 @@ def stop(state, metrics):
 
 
 solvers2 = ag.build_block_solvers(problem, params, sched)
-final, trace = iada_run(problem, params, sched, solvers2, stop_mode=stop,
-                        record_states=False)
+final, trace = ag.run(problem, params, solvers2, stop_mode=stop, schedule=sched)
 z = final.x[-1]
 print(f"stopped at iteration {len(trace)}: consensus ratio "
       f"{consensus_ratio(final.x):.2e}, F(z) = "

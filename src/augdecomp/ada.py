@@ -57,27 +57,29 @@ class StepMetrics:
 
 @dataclass
 class Trace:
-    """Recorded run: one ``StepMetrics`` per iteration plus optional states.
+    """Recorded run: one ``StepMetrics`` per iteration.
 
-    ``states[i]`` is the iterate *after* step ``i+1``; ``initial_state`` is
-    the starting point, so ergodic and distance diagnostics can reconstruct
-    the full trajectory.  ``stop_reason`` says why the run ended:
+    ``initial_state`` is the starting point; ``states`` stays None except
+    in a trace of ``inexact.iada_run``, where ``states[i]`` is the iterate
+    *after* step ``i+1``.  ``stop_reason`` says why the run ended:
     ``"converged"`` (the stopping criterion was met), ``"max_iters"`` (the
     iteration cap), ``"non_finite"`` (the last step produced a non-finite
     objective or residual norm), ``"solver_error"`` (a block solver raised
     ``BlockSolveError`` in the next step, whose message is ``error``; the
-    metrics and states hold the steps before it) or ``"custom"`` (a callable
-    stop rule).
+    metrics hold the steps before it) or ``"custom"`` (a callable stop
+    rule).
     """
 
     initial_state: IterateState
     metrics: list = field(default_factory=list)
     states: Optional[list] = None
-    converged: bool = False
-    stop_mode: str = "max_iters"
-    stop_eps: float = 0.0
     stop_reason: str = "max_iters"
     error: Optional[str] = None
+
+    @property
+    def converged(self) -> bool:
+        """The stop rule fired: ``stop_reason`` is ``"converged"`` or ``"custom"``."""
+        return self.stop_reason in ("converged", "custom")
 
     def __len__(self):
         return len(self.metrics)
@@ -223,8 +225,7 @@ def check_stop(metrics: StepMetrics, eps: float, mode: str) -> bool:
 
 
 def drive(step: Callable, state, max_iters: int, stop_mode, stop_eps: float,
-          record_states: bool = False, initial_state=None,
-          observe: Optional[Callable] = None):
+          initial_state=None, observe: Optional[Callable] = None):
     """The outer loop of every engine; returns ``(state, Trace)``.
 
     ``step(state, nu) -> (new_state, StepMetrics)`` performs iteration ``nu``
@@ -233,24 +234,20 @@ def drive(step: Callable, state, max_iters: int, stop_mode, stop_eps: float,
     a bad mode or ``stop_eps <= 0`` raises ``ValueError`` before the first
     step.  A step that raises ``BlockSolveError`` ends the run with the
     reason ``"solver_error"`` and the message as the trace's ``error``,
-    keeping what the steps before it recorded.  Each step's metrics (and
-    state, with ``record_states``) are
+    keeping what the steps before it recorded.  Each step's metrics are
     recorded and its new state is passed to ``observe(state)`` (such as a
-    ``diagnostics.RateObserver``), so an observer sees every state that
-    ``record_states`` would keep; a non-finite step then ends the run
+    ``diagnostics.RateObserver``); a non-finite step then ends the run
     (``"non_finite"``), and only a finite one reaches the stop rule, so a
-    callable is called once per finite step.  A rule that fires sets
-    ``converged`` and the reason ``"converged"`` (``"custom"`` for a
-    callable, also the trace's ``stop_mode``); otherwise the run ends at
-    ``"max_iters"``.
+    callable is called once per finite step.  A rule that fires ends the
+    run with the reason ``"converged"`` (``"custom"`` for a callable);
+    otherwise the run ends at ``"max_iters"``.
     """
     custom = callable(stop_mode)
     if not custom and stop_mode not in STOP_MODES:
         raise ValueError(f"unknown stop mode {stop_mode!r}")
     if not stop_eps > 0:
         raise ValueError("stop_eps must be positive")
-    trace = Trace(initial_state=initial_state, states=[] if record_states else None,
-                  stop_mode="custom" if custom else stop_mode, stop_eps=stop_eps)
+    trace = Trace(initial_state=initial_state)
     for nu in range(1, max_iters + 1):
         try:
             state, metrics = step(state, nu)
@@ -259,15 +256,12 @@ def drive(step: Callable, state, max_iters: int, stop_mode, stop_eps: float,
             trace.error = str(err)
             break
         trace.metrics.append(metrics)
-        if record_states:
-            trace.states.append(state)
         if observe is not None:
             observe(state)
         if not metrics.finite:
             trace.stop_reason = "non_finite"
             break
         if stop_mode(state, metrics) if custom else check_stop(metrics, stop_eps, stop_mode):
-            trace.converged = True
             trace.stop_reason = "custom" if custom else "converged"
             break
     return state, trace
@@ -275,8 +269,7 @@ def drive(step: Callable, state, max_iters: int, stop_mode, stop_eps: float,
 
 def run(problem: Problem, params: SolverParams, solvers: Sequence,
         initial: Optional[IterateState] = None, stop_mode="x_change",
-        record_states: bool = False, schedule=None,
-        observe: Optional[Callable] = None):
+        schedule=None, observe: Optional[Callable] = None):
     """Run ADA, or iADA under ``schedule``, to the chosen criterion or the
     iteration cap.
 
@@ -289,11 +282,6 @@ def run(problem: Problem, params: SolverParams, solvers: Sequence,
     stop_mode : str or callable
         One of ``"x_change"``, ``"feasibility"``, ``"max_iters"``, or a
         callable ``stop(state, metrics) -> bool`` for custom termination.
-    record_states : bool, optional
-        Keep every iterate in ``trace.states``; off by default.
-        ``rate_report`` with a reference reads them, as does the benchmark's
-        certificate gate; a ``diagnostics.RateObserver`` passed as
-        ``observe`` runs the same rate checks without them.
     schedule : inexact.InexactSchedule, optional
         With a schedule, step ``nu`` solves the blocks under its acceptance
         rules ``schedule.accept_rules(nu, state, params, K)`` (iADA); with
@@ -301,7 +289,8 @@ def run(problem: Problem, params: SolverParams, solvers: Sequence,
         schedule that built ``solvers``.
     observe : callable, optional
         Called with the state after each step (see ``drive``), such as a
-        ``diagnostics.RateObserver`` built with the same ``initial``.
+        ``diagnostics.RateObserver`` built with the same ``initial``; the
+        trace keeps no states.
 
     Returns
     -------
@@ -317,4 +306,4 @@ def run(problem: Problem, params: SolverParams, solvers: Sequence,
         return ada_step(state, problem, params, solvers, accept_rules=rules, nu=nu)
 
     return drive(step, state, params.max_iters, stop_mode, params.stop_eps,
-                 record_states=record_states, initial_state=state, observe=observe)
+                 initial_state=state, observe=observe)

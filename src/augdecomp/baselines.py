@@ -10,10 +10,11 @@ engines:
 * the classic two-block ADMM for the lasso with over-relaxation.
 
 Every least-squares block update, the two-block ADMM's x-update included,
-is a ``QuadBlockSolver`` solve.  All runners are a step function handed to
-the engines' loop ``ada.drive``, so they share its stop modes, stop reasons
-and trace schema; the G-norm delta column is not defined for these
-iterations and is recorded as NaN.
+is a ``QuadBlockSolver`` solve.  Every step returns ``(new_state,
+StepMetrics)``, as ``ada_step`` does, and every runner hands its step to the
+engines' loop ``ada.drive``, so they share its stop modes, stop reasons and
+trace schema; the G-norm delta column is not defined for these iterations
+and is recorded as NaN.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def default_prox_weights(problem: Problem, params: BaselineParams) -> tuple:
 def _baseline_metrics(nu, problem, x_prev, x_new, resid, values) -> StepMetrics:
     """Shared metrics; no G-norm delta and zero certificates (exact solves).
 
-    ``resid`` is the constraint residual at ``x_new``, which the sweep
+    ``resid`` is the constraint residual at ``x_new``, which the step
     formed, and ``values`` the block objectives its solvers evaluated (None
     for the others; see ``objective``).
     """
@@ -89,19 +90,14 @@ def _baseline_metrics(nu, problem, x_prev, x_new, resid, values) -> StepMetrics:
 # Variable-splitting ADMM
 
 
-def vsadmm_step(state, problem: Problem, params: BaselineParams, solvers):
-    """One sweep of variable-splitting ADMM on ``(w, x, y)``.
+def vsadmm_step(state, problem: Problem, params: BaselineParams, solvers, nu: int = 0):
+    """One sweep of variable-splitting ADMM on ``(w, x, y)``; returns
+    ``((w, x, y), StepMetrics)``, like ``ada_step``.
 
     Block updates minimize ``f_k + (beta/2)||E_k x_k - q_k - w_k + y_k/beta||^2``
     (full column rank of ``E_k`` assumed); the ``w``-update projects
     ``v_k = E_k x_k - q_k + y_k/beta`` onto the zero-sum subspace.
     """
-    return _vsadmm_sweep(state, problem, params, solvers)[0]
-
-
-def _vsadmm_sweep(state, problem, params, solvers):
-    """``vsadmm_step``'s new state, the block objectives its solvers
-    evaluated and the residual ``E x - q`` at the new point."""
     w, x, y = state
     K, m = problem.num_blocks, problem.m
     beta = params.beta
@@ -124,7 +120,8 @@ def _vsadmm_sweep(state, problem, params, solvers):
     resid = -problem.q.copy()  # summed in constraint_residual's order
     for k in range(K):
         resid += ex[k]
-    return (w_new, tuple(new_x), y_new), values, resid
+    new_x = tuple(new_x)
+    return (w_new, new_x, y_new), _baseline_metrics(nu, problem, x, new_x, resid, values)
 
 
 def vsadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
@@ -134,33 +131,24 @@ def vsadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
     K, m = problem.num_blocks, problem.m
     state = (np.zeros((K, m)), tuple(np.zeros(n) for n in problem.block_dims()),
              np.zeros((K, m)))
-
-    def step(state, nu):
-        new, values, resid = _vsadmm_sweep(state, problem, params, solvers)
-        return new, _baseline_metrics(nu, problem, state[1], new[1], resid, values)
-
-    return drive(step, state, max_iters, stop_mode, stop_eps)
+    return drive(lambda state, nu: vsadmm_step(state, problem, params, solvers, nu),
+                 state, max_iters, stop_mode, stop_eps)
 
 
 # ---------------------------------------------------------------------------
 # Proximal Jacobian ADMM
 
 
-def prox_jadmm_step(state, problem: Problem, params: BaselineParams, solvers):
-    """One parallel sweep of proximal Jacobian ADMM on ``(x, lam)``.
+def prox_jadmm_step(state, problem: Problem, params: BaselineParams, solvers,
+                    nu: int = 0):
+    """One parallel sweep of proximal Jacobian ADMM on ``(x, lam)``; returns
+    ``((x, lam), StepMetrics)``, like ``ada_step``.
 
     Every block minimizes
     ``f_k + (beta/2)||E_k x_k + sum_{j != k} E_j x_j - q - lam/beta||^2
     + (tau_k/2)||x_k - x_k_prev||^2`` against the previous sweep, then the
     multiplier takes the damped step ``lam -= gamma*beta*(E x - q)``.
     """
-    new_x, lam_new, _, _ = _prox_jadmm_sweep(state, problem, params, solvers)
-    return new_x, lam_new
-
-
-def _prox_jadmm_sweep(state, problem, params, solvers):
-    """``prox_jadmm_step`` plus the block objectives its solvers evaluated
-    and the residual ``E x - q`` at the new point."""
     x, lam = state
     K = problem.num_blocks
     beta = params.beta
@@ -174,7 +162,8 @@ def _prox_jadmm_sweep(state, problem, params, solvers):
         values.append(cert.value)
     resid = constraint_residual(new_x, problem)
     lam_new = lam - params.gamma_damp * beta * resid
-    return tuple(new_x), lam_new, values, resid
+    new_x = tuple(new_x)
+    return (new_x, lam_new), _baseline_metrics(nu, problem, x, new_x, resid, values)
 
 
 def prox_jadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
@@ -186,13 +175,8 @@ def prox_jadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
     solvers = build_penalized_solvers(problem, penalty=params.beta,
                                       prox_weights=weights)
     state = (tuple(np.zeros(n) for n in problem.block_dims()), np.zeros(problem.m))
-
-    def step(state, nu):
-        new_x, lam_new, values, resid = _prox_jadmm_sweep(state, problem, params, solvers)
-        return (new_x, lam_new), _baseline_metrics(nu, problem, state[0], new_x, resid,
-                                                   values)
-
-    return drive(step, state, max_iters, stop_mode, stop_eps)
+    return drive(lambda state, nu: prox_jadmm_step(state, problem, params, solvers, nu),
+                 state, max_iters, stop_mode, stop_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +218,12 @@ class Admm2Lasso:
         self.params = params
         self._quad = QuadBlockSolver(problem.blocks[0], params.beta, 0.0)
 
-    def step(self, state):
-        """One sweep; returns the new ``(x, z, u)``."""
-        return self._sweep(state)[0]
+    def step(self, state, nu: int = 0):
+        """One sweep; returns ``((x, z, u), StepMetrics)``, like ``ada_step``.
 
-    def _sweep(self, state):
-        """``step``'s new state, the block objectives ``(f(x), None)`` and
-        the residual ``x - z - q`` at the new point, in
-        ``constraint_residual``'s order for ``E = (I, -I)``."""
+        The metrics take ``f(x)`` from the x-update's solve and the residual
+        ``x - z - q`` in ``constraint_residual``'s order for ``E = (I, -I)``.
+        """
         x, z, u = state
         beta, alpha = self.params.beta, self.params.admm_step
         cert = self._quad.solve(z - u, x)
@@ -252,20 +234,14 @@ class Admm2Lasso:
         resid = -self.problem.q.copy()
         resid += x_new
         resid -= z_new
-        return (x_new, z_new, u_new), (cert.value, None), resid
+        return (x_new, z_new, u_new), _baseline_metrics(
+            nu, self.problem, (x, z), (x_new, z_new), resid, (cert.value, None))
 
     def run(self, max_iters: int, stop_eps: float = 1e-8,
             stop_mode: str = "x_change"):
         """Run from zero; returns ``((x, z, u), Trace)``."""
         d = self.problem.blocks[0].n
-
-        def step(state, nu):
-            # looked up per call, so it can be replaced
-            new, values, resid = self._sweep(state)
-            return new, _baseline_metrics(nu, self.problem, state[:2], new[:2], resid,
-                                          values)
-
-        return drive(step, (np.zeros(d), np.zeros(d), np.zeros(d)), max_iters,
+        return drive(self.step, (np.zeros(d), np.zeros(d), np.zeros(d)), max_iters,
                      stop_mode, stop_eps)
 
     def multiplier(self, state) -> np.ndarray:

@@ -323,7 +323,7 @@ class ExperimentConfig:
         check_l1_weight(self.lam)
         check_schedule_params(self.eps0, self.gamma)
         baselines.check_baseline_params(self.beta, self.gamma_damp, self.admm_step)
-        _solver_params(self)  # rho, c, max_iters and stop_eps
+        _engine_params(self)  # rho, c, max_iters and stop_eps
         if self.stop_mode not in _STOP_MODES:
             raise ValueError(f"unknown stop mode {self.stop_mode!r}")
         if self.stop_mode == "consensus" and (self.experiment != "logreg"
@@ -363,7 +363,7 @@ def build_instance(config: ExperimentConfig):
     return build_logreg_consensus(row_blocks, config.lam), None
 
 
-def _solver_params(config: ExperimentConfig) -> SolverParams:
+def _engine_params(config: ExperimentConfig) -> SolverParams:
     return SolverParams(rho=config.rho, c=config.c,
                         max_iters=config.max_iters, stop_eps=config.stop_eps)
 
@@ -412,10 +412,10 @@ def run_experiment(config: ExperimentConfig) -> int:
     a ``RateObserver`` and not kept.
     """
     t_start = time.perf_counter()
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     problem, _ = build_instance(config)
-    params = _solver_params(config)
+    out = Path(config.out)  # after the build, so a failed build leaves no directory
+    out.mkdir(parents=True, exist_ok=True)
+    params = _engine_params(config)
 
     stop_mode = config.stop_mode
     reference = None

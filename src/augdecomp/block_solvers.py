@@ -209,13 +209,6 @@ def _factored_solver(A, C, h=None):
     return solve
 
 
-def _hessian_solver(A, C, h=None):
-    """``solve(r) = (A^T diag(h) A + C)^{-1} r``: the ``x`` of
-    ``_factored_solver``."""
-    solve = _factored_solver(A, C, h)
-    return lambda r: solve(r)[0]
-
-
 class QuadBlockSolver:
     """Closed-form solver for least-squares blocks, under any coupling.
 
@@ -249,10 +242,6 @@ class QuadBlockSolver:
         if not (np.isfinite(self.atb).all() and np.isfinite(C).all()):
             raise ValueError("least-squares data and p E^T E + s I must be finite")
         self._factored = _factored_solver(A, C)
-
-    def _solve(self, r: np.ndarray) -> np.ndarray:
-        """``(A^T A + C)^{-1} r``."""
-        return self._factored(r)[0]
 
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
         # p E^T t + A^T b (+ s z), assembled in place: the bits of A^T b + p E^T t
@@ -560,7 +549,7 @@ class NewtonBlockSolver(_SmoothBlockSolver):
     value; the next step then factors ``H`` at its own point.  When the line
     search along a kept factor's direction finds no step, ``H`` is factored
     at the same point and the search run again; the failure of a fresh
-    factor ends the solve.  ``_hessian_solver`` factors ``H`` at the current
+    factor ends the solve.  ``_factored_solver`` factors ``H`` at the current
     point (``8 d^2`` bytes) on a block with at least as many rows as
     columns, and the rows-by-rows Woodbury matrix ``sigma I + B B^T``,
     ``B = diag(sqrt h) A``, on a wider one with ``C = sigma I``; a sparse
@@ -586,8 +575,8 @@ class NewtonBlockSolver(_SmoothBlockSolver):
     def __init__(self, block: BlockSpec, penalty: float, prox_weight: float,
                  exact_tol: float = 1e-12):
         super().__init__(block, penalty, prox_weight, exact_tol, "logistic")
-        # the kept factor: r -> H^{-1} r for the H of the last
-        # factorization, None until the next step factors
+        # the kept factor: the ``_factored_solver`` solve, r -> (H^{-1} r, v),
+        # of the H of the last factorization, None until the next step factors
         self._factor = None
 
     def _newton(self, fun_grad, z, done):
@@ -608,12 +597,12 @@ class NewtonBlockSolver(_SmoothBlockSolver):
                 fresh = self._factor is None
                 if fresh:
                     try:
-                        self._factor = _hessian_solver(self.block.objective.smooth.A,
-                                                       self._coupling, h)
+                        self._factor = _factored_solver(self.block.objective.smooth.A,
+                                                        self._coupling, h)
                     except np.linalg.LinAlgError:
                         return best + (steps, factored)
                     factored += 1
-                found = _line_search(fun_grad, x, f, g, gnorm, -self._factor(g), f_noise)
+                found = _line_search(fun_grad, x, f, g, gnorm, -self._factor(g)[0], f_noise)
                 if found is None:
                     # no step along a kept factor's direction: refactor at x
                     # and search again; a fresh factor's failure ends the solve

@@ -5,8 +5,9 @@ configuration, the documented oracle, accurate to the run's own 1e-12
 stopping tolerance, or an exact saddle) live in ``RateObserver``, which an
 engine feeds each step's state through ``drive(..., observe=)``.  It keeps
 one G-distance per step and the ergodic running sum, never the states.
-``rate_report`` feeds one the states of a trace recorded with them, for the
-benchmark that still records them.  The checks are:
+``rate_report`` feeds one the states of a trace that kept them, which only
+``inexact.iada_run`` makes, for the benchmark that still calls it.  The
+checks are:
 
 * monotone decrease of the squared G-norm step ``a_nu = ||u_nu - u_nu+1||_G^2``;
 * summability of ``a_nu`` and the decade-median surrogate for ``a_nu = o(1/nu)``;
@@ -235,14 +236,14 @@ def rate_report(trace: Trace, problem: Problem, rho: float, c: float,
     Feeds a ``RateObserver`` the recorded states, so the report equals the
     one an observer fed during the run gives.  The Fejer, ergodic and tail
     fields need a reference point and stay None without one; a reference
-    with a trace recorded without states raises ``ValueError``.
+    with a trace that kept no states raises ``ValueError``.
     """
     observer = RateObserver(problem, rho, c, reference, trace.initial_state,
                             exact_engine)
     if reference is not None:
         if trace.states is None:
-            raise ValueError("trace was recorded without states: pass "
-                             "record_states=True, or a RateObserver as observe=")
+            raise ValueError("trace was recorded without states: run iada_run, "
+                             "or pass a RateObserver as observe=")
         for state in trace.states:
             observer(state)
     return observer.report(trace)

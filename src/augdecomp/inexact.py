@@ -127,14 +127,17 @@ def criterion_b_threshold(nu: int, schedule: InexactSchedule, rho: float,
 
 def iada_run(problem: Problem, params: SolverParams,
              schedule: InexactSchedule | None, solvers,
-             initial: IterateState | None = None, stop_mode="x_change",
-             record_states: bool = True, observe=None):
-    """``ada.run(..., schedule=schedule)`` that keeps every state by default.
+             initial: IterateState | None = None, stop_mode="x_change"):
+    """``ada.run(..., schedule=schedule)`` whose trace keeps every state.
 
-    The benchmark's certificate gate recomputes criterion-B thresholds from
-    ``trace.states``, hence ``record_states=True`` here; otherwise prefer
-    ``ada.run``, with a ``diagnostics.RateObserver`` for the rate checks.
+    ``trace.states[i]`` is the iterate after step ``i+1``, so the last is
+    the final state.  The benchmark's certificate gate recomputes
+    criterion-B thresholds from them; otherwise prefer ``ada.run``, with a
+    ``diagnostics.RateObserver`` as ``observe`` for the rate checks.
     ``schedule=None`` runs the exact engine.
     """
-    return ada.run(problem, params, solvers, initial=initial, stop_mode=stop_mode,
-                   record_states=record_states, schedule=schedule, observe=observe)
+    states = []
+    final, trace = ada.run(problem, params, solvers, initial=initial,
+                           stop_mode=stop_mode, schedule=schedule, observe=states.append)
+    trace.states = states
+    return final, trace

@@ -27,8 +27,7 @@ def lasso_polish(problem, params, run_iters=3000, kkt_tol=1e-10):
     from dataclasses import replace
     for iters in (run_iters, 4 * run_iters):
         p = replace(params, max_iters=iters, stop_eps=1e-14)
-        final, _ = ag.run(problem, p, solvers, stop_mode="max_iters",
-                          record_states=False)
+        final, _ = ag.run(problem, p, solvers, stop_mode="max_iters")
         z = final.x[1]
         support = np.flatnonzero(z != 0.0)
         if support.size == 0:

@@ -416,7 +416,7 @@ def quad_block_solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSo
     rhs = self.atb + self.penalty * self.E.apply_T(t)
     if self.prox_weight > 0:
         rhs = rhs + self.prox_weight * z
-    return BlockSolveCertificate(x=self._solve(rhs), subgrad_bound=0.0)
+    return BlockSolveCertificate(x=self._factored(rhs)[0], subgrad_bound=0.0)
 
 
 def l1_block_solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
@@ -430,7 +430,7 @@ def l1_block_solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolv
 
 
 def identity_quad_solver(A, sigma: float, b=None) -> QuadBlockSolver:
-    """``QuadBlockSolver`` whose ``_solve`` is ``r -> (A^T A + sigma I)^{-1} r``:
+    """``QuadBlockSolver`` whose ``_factored(r)[0]`` is ``(A^T A + sigma I)^{-1} r``:
     the block ``0.5*||A x - b||^2`` (``b = 0`` by default) under the coupling
     ``E = I`` with penalty ``sigma`` and no proximal term."""
     rows, d = A.shape
@@ -455,7 +455,7 @@ def quad_solve(solver: QuadBlockSolver, rhs_state, rho: float, c: float) -> np.n
     if not np.isclose(sigma, factored, rtol=1e-12):
         raise ValueError(f"factored sigma={factored} does not match rho/2 + 1/c = {sigma}")
     w, x_prev, y = (np.asarray(v, dtype=float) for v in rhs_state)
-    return solver._solve(solver.atb + 0.5 * rho * w + x_prev / c - y)
+    return solver._factored(solver.atb + 0.5 * rho * w + x_prev / c - y)[0]
 
 
 def l1_prox_block(state, rho: float, c: float, lambda1: float, sign: int) -> np.ndarray:

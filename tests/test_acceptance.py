@@ -349,7 +349,7 @@ def test_criterion_11_unit_and_property_suites(tmp_path):
     A = rng.standard_normal((10, 16))
     r = rng.standard_normal(16)
     xp = _cholesky_solver(_formed_hessian(A, 1.3))(r)
-    xw = identity_quad_solver(A, 1.3)._solve(r)
+    xw = identity_quad_solver(A, 1.3)._factored(r)[0]
     assert np.linalg.norm(xp - xw) <= 1e-9 * (1 + np.linalg.norm(xp))
     # LIBSVM round-trip
     import scipy.sparse as sp

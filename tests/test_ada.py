@@ -341,15 +341,17 @@ class TestRun:
         fejer_ok, viol = _fejer_check(observer.dists, 1e-8)
         assert fejer_ok, f"Fejer violation at index {viol}"
 
-    def test_states_kept_only_on_request(self, small_exchange):
+    def test_only_iada_run_keeps_states(self, small_exchange):
         problem, _ = small_exchange
         params = ag.SolverParams(rho=2.0, c=2.0, max_iters=6)
         _, trace = run(problem, params, ag.build_block_solvers(problem, params),
                        stop_mode="max_iters")
         assert trace.states is None
-        _, trace = run(problem, params, ag.build_block_solvers(problem, params),
-                       stop_mode="max_iters", record_states=True)
+        final, trace = ag.iada_run(problem, params, None,
+                                   ag.build_block_solvers(problem, params),
+                                   stop_mode="max_iters")
         assert len(trace.states) == 6
+        assert trace.states[-1] is final
 
     def test_w_drift_stays_small(self, small_exchange):
         problem, _ = small_exchange
@@ -382,12 +384,13 @@ class TestRun:
                      solvers[:1] + [failing] + solvers[2:])
         # a run ends at the failing step and keeps the steps before it
         solvers[1] = FailsThird(solvers[1])
+        states = []
         final, trace = run(problem, params, solvers, stop_mode="max_iters",
-                           record_states=True)
+                           observe=states.append)
         assert trace.stop_reason == "solver_error" and not trace.converged
         assert trace.error == "block 1: boom"
-        assert len(trace) == len(trace.states) == 2
-        assert trace.states[-1] is final
+        assert len(trace) == len(states) == 2
+        assert states[-1] is final
 
 
 class TestErgodicAverage:
@@ -501,14 +504,15 @@ class TestStopReason:
         params = ag.SolverParams(rho=1.0, c=1.0, max_iters=50)
         solvers = ag.build_block_solvers(problem, params)
         solvers[1] = NaNAfterTwo(solvers[1])
+        states = []
         final, trace = run(problem, params, solvers, stop_mode="max_iters",
-                           record_states=True)
+                           observe=states.append)
         assert len(trace) == 3
         assert trace.stop_reason == "non_finite"
         assert not trace.converged
         assert all(math.isfinite(m.objective) for m in trace.metrics[:2])
         assert math.isnan(trace.metrics[-1].objective)
-        assert trace.states[-1] is final
+        assert states[-1] is final
 
     def test_reasons_of_finite_runs(self, small_exchange):
         problem, _ = small_exchange
@@ -516,7 +520,9 @@ class TestStopReason:
         solvers = ag.build_block_solvers(problem, params)
         assert run(problem, params, solvers, stop_mode="max_iters")[1].stop_reason \
             == "max_iters"
-        assert run(problem, params, solvers, stop_mode=lambda s, m: m.iter == 2)[1] \
-            .stop_reason == "custom"
+        _, trace = run(problem, params, solvers, stop_mode=lambda s, m: m.iter == 2)
+        assert trace.stop_reason == "custom" and trace.converged
+        with pytest.raises(AttributeError):  # read from stop_reason, never set
+            trace.converged = False
         loose = ag.SolverParams(rho=1.0, c=1.0, max_iters=5, stop_eps=1e3)
         assert run(problem, loose, solvers)[1].stop_reason == "converged"

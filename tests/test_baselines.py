@@ -40,7 +40,7 @@ class TestVsadmm:
         # start from zero state; after one step w is mean-removed v
         state = (np.zeros((K, m)), tuple(np.zeros(n) for n in problem.block_dims()),
                  np.zeros((K, m)))
-        w_new, x_new, y_new = vsadmm_step(state, problem, params, solvers)
+        w_new, x_new, y_new = vsadmm_step(state, problem, params, solvers)[0]
         v = np.array([problem.blocks[k].E @ x_new[k] for k in range(K)])
         assert np.allclose(w_new, v - v.mean(axis=0))
 
@@ -54,7 +54,7 @@ class TestVsadmm:
         w -= w.mean(axis=0)
         x = tuple(rng.standard_normal(n) for n in problem.block_dims())
         y = rng.standard_normal((K, m))
-        w_new, x_new, _ = vsadmm_step((w, x, y), problem, params, solvers)
+        w_new, x_new, _ = vsadmm_step((w, x, y), problem, params, solvers)[0]
         v = np.array([problem.blocks[k].E @ x_new[k] + y[k] / 1.5
                       for k in range(K)])
         assert np.allclose(w_new, w_update_oracle(v), atol=1e-10)
@@ -66,7 +66,7 @@ class TestVsadmm:
         params = BaselineParams(beta=1.3)
         solvers = build_penalized_solvers(problem, penalty=1.3, prox_weights=0.0)
         state = (ref.w, ref.x, ref.y)
-        w2, x2, y2 = vsadmm_step(state, problem, params, solvers)
+        w2, x2, y2 = vsadmm_step(state, problem, params, solvers)[0]
         assert max(np.abs(np.concatenate(x2) - np.concatenate(ref.x))) < 1e-8
         assert np.abs(w2 - ref.w).max() < 1e-8
         assert np.abs(y2 - ref.y).max() < 1e-8
@@ -88,7 +88,7 @@ class TestVsadmm:
         state = (np.zeros((K, m)), tuple(np.zeros(n) for n in problem.block_dims()),
                  np.zeros((K, m)))
         for sweep in range(1, 4):
-            state = vsadmm_step(state, problem, params, solvers)
+            state = vsadmm_step(state, problem, params, solvers)[0]
             assert len(calls) == K * sweep
 
 
@@ -101,7 +101,7 @@ class TestProxJadmm:
         solvers = build_penalized_solvers(problem, penalty=1.0,
                                           prox_weights=(1.0,) * problem.num_blocks)
         lam = -ref.zeta_bar  # lambda convention: 0 in df - E^T lam
-        x2, lam2 = prox_jadmm_step((ref.x, lam), problem, params, solvers)
+        x2, lam2 = prox_jadmm_step((ref.x, lam), problem, params, solvers)[0]
         assert max(np.abs(np.concatenate(x2) - np.concatenate(ref.x))) < 1e-8
         assert np.abs(lam2 - lam).max() < 1e-10
 
@@ -121,7 +121,7 @@ class TestProxJadmm:
                                           prox_weights=(tau, tau))
         x0 = (np.array([0.3]), np.array([-0.4]))
         lam0 = np.array([0.2])
-        x1, lam1 = prox_jadmm_step((x0, lam0), problem, params, solvers)
+        x1, lam1 = prox_jadmm_step((x0, lam0), problem, params, solvers)[0]
         # stationarity: (x - a) + beta*(x + other - lam/beta) + tau*(x - x0) = 0
         for k, (a, other) in enumerate(((a1, float(x0[1][0])),
                                         (a2, float(x0[0][0])))):
@@ -140,7 +140,7 @@ class TestProxJadmm:
                                           prox_weights=(1.0,) * problem.num_blocks)
         x0 = tuple(np.zeros(n) for n in problem.block_dims())
         lam0 = np.zeros(problem.m)
-        x1, lam1 = prox_jadmm_step((x0, lam0), problem, params, solvers)
+        x1, lam1 = prox_jadmm_step((x0, lam0), problem, params, solvers)[0]
         r = ag.constraint_residual(x1, problem)
         assert np.allclose(lam1, lam0 - r)
 
@@ -196,7 +196,7 @@ class TestAdmm2:
         problem = Problem(blocks=blocks, q=np.zeros(d))
         solver = Admm2Lasso(problem, BaselineParams(beta=1.0))
         state = (np.zeros(d), np.zeros(d), np.zeros(d))
-        state = solver.step(state)
+        state = solver.step(state)[0]
         assert all(np.allclose(s, 0.0) for s in state)
 
     def test_lambda_zero_converges_to_least_squares(self):
@@ -245,12 +245,12 @@ class TestAdmm2:
         d = small_lasso.blocks[0].n
         x, z, u = (rng.standard_normal(d) for _ in range(3))
         params = BaselineParams(beta=1.7)
-        x_admm = Admm2Lasso(small_lasso, params).step((x, z, u))[0]
+        x_admm = Admm2Lasso(small_lasso, params).step((x, z, u))[0][0]
         solvers = build_penalized_solvers(small_lasso, penalty=params.beta,
                                           prox_weights=0.0)
         w = np.stack([z - u, rng.standard_normal(d)])
         y = np.stack([np.zeros(d), rng.standard_normal(d)])
-        _, (x_vs, _), _ = vsadmm_step((w, (x, z), y), small_lasso, params, solvers)
+        _, (x_vs, _), _ = vsadmm_step((w, (x, z), y), small_lasso, params, solvers)[0]
         assert np.array_equal(x_admm, x_vs)
 
     @pytest.mark.parametrize("admm_step", [0.0, 2.0, -1.0, float("nan")])
@@ -345,16 +345,7 @@ class TestNonFiniteStop:
 
     def test_admm2(self, small_lasso):
         solver = Admm2Lasso(small_lasso, BaselineParams(beta=1.0))
-        sweep, calls = solver._sweep, []
-
-        def nan_sweep(state):
-            calls.append(1)
-            (x, z, u), values, resid = sweep(state)
-            if len(calls) == 3:
-                z, resid = np.full_like(z, np.nan), np.full_like(resid, np.nan)
-            return (x, z, u), values, resid
-
-        solver._sweep = nan_sweep
+        solver._quad = NaNAfterTwo(solver._quad)
         _, trace = solver.run(50, stop_mode="max_iters")
         _assert_stopped_at_third(trace)
         assert math.isnan(trace.metrics[-1].objective)
@@ -393,13 +384,7 @@ def _counted_runner(name, problem, monkeypatch):
         return run, calls
     if name == "admm2":
         solver = Admm2Lasso(problem, BaselineParams(beta=1.0))
-        sweep = solver._sweep
-
-        def counting_sweep(state):
-            calls.append(1)
-            return sweep(state)
-
-        solver._sweep = counting_sweep
+        solver._quad = CountingSolver(solver._quad, calls)
         return (lambda stop_mode, stop_eps: solver.run(5, stop_eps, stop_mode)), calls
 
     original = baselines.build_penalized_solvers
@@ -428,7 +413,6 @@ def test_stop_arguments_checked_before_first_sweep(name, small_lasso, monkeypatc
     assert len(trace) == 2
     assert trace.converged
     assert trace.stop_reason == "custom"
-    assert trace.stop_mode == "custom"
 
 
 def _oracle_columns(problem, x_new, x_prev_stacked):
@@ -452,7 +436,8 @@ def test_baseline_traces_match_hand_loop(name, small_lasso):
     """30 sweeps through the public step functions reproduce each runner's
     trace: bit for bit, but for the objective, which the runners sum from
     the least-squares loss their Woodbury solves evaluated at ``A x`` up to
-    rounding (see ``BlockSolveCertificate``)."""
+    rounding (see ``BlockSolveCertificate``).  The metrics each step returns
+    are the runner's, bit for bit."""
     problem, iters = small_lasso, 30
     K, m = problem.num_blocks, problem.m
     zeros_x = tuple(np.zeros(n) for n in problem.block_dims())
@@ -460,14 +445,14 @@ def test_baseline_traces_match_hand_loop(name, small_lasso):
     if name == "vsadmm":
         solvers = build_penalized_solvers(problem, penalty=bp.beta, prox_weights=0.0)
         state = (np.zeros((K, m)), zeros_x, np.zeros((K, m)))
-        step = lambda s: vsadmm_step(s, problem, bp, solvers)
+        step = lambda s, nu: vsadmm_step(s, problem, bp, solvers, nu)
         blocks = lambda s: s[1]
         final, trace = vsadmm_run(problem, bp, iters, stop_mode="max_iters")
     elif name == "proxjadmm":
         solvers = build_penalized_solvers(problem, penalty=bp.beta,
                                           prox_weights=default_prox_weights(problem, bp))
         state = (zeros_x, np.zeros(m))
-        step = lambda s: prox_jadmm_step(s, problem, bp, solvers)
+        step = lambda s, nu: prox_jadmm_step(s, problem, bp, solvers, nu)
         blocks = lambda s: s[0]
         final, trace = prox_jadmm_run(problem, bp, iters, stop_mode="max_iters")
     else:
@@ -477,11 +462,14 @@ def test_baseline_traces_match_hand_loop(name, small_lasso):
         blocks = lambda s: (s[0], s[1])
         final, trace = Admm2Lasso(problem, bp).run(iters, stop_mode="max_iters")
 
-    rows = []
-    for _ in range(iters):
+    rows, metrics = [], []
+    for nu in range(1, iters + 1):
         x_prev = np.concatenate(blocks(state))
-        state = step(state)
+        state, step_metrics = step(state, nu)
+        metrics.append(step_metrics)
         rows.append(_oracle_columns(problem, blocks(state), x_prev))
+    # float reprs round-trip, so equal reprs are equal bits (and NaN matches NaN)
+    assert [repr(a) for a in metrics] == [repr(b) for b in trace.metrics]
     values, certs, its = _trace_columns(trace)
     rows = np.array(rows)
     np.testing.assert_allclose(values[:, 0], rows[:, 0], rtol=1e-12, atol=0)

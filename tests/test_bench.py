@@ -478,6 +478,23 @@ def test_config_rejects_pairings_the_runner_ignores_before_any_work(tmp_path, pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"experiment": "logreg", "n": 3, "partitions": 5}, "row blocks"),
+    ({"experiment": "logreg", "data_path": "missing.svm"}, "No such file"),
+])
+def test_instance_build_failure_exits_before_any_work(tmp_path, capsys, config, message):
+    # the config is valid, but the instance cannot be built: the CLI exits 1
+    # before it creates the out directory
+    if "data_path" in config:
+        config = {**config, "data_path": str(tmp_path / config["data_path"])}
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "out": str(out)}))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_rejects_criteria_outside_the_schedule_kinds(tmp_path):
     # exact solves are solver="ada"; there is no exact criterion for iada
     with pytest.raises(ValueError, match='solver="ada"'):

@@ -14,7 +14,7 @@ from augdecomp.block_solvers import (BlockSolveCertificate, BlockSolveError,
                                      CgBlockSolver, L1ProxBlockSolver,
                                      NewtonBlockSolver, QuadBlockSolver,
                                      _cholesky_solver, _coupling_hessian,
-                                     _formed_hessian, _hessian_solver,
+                                     _factored_solver, _formed_hessian,
                                      build_penalized_solvers, soft_threshold,
                                      subgrad_dist_l1)
 from augdecomp.coupling import e_gram_scale
@@ -122,7 +122,7 @@ class TestQuadFactorization:
         dual = identity_quad_solver(A, sigma, b)
         r = rng.standard_normal(50)
         x_p = primal(r)
-        x_w = dual._solve(r)
+        x_w = dual._factored(r)[0]
         x_direct = np.linalg.solve(A.T @ A + sigma * np.eye(50), r)
         assert np.linalg.norm(x_w - x_p) <= 1e-9 * (1 + np.linalg.norm(x_p))
         assert np.allclose(x_w, x_direct, rtol=1e-9)
@@ -132,7 +132,7 @@ class TestQuadFactorization:
         A = rng.standard_normal((12, 8))
         solver = identity_quad_solver(A, 2.2, rng.standard_normal(12))
         r = rng.standard_normal(8)
-        x = solver._solve(r)
+        x = solver._factored(r)[0]
         resid = np.linalg.norm((A.T @ A + 2.2 * np.eye(8)) @ x - r)
         assert resid <= 1e-10 * (1 + np.linalg.norm(r))
 
@@ -159,7 +159,7 @@ class TestQuadFactorization:
             M = (A.T @ A if case == "primal" else A @ A.T) + 1.7 * np.eye(min(A.shape))
         # the tall block factors the primal system, the wide one the dual
         assert len(factored) == 1 and np.array_equal(factored[0], M)
-        solve = solver._solve
+        solve = lambda r: solver._factored(r)[0]
         chol = scipy.linalg.cho_factor(M, lower=True)
         for _ in range(50):
             r = rng.standard_normal(d)
@@ -498,7 +498,7 @@ class TestLogisticNewton:
 
 
 class TestNewtonFactorRule:
-    """``_hessian_solver`` on the Newton path: Woodbury through
+    """``_factored_solver`` on the Newton path: Woodbury through
     ``sigma I + B B^T``, ``B = diag(sqrt h) A``, on wide blocks, the formed
     ``A^T diag(h) A + C`` on tall ones; and the loss memo at the warm start."""
 
@@ -529,7 +529,7 @@ class TestNewtonFactorRule:
         t, z = rng.standard_normal(3 * 90), rng.standard_normal(90)
         _, g, h = solver._fun_grad(t, z)(rng.standard_normal(90))
         assert np.count_nonzero(h == 0.0) >= 3  # curvature underflowed to 0
-        direction = _hessian_solver(A, C, h)(g)
+        direction = _factored_solver(A, C, h)(g)[0]
         assert factored == [(24, 24)]
         formed = _cholesky_solver(_formed_hessian(A, C, h))(g)
         assert np.linalg.norm(direction - formed) <= 1e-12 * np.linalg.norm(formed)
@@ -547,7 +547,7 @@ class TestNewtonFactorRule:
         A, C = block.objective.smooth.A, solver._coupling
         t, z = rng.standard_normal(3 * 8), rng.standard_normal(8)
         _, g, h = solver._fun_grad(t, z)(rng.standard_normal(8))
-        direction = _hessian_solver(A, C, h)(g)
+        direction = _factored_solver(A, C, h)(g)[0]
         assert factored == [(8, 8)]
         H = _formed_hessian(A, C, h)
         assert np.array_equal(direction, _cholesky_solver(H)(g))
@@ -664,7 +664,7 @@ class TestKeptNewtonFactor:
         t, z = rng.standard_normal(3 * n), rng.standard_normal(n)
         rule = lambda x, bound: bound <= 1e-8
         stale = NewtonBlockSolver(block, penalty=0.8, prox_weight=0.1)
-        stale._factor = lambda r: -r  # a kept factor whose direction is uphill
+        stale._factor = lambda r: (-r, None)  # a kept factor whose direction is uphill
         got = stale.solve(t, z, accept=rule)
         assert searches[0] is None  # the kept factor's search failed ...
         want = NewtonBlockSolver(block, penalty=0.8, prox_weight=0.1).solve(
@@ -677,13 +677,13 @@ class TestKeptNewtonFactor:
 
     def test_factorizations_count_the_factors_made(self, monkeypatch):
         made = []
-        factor = block_solvers._hessian_solver
+        factor = block_solvers._factored_solver
 
         def spy(A, C, h=None):
             made.append(A.shape)
             return factor(A, C, h)
 
-        monkeypatch.setattr(block_solvers, "_hessian_solver", spy)
+        monkeypatch.setattr(block_solvers, "_factored_solver", spy)
         problem = self._consensus(240, 8, seed=42)
         params = ag.SolverParams(rho=10.0, c=10.0, max_iters=20)
         sched = InexactSchedule.for_problem(problem, "criterion_A")

@@ -181,8 +181,7 @@ class TestRateReport:
         problem, _ = small_exchange
         params = ag.SolverParams(rho=2.0, c=2.0, max_iters=300)
         solvers = ag.build_block_solvers(problem, params)
-        _, trace = ag.run(problem, params, solvers, stop_mode="max_iters",
-                          record_states=True)
+        _, trace = iada_run(problem, params, None, solvers, stop_mode="max_iters")
         report = rate_report(trace, problem, 2.0, 2.0,
                              reference=small_exchange_saddle)
         assert report.monotone_ok
@@ -228,19 +227,16 @@ class TestRateObserver:
         sched = None if exact \
             else InexactSchedule.for_problem(problem, "criterion_B", 1.0, 2.0)
 
-        def solve(**kwargs):
-            solvers = ag.build_block_solvers(problem, params) if exact \
+        def solvers():
+            return ag.build_block_solvers(problem, params) if exact \
                 else iterative_solvers(problem, params)
-            if exact:
-                return ag.run(problem, params, solvers, stop_mode="max_iters", **kwargs)
-            return iada_run(problem, params, sched, solvers, stop_mode="max_iters",
-                            **kwargs)
 
         initial = make_initial_state(problem)
         observer = RateObserver(problem, params.rho, params.c, reference, initial,
                                 exact_engine=exact)
-        _, fed = solve(initial=initial, record_states=False, observe=observer)
-        _, kept = solve(record_states=True)
+        _, fed = ag.run(problem, params, solvers(), initial=initial, stop_mode="max_iters",
+                        schedule=sched, observe=observer)
+        _, kept = iada_run(problem, params, sched, solvers(), stop_mode="max_iters")
         assert fed.states is None and observer.steps == len(fed) == 200
         got = observer.report(fed)
         want = rate_report(kept, problem, params.rho, params.c, reference=reference,

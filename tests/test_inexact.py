@@ -242,7 +242,7 @@ class TestIadaRun:
                             stop_mode="max_iters", schedule=sched)
         _, trace_b = iada_run(problem, params, sched,
                               iterative_solvers(problem, params),
-                              stop_mode="max_iters", record_states=False)
+                              stop_mode="max_iters")
         assert len(trace_a) == len(trace_b) == 60
         for ma, mb in zip(trace_a.metrics, trace_b.metrics):
             assert ma == mb
@@ -287,10 +287,9 @@ class TestIadaRun:
         sched = InexactSchedule.for_problem(problem, "criterion_A", 1.0, 1.5)
         solvers_i = iterative_solvers(problem, params)
         _, trace_i = iada_run(problem, params, sched, solvers_i,
-                              stop_mode="max_iters", record_states=False)
+                              stop_mode="max_iters")
         solvers_e = ag.build_block_solvers(problem, params)
-        _, trace_e = ag.run(problem, params, solvers_e, stop_mode="max_iters",
-                            record_states=False)
+        _, trace_e = ag.run(problem, params, solvers_e, stop_mode="max_iters")
         fi = trace_i.metrics[-1].objective
         fe = trace_e.metrics[-1].objective
         assert abs(fi - fe) <= 1e-5 * max(1.0, abs(fe))
@@ -486,8 +485,7 @@ class TestLogisticNewton:
         sched = InexactSchedule.for_problem(problem, "criterion_A", eps0=1.0,
                                             gamma=1.5)
         solvers = ag.build_block_solvers(problem, params, sched)
-        _, trace = iada_run(problem, params, sched, solvers, stop_mode="max_iters",
-                            record_states=True)
+        _, trace = iada_run(problem, params, sched, solvers, stop_mode="max_iters")
         assert len(trace) == iters
         return problem, params, sched, solvers, trace
 
