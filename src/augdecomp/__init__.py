@@ -23,6 +23,6 @@ from .diagnostics import (RateObserver, RateReport, kkt_residual,
                           nu_a_nu_medians, rate_report, verify_monotone)
 from .bench import (ExperimentConfig, build_logreg_consensus, consensus_ratio,
                     gen_exchange, gen_lasso, load_libsvm, partition_rows,
-                    run_experiment, write_libsvm)
+                    run_experiment)
 
 __version__ = "0.1.0"

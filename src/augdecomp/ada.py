@@ -15,6 +15,12 @@ multipliers ``y``:
 with ``q_k = q`` for the last block and zero otherwise.  The increments
 ``eta_k - zeta`` sum to zero by construction, so ``w`` stays in the zero-sum
 subspace; the tiny floating-point drift is removed and recorded each step.
+
+A sweep forms each quantity once: one pass over the blocks solves them,
+gathers the certificates and writes ``E_k x_k`` into row k of ``eta``, which
+the residual and the eta update share.  The updates run in place with the
+bits of the formulas above, and the new state skips ``IterateState``'s
+zero-sum check, which the drift removal ensures; a caller's state keeps it.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .block_solvers import BlockSolveError
-from .model import (IterateState, Problem, SolverParams, make_initial_state,
-                    objective, state_g_dist_sq, vnorm)
+from .model import (IterateState, Problem, SolverParams, _unchecked,
+                    make_initial_state, objective, state_g_dist_sq, vnorm)
 
 STOP_MODES = ("x_change", "feasibility", "max_iters")
 
@@ -115,32 +121,32 @@ class Trace:
 
 def _block_targets(state: IterateState, problem: Problem, rho: float) -> np.ndarray:
     """Targets ``t_k = q_k + w_k - (2/rho) y_k``, row k of a ``(K, m)``
-    array, so each subproblem penalizes ``||E_k x_k - t_k||^2``."""
-    targets = state.w - (2.0 / rho) * state.y
+    array, so each subproblem penalizes ``||E_k x_k - t_k||^2``.  Formed in
+    place as ``w + (-2/rho) y``, which has the bits of ``w - (2/rho) y``."""
+    targets = state.y * (-2.0 / rho)
+    targets += state.w
     targets[-1] += problem.q
     return targets
 
 
 def step_metrics(nu: int, problem: Problem, x_prev: Sequence, x_new: Sequence,
-                 resid: np.ndarray, values=None, **extra) -> StepMetrics:
+                 resid: np.ndarray, values=None, *, delta_g_norm_sq, per_block_cert,
+                 inner_iters_total=0, w_drift=0.0, fallbacks=0,
+                 factorizations=0) -> StepMetrics:
     """``StepMetrics`` of the step ``x_prev -> x_new``, for every engine.
 
     ``resid = sum_k E_k x_k - q`` at ``x_new``; ``values`` optionally gives
-    ``f_k(x_k)`` where a block solver evaluated it (see ``objective``);
-    ``extra`` holds the other fields (``delta_g_norm_sq`` and
-    ``per_block_cert`` at least).
+    ``f_k(x_k)`` where a block solver evaluated it (see ``objective``); the
+    keywords are the ``StepMetrics`` fields of the same names.
     """
     resid_norm = vnorm(resid)
     x_prev_stacked = np.concatenate(x_prev)
-    dx = vnorm(np.concatenate(x_new) - x_prev_stacked)
-    return StepMetrics(
-        iter=nu,
-        objective=objective(x_new, problem, values),
-        constraint_residual_norm=resid_norm,
-        x_rel_change=dx / max(1.0, vnorm(x_prev_stacked)),
-        feas_rel=resid_norm / max(1.0, vnorm(problem.q)),
-        **extra,
-    )
+    dx = np.concatenate(x_new)
+    dx -= x_prev_stacked
+    return StepMetrics(nu, objective(x_new, problem, values), resid_norm,
+                       delta_g_norm_sq, vnorm(dx) / max(1.0, vnorm(x_prev_stacked)),
+                       resid_norm / max(1.0, vnorm(problem.q)), per_block_cert,
+                       inner_iters_total, w_drift, fallbacks, factorizations)
 
 
 def ada_step(state: IterateState, problem: Problem, params: SolverParams,
@@ -156,52 +162,56 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
     failing block.
     """
     K, m = problem.num_blocks, problem.m
-    rho, c = params.rho, params.c
+    rho, q = params.rho, problem.q
     targets = _block_targets(state, problem, rho)
 
-    sweep = []
+    # one pass over the blocks: solve, gather the certificate, and write
+    # E_k x_k into row k of eta, which the residual and the eta update share
+    eta_new = np.empty((K, m))
+    new_x, certs, values = [], [], []  # values: f_k(x_k) where the solver evaluated it
+    inner_total = fallbacks = factorizations = 0
     for k, solver in enumerate(solvers):
         try:
-            sweep.append(solver.solve(targets[k], state.x[k],
-                                      accept=None if accept_rules is None else accept_rules[k]))
+            cert = solver.solve(targets[k], state.x[k],
+                                accept=None if accept_rules is None else accept_rules[k])
         except BlockSolveError as err:
             raise BlockSolveError(f"block {k}: {err}") from err
-    new_x = [np.asarray(cert.x, dtype=float) for cert in sweep]
-    certs = [cert.subgrad_bound for cert in sweep]
-    values = [cert.value for cert in sweep]  # f_k(x_k) where the solver evaluated it
-    inner_total = sum(cert.inner_iters for cert in sweep)
-    fallbacks = sum(cert.exact_fallback for cert in sweep)
-    factorizations = sum(cert.factorizations for cert in sweep)
+        x = np.asarray(cert.x, dtype=float)
+        new_x.append(x)
+        certs.append(cert.subgrad_bound)
+        values.append(cert.value)
+        inner_total += cert.inner_iters
+        fallbacks += cert.exact_fallback
+        factorizations += cert.factorizations
+        eta_new[k] = problem.blocks[k].E.apply(x)
+    new_x = tuple(new_x)
+    resid = np.negative(q)  # summed in constraint_residual's order
+    for ex in eta_new:
+        resid += ex
 
-    # E_k x_k once per block: the eta update and the residual both use it
-    Ex = [problem.blocks[k].E.apply(new_x[k]) for k in range(K)]
     # in-place updates with the bits of the formulas in the module docstring;
     # np.add.reduce(., axis=0) / K is mean(axis=0) without its wrapper
-    eta_new = np.empty((K, m))
-    for k in range(K):
-        np.subtract(Ex[k], state.w[k], out=eta_new[k])
-    eta_new[K - 1] -= problem.q
+    eta_new -= state.w
+    eta_new[K - 1] -= q
     eta_new *= 0.5 * rho
     eta_new += state.y
-    zeta_new = np.add.reduce(eta_new, axis=0) / K
+    zeta_new = np.add.reduce(eta_new, axis=0)
+    zeta_new /= K
     w_new = eta_new - zeta_new
     w_new /= rho
     w_new += state.w
     # cancel floating-point drift out of the zero-sum subspace
-    drift = np.add.reduce(w_new, axis=0) / K
+    drift = np.add.reduce(w_new, axis=0)
+    drift /= K
     w_new -= drift
     y_new = eta_new + zeta_new
     y_new *= 0.5
+    # zero-sum by the drift removal, so the state is built unchecked
+    new_state = _unchecked(IterateState, w_new, new_x, eta_new, zeta_new, y_new)
 
-    new_state = IterateState(w=w_new, x=tuple(new_x), eta=eta_new,
-                             zeta_bar=zeta_new, y=y_new)
-
-    resid = -problem.q.copy()  # summed in constraint_residual's order
-    for ex in Ex:
-        resid += ex
     metrics = step_metrics(
-        nu, problem, state.x, new_x, resid, values=values,
-        delta_g_norm_sq=state_g_dist_sq(state, new_state, rho, c),
+        nu, problem, state.x, new_x, resid, values,
+        delta_g_norm_sq=state_g_dist_sq(state, new_state, rho, params.c),
         per_block_cert=tuple(certs),
         inner_iters_total=inner_total,
         w_drift=vnorm(drift) * np.sqrt(K),

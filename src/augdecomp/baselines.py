@@ -100,27 +100,26 @@ def vsadmm_step(state, problem: Problem, params: BaselineParams, solvers, nu: in
     """
     w, x, y = state
     K, m = problem.num_blocks, problem.m
-    beta = params.beta
+    beta, q = params.beta, problem.q
+    y_scaled = y / beta
     new_x, values = [], []
     ex = np.empty((K, m))
-    v = np.empty((K, m))
     for k in range(K):
-        qk = problem.q if k == K - 1 else 0.0
-        t = qk + w[k] - y[k] / beta
+        t = (q if k == K - 1 else 0.0) + w[k]
+        t -= y_scaled[k]
         cert = solvers[k].solve(t, x[k], accept=None)
         new_x.append(cert.x)
         values.append(cert.value)
         ex[k] = problem.blocks[k].E.apply(cert.x)
-        v[k] = ex[k] - qk + y[k] / beta
-    w_new = project_onto_W(v)
-    y_new = np.empty((K, m))
-    for k in range(K):
-        qk = problem.q if k == K - 1 else 0.0
-        y_new[k] = y[k] + beta * (ex[k] - qk - w_new[k])
-    resid = -problem.q.copy()  # summed in constraint_residual's order
-    for k in range(K):
-        resid += ex[k]
     new_x = tuple(new_x)
+    resid = np.negative(q)  # summed in constraint_residual's order
+    for row in ex:
+        resid += row
+    ex[K - 1] -= q  # now E_k x_k - q_k, row k
+    w_new = project_onto_W(ex + y_scaled)
+    y_new = ex - w_new
+    y_new *= beta
+    y_new += y
     return (w_new, new_x, y_new), _baseline_metrics(nu, problem, x, new_x, resid, values)
 
 
@@ -151,18 +150,22 @@ def prox_jadmm_step(state, problem: Problem, params: BaselineParams, solvers,
     """
     x, lam = state
     K = problem.num_blocks
-    beta = params.beta
+    beta, q = params.beta, problem.q
     Ex = [problem.blocks[k].E.apply(x[k]) for k in range(K)]
     total = np.sum(Ex, axis=0)
+    lam_scaled = lam / beta
     new_x, values = [], []
     for k in range(K):
-        r_k = (total - Ex[k]) - problem.q - lam / beta
-        cert = solvers[k].solve(-r_k, x[k], accept=None)
+        # the target -r_k, r_k = (total - E_k x_k) - q - lam / beta, in place
+        t = total - Ex[k]
+        t -= q
+        t -= lam_scaled
+        cert = solvers[k].solve(np.negative(t, out=t), x[k], accept=None)
         new_x.append(cert.x)
         values.append(cert.value)
+    new_x = tuple(new_x)
     resid = constraint_residual(new_x, problem)
     lam_new = lam - params.gamma_damp * beta * resid
-    new_x = tuple(new_x)
     return (new_x, lam_new), _baseline_metrics(nu, problem, x, new_x, resid, values)
 
 
@@ -231,7 +234,7 @@ class Admm2Lasso:
         x_relaxed = alpha * x_new + (1.0 - alpha) * z
         z_new = soft_threshold(x_relaxed + u, self.lam / beta)
         u_new = u + x_relaxed - z_new
-        resid = -self.problem.q.copy()
+        resid = np.negative(self.problem.q)
         resid += x_new
         resid -= z_new
         return (x_new, z_new, u_new), _baseline_metrics(

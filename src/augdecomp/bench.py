@@ -192,19 +192,6 @@ def load_libsvm(path):
     return X, np.asarray(labels), len(labels), d
 
 
-def write_libsvm(path, X, labels):
-    """Write ``(X, labels)`` in LIBSVM text format, 17 significant digits."""
-    X = sp.csr_matrix(X)
-    X.eliminate_zeros()
-    with open(path, "w") as fh:
-        for i in range(X.shape[0]):
-            row = X.getrow(i)
-            entries = " ".join(f"{j + 1}:{v:.17g}"
-                               for j, v in zip(row.indices, row.data))
-            label = f"{labels[i]:.17g}"
-            fh.write(f"{label} {entries}\n" if entries else f"{label}\n")
-
-
 def partition_rows(A, b, N: int):
     """Split ``(A, b)`` into N contiguous row blocks of near-equal size.
 

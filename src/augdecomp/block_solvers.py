@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .coupling import spectral_norm
-from .model import BlockSpec, vnorm
+from .model import BlockSpec, _unchecked, vnorm
 
 # Conjugate-gradient floor stop (``CgBlockSolver``): the floor is tested
 # once ||r|| <= _FLOOR_TRIGGER * lam_min * ||x - z||, and the attainable
@@ -96,7 +96,11 @@ def soft_threshold(a, kappa: float):
     """
     if not kappa >= 0:
         raise ValueError("kappa must be nonnegative")
-    return np.sign(a) * np.maximum(np.abs(a) - kappa, 0.0)
+    out = np.abs(a)  # max(|a| - kappa, 0) * sign(a) is formed in this array
+    out -= kappa
+    out = np.maximum(out, 0.0, out=out if out.ndim else None)  # a scalar has no buffer
+    out *= np.sign(a)
+    return out
 
 
 def subgrad_dist_l1(x: np.ndarray, smooth_grad_at_x: np.ndarray, lambda1: float) -> float:
@@ -134,6 +138,15 @@ def _cholesky_solver(M: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # Block solver objects
+
+
+def _scaled_adjoint(E, penalty: float):
+    """``t -> p E^T t`` as a new array, chosen when a solver is built: one
+    product ``t * (sign p)`` for a signed identity, the bits of
+    ``E.apply_T(t)`` scaled by ``p``."""
+    if E.kind == "identity":
+        return lambda t, scale=E.sign * penalty: t * scale
+    return lambda t: E.apply_T(t) * penalty
 
 
 def _coupling_hessian(E, penalty: float, prox_weight: float):
@@ -195,13 +208,14 @@ def _factored_solver(A, C, h=None):
         primal = _cholesky_solver(_formed_hessian(A, C, h))
         return lambda r: (primal(r), None)
     B = _row_scaled(A, h)
-    G = _dense(B @ B.T)
+    BT = B.T  # kept: a sparse B would form its transpose at every solve
+    G = _dense(B @ BT)
     G.flat[::rows + 1] += C
     inner = _cholesky_solver(G)
 
     def solve(r):
-        v = inner(B @ r)
-        x = B.T @ v
+        v = inner(B.dot(r))  # .dot: the products of @ without its dispatch
+        x = BT.dot(v)
         np.subtract(r, x, out=x)
         x /= C
         return x, v
@@ -233,6 +247,7 @@ class QuadBlockSolver:
         self.E = block.E
         self.penalty = float(penalty)
         self.prox_weight = float(prox_weight)
+        self._adjoint = _scaled_adjoint(block.E, self.penalty)
         self.atb = A.T @ fd.smooth.b
         self._loss = fd.smooth
         C = _coupling_hessian(block.E, penalty, prox_weight)
@@ -245,14 +260,14 @@ class QuadBlockSolver:
 
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
         # p E^T t + A^T b (+ s z), assembled in place: the bits of A^T b + p E^T t
-        rhs = self.E.apply_T(t)
-        rhs *= self.penalty
+        rhs = self._adjoint(t)
         rhs += self.atb
         if self.prox_weight > 0:
             rhs += self.prox_weight * z
         x, ax = self._factored(rhs)
         value = None if ax is None else self._loss._value_at(ax)
-        return BlockSolveCertificate(x=x, subgrad_bound=0.0, value=value)
+        # an exact solve certifies 0, so the certificate needs no check
+        return _unchecked(BlockSolveCertificate, x, 0.0, 0, False, value, 0)
 
 
 class L1ProxBlockSolver:
@@ -277,15 +292,15 @@ class L1ProxBlockSolver:
         self.penalty = float(penalty)
         self.prox_weight = float(prox_weight)
         self.denom = penalty * alpha + prox_weight
+        self._adjoint = _scaled_adjoint(block.E, self.penalty)
 
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
-        numer = self.E.apply_T(t)
-        numer *= self.penalty
+        numer = self._adjoint(t)
         if self.prox_weight > 0:
             numer += self.prox_weight * z
         numer /= self.denom
         x = soft_threshold(numer, self.lam / self.denom)
-        return BlockSolveCertificate(x=x, subgrad_bound=0.0)
+        return _unchecked(BlockSolveCertificate, x, 0.0, 0, False, None, 0)
 
 
 def _line_search(fun_grad, x, f, g, gnorm, direction, f_noise):

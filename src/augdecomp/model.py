@@ -268,6 +268,14 @@ class IterateState:
         return self.w.shape[0]
 
 
+def _unchecked(cls, *values):
+    """``cls(*values)`` for a frozen dataclass without its ``__post_init__``
+    check, for values the library formed and knows to pass it."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
 def make_initial_state(problem: Problem) -> IterateState:
     """All-zero starting point, the default for every benchmark run."""
     K, m = problem.num_blocks, problem.m
@@ -328,17 +336,18 @@ def state_g_dist_sq(a: IterateState, b: IterateState, rho: float, c: float) -> f
     """
     if not (rho > 0 and c > 0):
         raise ValueError("rho and c must be positive")
-    K = a.num_blocks
+    # squares in place; .sum() sums the 2-D parts pairwise, which dot does not
     dw = a.w - b.w
+    dw *= dw
     deta = a.eta - b.eta
+    deta *= deta
     dz = a.zeta_bar - b.zeta_bar
     dxs = [xa - xb for xa, xb in zip(a.x, b.x)]
     dx_sq = sum(float(dx.dot(dx)) for dx in dxs)
-    # (M * M).sum() sums pairwise, which dot does not: keep it for the 2-D parts
     return (
-        rho * float((dw * dw).sum())
+        rho * float(dw.sum())
         + dx_sq / c
-        + (float((deta * deta).sum()) + K * float(dz.dot(dz))) / rho
+        + (float(deta.sum()) + a.num_blocks * float(dz.dot(dz))) / rho
     )
 
 

@@ -19,8 +19,15 @@ for line: ``CgBlockSolver`` must return the same bits.
 ``ada_step`` (with its ``_block_targets``), ``quad_block_solve`` and
 ``l1_block_solve`` are the engine's sweep, ``QuadBlockSolver.solve`` and
 ``L1ProxBlockSolver.solve`` as they were before they updated their arrays in
-place and the Woodbury solve carried its loss, kept line for line: with the loss stripped from the certificates, the two sweeps
-must agree bit for bit.
+place and the Woodbury solve carried its loss, kept line for line: with the
+loss stripped from the certificates, the two sweeps must agree bit for bit.
+The sweep's metrics come from ``step_metrics`` and ``state_g_dist_sq``, the
+library's functions as they were before they squared and subtracted in
+place, kept line for line too, so that a change to the library's metrics
+cannot pass the comparison on both sides at once.
+
+``write_libsvm`` writes a LIBSVM text file for ``bench.load_libsvm`` to
+read; only tests write such files.
 
 ``trace_to_csv`` is ``Trace.to_csv`` as it was before it formatted whole
 rows: a ``csv.writer`` fed one formatted field at a time.
@@ -41,14 +48,14 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from augdecomp.ada import step_metrics
+from augdecomp.ada import StepMetrics
 from augdecomp.block_solvers import (_FLOOR_TRIGGER, _UNIT_ROUNDOFF,
                                      BlockSolveCertificate, BlockSolveError,
                                      QuadBlockSolver, soft_threshold)
 from augdecomp.coupling import Coupling
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              Problem, SmoothPart, SolverParams, _stack,
-                             state_g_dist_sq, vnorm)
+                             objective, vnorm)
 
 
 class GeneralQuadBlockSolver:
@@ -312,6 +319,19 @@ def conjugate_gradients(self, fun_grad, z, done):
     return None, gnorm, self.cg_budget
 
 
+def write_libsvm(path, X, labels):
+    """Write ``(X, labels)`` in LIBSVM text format, 17 significant digits."""
+    X = sp.csr_matrix(X)
+    X.eliminate_zeros()
+    with open(path, "w") as fh:
+        for i in range(X.shape[0]):
+            row = X.getrow(i)
+            entries = " ".join(f"{j + 1}:{v:.17g}"
+                               for j, v in zip(row.indices, row.data))
+            label = f"{labels[i]:.17g}"
+            fh.write(f"{label} {entries}\n" if entries else f"{label}\n")
+
+
 def trace_to_csv(trace, path, include_certs: bool = False):
     """``Trace.to_csv`` by ``csv.writer``; ``trace`` is the trace."""
     fmt = lambda v: f"{v:.17g}"
@@ -342,6 +362,53 @@ def _block_targets(state: IterateState, problem: Problem, rho: float) -> list:
             t = t + problem.q
         ts.append(t)
     return ts
+
+
+def step_metrics(nu: int, problem: Problem, x_prev: Sequence, x_new: Sequence,
+                 resid: np.ndarray, values=None, **extra) -> StepMetrics:
+    """``StepMetrics`` of the step ``x_prev -> x_new``, for every engine.
+
+    ``resid = sum_k E_k x_k - q`` at ``x_new``; ``values`` optionally gives
+    ``f_k(x_k)`` where a block solver evaluated it (see ``objective``);
+    ``extra`` holds the other fields (``delta_g_norm_sq`` and
+    ``per_block_cert`` at least).
+    """
+    resid_norm = vnorm(resid)
+    x_prev_stacked = np.concatenate(x_prev)
+    dx = vnorm(np.concatenate(x_new) - x_prev_stacked)
+    return StepMetrics(
+        iter=nu,
+        objective=objective(x_new, problem, values),
+        constraint_residual_norm=resid_norm,
+        x_rel_change=dx / max(1.0, vnorm(x_prev_stacked)),
+        feas_rel=resid_norm / max(1.0, vnorm(problem.q)),
+        **extra,
+    )
+
+
+def state_g_dist_sq(a: IterateState, b: IterateState, rho: float, c: float) -> float:
+    """Squared G-distance between two states, with ``d = a - b`` partwise:
+
+        rho ||dw||^2 + ||dx||^2 / c + (||deta||^2 + K ||dzeta_bar||^2) / rho
+
+    ``zeta`` holds K copies of ``zeta_bar``, so its part counts K times.
+    This is the metric in which the decomposition iteration is a proximal
+    step; all monotonicity and rate statements are phrased in it.
+    """
+    if not (rho > 0 and c > 0):
+        raise ValueError("rho and c must be positive")
+    K = a.num_blocks
+    dw = a.w - b.w
+    deta = a.eta - b.eta
+    dz = a.zeta_bar - b.zeta_bar
+    dxs = [xa - xb for xa, xb in zip(a.x, b.x)]
+    dx_sq = sum(float(dx.dot(dx)) for dx in dxs)
+    # (M * M).sum() sums pairwise, which dot does not: keep it for the 2-D parts
+    return (
+        rho * float((dw * dw).sum())
+        + dx_sq / c
+        + (float((deta * deta).sum()) + K * float(dz.dot(dz))) / rho
+    )
 
 
 def ada_step(state: IterateState, problem: Problem, params: SolverParams,

@@ -24,7 +24,8 @@ from augdecomp.inexact import InexactSchedule, criterion_a_threshold
 from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart, saddle_state
 
 from conftest import iterative_solvers, lasso_polish
-from oracles import GeneralQuadBlockSolver, identity_quad_solver, project_onto_Wperp
+from oracles import (GeneralQuadBlockSolver, identity_quad_solver, project_onto_Wperp,
+                     write_libsvm)
 
 
 def report(num, ok, detail):
@@ -356,7 +357,7 @@ def test_criterion_11_unit_and_property_suites(tmp_path):
     X = sp.random(6, 5, density=0.5, random_state=0, format="csr")
     labels = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
     path = tmp_path / "rt.txt"
-    ag.write_libsvm(path, X, labels)
+    write_libsvm(path, X, labels)
     X2, labels2, _, d = ag.load_libsvm(path)
     assert np.array_equal(X.toarray()[:, :d], X2.toarray())
     # determinism

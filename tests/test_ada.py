@@ -258,6 +258,39 @@ class TestSweepMatchesOracle:
         self._compare(problem, ag.SolverParams(rho=10.0, c=10.0), sched, 20)
 
 
+class TestEngineStatesZeroSum:
+    """The engine builds its states without ``IterateState``'s check; every
+    state that ADA and iADA under criteria A and B build on lasso, exchange
+    and logistic consensus passes that check, rebuilt through
+    ``dataclasses.replace``, at every step."""
+
+    @staticmethod
+    def _problem(family):
+        if family == "lasso":
+            return ag.gen_lasso(60, 150, seed=51)[0]
+        if family == "exchange":
+            return ag.gen_exchange(5, 40, 30, seed=52)[0]
+        A, labels = gen_logreg_data(400, 10, seed=53)
+        return ag.build_logreg_consensus(ag.partition_rows(A, labels, 3), lam=0.1)
+
+    @pytest.mark.parametrize("criterion", [None, "criterion_A", "criterion_B"])
+    @pytest.mark.parametrize("family", ["lasso", "exchange", "logreg"])
+    def test_every_state_passes_the_check(self, family, criterion):
+        problem = self._problem(family)
+        params = ag.SolverParams(rho=10.0, c=10.0, max_iters=40)
+        schedule = None if criterion is None else \
+            InexactSchedule.for_problem(problem, criterion)
+        states = []
+        _, trace = run(problem, params, ag.build_block_solvers(problem, params),
+                       stop_mode="max_iters", schedule=schedule, observe=states.append)
+        assert len(states) == len(trace) == 40
+        for state in states:
+            assert all(type(x) is np.ndarray and x.dtype == float for x in state.x)
+            checked = replace(state)  # runs __post_init__, which raises on a bad w
+            for a, b in zip((checked.w, *checked.x), (state.w, *state.x)):
+                assert a.tobytes() == b.tobytes()
+
+
 class TestCheckStop:
     def test_x_unchanged(self):
         m = StepMetrics(1, 0.0, 0.0, 0.0, x_rel_change=0.0, feas_rel=1.0,

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +16,10 @@ from augdecomp.bench import (ExperimentConfig, RandomStream, _build_parser,
                              build_logreg_consensus, consensus_objective,
                              consensus_ratio, gen_exchange, gen_lasso,
                              gen_logreg_data, load_libsvm, main,
-                             partition_rows, run_experiment, write_libsvm)
+                             partition_rows, run_experiment)
 
 from conftest import iterative_solvers
+from oracles import write_libsvm
 
 
 class TestRandomStream:
@@ -359,6 +364,21 @@ class TestConfigAndRunner:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "nope"}))
         assert main(["solve", "--config", str(cfg)]) == 1
+
+    def test_module_entry_point_runs_without_warnings(self, tmp_path):
+        # ``python -m augdecomp`` runs bench.main; a RuntimeWarning, such as
+        # runpy's for a module imported by its package before it runs as
+        # __main__, is an error here and would exit 1
+        src = str(Path(ag.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "augdecomp", "solve",
+             "--experiment", "lasso", "--solver", "ada", "--max-iters", "20",
+             "--stop-mode", "max_iters", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 2, done.stderr
+        assert (tmp_path / "trace.csv").exists()
 
 
 def test_summary_reports_stop_reason(tmp_path):

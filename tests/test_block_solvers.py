@@ -21,6 +21,7 @@ from augdecomp.coupling import e_gram_scale
 from augdecomp.inexact import InexactSchedule
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              SmoothPart, make_initial_state)
+import oracles
 from conftest import iterative_solvers
 from oracles import (GeneralQuadBlockSolver, _block_targets, conjugate_gradients,
                      identity_quad_solver, l1_prox_block, lbfgs_minimize,
@@ -337,6 +338,74 @@ class TestL1Prox:
         z = np.zeros(2)
         with pytest.raises(ValueError):
             l1_prox_block((z, z, z), 1.0, 1.0, 0.1, sign=2)
+
+
+class TestClosedFormSolveParity:
+    """``QuadBlockSolver.solve`` and ``L1ProxBlockSolver.solve`` against
+    ``oracles.quad_block_solve`` and ``oracles.l1_block_solve``, the solves
+    before they assembled their right-hand sides in place: the same
+    certificate bit for bit, on every coupling kind, with and without a
+    proximal weight.  The loss that a Woodbury solve carries is stripped,
+    as in ``TestSweepMatchesOracle``."""
+
+    N = 12
+
+    @classmethod
+    def _couplings(cls, kind, rng, scalar_gram):
+        """A coupling of ``kind`` on ``R^N``; with ``scalar_gram`` one with
+        ``E^T E = alpha I``, as the l1 solver requires."""
+        n = cls.N
+        if kind == "identity":
+            return ag.Coupling.identity(n)
+        if kind == "negated identity":
+            return ag.Coupling.identity(n, sign=-1)
+        if kind == "copies":
+            return ag.Coupling.copies(n, 3, rows=(0, 2), sign=-1)
+        if scalar_gram:
+            # a scaled signed permutation: E^T E = 4 I exactly
+            M = np.zeros((n, n))
+            M[rng.permutation(n), np.arange(n)] = 2.0 * rng.choice((-1.0, 1.0), n)
+        else:
+            M = rng.standard_normal((9, n))
+            M[np.abs(M) < 0.5] = 0.0
+        return ag.Coupling(matrix=sp.csr_matrix(M) if kind == "sparse matrix" else M)
+
+    @staticmethod
+    def _assert_same(new, old):
+        assert new.x.tobytes() == old.x.tobytes()
+        assert replace(new, x=None, value=None) == replace(old, x=None)
+
+    @pytest.mark.parametrize("prox", [0.0, 0.7])
+    @pytest.mark.parametrize("rows", [8, 20])
+    @pytest.mark.parametrize("kind", ["identity", "negated identity", "copies",
+                                      "dense matrix", "sparse matrix"])
+    def test_quad(self, kind, rows, prox):
+        rng = np.random.default_rng(41)
+        E = self._couplings(kind, rng, scalar_gram=False)
+        block = BlockSpec(n=self.N, E=E, objective=FunctionDescriptor(
+            smooth=SmoothPart("least_squares", rng.standard_normal((rows, self.N)),
+                              rng.standard_normal(rows))))
+        solver = QuadBlockSolver(block, 1.3, prox)
+        for _ in range(3):
+            t, z = rng.standard_normal(E.shape[0]), rng.standard_normal(self.N)
+            self._assert_same(solver.solve(t, z), oracles.quad_block_solve(solver, t, z))
+
+    @pytest.mark.parametrize("prox", [0.0, 0.7])
+    @pytest.mark.parametrize("kind", ["identity", "negated identity", "copies",
+                                      "dense matrix", "sparse matrix"])
+    def test_l1(self, kind, prox):
+        rng = np.random.default_rng(42)
+        E = self._couplings(kind, rng, scalar_gram=True)
+        block = BlockSpec(n=self.N, E=E, objective=FunctionDescriptor(l1_scale=0.8))
+        solver = L1ProxBlockSolver(block, 1.3, prox)
+        nonzero = 0
+        for _ in range(3):
+            t, z = rng.standard_normal(E.shape[0]), rng.standard_normal(self.N)
+            cert = solver.solve(t, z)
+            nonzero += np.count_nonzero(cert.x)
+            self._assert_same(cert, oracles.l1_block_solve(solver, t, z))
+        # some entries shrink to zero and some do not
+        assert 0 < nonzero < 3 * self.N
 
 
 class TestLbfgs:
