@@ -2,35 +2,28 @@
 
 The inexact engine accepts a block solution only with a certified bound on
 dist(0, d phi) below the step's threshold.  This script runs the two
-acceptance schedules on a small exchange instance, shows the certificates
+acceptance schedules on a small logistic consensus, shows the certificates
 against their thresholds, and measures the empirical tail contraction that
-the step-proportional criterion buys.  The exchange blocks are least
-squares, which the default build solves by their factor with certificate 0;
-this script asks for conjugate gradients instead (``iterative_smooth=True``),
-so the certificates are those of genuinely inexact solves.
+the step-proportional criterion buys.  The logistic blocks are solved by
+damped Newton steps, which stop once the rule holds, so their certificates
+are those of genuinely inexact solves; the l1 block's soft threshold
+certifies 0.
 """
 
 from dataclasses import replace
 
-import numpy as np
-
 import augdecomp as ag
+from augdecomp.bench import build_logreg_consensus, gen_logreg_data, partition_rows
 from augdecomp.inexact import InexactSchedule, criterion_a_threshold
 
-problem, _ = ag.gen_exchange(K=3, n=20, p=10, seed=3)
+A, labels = gen_logreg_data(n=120, d=6, seed=3)
+problem = build_logreg_consensus(partition_rows(A, labels, N=3), lam=0.1)
 params = ag.SolverParams(rho=2.0, c=2.0, max_iters=200, stop_eps=1e-14)
-
-
-def cg_solvers():
-    """Conjugate gradients on the least-squares blocks: penalty rho/2, prox 1/c."""
-    return ag.build_penalized_solvers(problem, params.rho / 2, 1 / params.c,
-                                      iterative_smooth=True)
-
 
 # summable absolute schedule
 sched_a = InexactSchedule.for_problem(problem, "criterion_A", eps0=1.0, gamma=1.5)
 print(f"stacked coupling norm ||E|| = {sched_a.e_norm:.6f}")
-solvers = cg_solvers()
+solvers = ag.build_block_solvers(problem, params, sched_a)
 final, trace = ag.run(problem, params, solvers, stop_mode="max_iters",
                       schedule=sched_a)
 print("criterion A certificates vs thresholds (every 40th iteration):")
@@ -40,17 +33,17 @@ for t in range(1, len(trace) + 1, 40):
     worst = max(trace.metrics[t - 1].per_block_cert)
     print(f"  step {t:4d}: threshold {thr:.3e}, worst certificate {worst:.3e}")
 
-# step-proportional schedule: empirical linear tail toward the run's limit,
-# which is computed first so that an observer can follow the run toward it
+# step-proportional schedule: empirical linear tail toward the limit, which
+# exact ADA computes first so that an observer can follow the run toward it
+# (a criterion-B run that tight would ask for certificates below rounding)
 sched_b = InexactSchedule.for_problem(problem, "criterion_B", eps0=1.0, gamma=2.0)
 long_params = replace(params, max_iters=4000, stop_eps=1e-13)
-solvers_b2 = cg_solvers()
-limit, _ = ag.run(problem, long_params, solvers_b2, stop_mode="x_change",
-                  schedule=sched_b)
+limit, _ = ag.run(problem, long_params, ag.build_block_solvers(problem, long_params),
+                  stop_mode="x_change")
 initial = ag.make_initial_state(problem)
 observer = ag.RateObserver(problem, params.rho, params.c, limit, initial,
                            exact_engine=False)
-solvers_b = cg_solvers()
+solvers_b = ag.build_block_solvers(problem, params, sched_b)
 _, trace_b = ag.run(problem, params, solvers_b, initial=initial,
                     stop_mode="max_iters", schedule=sched_b, observe=observer)
 theta = observer.report(trace_b).tail_ratio_theta

@@ -407,14 +407,16 @@ def run_experiment(config: ExperimentConfig) -> int:
     stop_mode = config.stop_mode
     reference = None
     # iada is ada under an inexact schedule; ada runs without one
-    schedule = None
+    schedule = ref_sched = None
     if config.solver == "iada":
         schedule = InexactSchedule.for_problem(problem, kind=config.criterion,
                                                eps0=config.eps0, gamma=config.gamma)
+        # a reference runs to 1e-12 x-change, where criterion B's thresholds,
+        # scaled by the step, ask for certificates below rounding
+        ref_sched = replace(schedule, kind="criterion_A")
     if stop_mode == "consensus":
-        ref_sched = schedule if schedule is not None \
-            else InexactSchedule.for_problem(problem)
-        reference = reference_state(problem, params, ref_sched,
+        reference = reference_state(problem, params,
+                                    ref_sched or InexactSchedule.for_problem(problem),
                                     max_iters=max(config.max_iters, 5000))
         f_star = consensus_objective(problem, reference.x[-1])
         stop_mode = _consensus_stop(problem, f_star)
@@ -422,7 +424,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     include_certs = config.solver == "iada"  # the ada CSV has no cert columns
     if config.solver in ("ada", "iada"):
         if config.full_diagnostics and reference is None:
-            reference = reference_state(problem, params, schedule)
+            reference = reference_state(problem, params, ref_sched)
         # the rate checks ride along with the run, which keeps no states
         initial = make_initial_state(problem)
         observer = diagnostics.RateObserver(problem, params.rho, params.c, reference,

@@ -7,36 +7,23 @@ independent subproblems of the shape
 
 for a penalty ``p``, a target ``t``, and a proximal center ``z`` (``s = 0``
 drops the proximal term).  This module provides closed-form solvers for
-least-squares and l1 blocks and two certified iterative solvers: conjugate
-gradients for least-squares blocks, built on request only, and damped
-Newton steps with a kept Hessian factor for logistic ones.  Iterative
-solvers report a certified upper bound on ``dist(0, d phi(x))`` at the
-returned point, computed from the gradient evaluated at that point; closed
-forms certify zero.  When a least-squares block's threshold is at about
-what finite precision can certify, the exact factorized solve is returned
-instead and the certificate says so (``exact_fallback``).  The engines
-solve the K subproblems of a sweep one after another, each by its own
-solver.
+least-squares and l1 blocks and a certified iterative one, damped Newton
+steps with a kept Hessian factor, for logistic blocks: the three kinds the
+dispatcher picks.  The Newton solver reports a certified upper bound on
+``dist(0, d phi(x))`` at the returned point, computed from the gradient
+evaluated at that point; closed forms certify zero.  The engines solve the
+K subproblems of a sweep one after another, each by its own solver.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .coupling import spectral_norm
 from .model import BlockSpec, _unchecked, vnorm
-
-# Conjugate-gradient floor stop (``CgBlockSolver``): the floor is tested
-# once ||r|| <= _FLOOR_TRIGGER * lam_min * ||x - z||, and the attainable
-# gradient accuracy is estimated as _UNIT_ROUNDOFF * (||H|| ||x|| + ||b||).
-_FLOOR_TRIGGER = 0.1
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 # Damped Newton (``NewtonBlockSolver``): step budget, Armijo
 # constant, step halvings before the line search gives up, and the relative
@@ -63,11 +50,12 @@ class BlockSolveCertificate:
 
     ``subgrad_bound`` is an upper bound on ``dist(0, d phi(x))`` for the
     subproblem objective phi at ``x``; exact (closed-form) solves report 0.
-    ``exact_fallback`` marks an iterative solver that gave up on its
-    threshold and returned the exact factorized solve instead.
-    ``factorizations`` counts the Hessian factorizations the solve made
-    (damped Newton only; the closed forms and the exact fallback reuse the
-    factor made when the solver was built).  ``value`` is
+    ``exact_fallback`` marks an iterative solve that gave up on its
+    threshold and returned an exact solve instead; no solver of this
+    package does, but the engines count the flag from any solver (the
+    tests' conjugate gradients set it).  ``factorizations`` counts the
+    Hessian factorizations the solve made (damped Newton only; the closed
+    forms reuse the factor made when the solver was built).  ``value`` is
     the block objective ``f_k(x)`` when the solver has it, otherwise None;
     the engine then sums it into the trace's objective.  An iterative solve
     carries the loss it evaluated at ``x``, the same bits as
@@ -325,7 +313,8 @@ def _line_search(fun_grad, x, f, g, gnorm, direction, f_noise):
 
 
 class _SmoothBlockSolver:
-    """What the certified iterative solvers of smooth blocks share.
+    """What a certified iterative solver of smooth blocks needs: the base
+    of ``NewtonBlockSolver``, and of the tests' conjugate gradients.
 
     Each minimizes ``f(x) + (p/2)*||E x - t||^2 + (s/2)*||x - z||^2`` from
     the warm start ``z`` until the caller's ``accept(x, bound)`` rule holds
@@ -354,11 +343,6 @@ class _SmoothBlockSolver:
         self.exact_tol = float(exact_tol)
         self._coupling = _coupling_hessian(block.E, self.penalty, self.prox_weight)
         self._memo = None  # (bytes of x, the loss's _smooth tuple at x)
-
-    @property
-    def _shift(self) -> float | None:
-        """``c`` when ``C = c I`` (a coupling with a scalar Gram), else None."""
-        return self._coupling if isinstance(self._coupling, float) else None
 
     def _fun_grad(self, t, z):
         """``x -> (phi(x), grad phi(x))``, with the loss curvature ``h`` at
@@ -426,129 +410,6 @@ class _SmoothBlockSolver:
     def _rule(self, accept):
         """``accept``, or the ``exact_tol`` test without one."""
         return (lambda xx, gn: gn <= self.exact_tol) if accept is None else accept
-
-
-class CgBlockSolver(_SmoothBlockSolver):
-    """Certified conjugate-gradient solver for least-squares blocks; the
-    dispatcher builds it only under ``iterative_smooth=True``.
-
-    Conjugate gradients iterate on the correction ``e = x - z`` and track the
-    gradient by a recursive residual.  When that residual passes, the
-    gradient is recomputed at the point and its norm must pass too; the
-    first time it does not, the residual is replaced by it and the iteration
-    continues.  Each solve runs its own loop, one product ``H d`` per step,
-    with ``H`` formed on the first solve.
-
-    A rule may carry a float attribute ``limit``, a promise that it refuses
-    every ``bound > limit`` whatever ``x`` is (``InexactSchedule.accept_rules``
-    sets it to the criterion-A threshold); the point ``x = z + e`` is then
-    formed, and the rule asked, only once ``||r||`` is at most ``limit``.  A
-    rule without ``limit`` is asked at every step.  Three events return the
-    exact factorized minimizer with certificate 0 and
-    ``exact_fallback=True``:
-
-    * the floor stop: once the residual is small enough to fix ``||e||`` to
-      within 10% (``||r|| <= 0.1 lam_min ||e||``), the rule is asked once
-      whether it would accept the estimated rounding floor of the gradient,
-      ``u (||H|| ||x|| + ||b||)`` with the unit roundoff ``u`` for the
-      system ``H x = b``, and it refuses;
-    * a second refusal of the recomputed gradient;
-    * ``cg_budget`` (300) steps without a pass.
-
-    The floor is Greenbaum's estimate of the attainable accuracy, not a
-    proof: a refused floor means the threshold is at or below what the
-    recomputed gradient can be expected to show, and the exact solve is
-    cheaper than finding out.
-    """
-
-    kind = "cg"
-    cg_budget = 300  # conjugate-gradient steps before the exact fallback
-
-    def __init__(self, block: BlockSpec, penalty: float, prox_weight: float,
-                 exact_tol: float = 1e-12):
-        super().__init__(block, penalty, prox_weight, exact_tol, "least_squares")
-        self._fallback = QuadBlockSolver(block, penalty, prox_weight)
-
-    @cached_property
-    def _hess(self) -> np.ndarray:
-        """``H``, formed on the first solve, not at construction."""
-        return _formed_hessian(self.block.objective.smooth.A, self._coupling)
-
-    @cached_property
-    def _hess_norm(self) -> float:
-        """``||H||_2``.  The floor needs it to a few percent only; power
-        iteration to 1e-4 gives that in about a millisecond, where a dense
-        SVD grows the resident set by about 1 MB."""
-        return spectral_norm(self._hess, rel_tol=1e-4)
-
-    def _conjugate_gradients(self, fun_grad, z, done):
-        """Warm-started CG on ``e = x - z``; ``(x, grad_norm, steps)``, with
-        ``x = None`` when the solve must fall back to the exact one."""
-        z = np.asarray(z, dtype=float)
-        _, g0 = fun_grad(z)
-        gnorm = vnorm(g0)
-        if done(z, gnorm):
-            return z.copy(), gnorm, 0
-        H = self._hess
-        # H >= lam_min I; the floor stop needs it positive
-        lam_min = self.prox_weight if self._shift is None else self._shift
-        floor_armed = lam_min > 0.0
-        trigger_sq = (_FLOOR_TRIGGER * lam_min) ** 2
-        # no bound above the limit passes, so the rule need not see it
-        limit = getattr(done, "limit", math.inf)
-        replaced = False
-        e = np.zeros_like(z)
-        r = g0.copy()
-        d = -r
-        rr = float(r.dot(r))
-        for it in range(1, self.cg_budget + 1):
-            hd = H @ d
-            dhd = float(d.dot(hd))
-            if not dhd > 0.0:  # d vanished or the products are no longer finite
-                return None, gnorm, it
-            step = rr / dhd
-            e += step * d
-            r += step * hd
-            rr_new = float(r.dot(r))
-            if floor_armed and rr_new <= trigger_sq * float(e.dot(e)):
-                # ||x - x*|| <= ||r|| / lam_min <= 0.1 ||e||: the step is known,
-                # so ask once whether the rule accepts the rounding floor of the
-                # gradient at x, u (||H|| ||x|| + ||b||) with b = H z - g0
-                floor_armed = False
-                x = z + e
-                floor = _UNIT_ROUNDOFF * (self._hess_norm * vnorm(x) + vnorm(H @ z - g0))
-                if not done(x, floor):
-                    return None, gnorm, it
-            r_norm = math.sqrt(rr_new)
-            if r_norm <= limit:
-                x = z + e
-                if done(x, r_norm):
-                    _, g = fun_grad(x)
-                    gnorm = vnorm(g)
-                    if done(x, gnorm):
-                        return x, gnorm, it
-                    if replaced:
-                        return None, gnorm, it
-                    # the recursive residual drifted from the gradient: replace it
-                    replaced = True
-                    r = g
-                    rr_new = float(g.dot(g))
-            d *= rr_new / rr
-            d -= r
-            rr = rr_new
-        return None, gnorm, self.cg_budget
-
-    def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
-        x, gnorm, iters = self._conjugate_gradients(self._fun_grad(t, z), z,
-                                                    self._rule(accept))
-        if x is None:
-            # the fallback's Woodbury loss equals f(x) only up to
-            # rounding, so it is not carried (see BlockSolveCertificate)
-            cert = self._fallback.solve(t, z)
-            return BlockSolveCertificate(x=cert.x, subgrad_bound=0.0,
-                                         inner_iters=iters, exact_fallback=True)
-        return BlockSolveCertificate(x=x, subgrad_bound=gnorm, inner_iters=iters,
-                                     value=self._loss_at(x))
 
 
 class NewtonBlockSolver(_SmoothBlockSolver):
@@ -646,17 +507,14 @@ class NewtonBlockSolver(_SmoothBlockSolver):
                                      value=self._loss_at(x), factorizations=factored)
 
 
-def build_penalized_solvers(problem, penalty: float, prox_weights,
-                            iterative_smooth: bool = False):
+def build_penalized_solvers(problem, penalty: float, prox_weights):
     """Construct one solver per block for a given penalty/proximal pairing.
 
     ``prox_weights`` is a scalar or one weight per block.  An l1 block gets
     ``L1ProxBlockSolver``, a logistic one ``NewtonBlockSolver`` and a
-    least-squares one ``QuadBlockSolver``.  ``iterative_smooth`` asks for
-    ``CgBlockSolver`` on the least-squares blocks instead, whose solves
-    carry nonzero certificates.  No other code picks an algorithm by a
-    loss's kind.  Each solver's ``kind`` names its class:
-    ``"l1"``, ``"newton"``, ``"quad"`` or ``"cg"``.
+    least-squares one ``QuadBlockSolver``.  No other code picks an
+    algorithm by a loss's kind.  Each solver's ``kind`` names its class:
+    ``"l1"``, ``"newton"`` or ``"quad"``.
     """
     K = problem.num_blocks
     weights = np.broadcast_to(np.asarray(prox_weights, dtype=float), (K,))
@@ -667,8 +525,6 @@ def build_penalized_solvers(problem, penalty: float, prox_weights,
             solvers.append(L1ProxBlockSolver(blk, penalty, s))
         elif fd.smooth.kind == "logistic":
             solvers.append(NewtonBlockSolver(blk, penalty, s))
-        elif iterative_smooth:
-            solvers.append(CgBlockSolver(blk, penalty, s))
         else:
             solvers.append(QuadBlockSolver(blk, penalty, s))
     return solvers
@@ -682,11 +538,10 @@ def build_block_solvers(problem, params, schedule=None):
     every acceptance rule, and logistic blocks damped Newton steps (at most
     500), to ``1e-12`` in the gradient norm when no schedule sets a
     threshold.  A least-squares block holds its factorization from the
-    build, and one solve with it costs about one conjugate-gradient step, so
-    an iterative solve is never the cheaper choice; on problems without
-    logistic blocks an inexact run therefore has the iterates of the exact
-    one.  ``build_penalized_solvers(..., iterative_smooth=True)`` builds
-    conjugate-gradient solvers for those blocks on request.
+    build, and one solve with it costs about one step of an iterative
+    solve, so an iterative solve is never the cheaper choice; on problems
+    without logistic blocks an inexact run therefore has the iterates of
+    the exact one.
     """
     return build_penalized_solvers(
         problem, penalty=params.rho / 2.0, prox_weights=1.0 / params.c)

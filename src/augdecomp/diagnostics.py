@@ -136,7 +136,8 @@ class RateObserver:
         f(x~_N) + <eta_ref, E x~_N - q> - f(x_ref) <= ||ref - u0||_G^2 / N,
 
     and ``ergodic_max_violation`` is ``max_N (lhs - rhs)`` so far.
-    ``report(trace)`` gathers every check of the run.  Without a reference,
+    ``report(trace)`` gathers every check of the run.  A reference needs
+    ``initial_state`` (``ValueError`` otherwise).  Without a reference,
     calls do nothing and the report holds only the fields read from the
     trace's metrics.
     """
@@ -150,6 +151,8 @@ class RateObserver:
         self.dists = []  # G-distance to the reference, initial state first
         self.ergodic_max_violation = -math.inf
         if reference is not None:
+            if initial_state is None:
+                raise ValueError("a reference needs an initial state")
             self._d0_sq = state_g_dist_sq(initial_state, reference, rho, c)
             self.dists.append(math.sqrt(self._d0_sq))
             self._eta_ref = reference.eta[0]

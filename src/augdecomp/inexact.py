@@ -80,10 +80,8 @@ class InexactSchedule:
 
         Each rule's ``limit`` attribute is the criterion-A threshold: no
         bound above it passes either criterion, so a block solver may skip
-        the call, as ``CgBlockSolver`` does.  The dispatcher builds that
-        solver only on request (``build_penalized_solvers(...,
-        iterative_smooth=True)``); the default build solves least-squares
-        blocks by their factor, whose certificate 0 passes every rule.
+        the call for such a bound.  The closed-form solvers certify 0, which
+        passes every rule.
         """
         base = criterion_a_threshold(nu, self, params.rho, params.c, num_blocks)
         if self.kind == "criterion_A":

@@ -11,6 +11,7 @@ import pytest
 
 import augdecomp as ag
 from augdecomp.model import IterateState, saddle_state
+from cg_solver import cg_solvers
 
 
 def lasso_polish(problem, params, run_iters=3000, kkt_tol=1e-10):
@@ -50,8 +51,7 @@ def iterative_solvers(problem, params):
     """``build_block_solvers``' solvers, with conjugate gradients on the
     least-squares blocks: the default build solves those by their factor
     under any schedule, so tests of nonzero certificates build these."""
-    return ag.build_penalized_solvers(problem, params.rho / 2, 1 / params.c,
-                                      iterative_smooth=True)
+    return cg_solvers(problem, params.rho / 2, 1 / params.c)
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,8 @@ took them over.  It forms ``A^T A + p E^T E + s I`` from dense copies of
 quadratic solves.
 
 ``conjugate_gradients`` is the conjugate-gradient loop of
-``CgBlockSolver`` before it skipped the rule above its ``limit``, kept line
-for line: ``CgBlockSolver`` must return the same bits.
+``cg_solver.CgBlockSolver`` before it skipped the rule above its ``limit``,
+kept line for line: ``CgBlockSolver`` must return the same bits.
 
 ``ada_step`` (with its ``_block_targets``), ``quad_block_solve`` and
 ``l1_block_solve`` are the engine's sweep, ``QuadBlockSolver.solve`` and
@@ -49,13 +49,13 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from augdecomp.ada import StepMetrics
-from augdecomp.block_solvers import (_FLOOR_TRIGGER, _UNIT_ROUNDOFF,
-                                     BlockSolveCertificate, BlockSolveError,
+from augdecomp.block_solvers import (BlockSolveCertificate, BlockSolveError,
                                      QuadBlockSolver, soft_threshold)
 from augdecomp.coupling import Coupling
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              Problem, SmoothPart, SolverParams, _stack,
                              objective, vnorm)
+from cg_solver import _FLOOR_TRIGGER, _UNIT_ROUNDOFF
 
 
 class GeneralQuadBlockSolver:

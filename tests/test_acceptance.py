@@ -18,11 +18,12 @@ import augdecomp as ag
 from augdecomp.baselines import Admm2Lasso, BaselineParams, prox_jadmm_run, vsadmm_run
 from augdecomp.bench import (build_logreg_consensus, consensus_objective,
                              consensus_ratio, gen_logreg_data, partition_rows)
-from augdecomp.block_solvers import CgBlockSolver, soft_threshold
+from augdecomp.block_solvers import soft_threshold
 from augdecomp.diagnostics import _fejer_check, nu_a_nu_medians
 from augdecomp.inexact import InexactSchedule, criterion_a_threshold
 from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart, saddle_state
 
+from cg_solver import CgBlockSolver
 from conftest import iterative_solvers, lasso_polish
 from oracles import (GeneralQuadBlockSolver, identity_quad_solver, project_onto_Wperp,
                      write_libsvm)

@@ -413,6 +413,26 @@ def test_summary_counts_exact_fallbacks(tmp_path, monkeypatch):
     assert counts["iada"] > 0
 
 
+@pytest.mark.parametrize("stop_mode, max_iters, full_diagnostics",
+                         [("consensus", 3000, False), ("max_iters", 20, True)])
+def test_criterion_b_run_takes_a_criterion_a_reference(tmp_path, stop_mode, max_iters,
+                                                       full_diagnostics):
+    # the reference runs to 1e-12 x-change; under criterion B its logistic
+    # blocks were asked for certificates below rounding, and the run exited 1
+    config = ExperimentConfig(experiment="logreg", solver="iada", criterion="criterion_B",
+                              n=120, d=6, partitions=3, rho=2.0, c=2.0,
+                              max_iters=max_iters, stop_mode=stop_mode,
+                              full_diagnostics=full_diagnostics, out=str(tmp_path))
+    status = run_experiment(config)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    if stop_mode == "consensus":
+        assert (status, summary["stop_reason"]) == (0, "custom")
+    else:
+        assert (status, summary["stop_reason"]) == (2, "max_iters")
+        report = json.loads((tmp_path / "rate_report.json").read_text())
+        assert report["ergodic_max_violation"] is not None
+
+
 def test_solver_error_keeps_the_artifacts_of_the_steps_before_it(tmp_path, capsys):
     # gamma = 30 drives the criterion-A threshold below the rounding floor of
     # the gradient at step 3, where a logistic block's Newton solve stalls

@@ -11,7 +11,7 @@ import augdecomp as ag
 from augdecomp import block_solvers
 from augdecomp.bench import gen_logreg_data
 from augdecomp.block_solvers import (BlockSolveCertificate, BlockSolveError,
-                                     CgBlockSolver, L1ProxBlockSolver,
+                                     L1ProxBlockSolver,
                                      NewtonBlockSolver, QuadBlockSolver,
                                      _cholesky_solver, _coupling_hessian,
                                      _factored_solver, _formed_hessian,
@@ -22,6 +22,7 @@ from augdecomp.inexact import InexactSchedule
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              SmoothPart, make_initial_state)
 import oracles
+from cg_solver import CgBlockSolver, cg_solvers
 from conftest import iterative_solvers
 from oracles import (GeneralQuadBlockSolver, _block_targets, conjugate_gradients,
                      identity_quad_solver, l1_prox_block, lbfgs_minimize,
@@ -512,7 +513,7 @@ class TestLogisticNewton:
         rng = np.random.default_rng(20)
         blk = _logistic_block(rng.standard_normal((4, 6)))
         solver = NewtonBlockSolver(blk, penalty=1.5, prox_weight=0.2)
-        assert solver._shift is None  # E^T E is not a multiple of I
+        assert not isinstance(solver._coupling, float)  # E^T E is not a multiple of I
         t, z = rng.standard_normal(4), 3.0 * rng.standard_normal(6)
         cert = solver.solve(t, z, accept=lambda x, bound: bound <= 1e-10)
         fun_grad = solver._fun_grad(t, z)
@@ -916,9 +917,7 @@ class TestPerBlockSweep:
         evaluations."""
         K = problem.num_blocks
         # separate solvers, so neither side sees the other's memo
-        swept, solo = (build_penalized_solvers(problem, penalty, prox_weight,
-                                               iterative_smooth=True)
-                       for _ in range(2))
+        swept, solo = (cg_solvers(problem, penalty, prox_weight) for _ in range(2))
         for k, budget in (budgets or {}).items():
             for side in (swept, solo):
                 side[k].cg_budget = budget
@@ -1042,7 +1041,7 @@ class TestPerBlockSweep:
         l1 = BlockSpec(n=m, E=ag.Coupling.identity(m, sign=-1),
                        objective=FunctionDescriptor(l1_scale=0.3))
         problem = ag.Problem(blocks=(quad(7), quad(5), l1, quad(7), quad(5)), q=np.zeros(m))
-        solvers = build_penalized_solvers(problem, 1.5, 0.5, iterative_smooth=True)
+        solvers = cg_solvers(problem, 1.5, 0.5)
         assert isinstance(solvers[2], L1ProxBlockSolver)
         targets = rng.standard_normal((5, m))
         zs = [rng.standard_normal(blk.n) for blk in problem.blocks]
@@ -1056,8 +1055,7 @@ class TestPerBlockSweep:
         problem, targets, zs = self._exchange_sweep(5)
         order = [3, 0, 4, 1]
         rule = lambda x, b: b <= 1e-9
-        swept, solo = (build_penalized_solvers(problem, 5.0, 0.1, iterative_smooth=True)
-                       for _ in range(2))
+        swept, solo = (cg_solvers(problem, 5.0, 0.1) for _ in range(2))
         certs = [swept[k].solve(targets[k], zs[k], accept=rule) for k in order]
         for k, got in zip(order, certs):
             want = self._solo(solo[k], targets[k], zs[k], rule)
@@ -1068,7 +1066,7 @@ class TestPerBlockSweep:
 
     def test_each_solver_forms_its_own_hessian_on_first_solve(self):
         problem, targets, zs = self._exchange_sweep(3)
-        solvers = build_penalized_solvers(problem, 5.0, 0.1, iterative_smooth=True)
+        solvers = cg_solvers(problem, 5.0, 0.1)
         assert all("_hess" not in vars(sv) for sv in solvers)
         for k, sv in enumerate(solvers):
             sv.solve(targets[k], zs[k], accept=lambda x, b: b <= 1e-9)
@@ -1083,7 +1081,7 @@ class TestPerBlockSweep:
         # fresh solver built alone for each solve return the same bits
         problem, targets, zs = self._exchange_sweep(6)
         rule = lambda x, b: b <= 1e-9
-        kept = build_penalized_solvers(problem, 5.0, 0.1, iterative_smooth=True)[2]
+        kept = cg_solvers(problem, 5.0, 0.1)[2]
         rng = np.random.default_rng(60)
         for t, z in ((targets[2], zs[2]), (rng.standard_normal(100), rng.standard_normal(100))):
             got = kept.solve(t, z, accept=rule)
@@ -1142,10 +1140,9 @@ class TestDispatcher:
                                   smooth("least_squares", 7)), q=np.zeros(m))
 
     @pytest.mark.parametrize("iterative, classes", [
-        (False, [L1ProxBlockSolver, NewtonBlockSolver, QuadBlockSolver, QuadBlockSolver]),
-        (True, [L1ProxBlockSolver, NewtonBlockSolver, CgBlockSolver, CgBlockSolver])])
+        (False, [L1ProxBlockSolver, NewtonBlockSolver, QuadBlockSolver, QuadBlockSolver])])
     def test_one_class_per_loss_kind(self, iterative, classes):
-        solvers = build_penalized_solvers(self._problem(), 1.5, 0.5, iterative_smooth=iterative)
+        solvers = build_penalized_solvers(self._problem(), 1.5, 0.5)
         assert [type(sv) for sv in solvers] == classes
 
     def test_iterative_classes_refuse_other_kinds(self):
@@ -1161,7 +1158,7 @@ class TestDispatcher:
         # every kind of solver is asked once, in block order, with its own
         # target, warm start and rule
         problem = self._problem()
-        solvers = build_penalized_solvers(problem, 1.5, 0.5, iterative_smooth=True)
+        solvers = cg_solvers(problem, 1.5, 0.5)
         params = ag.SolverParams(rho=1.5, c=1.0)
         rng = np.random.default_rng(13)
         w = rng.standard_normal((4, 6))

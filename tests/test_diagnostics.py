@@ -202,6 +202,11 @@ class TestRateReport:
         with pytest.raises(ValueError, match="fed 0 states for a trace of 5"):
             unfed.report(trace)
 
+    def test_reference_needs_an_initial_state(self, small_exchange, small_exchange_saddle):
+        problem, _ = small_exchange
+        with pytest.raises(ValueError, match="a reference needs an initial state"):
+            RateObserver(problem, 2.0, 2.0, small_exchange_saddle, None)
+
     def test_reference_free_report(self, small_exchange):
         problem, _ = small_exchange
         params = ag.SolverParams(rho=2.0, c=2.0, max_iters=50)

@@ -7,7 +7,6 @@ import scipy.sparse as sp
 import augdecomp as ag
 from augdecomp.ada import _block_targets
 from augdecomp.bench import build_logreg_consensus, gen_logreg_data, partition_rows
-from augdecomp.block_solvers import CgBlockSolver
 from augdecomp.coupling import spectral_norm, stacked_norm
 from augdecomp.inexact import (SCHEDULE_KINDS, InexactSchedule,
                                criterion_a_threshold, criterion_b_threshold,
@@ -15,6 +14,7 @@ from augdecomp.inexact import (SCHEDULE_KINDS, InexactSchedule,
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              Problem, SmoothPart, make_initial_state)
 
+from cg_solver import CgBlockSolver
 from conftest import iterative_solvers
 from oracles import GeneralQuadBlockSolver
 
