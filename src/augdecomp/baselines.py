@@ -195,12 +195,13 @@ def _is_signed_identity(E, sign: int) -> bool:
 
 def _require_lasso_form(problem: Problem) -> float:
     """The l1 weight of a lasso coupled by ``x - z = 0``, the only coupling
-    that ``Admm2Lasso``'s z- and multiplier updates are written for.  The
-    least-squares block is checked by its ``QuadBlockSolver``."""
+    that ``Admm2Lasso``'s z- and multiplier updates are written for; they
+    ignore ``q``, so it must be exactly zero.  The least-squares block is
+    checked by its ``QuadBlockSolver``."""
     if problem.num_blocks != 2:
         raise ValueError("two-block lasso form required")
     b1, b2 = problem.blocks
-    ok = (b2.objective.smooth is None and np.allclose(problem.q, 0.0)
+    ok = (b2.objective.smooth is None and not problem.q.any()
           and _is_signed_identity(b1.E, 1) and _is_signed_identity(b2.E, -1))
     if not ok:
         raise ValueError("expected blocks (least squares, l1) coupled by x - z = 0")

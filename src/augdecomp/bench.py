@@ -320,6 +320,9 @@ class ExperimentConfig:
         # pairings the runner would ignore or fail on after generating the instance
         if self.solver == "admm2" and self.experiment != "lasso":
             raise ValueError("the admm2 solver applies to the lasso experiment only")
+        if self.solver == "proxjadmm" and not self.gamma_damp < 2.0:
+            raise ValueError("the proxjadmm solver applies to gamma_damp < 2 only, "
+                             "which its default proximal weights need")
         if self.full_diagnostics and self.solver not in ("ada", "iada"):
             raise ValueError("full_diagnostics applies to the ada and iada solvers only")
         if self.data_path is not None and self.experiment != "logreg":

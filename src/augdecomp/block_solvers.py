@@ -137,20 +137,6 @@ def _scaled_adjoint(E, penalty: float):
     return lambda t: E.apply_T(t) * penalty
 
 
-def _coupling_hessian(E, penalty: float, prox_weight: float):
-    """``C = p E^T E + s I``: the float ``p alpha + s`` for a coupling with
-    ``E^T E = alpha I``, otherwise a dense n-by-n array.  Only a ``"matrix"``
-    coupling has no scalar Gram; a sparse one is multiplied sparse, and
-    only the n-by-n product is densified."""
-    alpha = E.gram_scale
-    if alpha is not None:
-        return float(penalty * alpha + prox_weight)
-    M = E._matrix if sp.issparse(E._matrix) else E.toarray()
-    C = _dense(penalty * (M.T @ M))
-    C.flat[::C.shape[0] + 1] += prox_weight
-    return C
-
-
 def _row_scaled(A, h):
     """``diag(sqrt h) A`` (``A`` itself without ``h``); a sparse ``A`` stays
     sparse."""
@@ -238,7 +224,7 @@ class QuadBlockSolver:
         self._adjoint = _scaled_adjoint(block.E, self.penalty)
         self.atb = A.T @ fd.smooth.b
         self._loss = fd.smooth
-        C = _coupling_hessian(block.E, penalty, prox_weight)
+        C = block.E.penalized_gram(penalty, prox_weight)
         if isinstance(C, float) and not C > 0:
             raise ValueError("p E^T E + s I must be positive definite")
         # the factorization does not scan its input: check the data once here
@@ -341,7 +327,7 @@ class _SmoothBlockSolver:
         self.penalty = float(penalty)
         self.prox_weight = float(prox_weight)
         self.exact_tol = float(exact_tol)
-        self._coupling = _coupling_hessian(block.E, self.penalty, self.prox_weight)
+        self._coupling = block.E.penalized_gram(self.penalty, self.prox_weight)
         self._memo = None  # (bytes of x, the loss's _smooth tuple at x)
 
     def _fun_grad(self, t, z):

@@ -4,13 +4,14 @@ The couplings of the lasso, exchange and consensus formulations are signed
 identities and stacked copies of the identity; their products, Gram scales
 and norms have closed forms, so they are represented by their structure
 rather than by a matrix.  Any other dense or sparse matrix is kept as given,
-and its Gram scale and spectral norm are computed once, on first use.
+and its Gram scale is computed once, on first use.  Norms are bounded from
+above in closed form by Schur's test (I. Schur, J. reine angew. Math. 140,
+1911), exactly for the structured kinds; see ``stacked_norm``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from functools import cached_property
 
 import numpy as np
@@ -36,39 +37,6 @@ def e_gram_scale(E) -> float | None:
     if max(abs(off).max(), np.abs(d - alpha).max()) > scale:
         return None
     return alpha
-
-
-def spectral_norm(E, rel_tol: float = 1e-10, max_iters: int = 1000) -> float:
-    """Largest singular value by power iteration on ``E^T E``.
-
-    Returns 0.0 for the zero matrix.  If successive estimates have not
-    settled to ``rel_tol`` within ``max_iters`` sweeps, the last bracketing
-    pair is reported in a warning and the newest estimate returned.
-    """
-    n = E.shape[1]
-    v = np.linspace(1.0, 2.0, n)
-    v /= np.linalg.norm(v)
-    sigma_prev = sigma = 0.0
-    restarts = 0
-    for _ in range(max_iters):
-        u = E.T @ (E @ v)
-        norm_u = float(np.linalg.norm(u))
-        if norm_u == 0.0:
-            # v landed in the null space; restart from a basis vector
-            if restarts >= n:
-                return 0.0
-            v = np.zeros(n)
-            v[restarts] = 1.0
-            restarts += 1
-            continue
-        sigma_new = float(np.sqrt(v @ u))
-        v = u / norm_u
-        if abs(sigma_new - sigma) <= rel_tol * max(sigma_new, 1e-300):
-            return sigma_new
-        sigma_prev, sigma = sigma, sigma_new
-    warnings.warn(f"power iteration did not settle: last estimates "
-                  f"({sigma_prev:.17g}, {sigma:.17g})", RuntimeWarning)
-    return sigma
 
 
 class Coupling:
@@ -163,10 +131,36 @@ class Coupling:
 
     @cached_property
     def norm(self) -> float:
-        """Spectral norm ``||E||_2``."""
-        if self._matrix is not None:
-            return spectral_norm(self._matrix)
-        return math.sqrt(len(self.rows))
+        """Upper bound on ``||E||_2``, ``stacked_norm([E])``."""
+        return stacked_norm([self])
+
+    def schur_rows(self) -> np.ndarray:
+        """Schur certificate: an m-vector ``r`` with ``lambda_max(E E^T) <=
+        max_i r[i]``.  The integer ``len(rows)`` on the row blocks of a
+        structured kind, ``|E| (|E|^T 1)`` for a sparse matrix, which stays
+        sparse, and ``||E||_2^2`` throughout, from one SVD, for a dense one."""
+        M = self._matrix
+        if M is None:
+            r = np.zeros((self.blocks, self.n), dtype=int)
+            r[list(self.rows)] = len(self.rows)
+            return r.ravel()
+        if sp.issparse(M):
+            M = abs(M)
+            return M @ (M.T @ np.ones(self.shape[0]))
+        return np.full(self.shape[0], np.linalg.norm(M, 2) ** 2)
+
+    def penalized_gram(self, penalty: float, prox_weight: float):
+        """``C = p E^T E + s I``: the float ``p alpha + s`` when ``E^T E =
+        alpha I``, otherwise a dense n-by-n array; a sparse ``"matrix"`` is
+        multiplied sparse, and only the n-by-n product is densified."""
+        alpha = self.gram_scale
+        if alpha is not None:
+            return float(penalty * alpha + prox_weight)
+        M = self._matrix
+        C = penalty * (M.T @ M)
+        C = C.toarray() if sp.issparse(C) else C
+        C.flat[::C.shape[0] + 1] += prox_weight
+        return C
 
     def toarray(self) -> np.ndarray:
         """The represented matrix as a dense array."""
@@ -192,20 +186,7 @@ class Coupling:
 
 
 def stacked_norm(couplings) -> float:
-    """Spectral norm of the ``m x sum_k n_k`` matrix ``[E_1 ... E_K]``.
-
-    When every coupling is structured with the same ``n``, ``[E_1 ... E_K]
-    [E_1 ... E_K]^T = (C C^T) kron I_n`` for the B-by-K incidence matrix
-    ``C`` of their row blocks, so the norm comes from that small matrix;
-    otherwise by power iteration on the stacked matrix.
-    """
-    if all(E.kind != "matrix" for E in couplings) \
-            and len({(E.n, E.blocks) for E in couplings}) == 1:
-        C = np.zeros((couplings[0].blocks, len(couplings)))
-        for k, E in enumerate(couplings):
-            C[list(E.rows), k] = 1.0
-        return math.sqrt(float(np.linalg.eigvalsh(C @ C.T)[-1]))
-    mats = [E._matrix if E.kind == "matrix" else E.toarray() for E in couplings]
-    if any(sp.issparse(M) for M in mats):
-        return spectral_norm(sp.hstack([sp.csr_matrix(M) for M in mats], format="csr"))
-    return spectral_norm(np.hstack(mats))
+    """Upper bound ``sqrt(max_i sum_k r_k[i])`` on ``||[E_1 ... E_K]||_2``
+    from the couplings' ``schur_rows`` ``r_k``: exact for the lasso, exchange
+    and consensus stacks (``sqrt(2)``, ``sqrt(K)``, ``sqrt(N + 1)``)."""
+    return math.sqrt(sum(E.schur_rows() for E in couplings).max())

@@ -11,8 +11,10 @@ schedule (criterion A)
 
 and its step-proportional tightening (criterion B), which multiplies the
 threshold by ``min(1, ||x_k - x_k_prev||)`` and yields the local linear rate.
-``||E||`` is the spectral norm of the full stacked coupling matrix, computed
-once per problem (in closed form for the structured couplings).
+``||E||`` is an upper bound on the spectral norm of the full stacked coupling
+matrix, ``coupling.stacked_norm``, computed once per problem in closed form;
+it is exact for the structured lasso, exchange and consensus couplings, and a
+larger value only tightens the thresholds.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ def check_schedule_params(eps0: float, gamma: float) -> None:
 class InexactSchedule:
     """Inexactness budget ``eps_nu = eps0 / nu^gamma`` plus the coupling norm.
 
+    ``e_norm`` bounds the spectral norm of the stacked coupling from above;
+    ``for_problem`` takes ``stacked_norm``, which is exact for the structured
+    lasso, exchange and consensus couplings.
+
     ``gamma > 1`` makes the budget summable, which is what the convergence
     guarantee needs; smaller gamma is accepted for experimentation but
     flagged with a warning.
@@ -57,7 +63,7 @@ class InexactSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         check_schedule_params(self.eps0, self.gamma)
         if not self.e_norm > 0:
-            raise ValueError("e_norm (spectral norm of the stacked coupling) required")
+            raise ValueError("e_norm (a bound on the stacked coupling's norm) required")
         if self.gamma <= 1.0:
             warnings.warn("gamma <= 1: inexactness budget is not summable, "
                           "convergence not guaranteed in theory", RuntimeWarning)

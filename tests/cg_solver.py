@@ -7,9 +7,12 @@ blocks (acceptance criteria 7 and 8, the conjugate-gradient loop against
 build ``CgBlockSolver`` instead: ``cg_solvers`` gives the package's build
 with this solver on the least-squares blocks.  It subclasses the package's
 ``_SmoothBlockSolver``, so it evaluates the subproblem as Newton does.
+``spectral_norm``, the power iteration behind its ``||H||`` estimate, is
+kept here with it.
 """
 
 import math
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -17,7 +20,6 @@ import numpy as np
 from augdecomp.block_solvers import (BlockSolveCertificate, QuadBlockSolver,
                                      _formed_hessian, _SmoothBlockSolver,
                                      build_penalized_solvers)
-from augdecomp.coupling import spectral_norm
 from augdecomp.model import BlockSpec, vnorm
 
 # Conjugate-gradient floor stop (``CgBlockSolver``): the floor is tested
@@ -25,6 +27,39 @@ from augdecomp.model import BlockSpec, vnorm
 # gradient accuracy is estimated as _UNIT_ROUNDOFF * (||H|| ||x|| + ||b||).
 _FLOOR_TRIGGER = 0.1
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def spectral_norm(E, rel_tol: float = 1e-10, max_iters: int = 1000) -> float:
+    """Largest singular value by power iteration on ``E^T E``.
+
+    Returns 0.0 for the zero matrix.  If successive estimates have not
+    settled to ``rel_tol`` within ``max_iters`` sweeps, the last bracketing
+    pair is reported in a warning and the newest estimate returned.
+    """
+    n = E.shape[1]
+    v = np.linspace(1.0, 2.0, n)
+    v /= np.linalg.norm(v)
+    sigma_prev = sigma = 0.0
+    restarts = 0
+    for _ in range(max_iters):
+        u = E.T @ (E @ v)
+        norm_u = float(np.linalg.norm(u))
+        if norm_u == 0.0:
+            # v landed in the null space; restart from a basis vector
+            if restarts >= n:
+                return 0.0
+            v = np.zeros(n)
+            v[restarts] = 1.0
+            restarts += 1
+            continue
+        sigma_new = float(np.sqrt(v @ u))
+        v = u / norm_u
+        if abs(sigma_new - sigma) <= rel_tol * max(sigma_new, 1e-300):
+            return sigma_new
+        sigma_prev, sigma = sigma, sigma_new
+    warnings.warn(f"power iteration did not settle: last estimates "
+                  f"({sigma_prev:.17g}, {sigma:.17g})", RuntimeWarning)
+    return sigma
 
 
 class CgBlockSolver(_SmoothBlockSolver):

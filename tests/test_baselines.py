@@ -149,7 +149,7 @@ class TestProxJadmm:
         params = BaselineParams(beta=2.0, gamma_damp=1.0)
         weights = default_prox_weights(problem, params)
         K = problem.num_blocks
-        from augdecomp.coupling import spectral_norm
+        from cg_solver import spectral_norm
         for tau, blk in zip(weights, problem.blocks):
             lower = 2.0 * (K / (2.0 - 1.0) - 1.0) * spectral_norm(blk.E.toarray()) ** 2
             assert tau > lower
@@ -238,6 +238,17 @@ class TestAdmm2:
                            for E, blk in zip((E0, E1), small_lasso.blocks))
             with pytest.raises(ValueError, match="x - z"):
                 Admm2Lasso(Problem(blocks=blocks, q=np.zeros(d)), BaselineParams())
+
+    def test_rejects_a_nonzero_q_however_small(self):
+        # the z- and u-updates ignore q: with q = 1e-9 the residual cannot
+        # fall below ||q|| = 6.3e-9, so only an exactly zero q (of either
+        # sign) is the lasso form
+        problem, _ = ag.gen_lasso(30, 40, seed=3)
+        tiny = Problem(blocks=problem.blocks, q=np.full(problem.m, 1e-9))
+        with pytest.raises(ValueError, match="x - z"):
+            Admm2Lasso(tiny, BaselineParams())
+        Admm2Lasso(Problem(blocks=problem.blocks, q=-np.zeros(problem.m)),
+                   BaselineParams())
 
     def test_x_update_is_the_vsadmm_block_solve(self, small_lasso):
         # with w[0] = z - u and y[0] = 0, VSADMM's block-0 target is ADMM2's z - u

@@ -505,10 +505,12 @@ def test_config_rejects_stop_modes_it_cannot_run(tmp_path):
     {"experiment": "exchange", "solver": "admm2"},
     {"experiment": "lasso", "solver": "vsadmm", "full_diagnostics": True},
     {"experiment": "lasso", "data_path": "/nonexistent.svm"},
+    {"experiment": "lasso", "solver": "proxjadmm", "gamma_damp": 2.0},
 ])
 def test_config_rejects_pairings_the_runner_ignores_before_any_work(tmp_path, pairing):
     # admm2 runs only the two-block lasso, the baselines fill no reference
-    # fields, and only logreg reads a data file
+    # fields, only logreg reads a data file, and the CLI's proxjadmm takes
+    # the default proximal weights, which need gamma_damp < 2
     with pytest.raises(ValueError, match="applies to"):
         ExperimentConfig(**pairing)
     out = tmp_path / "run"

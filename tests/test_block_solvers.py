@@ -13,10 +13,9 @@ from augdecomp.bench import gen_logreg_data
 from augdecomp.block_solvers import (BlockSolveCertificate, BlockSolveError,
                                      L1ProxBlockSolver,
                                      NewtonBlockSolver, QuadBlockSolver,
-                                     _cholesky_solver, _coupling_hessian,
-                                     _factored_solver, _formed_hessian,
-                                     build_penalized_solvers, soft_threshold,
-                                     subgrad_dist_l1)
+                                     _cholesky_solver, _factored_solver,
+                                     _formed_hessian, build_penalized_solvers,
+                                     soft_threshold, subgrad_dist_l1)
 from augdecomp.coupling import e_gram_scale
 from augdecomp.inexact import InexactSchedule
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
@@ -155,7 +154,7 @@ class TestQuadFactorization:
             E = ag.Coupling(matrix=rng.standard_normal((7, d)))
             solver = QuadBlockSolver(BlockSpec(n=d, E=E, objective=FunctionDescriptor(
                 smooth=SmoothPart("least_squares", A, np.zeros(A.shape[0])))), 1.2, 0.3)
-            M = _formed_hessian(A, _coupling_hessian(E, 1.2, 0.3))
+            M = _formed_hessian(A, E.penalized_gram(1.2, 0.3))
         else:
             solver = identity_quad_solver(A, 1.7)
             M = (A.T @ A if case == "primal" else A @ A.T) + 1.7 * np.eye(min(A.shape))
@@ -1258,10 +1257,10 @@ class TestBlockSolverObjects:
                 return _orig(self, *args, **kwargs)
             monkeypatch.setattr(cls, "toarray", spy)
         E = sp.random(2000, 50, density=0.01, random_state=23, format="csr")
-        C = _coupling_hessian(ag.Coupling(matrix=E), 1.2, 0.3)
+        C = ag.Coupling(matrix=E).penalized_gram(1.2, 0.3)
         assert (2000, 50) not in shapes
         monkeypatch.undo()
-        C_dense = _coupling_hessian(ag.Coupling(matrix=E.toarray()), 1.2, 0.3)
+        C_dense = ag.Coupling(matrix=E.toarray()).penalized_gram(1.2, 0.3)
         assert np.linalg.norm(C - C_dense) <= 1e-14 * np.linalg.norm(C_dense)
 
     def test_l1_solver_stacked_coupling(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,9 +8,10 @@ import augdecomp as ag
 from augdecomp import coupling
 from augdecomp.bench import gen_logreg_data
 from augdecomp.block_solvers import L1ProxBlockSolver, QuadBlockSolver
-from augdecomp.coupling import Coupling, e_gram_scale, spectral_norm, stacked_norm
+from augdecomp.coupling import Coupling, e_gram_scale, stacked_norm
 from augdecomp.model import BlockSpec, FunctionDescriptor
 
+from cg_solver import spectral_norm
 from conftest import iterative_solvers
 
 
@@ -76,7 +79,7 @@ def test_general_matrix_keeps_its_products():
     assert np.array_equal(E.apply(x), M @ x)
     assert np.array_equal(E.apply_T(r), M.T @ r)
     assert E.gram_scale is None
-    assert E.norm == spectral_norm(M)
+    assert E.norm == pytest.approx(np.linalg.norm(M, 2), rel=4 * np.finfo(float).eps)
     S = sp.random(6, 3, density=0.5, random_state=2, format="csr")
     Es = Coupling(matrix=S)
     assert np.array_equal(Es.apply_T(np.ones(6)), S.T @ np.ones(6))
@@ -145,8 +148,14 @@ def test_structured_problems_skip_numerical_detection(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("numerical structure detection on a structured coupling")
 
+    def no_matrix_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            forbidden()
+        return np_norm(x, ord, *args, **kwargs)
+
+    np_norm = np.linalg.norm
     monkeypatch.setattr(coupling, "e_gram_scale", forbidden)
-    monkeypatch.setattr(coupling, "spectral_norm", forbidden)
+    monkeypatch.setattr(np.linalg, "norm", no_matrix_norm)
     A, labels = gen_logreg_data(30, 4, seed=3)
     problems = [ag.gen_lasso(10, 15, seed=2)[0], ag.gen_exchange(3, 6, 4, seed=2)[0],
                 ag.build_logreg_consensus(ag.partition_rows(A, labels, 3), lam=0.1)]
@@ -171,3 +180,69 @@ def test_user_dense_identity_gets_closed_form_solvers():
     t, z = rng.standard_normal(4), rng.standard_normal(4)
     for a, b in zip(dense_solvers, ag.build_block_solvers(structured, params)):
         assert np.array_equal(a.solve(t, z).x, b.solve(t, z).x)
+
+
+def _consensus(partitions):
+    A, labels = gen_logreg_data(40, 5, seed=4)
+    return ag.build_logreg_consensus(ag.partition_rows(A, labels, partitions), lam=0.1)
+
+
+@pytest.mark.parametrize("partitions", range(1, 11))
+def test_stacked_norm_is_exact_for_consensus(partitions):
+    # [E_1 ... E_N+1] [E_1 ... E_N+1]^T = (I + 1 1^T) kron I_d, whose largest
+    # eigenvalue N + 1 is also every row sum: the bound is sqrt(N + 1) to the bit
+    problem = _consensus(partitions)
+    assert stacked_norm([b.E for b in problem.blocks]) == math.sqrt(partitions + 1)
+
+
+def _svd_norm(mats):
+    stacked = np.hstack([M.toarray() if sp.issparse(M) else M for M in mats])
+    return float(np.linalg.svd(stacked, compute_uv=False)[0])
+
+
+def test_matrix_norms_are_bounded_from_above():
+    # Schur's bound is never below the largest singular value, up to the
+    # rounding of the products it sums
+    rng = np.random.default_rng(8)
+    slack = 1.0 - 4 * np.finfo(float).eps
+    for trial in range(10):
+        m = int(rng.integers(5, 40))
+        mats = [rng.standard_normal((m, int(rng.integers(1, 30)))),
+                sp.random(m, int(rng.integers(1, 30)), density=0.3,
+                          random_state=trial, format="csr"),
+                sp.random(m, int(rng.integers(1, 30)), density=0.05,
+                          random_state=100 + trial, format="csc")
+                * rng.standard_normal()]
+        for M in mats:
+            assert Coupling(matrix=M).norm >= _svd_norm([M]) * slack
+        couplings = [Coupling(matrix=M) for M in mats] + [Coupling.identity(m, sign=-1)]
+        assert stacked_norm(couplings) >= _svd_norm(
+            mats + [-np.eye(m)]) * slack
+
+
+def _tv_difference(side):
+    """Forward differences of a side x side image, along rows and columns."""
+    d1 = sp.diags([-np.ones(side - 1), np.ones(side - 1)], [0, 1],
+                  shape=(side - 1, side))
+    eye = sp.eye(side)
+    return sp.vstack([sp.kron(eye, d1), sp.kron(d1, eye)], format="csr")
+
+
+def test_tv_stack_is_bounded_without_densifying(monkeypatch):
+    # [D, -I] for the 64x64 difference operator: ||[D, -I]||^2 = 1 + 8 sin^2(63 pi/128)
+    # and Schur's bound is 1 + 8 (two columns of four nonzeros per row of D)
+    D = _tv_difference(64)
+    m = D.shape[0]
+    exact = math.sqrt(1.0 + 8.0 * math.sin(63 * math.pi / 128) ** 2)
+
+    def spy(self, *args, **kwargs):
+        raise AssertionError(f"densified a {self.shape[0]}x{self.shape[1]} matrix")
+
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.dia_matrix,
+                sp.csr_array, sp.csc_array, sp.coo_array, sp.dia_array, Coupling):
+        monkeypatch.setattr(cls, "toarray", spy)
+    for minus_eye in (Coupling.identity(m, sign=-1), Coupling(matrix=-sp.eye(m))):
+        norm = stacked_norm([Coupling(matrix=D), minus_eye])
+        assert exact <= norm <= 3.0
+    assert math.sqrt(8.0) * math.sin(63 * math.pi / 128) <= Coupling(matrix=D).norm \
+        <= math.sqrt(8.0)
