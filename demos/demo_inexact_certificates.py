@@ -23,7 +23,7 @@ params = ag.SolverParams(rho=2.0, c=2.0, max_iters=200, stop_eps=1e-14)
 # summable absolute schedule
 sched_a = InexactSchedule.for_problem(problem, "criterion_A", eps0=1.0, gamma=1.5)
 print(f"stacked coupling norm ||E|| = {sched_a.e_norm:.6f}")
-solvers = ag.build_block_solvers(problem, params, sched_a)
+solvers = ag.build_block_solvers(problem, params)
 final, trace = ag.run(problem, params, solvers, stop_mode="max_iters",
                       schedule=sched_a)
 print("criterion A certificates vs thresholds (every 40th iteration):")
@@ -43,7 +43,7 @@ limit, _ = ag.run(problem, long_params, ag.build_block_solvers(problem, long_par
 initial = ag.make_initial_state(problem)
 observer = ag.RateObserver(problem, params.rho, params.c, limit, initial,
                            exact_engine=False)
-solvers_b = ag.build_block_solvers(problem, params, sched_b)
+solvers_b = ag.build_block_solvers(problem, params)
 _, trace_b = ag.run(problem, params, solvers_b, initial=initial,
                     stop_mode="max_iters", schedule=sched_b, observe=observer)
 theta = observer.report(trace_b).tail_ratio_theta

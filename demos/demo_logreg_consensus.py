@@ -23,7 +23,7 @@ print(f"consensus problem: {problem.num_blocks - 1} data blocks + z block, "
 
 params = ag.SolverParams(rho=10.0, c=10.0, max_iters=2000, stop_eps=1e-14)
 sched = InexactSchedule.for_problem(problem, "criterion_A", eps0=1.0, gamma=1.5)
-solvers = ag.build_block_solvers(problem, params, sched)
+solvers = ag.build_block_solvers(problem, params)
 
 # reference objective value from a tighter run of the same configuration
 from dataclasses import replace
@@ -41,7 +41,7 @@ def stop(state, metrics):
     return gap <= 1e-10
 
 
-solvers2 = ag.build_block_solvers(problem, params, sched)
+solvers2 = ag.build_block_solvers(problem, params)
 final, trace = ag.run(problem, params, solvers2, stop_mode=stop, schedule=sched)
 z = final.x[-1]
 print(f"stopped at iteration {len(trace)}: consensus ratio "

@@ -16,18 +16,20 @@ with ``q_k = q`` for the last block and zero otherwise.  The increments
 ``eta_k - zeta`` sum to zero by construction, so ``w`` stays in the zero-sum
 subspace; the tiny floating-point drift is removed and recorded each step.
 
-A sweep forms each quantity once: one pass over the blocks solves them,
-gathers the certificates and writes ``E_k x_k`` into row k of ``eta``, which
-the residual and the eta update share.  The updates run in place with the
-bits of the formulas above, and the new state skips ``IterateState``'s
-zero-sum check, which the drift removal ensures; a caller's state keeps it.
+The block solves are ``sweep``, which VSADMM and proximal Jacobian ADMM
+(``baselines``) share: one pass over the blocks solves them, tallies the
+certificates and writes ``E_k x_k`` into row k of an array, which here
+becomes ``eta`` after the residual is summed from it.  The updates run in
+place with the bits of the formulas above, and the new state skips
+``IterateState``'s zero-sum check, which the drift removal ensures; a
+caller's state keeps it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -129,24 +131,64 @@ def _block_targets(state: IterateState, problem: Problem, rho: float) -> np.ndar
     return targets
 
 
-def step_metrics(nu: int, problem: Problem, x_prev: Sequence, x_new: Sequence,
-                 resid: np.ndarray, values=None, *, delta_g_norm_sq, per_block_cert,
-                 inner_iters_total=0, w_drift=0.0, fallbacks=0,
-                 factorizations=0) -> StepMetrics:
-    """``StepMetrics`` of the step ``x_prev -> x_new``, for every engine.
+class Sweep(NamedTuple):
+    """A ``sweep``'s new blocks ``x``, ``E_k x_k`` in row k of ``ex``, ``resid =
+    sum_k E_k x_k - q``, and its certificates' bounds, values ``f_k(x_k)``
+    (None where unevaluated) and summed tallies."""
 
-    ``resid = sum_k E_k x_k - q`` at ``x_new``; ``values`` optionally gives
-    ``f_k(x_k)`` where a block solver evaluated it (see ``objective``); the
-    keywords are the ``StepMetrics`` fields of the same names.
-    """
-    resid_norm = vnorm(resid)
+    x: tuple
+    ex: Optional[np.ndarray]
+    resid: np.ndarray
+    certs: tuple
+    values: Sequence
+    inner_iters: int = 0
+    fallbacks: int = 0
+    factorizations: int = 0
+
+
+def sweep(problem: Problem, solvers: Sequence, targets: np.ndarray,
+          x_prev: Sequence, accept_rules: Optional[Sequence] = None) -> Sweep:
+    """Solve block k against row k of ``targets`` from ``x_prev[k]``, under
+    ``accept_rules[k]`` when given, in block order; a ``BlockSolveError``
+    names the failing block.  The residual is summed in
+    ``constraint_residual``'s order."""
+    ex = np.empty((problem.num_blocks, problem.m))
+    new_x, certs, values = [], [], []
+    inner = fallbacks = factorizations = 0
+    for k, solver in enumerate(solvers):
+        try:
+            cert = solver.solve(targets[k], x_prev[k],
+                                accept=None if accept_rules is None else accept_rules[k])
+        except BlockSolveError as err:
+            raise BlockSolveError(f"block {k}: {err}") from err
+        x = np.asarray(cert.x, dtype=float)
+        new_x.append(x)
+        certs.append(cert.subgrad_bound)
+        values.append(cert.value)
+        inner += cert.inner_iters
+        fallbacks += cert.exact_fallback
+        factorizations += cert.factorizations
+        ex[k] = problem.blocks[k].E.apply(x)
+    resid = np.negative(problem.q)
+    for row in ex:
+        resid += row
+    return Sweep(tuple(new_x), ex, resid, tuple(certs), values, inner, fallbacks,
+                 factorizations)
+
+
+def step_metrics(nu: int, problem: Problem, x_prev: Sequence, sw: Sweep, *,
+                 delta_g_norm_sq: float = math.nan, w_drift: float = 0.0) -> StepMetrics:
+    """``StepMetrics`` of the step from ``x_prev`` to ``sw.x``, for every
+    engine; the objective takes ``sw.values`` (see ``objective``), and the
+    baselines leave the G-norm delta, undefined for them, NaN."""
+    resid_norm = vnorm(sw.resid)
     x_prev_stacked = np.concatenate(x_prev)
-    dx = np.concatenate(x_new)
+    dx = np.concatenate(sw.x)
     dx -= x_prev_stacked
-    return StepMetrics(nu, objective(x_new, problem, values), resid_norm,
+    return StepMetrics(nu, objective(sw.x, problem, sw.values), resid_norm,
                        delta_g_norm_sq, vnorm(dx) / max(1.0, vnorm(x_prev_stacked)),
-                       resid_norm / max(1.0, vnorm(problem.q)), per_block_cert,
-                       inner_iters_total, w_drift, fallbacks, factorizations)
+                       resid_norm / max(1.0, vnorm(problem.q)), sw.certs,
+                       sw.inner_iters, w_drift, sw.fallbacks, sw.factorizations)
 
 
 def ada_step(state: IterateState, problem: Problem, params: SolverParams,
@@ -156,41 +198,17 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
 
     ``accept_rules`` optionally supplies a per-block inexactness test
     ``accept(x, bound) -> bool`` forwarded to iterative solvers; with None
-    every solver runs in its exact mode.  The K subproblems are independent
-    given ``state`` and are solved one after another, in block order.  A
-    solver failure aborts the step with a ``BlockSolveError`` naming the
-    failing block.
+    every solver runs in its exact mode.  The blocks are solved by
+    ``sweep``, whose ``BlockSolveError`` names the failing block.
     """
-    K, m = problem.num_blocks, problem.m
+    K = problem.num_blocks
     rho, q = params.rho, problem.q
-    targets = _block_targets(state, problem, rho)
-
-    # one pass over the blocks: solve, gather the certificate, and write
-    # E_k x_k into row k of eta, which the residual and the eta update share
-    eta_new = np.empty((K, m))
-    new_x, certs, values = [], [], []  # values: f_k(x_k) where the solver evaluated it
-    inner_total = fallbacks = factorizations = 0
-    for k, solver in enumerate(solvers):
-        try:
-            cert = solver.solve(targets[k], state.x[k],
-                                accept=None if accept_rules is None else accept_rules[k])
-        except BlockSolveError as err:
-            raise BlockSolveError(f"block {k}: {err}") from err
-        x = np.asarray(cert.x, dtype=float)
-        new_x.append(x)
-        certs.append(cert.subgrad_bound)
-        values.append(cert.value)
-        inner_total += cert.inner_iters
-        fallbacks += cert.exact_fallback
-        factorizations += cert.factorizations
-        eta_new[k] = problem.blocks[k].E.apply(x)
-    new_x = tuple(new_x)
-    resid = np.negative(q)  # summed in constraint_residual's order
-    for ex in eta_new:
-        resid += ex
+    sw = sweep(problem, solvers, _block_targets(state, problem, rho), state.x,
+               accept_rules)
 
     # in-place updates with the bits of the formulas in the module docstring;
     # np.add.reduce(., axis=0) / K is mean(axis=0) without its wrapper
+    eta_new = sw.ex
     eta_new -= state.w
     eta_new[K - 1] -= q
     eta_new *= 0.5 * rho
@@ -207,17 +225,12 @@ def ada_step(state: IterateState, problem: Problem, params: SolverParams,
     y_new = eta_new + zeta_new
     y_new *= 0.5
     # zero-sum by the drift removal, so the state is built unchecked
-    new_state = _unchecked(IterateState, w_new, new_x, eta_new, zeta_new, y_new)
+    new_state = _unchecked(IterateState, w_new, sw.x, eta_new, zeta_new, y_new)
 
     metrics = step_metrics(
-        nu, problem, state.x, new_x, resid, values,
+        nu, problem, state.x, sw,
         delta_g_norm_sq=state_g_dist_sq(state, new_state, rho, params.c),
-        per_block_cert=tuple(certs),
-        inner_iters_total=inner_total,
-        w_drift=vnorm(drift) * np.sqrt(K),
-        fallbacks=fallbacks,
-        factorizations=factorizations,
-    )
+        w_drift=vnorm(drift) * np.sqrt(K))
     return new_state, metrics
 
 
@@ -295,8 +308,8 @@ def run(problem: Problem, params: SolverParams, solvers: Sequence,
     schedule : inexact.InexactSchedule, optional
         With a schedule, step ``nu`` solves the blocks under its acceptance
         rules ``schedule.accept_rules(nu, state, params, K)`` (iADA); with
-        None every block solver runs in its exact mode (ADA).  Pass the
-        schedule that built ``solvers``.
+        None every block solver runs in its exact mode (ADA).  The solvers
+        are the same for every schedule.
     observe : callable, optional
         Called with the state after each step (see ``drive``), such as a
         ``diagnostics.RateObserver`` built with the same ``initial``; the

@@ -10,7 +10,10 @@ engines:
 * the classic two-block ADMM for the lasso with over-relaxation.
 
 Every least-squares block update, the two-block ADMM's x-update included,
-is a ``QuadBlockSolver`` solve.  Every step returns ``(new_state,
+is a ``QuadBlockSolver`` solve.  VSADMM and proximal Jacobian ADMM solve
+their blocks by the engines' ``ada.sweep``, so their metrics carry what the
+solvers certified and counted, as ADA's do (nonzero on logistic blocks,
+whose Newton solves factor Hessians).  Every step returns ``(new_state,
 StepMetrics)``, as ``ada_step`` does, and every runner hands its step to the
 engines' loop ``ada.drive``, so they share its stop modes, stop reasons and
 trace schema; the G-norm delta column is not defined for these iterations
@@ -24,10 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .ada import StepMetrics, drive, step_metrics
+from .ada import Sweep, drive, step_metrics, sweep
 from .block_solvers import (QuadBlockSolver, build_penalized_solvers,
                             soft_threshold)
-from .model import Problem, constraint_residual, project_onto_W
+from .model import Problem, project_onto_W
 
 
 def check_baseline_params(beta: float, gamma_damp: float, admm_step: float) -> None:
@@ -74,18 +77,6 @@ def default_prox_weights(problem: Problem, params: BaselineParams) -> tuple:
     return tuple(factor * blk.E.norm ** 2 + 0.1 for blk in problem.blocks)
 
 
-def _baseline_metrics(nu, problem, x_prev, x_new, resid, values) -> StepMetrics:
-    """Shared metrics; no G-norm delta and zero certificates (exact solves).
-
-    ``resid`` is the constraint residual at ``x_new``, which the step
-    formed, and ``values`` the block objectives its solvers evaluated (None
-    for the others; see ``objective``).
-    """
-    return step_metrics(nu, problem, x_prev, x_new, resid, values=values,
-                        delta_g_norm_sq=float("nan"),
-                        per_block_cert=(0.0,) * len(x_new))
-
-
 # ---------------------------------------------------------------------------
 # Variable-splitting ADMM
 
@@ -99,28 +90,19 @@ def vsadmm_step(state, problem: Problem, params: BaselineParams, solvers, nu: in
     ``v_k = E_k x_k - q_k + y_k/beta`` onto the zero-sum subspace.
     """
     w, x, y = state
-    K, m = problem.num_blocks, problem.m
     beta, q = params.beta, problem.q
     y_scaled = y / beta
-    new_x, values = [], []
-    ex = np.empty((K, m))
-    for k in range(K):
-        t = (q if k == K - 1 else 0.0) + w[k]
-        t -= y_scaled[k]
-        cert = solvers[k].solve(t, x[k], accept=None)
-        new_x.append(cert.x)
-        values.append(cert.value)
-        ex[k] = problem.blocks[k].E.apply(cert.x)
-    new_x = tuple(new_x)
-    resid = np.negative(q)  # summed in constraint_residual's order
-    for row in ex:
-        resid += row
-    ex[K - 1] -= q  # now E_k x_k - q_k, row k
+    targets = w.copy()  # (w_k + q_k) - y_k/beta, row k
+    targets[-1] += q
+    targets -= y_scaled
+    sw = sweep(problem, solvers, targets, x)
+    ex = sw.ex
+    ex[-1] -= q  # now E_k x_k - q_k, row k
     w_new = project_onto_W(ex + y_scaled)
     y_new = ex - w_new
     y_new *= beta
     y_new += y
-    return (w_new, new_x, y_new), _baseline_metrics(nu, problem, x, new_x, resid, values)
+    return (w_new, sw.x, y_new), step_metrics(nu, problem, x, sw)
 
 
 def vsadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
@@ -149,24 +131,15 @@ def prox_jadmm_step(state, problem: Problem, params: BaselineParams, solvers,
     multiplier takes the damped step ``lam -= gamma*beta*(E x - q)``.
     """
     x, lam = state
-    K = problem.num_blocks
-    beta, q = params.beta, problem.q
-    Ex = [problem.blocks[k].E.apply(x[k]) for k in range(K)]
-    total = np.sum(Ex, axis=0)
-    lam_scaled = lam / beta
-    new_x, values = [], []
-    for k in range(K):
-        # the target -r_k, r_k = (total - E_k x_k) - q - lam / beta, in place
-        t = total - Ex[k]
-        t -= q
-        t -= lam_scaled
-        cert = solvers[k].solve(np.negative(t, out=t), x[k], accept=None)
-        new_x.append(cert.x)
-        values.append(cert.value)
-    new_x = tuple(new_x)
-    resid = constraint_residual(new_x, problem)
-    lam_new = lam - params.gamma_damp * beta * resid
-    return (new_x, lam_new), _baseline_metrics(nu, problem, x, new_x, resid, values)
+    beta = params.beta
+    Ex = np.array([blk.E.apply(xk) for blk, xk in zip(problem.blocks, x)])
+    # row k the target -r_k, r_k = (total - E_k x_k) - q - lam / beta, in place
+    targets = np.sum(Ex, axis=0) - Ex
+    targets -= problem.q
+    targets -= lam / beta
+    sw = sweep(problem, solvers, np.negative(targets, out=targets), x)
+    lam_new = lam - params.gamma_damp * beta * sw.resid
+    return (sw.x, lam_new), step_metrics(nu, problem, x, sw)
 
 
 def prox_jadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
@@ -223,9 +196,11 @@ class Admm2Lasso:
         self._quad = QuadBlockSolver(problem.blocks[0], params.beta, 0.0)
 
     def step(self, state, nu: int = 0):
-        """One sweep; returns ``((x, z, u), StepMetrics)``, like ``ada_step``.
+        """One Gauss-Seidel pass, x then z then u; returns ``((x, z, u),
+        StepMetrics)``, like ``ada_step``.
 
-        The metrics take ``f(x)`` from the x-update's solve and the residual
+        Not a ``sweep``, so the step fills its ``Sweep`` itself: ``f(x)`` and
+        the certificate from the x-update's solve, and the residual
         ``x - z - q`` in ``constraint_residual``'s order for ``E = (I, -I)``.
         """
         x, z, u = state
@@ -238,8 +213,9 @@ class Admm2Lasso:
         resid = np.negative(self.problem.q)
         resid += x_new
         resid -= z_new
-        return (x_new, z_new, u_new), _baseline_metrics(
-            nu, self.problem, (x, z), (x_new, z_new), resid, (cert.value, None))
+        done = Sweep((x_new, z_new), None, resid, (cert.subgrad_bound, 0.0),
+                     (cert.value, None))
+        return (x_new, z_new, u_new), step_metrics(nu, self.problem, (x, z), done)
 
     def run(self, max_iters: int, stop_eps: float = 1e-8,
             stop_mode: str = "x_change"):

@@ -382,7 +382,7 @@ def reference_state(problem: Problem, params: SolverParams,
     when a block solver fails on the way.
     """
     tight = replace(params, stop_eps=eps, max_iters=max_iters)
-    final, trace = ada.run(problem, tight, build_block_solvers(problem, tight, schedule),
+    final, trace = ada.run(problem, tight, build_block_solvers(problem, tight),
                            stop_mode="x_change", schedule=schedule)
     if trace.error is not None:
         raise BlockSolveError(f"reference run: {trace.error}")
@@ -432,7 +432,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         initial = make_initial_state(problem)
         observer = diagnostics.RateObserver(problem, params.rho, params.c, reference,
                                             initial, exact_engine=schedule is None)
-        solvers = build_block_solvers(problem, params, schedule)
+        solvers = build_block_solvers(problem, params)
         kinds = [sv.kind for sv in solvers]
         final, trace = ada.run(problem, params, solvers, initial=initial,
                                stop_mode=stop_mode, schedule=schedule, observe=observer)

@@ -519,7 +519,8 @@ def build_penalized_solvers(problem, penalty: float, prox_weights):
 def build_block_solvers(problem, params, schedule=None):
     """Solvers for the decomposition engines: penalty ``rho/2``, prox ``1/c``.
 
-    The build is the same with or without an inexact ``schedule``: l1 and
+    ``schedule`` is ignored: it is kept only for callers that still pass
+    one, since the build is the same with or without a schedule.  l1 and
     least-squares blocks get their closed forms, which certify 0 and so pass
     every acceptance rule, and logistic blocks damped Newton steps (at most
     500), to ``1e-12`` in the gradient norm when no schedule sets a

@@ -8,6 +8,7 @@ from augdecomp import baselines
 from augdecomp.baselines import (Admm2Lasso, BaselineParams, default_prox_weights,
                                  prox_jadmm_run, prox_jadmm_step, vsadmm_run,
                                  vsadmm_step)
+from augdecomp.bench import gen_logreg_data
 from augdecomp.block_solvers import build_penalized_solvers
 from augdecomp.model import (BlockSpec, FunctionDescriptor, Problem,
                              SmoothPart)
@@ -372,14 +373,43 @@ class TestNonFiniteStop:
 
 
 class CountingSolver:
-    """Delegates to a real block solver and counts its solves."""
+    """Delegates to a real block solver and keeps the certificate of each
+    solve in ``calls``."""
 
     def __init__(self, inner, calls):
         self.inner, self.calls = inner, calls
 
     def solve(self, t, z, accept=None):
-        self.calls.append(1)
-        return self.inner.solve(t, z, accept=accept)
+        cert = self.inner.solve(t, z, accept=accept)
+        self.calls.append(cert)
+        return cert
+
+
+@pytest.mark.parametrize("name", ["vsadmm", "proxjadmm"])
+def test_baseline_step_reports_what_its_newton_solves_did(name):
+    """On logistic blocks the baselines' metrics carry the Newton solves'
+    certificates and tallies, as ADA's do, not zeros."""
+    A, labels = gen_logreg_data(120, 6, 1)
+    problem = ag.build_logreg_consensus(ag.partition_rows(A, labels, 3), lam=0.1)
+    K, m = problem.num_blocks, problem.m
+    bp = BaselineParams(beta=1.0, gamma_damp=0.5)
+    zeros_x = tuple(np.zeros(n) for n in problem.block_dims())
+    if name == "vsadmm":
+        weights, state, step = 0.0, (np.zeros((K, m)), zeros_x, np.zeros((K, m))), vsadmm_step
+    else:
+        weights, state, step = default_prox_weights(problem, bp), (zeros_x, np.zeros(m)), \
+            prox_jadmm_step
+    certs = []
+    solvers = [CountingSolver(s, certs) for s in
+               build_penalized_solvers(problem, penalty=bp.beta, prox_weights=weights)]
+    for nu in (1, 2):
+        del certs[:]
+        state, metrics = step(state, problem, bp, solvers, nu)
+        assert metrics.per_block_cert == tuple(c.subgrad_bound for c in certs)
+        assert metrics.inner_iters_total == sum(c.inner_iters for c in certs) > 0
+        assert metrics.factorizations == sum(c.factorizations for c in certs) > 0
+        assert metrics.fallbacks == 0
+    assert any(b > 0 for b in metrics.per_block_cert)
 
 
 def _counted_runner(name, problem, monkeypatch):

@@ -399,8 +399,7 @@ def test_summary_counts_exact_fallbacks(tmp_path, monkeypatch):
     counts = {}
     for solver in ("ada", "iada"):
         if solver == "iada":
-            monkeypatch.setattr(bench, "build_block_solvers",
-                                lambda problem, params, sched: iterative_solvers(problem, params))
+            monkeypatch.setattr(bench, "build_block_solvers", iterative_solvers)
         out = tmp_path / solver
         config = ExperimentConfig(experiment="exchange", solver=solver, seed=1000,
                                   blocks=5, n=100, p=80, rho=10.0, c=10.0,
@@ -465,6 +464,30 @@ def test_summary_counts_hessian_factorizations(tmp_path):
             (out / "summary.json").read_text())["hessian_factorizations"]
     assert counts["logreg", "iada"] > 0 and counts["logreg", "ada"] > 0
     assert counts["lasso", "iada"] == 0
+
+
+@pytest.mark.parametrize("solver", ["vsadmm", "proxjadmm"])
+def test_baseline_summary_counts_hessian_factorizations(tmp_path, monkeypatch, solver):
+    # the baselines' Newton solves on logistic blocks factor Hessians too,
+    # and the summary counts what the trace recorded
+    runner = {"vsadmm": "vsadmm_run", "proxjadmm": "prox_jadmm_run"}[solver]
+    original, traces = getattr(bench.baselines, runner), []
+
+    def keep_trace(*args):
+        state, trace = original(*args)
+        traces.append(trace)
+        return state, trace
+
+    monkeypatch.setattr(bench.baselines, runner, keep_trace)
+    config = ExperimentConfig(experiment="logreg", solver=solver, n=120, d=6,
+                              partitions=3, seed=1, max_iters=20,
+                              stop_mode="max_iters", out=str(tmp_path))
+    assert run_experiment(config) == 2
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    [trace] = traces
+    assert summary["hessian_factorizations"] == \
+        sum(m.factorizations for m in trace.metrics) > 0
+    assert summary["block_solvers"] is None
 
 
 def test_summary_names_each_block_solver(tmp_path):

@@ -9,7 +9,7 @@ from augdecomp import coupling
 from augdecomp.bench import gen_logreg_data
 from augdecomp.block_solvers import L1ProxBlockSolver, QuadBlockSolver
 from augdecomp.coupling import Coupling, e_gram_scale, stacked_norm
-from augdecomp.model import BlockSpec, FunctionDescriptor
+from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart
 
 from cg_solver import spectral_norm
 from conftest import iterative_solvers
@@ -181,6 +181,19 @@ def test_user_dense_identity_gets_closed_form_solvers():
     for a, b in zip(dense_solvers, ag.build_block_solvers(structured, params)):
         assert np.array_equal(a.solve(t, z).x, b.solve(t, z).x)
 
+
+def test_l1_block_needs_a_scalar_gram():
+    # the README's general coupling: a least-squares block on it gets its
+    # factor, but the l1 block's soft threshold needs E^T E = alpha I
+    M = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
+    ls = BlockSpec(n=3, E=M, objective=FunctionDescriptor(
+        smooth=SmoothPart("least_squares", np.ones((4, 3)), np.ones(4))))
+    l1 = BlockSpec(n=3, E=M, objective=FunctionDescriptor(l1_scale=0.1))
+    params = ag.SolverParams(rho=2.0, c=1.0)
+    solvers = ag.build_block_solvers(ag.Problem(blocks=(ls, ls), q=np.zeros(2)), params)
+    assert [s.kind for s in solvers] == ["quad", "quad"]
+    with pytest.raises(ValueError, match=r"coupling matrix must satisfy E\^T E = alpha I"):
+        ag.build_block_solvers(ag.Problem(blocks=(ls, l1), q=np.zeros(2)), params)
 
 def _consensus(partitions):
     A, labels = gen_logreg_data(40, 5, seed=4)
