@@ -159,23 +159,18 @@ def prox_jadmm_run(problem: Problem, params: BaselineParams, max_iters: int,
 # Two-block lasso ADMM
 
 
-def _is_signed_identity(E, sign: int) -> bool:
-    """``E == sign * I``, read from the structure or compared exactly."""
-    if E.kind == "matrix":
-        return np.array_equal(E.toarray(), sign * np.eye(E.shape[1]))
-    return E.kind == "identity" and E.sign == sign
-
-
 def _require_lasso_form(problem: Problem) -> float:
     """The l1 weight of a lasso coupled by ``x - z = 0``, the only coupling
     that ``Admm2Lasso``'s z- and multiplier updates are written for; they
-    ignore ``q``, so it must be exactly zero.  The least-squares block is
-    checked by its ``QuadBlockSolver``."""
+    ignore ``q``, so it must be exactly zero.  The couplings must be
+    ``Coupling.identity`` with signs +1 and -1; a matrix, even ``+-I``, is
+    refused.  The least-squares block is checked by its ``QuadBlockSolver``."""
     if problem.num_blocks != 2:
         raise ValueError("two-block lasso form required")
     b1, b2 = problem.blocks
     ok = (b2.objective.smooth is None and not problem.q.any()
-          and _is_signed_identity(b1.E, 1) and _is_signed_identity(b2.E, -1))
+          and all(blk.E.kind == "identity" and blk.E.sign == sign
+                  for blk, sign in ((b1, 1), (b2, -1))))
     if not ok:
         raise ValueError("expected blocks (least squares, l1) coupled by x - z = 0")
     return b2.objective.l1_scale

@@ -267,6 +267,12 @@ _CONSENSUS_RATIO_TOL = 1e-6
 _CONSENSUS_GAP_TOL = 1e-10
 
 
+# what a config field takes, by the type of its default
+_FIELD_TYPES = {bool: (bool, "true or false"), int: ((int, np.integer), "an integer"),
+                float: ((int, float, np.integer), "a number"),
+                str: (str, "a string"), type(None): ((str, type(None)), "a string or null")}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat description of one benchmark run; JSON configs mirror the fields."""
@@ -297,6 +303,12 @@ class ExperimentConfig:
     full_diagnostics: bool = False
 
     def __post_init__(self):
+        # first, each value has its default's type; a bool is never a number
+        for f in fields(self):
+            value, (kinds, want) = getattr(self, f.name), _FIELD_TYPES[type(f.default)]
+            if not isinstance(value, kinds) or (isinstance(value, bool)
+                                                and not isinstance(f.default, bool)):
+                raise ValueError(f"config key {f.name!r} takes {want}, not {value!r}")
         if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.solver not in _SOLVERS:
@@ -375,11 +387,15 @@ def _consensus_stop(problem: Problem, f_star: float):
 def reference_state(problem: Problem, params: SolverParams,
                     schedule: InexactSchedule | None = None,
                     eps: float = 1e-12, max_iters: int = 20000):
-    """High-accuracy oracle: the same configuration run to ``eps`` x-change.
-
-    Solver-generated rather than ground truth; its accuracy limits how small
-    a tolerance downstream comparisons may claim.  Raises ``BlockSolveError``
-    when a block solver fails on the way.
+    """High-accuracy oracle: ``params`` run to ``eps`` x-change under
+    ``schedule``, exact without one.  In ``run_experiment`` an ``ada`` run's
+    ``consensus`` stop passes ``InexactSchedule.for_problem`` (criterion A,
+    ``eps0 = 1``, ``gamma = 1.5``), which its ``full_diagnostics`` reuse; its
+    ``full_diagnostics`` alone pass none; an ``iada`` run passes criterion A
+    with its own ``eps0`` and ``gamma``.  Solver-generated rather than
+    ground truth; its accuracy limits how small a tolerance downstream
+    comparisons may claim.  Raises ``BlockSolveError`` when a block solver
+    fails on the way.
     """
     tight = replace(params, stop_eps=eps, max_iters=max_iters)
     final, trace = ada.run(problem, tight, build_block_solvers(problem, tight),

@@ -201,13 +201,14 @@ class QuadBlockSolver:
     """Closed-form solver for least-squares blocks, under any coupling.
 
     Solves ``(A^T A + C) x = A^T b + p E^T t + s z`` with ``C = p E^T E + s I``,
-    factored once, at construction, by ``_factored_solver``: when ``C`` is a
-    scalar ``sigma`` and ``A`` has more columns than rows, the smaller
-    ``A A^T + sigma I`` is factored and the Woodbury identity recovers the
-    solve; otherwise ``A^T A + C`` is.  The Woodbury solve forms ``v``, which
-    is ``A x`` up to rounding, so its certificate carries the loss
-    ``0.5 ||v - b||^2`` as ``value`` and the engine's objective needs no
-    further product with ``A``; the formed path carries no value.
+    factored once, at construction, by ``_factored_solver``: when ``C`` is
+    the scalar ``sigma`` of a structured coupling and ``A`` has more columns
+    than rows, the smaller ``A A^T + sigma I`` is factored and the Woodbury
+    identity recovers the solve; otherwise ``A^T A + C`` is.  The Woodbury
+    solve forms ``v``, which is ``A x`` up to rounding, so its certificate
+    carries the loss ``0.5 ||v - b||^2`` as ``value`` and the engine's
+    objective needs no further product with ``A``; the formed path carries
+    no value.
     """
 
     exact = True
@@ -247,8 +248,10 @@ class QuadBlockSolver:
 class L1ProxBlockSolver:
     """Closed-form soft-threshold solver for pure l1 blocks.
 
-    Requires ``E^T E = alpha I``; covers signed identities as well as the
-    stacked-copy coupling of the consensus formulation.
+    Requires ``E^T E = alpha I``, which only the structured couplings declare:
+    the signed identities (``Coupling.identity``) and the stacked copies of
+    the consensus formulation (``Coupling.copies``).  A ``"matrix"`` coupling
+    is refused whatever its entries.
     """
 
     exact = True
@@ -258,14 +261,15 @@ class L1ProxBlockSolver:
         fd = block.objective
         if fd.smooth is not None:
             raise ValueError("L1ProxBlockSolver requires an l1 block")
-        alpha = block.E.gram_scale
-        if alpha is None:
-            raise ValueError("coupling matrix must satisfy E^T E = alpha I")
+        if block.E.gram_scale is None:
+            raise ValueError("an l1 block needs E^T E = alpha I, which only "
+                             "Coupling.identity and Coupling.copies declare; "
+                             "a matrix coupling has no Gram scale")
         self.E = block.E
         self.lam = fd.l1_scale
         self.penalty = float(penalty)
         self.prox_weight = float(prox_weight)
-        self.denom = penalty * alpha + prox_weight
+        self.denom = block.E.penalized_gram(penalty, prox_weight)
         self._adjoint = _scaled_adjoint(block.E, self.penalty)
 
     def solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolveCertificate:
@@ -309,7 +313,7 @@ class _SmoothBlockSolver:
     which for a smooth objective is the subgradient distance.  The Hessian
     is ``H = A^T diag(h) A + C`` with the loss curvature ``h`` (all ones for
     least squares) and ``C = p E^T E + s I``, which is ``(p alpha + s) I``
-    for a coupling with ``E^T E = alpha I`` and otherwise formed once.  The
+    for a structured coupling and is formed once for a matrix one.  The
     loss's evaluation at the last point is kept, so a solve that starts
     where the previous one stopped does not evaluate the loss there again,
     and a certificate carries the loss when its point is that last one.

@@ -3,10 +3,11 @@
 The couplings of the lasso, exchange and consensus formulations are signed
 identities and stacked copies of the identity; their products, Gram scales
 and norms have closed forms, so they are represented by their structure
-rather than by a matrix.  Any other dense or sparse matrix is kept as given,
-and its Gram scale is computed once, on first use.  Norms are bounded from
-above in closed form by Schur's test (I. Schur, J. reine angew. Math. 140,
-1911), exactly for the structured kinds; see ``stacked_norm``.
+rather than by a matrix.  A coupling's structure is what its constructor
+says: any other dense or sparse matrix is kept as given and has no Gram
+scale, whatever its entries.  Norms are bounded from above in closed form
+by Schur's test (I. Schur, J. reine angew. Math. 140, 1911), exactly for
+the structured kinds; see ``stacked_norm``.
 """
 
 from __future__ import annotations
@@ -16,27 +17,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-
-
-def e_gram_scale(E) -> float | None:
-    """Return ``alpha`` when ``E^T E == alpha * I``, else None.
-
-    A scalar Gram matrix is what makes the closed-form block solves
-    available; this numerical test serves the general ``"matrix"`` kind,
-    whose structure is not known when it is built.  A sparse ``E`` keeps a
-    sparse Gram.
-    """
-    G = E.T @ E
-    d = G.diagonal()
-    alpha = float(d.mean())
-    scale = 1e-12 * max(1.0, alpha)
-    if not np.allclose(d, alpha, rtol=1e-12, atol=scale):
-        return None
-    # the largest entry of G - alpha I, off the diagonal and on it
-    off = G - (sp.diags(d) if sp.issparse(G) else np.diag(d))
-    if max(abs(off).max(), np.abs(d - alpha).max()) > scale:
-        return None
-    return alpha
 
 
 class Coupling:
@@ -54,6 +34,9 @@ class Coupling:
     ``"matrix"``
         A dense or sparse matrix, kept as given: ``Coupling(matrix=M)``.
 
+    ``gram_scale`` (``alpha`` with ``E^T E = alpha I``) is set at construction:
+    ``len(rows)`` for a structured kind, None for any matrix, even ``np.eye``.
+
     ``apply`` and ``apply_T`` return the same numbers as the products
     ``M @ x`` and ``M.T @ r`` with the CSR form of the represented matrix
     ``M``: exact zero terms add nothing, a negation rounds like the value it
@@ -69,6 +52,7 @@ class Coupling:
             if self._matrix.ndim != 2:
                 raise ValueError("a coupling matrix must be two-dimensional")
             self.shape = self._matrix.shape
+            self.gram_scale = None
             return
         rows = tuple(sorted(int(r) for r in rows))
         if n < 1 or blocks < 1:
@@ -80,6 +64,7 @@ class Coupling:
         self._matrix = None
         self.n, self.blocks, self.rows, self.sign = int(n), int(blocks), rows, sign
         self.shape = (self.blocks * self.n, self.n)
+        self.gram_scale = float(len(rows))
 
     @classmethod
     def identity(cls, n: int, sign: int = 1) -> "Coupling":
@@ -123,13 +108,6 @@ class Coupling:
         return acc if self.sign > 0 else -acc
 
     @cached_property
-    def gram_scale(self) -> float | None:
-        """``alpha`` with ``E^T E = alpha I``, or None when there is none."""
-        if self._matrix is not None:
-            return e_gram_scale(self._matrix)
-        return float(len(self.rows))
-
-    @cached_property
     def norm(self) -> float:
         """Upper bound on ``||E||_2``, ``stacked_norm([E])``."""
         return stacked_norm([self])
@@ -150,12 +128,12 @@ class Coupling:
         return np.full(self.shape[0], np.linalg.norm(M, 2) ** 2)
 
     def penalized_gram(self, penalty: float, prox_weight: float):
-        """``C = p E^T E + s I``: the float ``p alpha + s`` when ``E^T E =
-        alpha I``, otherwise a dense n-by-n array; a sparse ``"matrix"`` is
-        multiplied sparse, and only the n-by-n product is densified."""
-        alpha = self.gram_scale
-        if alpha is not None:
-            return float(penalty * alpha + prox_weight)
+        """``C = p E^T E + s I``: the float ``p alpha + s`` for a structured
+        kind, a dense n-by-n array for a ``"matrix"``, whatever its entries;
+        a sparse matrix is multiplied sparse, and only the n-by-n product is
+        densified."""
+        if self.gram_scale is not None:
+            return float(penalty * self.gram_scale + prox_weight)
         M = self._matrix
         C = penalty * (M.T @ M)
         C = C.toarray() if sp.issparse(C) else C

@@ -173,10 +173,11 @@ class BlockSpec:
 
     ``E`` is a ``Coupling`` (``Coupling.identity`` for ``+-I``,
     ``Coupling.copies`` for stacked copies of the identity) or a dense or
-    sparse matrix, which is wrapped as a general ``"matrix"`` coupling.  The
-    engines use ``E.apply``/``E.apply_T`` and the closed-form solvers
-    ``E.gram_scale``; ``E.toarray()`` gives the matrix.  The block ranges
-    over the whole space ``R^n``.
+    sparse matrix, which is wrapped as a general ``"matrix"`` coupling with
+    no Gram scale, whatever its entries, so an l1 block needs a structured
+    one.  The engines use ``E.apply``/``E.apply_T`` and the closed-form
+    solvers ``E.gram_scale``; ``E.toarray()`` gives the matrix.  The block
+    ranges over the whole space ``R^n``.
     """
 
     n: int

@@ -32,6 +32,11 @@ read; only tests write such files.
 ``trace_to_csv`` is ``Trace.to_csv`` as it was before it formatted whole
 rows: a ``csv.writer`` fed one formatted field at a time.
 
+``e_gram_scale`` is the numerical test for ``E^T E = alpha I`` that once
+gave a ``"matrix"`` coupling its Gram scale; a coupling's structure is now
+what its constructor says, and tests use it to check the
+structured kinds' closed forms against their matrices.
+
 ``identity_quad_solver`` builds the ``QuadBlockSolver`` of the shifted
 normal system ``(A^T A + sigma I) x = r``.
 
@@ -494,6 +499,27 @@ def l1_block_solve(self, t: np.ndarray, z: np.ndarray, accept=None) -> BlockSolv
         numer = numer + self.prox_weight * z
     x = soft_threshold(numer / self.denom, self.lam / self.denom)
     return BlockSolveCertificate(x=x, subgrad_bound=0.0)
+
+
+def e_gram_scale(E) -> float | None:
+    """Return ``alpha`` when ``E^T E == alpha * I``, else None.
+
+    A scalar Gram matrix is what makes the closed-form block solves
+    available; this numerical test serves the general ``"matrix"`` kind,
+    whose structure is not known when it is built.  A sparse ``E`` keeps a
+    sparse Gram.
+    """
+    G = E.T @ E
+    d = G.diagonal()
+    alpha = float(d.mean())
+    scale = 1e-12 * max(1.0, alpha)
+    if not np.allclose(d, alpha, rtol=1e-12, atol=scale):
+        return None
+    # the largest entry of G - alpha I, off the diagonal and on it
+    off = G - (sp.diags(d) if sp.issparse(G) else np.diag(d))
+    if max(abs(off).max(), np.abs(d - alpha).max()) > scale:
+        return None
+    return alpha
 
 
 def identity_quad_solver(A, sigma: float, b=None) -> QuadBlockSolver:

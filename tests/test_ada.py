@@ -22,7 +22,7 @@ from oracles import ergodic_average, phi_value
 def scalar_quadratic_problem():
     """K=2, m=n_k=1, f_k = x^2/2, E_k = [1], q = 0."""
     blocks = tuple(
-        BlockSpec(n=1, E=np.array([[1.0]]), objective=FunctionDescriptor(
+        BlockSpec(n=1, E=ag.Coupling.identity(1), objective=FunctionDescriptor(
             smooth=SmoothPart("least_squares", [[1.0]], [0.0])))
         for _ in range(2))
     return Problem(blocks=blocks, q=np.zeros(1))

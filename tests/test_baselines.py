@@ -110,7 +110,7 @@ class TestProxJadmm:
         # f_k = (x_k - a_k)^2 / 2, E_k = [1], q = 0
         a1, a2 = 1.0, -2.0
         blocks = tuple(
-            BlockSpec(n=1, E=np.array([[1.0]]), objective=FunctionDescriptor(
+            BlockSpec(n=1, E=ag.Coupling.identity(1), objective=FunctionDescriptor(
                 smooth=SmoothPart("least_squares", np.array([[1.0]]),
                                   np.array([a]))))
             for a in (a1, a2))
@@ -190,9 +190,10 @@ class TestAdmm2:
         d = 4
         A = np.eye(d)
         blocks = (
-            BlockSpec(n=d, E=np.eye(d), objective=FunctionDescriptor(
+            BlockSpec(n=d, E=ag.Coupling.identity(d), objective=FunctionDescriptor(
                 smooth=SmoothPart("least_squares", A, np.zeros(d)))),
-            BlockSpec(n=d, E=-np.eye(d), objective=FunctionDescriptor(l1_scale=0.5)),
+            BlockSpec(n=d, E=ag.Coupling.identity(d, sign=-1),
+                      objective=FunctionDescriptor(l1_scale=0.5)),
         )
         problem = Problem(blocks=blocks, q=np.zeros(d))
         solver = Admm2Lasso(problem, BaselineParams(beta=1.0))
@@ -205,9 +206,10 @@ class TestAdmm2:
         A = rng.standard_normal((20, 8))
         b = rng.standard_normal(20)
         blocks = (
-            BlockSpec(n=8, E=np.eye(8), objective=FunctionDescriptor(
+            BlockSpec(n=8, E=ag.Coupling.identity(8), objective=FunctionDescriptor(
                 smooth=SmoothPart("least_squares", A, b))),
-            BlockSpec(n=8, E=-np.eye(8), objective=FunctionDescriptor(l1_scale=1e-12)),
+            BlockSpec(n=8, E=ag.Coupling.identity(8, sign=-1),
+                      objective=FunctionDescriptor(l1_scale=1e-12)),
         )
         problem = Problem(blocks=blocks, q=np.zeros(8))
         solver = Admm2Lasso(problem, BaselineParams(beta=10.0))

@@ -639,6 +639,47 @@ def test_config_rejects_bad_l1_weight_before_any_work(tmp_path, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("max_iters", 2.5), ("seed", 1.5), ("n", True), ("partitions", "4"),
+    ("rho", False), ("stop_eps", "1e-8"), ("full_diagnostics", "no"),
+    ("full_diagnostics", 1), ("data_path", 3), ("solver", None)])
+def test_config_rejects_mistyped_values_before_any_work(tmp_path, key, value):
+    # each value must have its field's type, checked before any other rule:
+    # a float iteration cap would fail inside the run, after --out exists,
+    # and a string "no" for full_diagnostics would be truthy
+    with pytest.raises(ValueError, match=f"config key '{key}' takes"):
+        ExperimentConfig(**{key: value})
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value, "out": str(out)}))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert not out.exists()
+
+
+def test_config_takes_numpy_integers_and_integral_floats(tmp_path):
+    # an integer field takes a numpy integer, a float field an int or a
+    # float64 but not a float32, whose arithmetic would round to single
+    # precision; "rho": 10 writes the artifacts of "rho": 10.0
+    config = ExperimentConfig(seed=np.int64(3), max_iters=np.int32(5), rho=10,
+                              c=np.float64(2.0), data_path=None)
+    assert (config.seed, config.max_iters, config.rho, config.c) == (3, 5, 10, 2.0)
+    with pytest.raises(ValueError, match="config key 'c' takes a number"):
+        ExperimentConfig(c=np.float32(2.0))
+    runs = {}
+    for rho in (10, 10.0):
+        out = tmp_path / f"rho-{rho!r}"
+        cfg = tmp_path / f"rho-{rho!r}.json"
+        cfg.write_text(json.dumps({"experiment": "exchange", "blocks": 3, "n": 8, "p": 4,
+                                   "rho": rho, "max_iters": 30, "stop_mode": "max_iters",
+                                   "out": str(out)}))
+        assert main(["solve", "--config", str(cfg)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        del summary["wall_time_s"]
+        runs[rho] = [(out / name).read_bytes() for name in ("trace.csv", "rate_report.json")]
+        runs[rho].append(summary)
+    assert runs[10] == runs[10.0]
+
+
 def test_every_solve_option_names_a_config_field():
     # main() passes every option it was given to ExperimentConfig by name
     options = set(vars(_build_parser().parse_args(["solve"]))) - {"command", "config"}

@@ -16,7 +16,6 @@ from augdecomp.block_solvers import (BlockSolveCertificate, BlockSolveError,
                                      _cholesky_solver, _factored_solver,
                                      _formed_hessian, build_penalized_solvers,
                                      soft_threshold, subgrad_dist_l1)
-from augdecomp.coupling import e_gram_scale
 from augdecomp.inexact import InexactSchedule
 from augdecomp.model import (BlockSpec, FunctionDescriptor, IterateState,
                              SmoothPart, make_initial_state)
@@ -172,16 +171,16 @@ class TestQuadFactorization:
 
 
     def test_zero_scalar_shift_rejected(self):
-        # C = p E^T E + s I = 0 for a zero coupling and no proximal term; the
+        # C = p E^T E + s I = 0 for no penalty and no proximal term; the
         # wide block's Woodbury solve would divide by it
         rng = np.random.default_rng(5)
         A = rng.standard_normal((4, 9))
-        block = BlockSpec(n=9, E=ag.Coupling(matrix=np.zeros((3, 9))),
+        block = BlockSpec(n=9, E=ag.Coupling.identity(9),
                           objective=FunctionDescriptor(
                               smooth=SmoothPart("least_squares", A, np.zeros(4))))
-        assert block.E.gram_scale == 0.0
+        assert block.E.penalized_gram(0.0, 0.0) == 0.0
         with pytest.raises(ValueError, match="positive definite"):
-            QuadBlockSolver(block, 1.0, 0.0)
+            QuadBlockSolver(block, 0.0, 0.0)
 
 
     def test_non_finite_data_rejected(self):
@@ -189,7 +188,7 @@ class TestQuadFactorization:
         A = np.ones((6, 3))
         A[2, 1] = np.nan
         for a, b in ((A, np.zeros(6)), (np.ones((6, 3)), np.full(6, np.inf))):
-            block = BlockSpec(n=3, E=np.eye(3), objective=FunctionDescriptor(
+            block = BlockSpec(n=3, E=ag.Coupling.identity(3), objective=FunctionDescriptor(
                 smooth=SmoothPart("least_squares", a, b)))
             with pytest.raises(ValueError, match="finite"):
                 QuadBlockSolver(block, 1.0, 0.5)
@@ -351,9 +350,9 @@ class TestClosedFormSolveParity:
     N = 12
 
     @classmethod
-    def _couplings(cls, kind, rng, scalar_gram):
-        """A coupling of ``kind`` on ``R^N``; with ``scalar_gram`` one with
-        ``E^T E = alpha I``, as the l1 solver requires."""
+    def _couplings(cls, kind, rng):
+        """A coupling of ``kind`` on ``R^N``; the l1 solver takes the
+        structured kinds only."""
         n = cls.N
         if kind == "identity":
             return ag.Coupling.identity(n)
@@ -361,13 +360,8 @@ class TestClosedFormSolveParity:
             return ag.Coupling.identity(n, sign=-1)
         if kind == "copies":
             return ag.Coupling.copies(n, 3, rows=(0, 2), sign=-1)
-        if scalar_gram:
-            # a scaled signed permutation: E^T E = 4 I exactly
-            M = np.zeros((n, n))
-            M[rng.permutation(n), np.arange(n)] = 2.0 * rng.choice((-1.0, 1.0), n)
-        else:
-            M = rng.standard_normal((9, n))
-            M[np.abs(M) < 0.5] = 0.0
+        M = rng.standard_normal((9, n))
+        M[np.abs(M) < 0.5] = 0.0
         return ag.Coupling(matrix=sp.csr_matrix(M) if kind == "sparse matrix" else M)
 
     @staticmethod
@@ -381,7 +375,7 @@ class TestClosedFormSolveParity:
                                       "dense matrix", "sparse matrix"])
     def test_quad(self, kind, rows, prox):
         rng = np.random.default_rng(41)
-        E = self._couplings(kind, rng, scalar_gram=False)
+        E = self._couplings(kind, rng)
         block = BlockSpec(n=self.N, E=E, objective=FunctionDescriptor(
             smooth=SmoothPart("least_squares", rng.standard_normal((rows, self.N)),
                               rng.standard_normal(rows))))
@@ -391,11 +385,10 @@ class TestClosedFormSolveParity:
             self._assert_same(solver.solve(t, z), oracles.quad_block_solve(solver, t, z))
 
     @pytest.mark.parametrize("prox", [0.0, 0.7])
-    @pytest.mark.parametrize("kind", ["identity", "negated identity", "copies",
-                                      "dense matrix", "sparse matrix"])
+    @pytest.mark.parametrize("kind", ["identity", "negated identity", "copies"])
     def test_l1(self, kind, prox):
         rng = np.random.default_rng(42)
-        E = self._couplings(kind, rng, scalar_gram=True)
+        E = self._couplings(kind, rng)
         block = BlockSpec(n=self.N, E=E, objective=FunctionDescriptor(l1_scale=0.8))
         solver = L1ProxBlockSolver(block, 1.3, prox)
         nonzero = 0
@@ -500,7 +493,7 @@ class TestLogisticNewton:
                 lo = mid
         t_star = 0.5 * (lo + hi)
 
-        blk = BlockSpec(n=1, E=np.eye(1), objective=FunctionDescriptor(
+        blk = BlockSpec(n=1, E=ag.Coupling.identity(1), objective=FunctionDescriptor(
             smooth=SmoothPart("logistic", np.array([[a_val]]), np.array([b_val]))))
         solver = NewtonBlockSolver(blk, penalty=rho / 2, prox_weight=1 / c,
                                   exact_tol=1e-12)
@@ -525,7 +518,7 @@ class TestLogisticNewton:
 
     def test_hessian_matches_finite_differences_of_the_gradient(self):
         rng = np.random.default_rng(22)
-        for E in (np.eye(6), rng.standard_normal((4, 6))):
+        for E in (ag.Coupling.identity(6), rng.standard_normal((4, 6))):
             solver = NewtonBlockSolver(_logistic_block(E), penalty=1.5, prox_weight=0.2)
             t, z = rng.standard_normal(E.shape[0]), rng.standard_normal(6)
             fun_grad = solver._fun_grad(t, z)
@@ -545,8 +538,8 @@ class TestLogisticNewton:
         # value, rather than the loss at another point
         carried = missing = 0
         for seed in range(10):
-            solver = NewtonBlockSolver(_logistic_block(np.eye(6)), penalty=1.0,
-                                      prox_weight=0.1, exact_tol=0.0)
+            solver = NewtonBlockSolver(_logistic_block(ag.Coupling.identity(6)),
+                                      penalty=1.0, prox_weight=0.1, exact_tol=0.0)
             rng = np.random.default_rng(seed)
             cert = solver.solve(rng.standard_normal(6), rng.standard_normal(6))
             if cert.value is None:
@@ -559,7 +552,8 @@ class TestLogisticNewton:
     def test_unattainable_threshold_raises_once_stalled(self):
         # at the rounding floor full steps pass Armijo with f unchanged; the
         # stall stop ends the solve long before the 500-step budget
-        solver = NewtonBlockSolver(_logistic_block(np.eye(6)), penalty=1.0, prox_weight=0.1)
+        solver = NewtonBlockSolver(_logistic_block(ag.Coupling.identity(6)), penalty=1.0,
+                                  prox_weight=0.1)
         rng = np.random.default_rng(23)
         with pytest.raises(BlockSolveError, match=r"after \d{1,2} of 500 steps"):
             solver.solve(rng.standard_normal(6), rng.standard_normal(6),
@@ -1191,7 +1185,7 @@ class TestBlockSolverObjects:
         A = rng.standard_normal((30, 5))
         labels = np.sign(rng.standard_normal(30))
         labels[labels == 0] = 1.0
-        block = BlockSpec(n=5, E=np.eye(5), objective=FunctionDescriptor(
+        block = BlockSpec(n=5, E=ag.Coupling.identity(5), objective=FunctionDescriptor(
             smooth=SmoothPart("logistic", A, labels)))
         logistic_phi_gradient_fd_check(block, t=rng.standard_normal(5),
                                        z=rng.standard_normal(5),
@@ -1201,8 +1195,9 @@ class TestBlockSolverObjects:
         rng = np.random.default_rng(10)
         A = rng.standard_normal((8, 5))
         b = rng.standard_normal(8)
-        block = BlockSpec(n=5, E=-np.eye(5), objective=FunctionDescriptor(
-            smooth=SmoothPart("least_squares", A, b)))
+        block = BlockSpec(n=5, E=ag.Coupling.identity(5, sign=-1),
+                          objective=FunctionDescriptor(
+                              smooth=SmoothPart("least_squares", A, b)))
         solver = QuadBlockSolver(block, penalty=1.5, prox_weight=0.4)
         t = rng.standard_normal(5)
         z = rng.standard_normal(5)
@@ -1218,11 +1213,11 @@ class TestBlockSolverObjects:
         b = rng.standard_normal(8)
         # scalar Gram (cached primal solve), then a general coupling (Cholesky
         # of A^T A + p E^T E + s I); both against the dense oracle
-        for E in (np.eye(5), rng.standard_normal((3, 5))):
+        for E in (ag.Coupling.identity(5), rng.standard_normal((3, 5))):
             block = BlockSpec(n=5, E=E, objective=FunctionDescriptor(
                 smooth=SmoothPart("least_squares", A, b)))
             problem = ag.Problem(blocks=(block, BlockSpec(
-                n=E.shape[0], E=-np.eye(E.shape[0]),
+                n=E.shape[0], E=ag.Coupling.identity(E.shape[0], sign=-1),
                 objective=FunctionDescriptor(l1_scale=0.5))), q=np.zeros(E.shape[0]))
             solver = ag.build_penalized_solvers(problem, 1.2, 0.3)[0]
             fallback = CgBlockSolver(block, 1.2, 0.3)._fallback
@@ -1240,7 +1235,7 @@ class TestBlockSolverObjects:
         A = rng.standard_normal(shape) * (rng.random(shape) < 0.5)
         b = rng.standard_normal(shape[0])
         n = shape[1]
-        for E in (-np.eye(n), rng.standard_normal((3, n))):
+        for E in (ag.Coupling.identity(n, sign=-1), rng.standard_normal((3, n))):
             t, z = rng.standard_normal(E.shape[0]), rng.standard_normal(n)
             x = [QuadBlockSolver(BlockSpec(n=n, E=E, objective=FunctionDescriptor(
                 smooth=SmoothPart("least_squares", data, b))), 1.2, 0.3).solve(t, z).x
@@ -1266,14 +1261,15 @@ class TestBlockSolverObjects:
     def test_l1_solver_stacked_coupling(self):
         # consensus-style coupling: E = -[I; I], alpha = 2
         rng = np.random.default_rng(12)
-        E = -np.vstack([np.eye(3), np.eye(3)])
-        block = BlockSpec(n=3, E=E, objective=FunctionDescriptor(l1_scale=0.5))
-        assert e_gram_scale(E) == pytest.approx(2.0)
+        block = BlockSpec(n=3, E=ag.Coupling.copies(3, 2, rows=(0, 1), sign=-1),
+                          objective=FunctionDescriptor(l1_scale=0.5))
+        assert block.E.gram_scale == 2.0
         solver = L1ProxBlockSolver(block, penalty=1.0, prox_weight=0.25)
         t = rng.standard_normal(6)
         z = rng.standard_normal(3)
         cert = solver.solve(t, z)
         # check against the subgradient condition of the full objective
+        E = block.E.toarray()
         g_smooth = 1.0 * (E.T @ (E @ cert.x - t)) + 0.25 * (cert.x - z)
         assert subgrad_dist_l1(cert.x, g_smooth, 0.5) < 1e-12
 

@@ -5,14 +5,14 @@ import pytest
 import scipy.sparse as sp
 
 import augdecomp as ag
-from augdecomp import coupling
 from augdecomp.bench import gen_logreg_data
-from augdecomp.block_solvers import L1ProxBlockSolver, QuadBlockSolver
-from augdecomp.coupling import Coupling, e_gram_scale, stacked_norm
+from augdecomp.block_solvers import QuadBlockSolver
+from augdecomp.coupling import Coupling, stacked_norm
 from augdecomp.model import BlockSpec, FunctionDescriptor, SmoothPart
 
 from cg_solver import spectral_norm
 from conftest import iterative_solvers
+from oracles import e_gram_scale
 
 
 STRUCTURED = [
@@ -86,28 +86,24 @@ def test_general_matrix_keeps_its_products():
     assert np.array_equal(Es.toarray(), S.toarray())
 
 
-def test_sparse_gram_scale_is_not_densified(monkeypatch):
-    # E^T E = alpha I is read off the sparse Gram: a signed selection with
-    # 20000 columns would densify it to 3.2 GB
+def test_matrix_coupling_has_no_gram_scale(monkeypatch):
+    # structure is what the constructor says: a matrix, even a (signed,
+    # scaled) identity or selection, has no Gram scale, and building one
+    # reads none of its entries
     def spy(self, *args, **kwargs):
         raise AssertionError(f"densified a {self.shape[0]}x{self.shape[1]} matrix")
 
+    assert Coupling(matrix=np.eye(4)).gram_scale is None
+    assert Coupling(matrix=-np.eye(3)).gram_scale is None
     for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.dia_matrix, Coupling):
         monkeypatch.setattr(cls, "toarray", spy)
     n = 20000
     rng = np.random.default_rng(6)
     rows, signs = rng.permutation(n + 500)[:n], rng.choice([-2.0, 2.0], n)
-
-    def selection(rows, signs):
-        return Coupling(matrix=sp.csr_matrix((signs, (rows, np.arange(n))), shape=(n + 500, n)))
-
-    assert selection(rows, signs).gram_scale == 4.0
-    scaled = signs.copy()
-    scaled[7] *= 1.5  # one diagonal entry of the Gram differs
-    assert selection(rows, scaled).gram_scale is None
-    shared = rows.copy()
-    shared[1] = shared[0]  # an off-diagonal entry of the Gram
-    assert selection(shared, signs).gram_scale is None
+    S = sp.csr_matrix((signs, (rows, np.arange(n))), shape=(n + 500, n))
+    assert Coupling(matrix=S).gram_scale is None
+    assert Coupling.identity(5, sign=-1).gram_scale == 1.0
+    assert Coupling.copies(5, 4, rows=(0, 3), sign=-1).gram_scale == 2.0
 
 
 @pytest.mark.parametrize("eps, scalar", [(0.0, True), (1e-13, True), (1e-11, False)])
@@ -144,17 +140,15 @@ def test_stacked_norm_closed_form_matches_power_iteration():
     assert abs(norm - spectral_norm(stacked)) <= 1e-10 * np.sqrt(5.0)
 
 
-def test_structured_problems_skip_numerical_detection(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("numerical structure detection on a structured coupling")
-
+def test_structured_problems_take_no_matrix_norm(monkeypatch):
+    # the Schur bounds of the structured kinds are integers: building the
+    # solvers, the schedules and the proximal weights takes no SVD
     def no_matrix_norm(x, ord=None, *args, **kwargs):
         if ord == 2 and np.ndim(x) == 2:
-            forbidden()
+            raise AssertionError("matrix 2-norm of a structured coupling")
         return np_norm(x, ord, *args, **kwargs)
 
     np_norm = np.linalg.norm
-    monkeypatch.setattr(coupling, "e_gram_scale", forbidden)
     monkeypatch.setattr(np.linalg, "norm", no_matrix_norm)
     A, labels = gen_logreg_data(30, 4, seed=3)
     problems = [ag.gen_lasso(10, 15, seed=2)[0], ag.gen_exchange(3, 6, 4, seed=2)[0],
@@ -162,24 +156,44 @@ def test_structured_problems_skip_numerical_detection(monkeypatch):
     params = ag.SolverParams(rho=2.0, c=1.0, max_iters=3)
     for problem in problems:
         ag.build_block_solvers(problem, params)
-        schedule = ag.InexactSchedule.for_problem(problem)
-        ag.build_block_solvers(problem, params, schedule)
+        ag.InexactSchedule.for_problem(problem)
         iterative_solvers(problem, params)
         ag.default_prox_weights(problem, ag.BaselineParams())
 
 
-def test_user_dense_identity_gets_closed_form_solvers():
+def _dense_lasso():
+    """A small lasso, and the same problem on the dense matrices ``+-I``."""
     structured, _ = ag.gen_lasso(6, 4, seed=0)
     dense = ag.Problem(blocks=tuple(BlockSpec(n=4, E=b.E.toarray(), objective=b.objective)
                                     for b in structured.blocks), q=structured.q)
     assert [b.E.kind for b in dense.blocks] == ["matrix", "matrix"]
+    return structured, dense
+
+
+def test_dense_identity_gets_the_formed_solvers():
+    # a dense -I is a matrix: the l1 block's soft threshold refuses it, and
+    # the least-squares block on a dense I factors the formed p E^T E + s I,
+    # which agrees with the structured block's Woodbury solve
+    structured, dense = _dense_lasso()
     params = ag.SolverParams(rho=2.0, c=1.0)
-    dense_solvers = ag.build_block_solvers(dense, params)
-    assert [type(s) for s in dense_solvers] == [QuadBlockSolver, L1ProxBlockSolver]
+    with pytest.raises(ValueError, match=r"Coupling\.identity"):
+        ag.build_block_solvers(dense, params)
+    formed = QuadBlockSolver(dense.blocks[0], params.rho / 2.0, 1.0 / params.c)
+    assert not isinstance(formed.E.penalized_gram(1.0, 1.0), float)
+    reference = ag.build_block_solvers(structured, params)[0]
     rng = np.random.default_rng(5)
-    t, z = rng.standard_normal(4), rng.standard_normal(4)
-    for a, b in zip(dense_solvers, ag.build_block_solvers(structured, params)):
-        assert np.array_equal(a.solve(t, z).x, b.solve(t, z).x)
+    for _ in range(5):
+        t, z = rng.standard_normal(4), rng.standard_normal(4)
+        x, x_ref = formed.solve(t, z).x, reference.solve(t, z).x
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_admm2_refuses_a_dense_identity():
+    # Admm2Lasso reads the coupling's kind and sign and compares no matrix
+    # with +-I: dense (I, -I) is not the x - z form
+    _, dense = _dense_lasso()
+    with pytest.raises(ValueError, match="x - z"):
+        ag.Admm2Lasso(dense, ag.BaselineParams())
 
 
 def test_l1_block_needs_a_scalar_gram():
@@ -192,7 +206,8 @@ def test_l1_block_needs_a_scalar_gram():
     params = ag.SolverParams(rho=2.0, c=1.0)
     solvers = ag.build_block_solvers(ag.Problem(blocks=(ls, ls), q=np.zeros(2)), params)
     assert [s.kind for s in solvers] == ["quad", "quad"]
-    with pytest.raises(ValueError, match=r"coupling matrix must satisfy E\^T E = alpha I"):
+    with pytest.raises(ValueError, match=r"E\^T E = alpha I, which only "
+                       r"Coupling\.identity and Coupling\.copies declare"):
         ag.build_block_solvers(ag.Problem(blocks=(ls, l1), q=np.zeros(2)), params)
 
 def _consensus(partitions):

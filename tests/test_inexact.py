@@ -554,7 +554,7 @@ class TestQuadraticBlocksByCG:
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((12, 7))
         b = rng.standard_normal(12)
-        E = np.eye(7) if E is None else E
+        E = ag.Coupling.identity(7) if E is None else E
         blk = BlockSpec(n=7, E=E, objective=FunctionDescriptor(
             smooth=SmoothPart("least_squares", A, b)))
         return blk, rng.standard_normal(E.shape[0]), rng.standard_normal(7)
